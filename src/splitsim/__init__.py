@@ -7,74 +7,4 @@ with its noise-covariance solver and privacy certificates), plus an
 experiment harness for privacy-utility tradeoff sweeps.
 """
 
-from .attacks import (
-    CosineScorer,
-    NormScorer,
-    UndefinedAUCError,
-    cosine_score,
-    leak_auc,
-    norm_score,
-    quantile,
-    roc_auc,
-    select_oracle_positive,
-)
-from .data import Dataset, generate_synthetic, generate_toy_1d, load_csv, save_csv
-from .harness import (
-    ConfigError,
-    ExperimentConfig,
-    RunRecord,
-    TradeoffPoint,
-    config_from_dict,
-    load_config,
-    run_to_dir,
-    sweep,
-    train_run,
-)
-from .marvell import (
-    BatchStats,
-    LambdaSolution,
-    PrivacyCertificate,
-    SolverSettings,
-    auc_upper_bound,
-    build_covariances,
-    estimate_stats,
-    make_certificate,
-    objective,
-    power_budget,
-    solve,
-    sum_kl,
-    tv_upper_bound,
-)
-from .model import (
-    Adam,
-    ForwardState,
-    GradientBundle,
-    LayerSpec,
-    SGD,
-    SplitNet,
-    apply_update,
-    backprop_nonlabel,
-    compute_gradients,
-    cut_gradients,
-    forward,
-    logistic_loss,
-)
-from .numeric import (
-    StructuredCovariance,
-    finite_difference_gradient,
-    make_rng,
-    sample_standard_normal,
-    sample_structured_gaussian,
-    sample_structured_gaussian_batch,
-)
-from .protection import (
-    MechanismConfig,
-    PerturbOutcome,
-    apply_mechanism,
-    perturb_iso,
-    perturb_marvell,
-    perturb_max_norm,
-    perturb_none,
-)
-
 __version__ = "0.1.0"

@@ -15,8 +15,6 @@ import numpy as np
 __all__ = [
     "UndefinedAUCError",
     "roc_auc",
-    "norm_score",
-    "cosine_score",
     "select_oracle_positive",
     "NormScorer",
     "CosineScorer",
@@ -55,29 +53,14 @@ def roc_auc(scores: np.ndarray, labels: np.ndarray) -> float:
     return float(u / (n_pos * n_neg))
 
 
-def norm_score(g: np.ndarray) -> float:
-    """Euclidean norm of a gradient row."""
-    return float(np.linalg.norm(g))
-
-
-def cosine_score(g: np.ndarray, g_plus: np.ndarray) -> float:
-    """Cosine similarity against an oracle positive gradient."""
-    ng = np.linalg.norm(g)
-    np_ = np.linalg.norm(g_plus)
-    if ng == 0.0 or np_ == 0.0:
-        raise ValueError("cosine score undefined for a zero-norm vector")
-    return float(np.dot(g, g_plus) / (ng * np_))
-
-
-def select_oracle_positive(
-    clean_gradients: np.ndarray, labels: np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
-    """Uniformly random positive-class row of the unperturbed gradients."""
+def select_oracle_positive(labels: np.ndarray, rng: np.random.Generator) -> int:
+    """Index of a uniformly random positive-class row; the attacker's
+    oracle is that row of the unperturbed gradients."""
     labels = np.asarray(labels)
     pos_idx = np.flatnonzero(labels == 1)
     if pos_idx.size == 0:
         raise UndefinedAUCError("no positive example in batch")
-    return np.array(clean_gradients[rng.choice(pos_idx)], dtype=np.float64)
+    return int(rng.choice(pos_idx))
 
 
 @dataclass(frozen=True)

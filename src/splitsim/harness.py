@@ -31,11 +31,11 @@ from .attacks import (
 from .marvell import SolverSettings
 from .model import (
     Adam,
-    GradientBundle,
     SGD,
     SplitNet,
     apply_update,
     backprop_nonlabel,
+    first_layer_gradient_row,
     forward,
     label_party_gradients,
     logistic_loss,
@@ -284,9 +284,11 @@ def train_run(config: ExperimentConfig) -> RunRecord:
     """One full training run with per-iteration privacy measurement.
 
     Each iteration: forward, clean per-example cut gradients, mechanism
-    perturbation, the four leak AUCs (norm/cosine at cut/first layer,
-    scored on what the non-label party actually receives, with clean
-    oracles), then parameter updates for both parties.
+    perturbation, one non-label backward pass on the perturbed
+    gradients, the four leak AUCs (norm/cosine at cut/first layer,
+    scored on what the non-label party actually receives; each cosine
+    oracle is one clean positive row), then parameter updates for both
+    parties.
     """
     data_seed, init_seed, batch_seed, mech_seed, attack_seed = _stream_seeds(config.seed)
 
@@ -316,8 +318,6 @@ def train_run(config: ExperimentConfig) -> RunRecord:
         train_loss = float(np.mean(logistic_loss(state.logits, y_b)))
 
         clean_cut, h_grads = label_party_gradients(state, y_b)
-        _, clean_first = backprop_nonlabel(net, state, clean_cut)
-
         outcome = apply_mechanism(config.mechanism, clean_cut, y_b, mech_rng)
         f_grads, pert_first = backprop_nonlabel(net, state, outcome.perturbed)
 
@@ -327,16 +327,16 @@ def train_run(config: ExperimentConfig) -> RunRecord:
         if mixed:
             norm_cut = leak_auc(outcome.perturbed, y_b, NormScorer())
             norm_first = leak_auc(pert_first, y_b, NormScorer())
-            g_plus_cut = select_oracle_positive(clean_cut, y_b, attack_rng)
-            g_plus_first = select_oracle_positive(clean_first, y_b, attack_rng)
+            j_cut = select_oracle_positive(y_b, attack_rng)
+            j_first = select_oracle_positive(y_b, attack_rng)
+            g_plus_cut = clean_cut[j_cut]
+            g_plus_first = first_layer_gradient_row(net, state, j_first, clean_cut[j_first])
             if np.linalg.norm(g_plus_cut) > 0:
                 cos_cut = leak_auc(outcome.perturbed, y_b, CosineScorer(g_plus_cut))
             if np.linalg.norm(g_plus_first) > 0:
                 cos_first = leak_auc(pert_first, y_b, CosineScorer(g_plus_first))
 
-        apply_update(
-            net, GradientBundle(clean_cut, pert_first, f_grads, h_grads), optimizer
-        )
+        apply_update(net, f_grads, h_grads, optimizer)
 
         cert = outcome.certificate
         rows.append(

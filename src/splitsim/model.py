@@ -1,5 +1,7 @@
 """Two-party split model: feature network f (non-label party), logit
-head h (label party), logistic loss, and the split backward pass.
+head h (label party), logistic loss, and the split backward pass: one
+pass down h for the label party, one pass down f for the non-label
+party.
 
 The cut layer is the boundary between f and h.  Per-example gradients
 of the loss with respect to the cut features (the rows the label party
@@ -176,9 +178,11 @@ def logistic_loss(logit, y):
     return float(out) if out.ndim == 0 else out
 
 
-def _backward_layers(layers, pres, acts, input_act, delta):
+def _backward_layers(layers, pres, acts, input_act, delta, to_input=True):
     """Propagate upstream gradient `delta` (w.r.t. the final activation)
-    back through `layers`; returns (param_grad_sums, delta at the input).
+    back through `layers`; returns (param_grad_sums, delta), where delta
+    is taken at the input of `layers` or, with to_input=False, at the
+    output of `layers[0]`.
 
     Parameter gradients are sums over the batch (caller divides by B);
     `delta` stays per-example throughout.
@@ -191,23 +195,17 @@ def _backward_layers(layers, pres, acts, input_act, delta):
         dW = prev_act.T @ dz
         db = dz.sum(axis=0)
         param_grads[k] = (dW, db)
-        delta = dz @ layer.W.T
+        if k > 0 or to_input:
+            delta = dz @ layer.W.T
     return param_grads, delta
 
 
-def cut_gradients(state: ForwardState, y: np.ndarray) -> np.ndarray:
-    """Per-example gradient of each example's own loss w.r.t. its cut
-    features: row j equals (prob_j - y_j) * grad_z h(z)|_{z = f(X_j)}."""
-    y = np.asarray(y, dtype=np.float64)
-    upstream = (state.probs - y)[:, None]
-    _, delta = _backward_layers(
-        state.net.h_layers, state.h_pre, state.h_act, state.cut_features, upstream
-    )
-    return delta
-
-
 def label_party_gradients(state: ForwardState, y: np.ndarray):
-    """(per-example cut gradients, batch-mean h parameter gradients)."""
+    """(per-example cut gradients, batch-mean h parameter gradients).
+
+    Row j of the cut gradients is the gradient of example j's own loss
+    w.r.t. its cut features: (prob_j - y_j) * grad_z h(z)|_{z = f(X_j)}.
+    """
     y = np.asarray(y, dtype=np.float64)
     B = y.shape[0]
     upstream = (state.probs - y)[:, None]
@@ -220,7 +218,7 @@ def label_party_gradients(state: ForwardState, y: np.ndarray):
 
 def backprop_nonlabel(net: SplitNet, state: ForwardState, received: np.ndarray):
     """Continue backprop from the (possibly perturbed) received cut-layer
-    gradient matrix.
+    gradient matrix, in one pass down f.
 
     Returns (batch-mean f parameter gradients, per-example gradients at
     the first hidden layer's activation).  Everything is linear in
@@ -231,54 +229,25 @@ def backprop_nonlabel(net: SplitNet, state: ForwardState, received: np.ndarray):
     B, d = state.cut_features.shape
     if received.shape != (B, d):
         raise ValueError(f"received must be {(B, d)}, got {received.shape}")
-    param_sums, _ = _backward_layers(
-        net.f_layers, state.f_pre, state.f_act, state.X, received
+    param_sums, first_layer_grads = _backward_layers(
+        net.f_layers, state.f_pre, state.f_act, state.X, received, to_input=False
     )
     f_param_grads = [(dW / B, db / B) for dW, db in param_sums]
-    # per-example gradient w.r.t. the first layer's activation output
-    if len(net.f_layers) == 1:
-        first_layer_grads = received
-    else:
-        _, first_layer_grads = _backward_layers(
-            net.f_layers[1:],
-            state.f_pre[1:],
-            state.f_act[1:],
-            state.f_act[0],
-            received,
-        )
     return f_param_grads, first_layer_grads
 
 
-def h_feature_gradients(net: SplitNet, state: ForwardState) -> np.ndarray:
-    """Rows grad_z h(z)|_{z=f(X_j)} (upstream 1 per example)."""
-    ones = np.ones((state.logits.shape[0], 1))
-    _, delta = _backward_layers(
-        net.h_layers, state.h_pre, state.h_act, state.cut_features, ones
-    )
+def first_layer_gradient_row(
+    net: SplitNet, state: ForwardState, j: int, cut_row: np.ndarray
+) -> np.ndarray:
+    """Example j's gradient at the first hidden layer's activation, given
+    its cut-layer gradient row: row j of backprop_nonlabel's first-layer
+    gradients, computed for that row alone."""
+    delta = np.asarray(cut_row, dtype=np.float64)
+    for k in range(len(net.f_layers) - 1, 0, -1):
+        layer = net.f_layers[k]
+        dz = delta * _act_grad(layer.spec.activation, state.f_pre[k][j], state.f_act[k][j])
+        delta = dz @ layer.W.T
     return delta
-
-
-@dataclass
-class GradientBundle:
-    cut_gradients: np.ndarray
-    first_layer_gradients: np.ndarray
-    f_param_grads: list
-    h_param_grads: list
-
-
-def compute_gradients(
-    net: SplitNet, state: ForwardState, y: np.ndarray, received: np.ndarray | None = None
-) -> GradientBundle:
-    """One full split backward pass.
-
-    `received` is what the non-label party actually gets (defaults to
-    the clean per-example cut gradients).
-    """
-    cut, h_grads = label_party_gradients(state, y)
-    if received is None:
-        received = cut
-    f_grads, first = backprop_nonlabel(net, state, received)
-    return GradientBundle(cut, first, f_grads, h_grads)
 
 
 class SGD:
@@ -322,10 +291,10 @@ class Adam:
             layer.b -= self.lr * (mb / c1) / (np.sqrt(vb / c2) + self.eps)
 
 
-def apply_update(net: SplitNet, grads: GradientBundle, optimizer) -> None:
-    """In-place parameter update of both parties from one bundle.
+def apply_update(net: SplitNet, f_param_grads: list, h_param_grads: list, optimizer) -> None:
+    """In-place parameter update of both parties.
 
     The optimizer keeps per-parameter state across calls, keyed by
     position (f layers first, then h layers).
     """
-    optimizer.update(net.f_layers + net.h_layers, grads.f_param_grads + grads.h_param_grads)
+    optimizer.update(net.f_layers + net.h_layers, f_param_grads + h_param_grads)

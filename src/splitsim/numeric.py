@@ -1,5 +1,5 @@
-"""Shared numeric primitives: seeded RNG streams, structured Gaussian
-sampling, and a finite-difference gradient oracle.
+"""Shared numeric primitives: seeded RNG streams and structured
+Gaussian sampling.
 
 All vectors/matrices are plain float64 numpy arrays.  Randomness goes
 through counter-based Philox generators so that a given (seed, stream)
@@ -11,17 +11,13 @@ interfere with each other.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 __all__ = [
     "make_rng",
-    "sample_standard_normal",
     "StructuredCovariance",
-    "sample_structured_gaussian",
     "sample_structured_gaussian_batch",
-    "finite_difference_gradient",
 ]
 
 _UNIT_NORM_TOL = 1e-12
@@ -36,13 +32,6 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(stream),))
     return np.random.Generator(np.random.Philox(ss))
-
-
-def sample_standard_normal(rng: np.random.Generator, d: int) -> np.ndarray:
-    """d iid draws from N(0, 1)."""
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
-    return rng.standard_normal(d)
 
 
 @dataclass(frozen=True)
@@ -78,19 +67,6 @@ class StructuredCovariance:
         return self.along_var + self.iso_var * self.dim
 
 
-def sample_structured_gaussian(
-    cov: StructuredCovariance, rng: np.random.Generator
-) -> np.ndarray:
-    """One zero-mean draw with covariance along_var*uu^T + iso_var*I.
-
-    Sampled as sqrt(along_var)*z0*u + sqrt(iso_var)*z with z0 ~ N(0,1)
-    and z ~ N(0, I); cost O(d).
-    """
-    z0 = rng.standard_normal()
-    z = rng.standard_normal(cov.dim)
-    return np.sqrt(cov.along_var) * z0 * cov.direction + np.sqrt(cov.iso_var) * z
-
-
 def sample_structured_gaussian_batch(
     cov: StructuredCovariance, rng: np.random.Generator, n: int
 ) -> np.ndarray:
@@ -105,22 +81,3 @@ def sample_structured_gaussian_batch(
         np.sqrt(cov.along_var) * z0[:, None] * cov.direction[None, :]
         + np.sqrt(cov.iso_var) * z
     )
-
-
-def finite_difference_gradient(
-    fn: Callable[[np.ndarray], float], x: np.ndarray, h: float = 1e-5
-) -> np.ndarray:
-    """Central-difference gradient of a scalar function of a vector.
-
-    Test oracle for backprop: (fn(x + h e_i) - fn(x - h e_i)) / (2h)
-    per coordinate, O(h^2) accurate.
-    """
-    if h <= 0:
-        raise ValueError(f"h must be > 0, got {h!r}")
-    x = np.asarray(x, dtype=np.float64)
-    grad = np.zeros_like(x)
-    for i in range(x.size):
-        step = np.zeros_like(x)
-        step.flat[i] = h
-        grad.flat[i] = (fn(x + step) - fn(x - step)) / (2.0 * h)
-    return grad

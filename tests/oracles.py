@@ -1,11 +1,17 @@
 """Independent test oracles: brute-force pairwise AUC, dense-grid search
-over the solver's feasible hyperplane, and the dense closed-form
-symmetrized Gaussian KL.  These deliberately share no code with the
-implementations they check."""
+over the solver's feasible hyperplane, the dense closed-form
+symmetrized Gaussian KL, and central finite differences.  These
+deliberately share no code with the implementations they check.
+
+The last section holds gradient helpers that tests use but the package
+does not.  They are built from the package's own backward passes, so
+they are conveniences, not independent oracles.
+"""
 
 import numpy as np
 
 from splitsim.marvell import BatchStats
+from splitsim.model import _backward_layers, backprop_nonlabel, label_party_gradients
 
 
 def brute_force_auc(scores, labels):
@@ -107,3 +113,39 @@ def dense_sum_kl(lams, stats):
         return 0.5 * (np.trace(sol) + quad - d + ld_to - ld_from)
 
     return float(kl(stats.pos_mean, c1, stats.neg_mean, c0) + kl(stats.neg_mean, c0, stats.pos_mean, c1))
+
+
+def finite_difference_gradient(fn, x, h=1e-5):
+    """Central-difference gradient of a scalar function of a vector:
+    (fn(x + h e_i) - fn(x - h e_i)) / (2h) per coordinate, O(h^2)
+    accurate."""
+    if h <= 0:
+        raise ValueError(f"h must be > 0, got {h!r}")
+    x = np.asarray(x, dtype=np.float64)
+    grad = np.zeros_like(x)
+    for i in range(x.size):
+        step = np.zeros_like(x)
+        step.flat[i] = h
+        grad.flat[i] = (fn(x + step) - fn(x - step)) / (2.0 * h)
+    return grad
+
+
+# ---------------------------------------------------------------------------
+# test-only gradient helpers (built from the package's backward passes)
+
+
+def compute_gradients(net, state, y):
+    """(f, h) batch-mean parameter gradients of one clean split backward
+    pass, in the form apply_update takes them."""
+    cut, h_grads = label_party_gradients(state, y)
+    f_grads, _ = backprop_nonlabel(net, state, cut)
+    return f_grads, h_grads
+
+
+def h_feature_gradients(net, state):
+    """Rows grad_z h(z)|_{z=f(X_j)} (upstream 1 per example)."""
+    ones = np.ones((state.logits.shape[0], 1))
+    _, delta = _backward_layers(
+        net.h_layers, state.h_pre, state.h_act, state.cut_features, ones
+    )
+    return delta

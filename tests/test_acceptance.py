@@ -14,7 +14,14 @@ import time
 import numpy as np
 import pytest
 
-from oracles import brute_force_auc, dense_sum_kl, grid_search_objective, make_stats
+from oracles import (
+    brute_force_auc,
+    compute_gradients,
+    dense_sum_kl,
+    finite_difference_gradient,
+    grid_search_objective,
+    make_stats,
+)
 from splitsim.attacks import CosineScorer, NormScorer, leak_auc, roc_auc
 from splitsim.harness import DatasetConfig, ExperimentConfig, NetConfig, train_run
 from splitsim.marvell import (
@@ -29,17 +36,11 @@ from splitsim.marvell import (
 from splitsim.model import (
     SplitNet,
     backprop_nonlabel,
-    compute_gradients,
-    cut_gradients,
     forward,
+    label_party_gradients,
     logistic_loss,
 )
-from splitsim.numeric import (
-    StructuredCovariance,
-    finite_difference_gradient,
-    make_rng,
-    sample_structured_gaussian_batch,
-)
+from splitsim.numeric import StructuredCovariance, make_rng, sample_structured_gaussian_batch
 from splitsim.protection import (
     MechanismConfig,
     perturb_iso,
@@ -152,11 +153,11 @@ def test_c02_gradient_correctness():
             X = rng.standard_normal((B, in_dim))
 
         state = forward(net, X)
-        bundle = compute_gradients(net, state, y)
+        f_grads, h_grads = compute_gradients(net, state, y)
 
         # parameters (mean loss over the batch)
         layers = net.f_layers + net.h_layers
-        grads = bundle.f_param_grads + bundle.h_param_grads
+        grads = f_grads + h_grads
         flat_got = np.concatenate([np.concatenate([dW.ravel(), db]) for dW, db in grads])
         base = np.concatenate([np.concatenate([l.W.ravel(), l.b]) for l in layers])
 
@@ -182,7 +183,7 @@ def test_c02_gradient_correctness():
         # per-example cut-feature gradients
         from splitsim.model import _act
 
-        got_cut = cut_gradients(state, y)
+        got_cut = label_party_gradients(state, y)[0]
         j = int(rng.integers(0, B))
 
         def h_loss(z):

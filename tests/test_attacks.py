@@ -5,14 +5,12 @@ from splitsim.attacks import (
     CosineScorer,
     NormScorer,
     UndefinedAUCError,
-    cosine_score,
     leak_auc,
-    norm_score,
     quantile,
     roc_auc,
     select_oracle_positive,
 )
-from splitsim.model import Layer, LayerSpec, SplitNet, cut_gradients, forward
+from splitsim.model import Layer, LayerSpec, SplitNet, forward, label_party_gradients
 from splitsim.numeric import make_rng
 
 
@@ -83,32 +81,34 @@ def test_roc_auc_complement_symmetries():
 
 
 def test_norm_score():
-    assert norm_score(np.array([3.0, 4.0])) == pytest.approx(5.0)
-    assert norm_score(np.zeros(3)) == 0.0
-    g = np.array([1.0, -2.0, 0.5])
-    assert norm_score(2.0 * g) == pytest.approx(2.0 * norm_score(g))
+    g = np.array([[3.0, 4.0, 0.0], [0.0, 0.0, 0.0], [1.0, -2.0, 0.5]])
+    scores = NormScorer().scores(g)
+    assert scores[0] == pytest.approx(5.0)
+    assert scores[1] == 0.0
+    assert NormScorer().scores(2.0 * g)[2] == pytest.approx(2.0 * scores[2])
 
 
 def test_cosine_score():
     g = np.array([1.0, 2.0, -1.0])
-    assert cosine_score(g, g) == pytest.approx(1.0)
-    assert cosine_score(g, -g) == pytest.approx(-1.0)
-    assert cosine_score(np.array([1.0, 0.0]), np.array([0.0, 2.0])) == pytest.approx(0.0)
+    scores = CosineScorer(g).scores(np.vstack([g, -g, np.zeros(3)]))
+    assert scores[0] == pytest.approx(1.0)
+    assert scores[1] == pytest.approx(-1.0)
+    assert scores[2] == 0.0  # zero row: uninformative, not an error
+    e1 = np.array([[1.0, 0.0]])
+    assert CosineScorer(np.array([0.0, 2.0])).scores(e1)[0] == pytest.approx(0.0)
     with pytest.raises(ValueError):
-        cosine_score(np.zeros(2), np.array([1.0, 0.0]))
+        CosineScorer(np.zeros(2)).scores(e1)
 
 
 def test_select_oracle_positive():
-    g = np.arange(12.0).reshape(4, 3)
     labels = np.array([0, 0, 1, 0])
-    row = select_oracle_positive(g, labels, make_rng(3))
-    assert np.array_equal(row, g[2])
+    assert select_oracle_positive(labels, make_rng(3)) == 2
     with pytest.raises(UndefinedAUCError):
-        select_oracle_positive(g, np.zeros(4, dtype=int), make_rng(3))
+        select_oracle_positive(np.zeros(4, dtype=int), make_rng(3))
     labels2 = np.array([1, 0, 1, 1])
-    a = select_oracle_positive(g, labels2, make_rng(4))
-    b = select_oracle_positive(g, labels2, make_rng(4))
-    assert np.array_equal(a, b)
+    a = select_oracle_positive(labels2, make_rng(4))
+    b = select_oracle_positive(labels2, make_rng(4))
+    assert a == b and labels2[a] == 1
 
 
 def test_leak_auc_separated_norms():
@@ -142,8 +142,8 @@ def test_leak_auc_cosine_exact_with_linear_h():
     X = rng.standard_normal((32, d))
     y = np.array([1] * 8 + [0] * 24)
     state = forward(net, X)
-    g = cut_gradients(state, y)
-    g_plus = select_oracle_positive(g, y, make_rng(8))
+    g = label_party_gradients(state, y)[0]
+    g_plus = g[select_oracle_positive(y, make_rng(8))]
     scores = CosineScorer(g_plus).scores(g)
     assert np.all(scores[y == 1] == pytest.approx(1.0))
     assert np.all(scores[y == 0] == pytest.approx(-1.0))

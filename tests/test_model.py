@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import compute_gradients, finite_difference_gradient, h_feature_gradients
 from splitsim.model import (
     Adam,
     Layer,
@@ -9,13 +10,12 @@ from splitsim.model import (
     SplitNet,
     apply_update,
     backprop_nonlabel,
-    compute_gradients,
-    cut_gradients,
+    first_layer_gradient_row,
     forward,
-    h_feature_gradients,
+    label_party_gradients,
     logistic_loss,
 )
-from splitsim.numeric import finite_difference_gradient, make_rng
+from splitsim.numeric import make_rng
 
 
 def _linear_h_net(w, f_dim=None):
@@ -96,8 +96,8 @@ def test_cut_gradients_linear_h_at_zero_logit():
     X = np.array([[2.0, 0.5]])  # orthogonal to w -> logit 0
     state = forward(net, X)
     assert state.logits[0] == pytest.approx(0.0)
-    g1 = cut_gradients(state, np.array([1]))
-    g0 = cut_gradients(state, np.array([0]))
+    g1 = label_party_gradients(state, np.array([1]))[0]
+    g0 = label_party_gradients(state, np.array([0]))[0]
     assert np.allclose(g1[0], -0.5 * w, atol=1e-12)
     assert np.allclose(g0[0], +0.5 * w, atol=1e-12)
 
@@ -108,7 +108,7 @@ def test_cut_gradients_match_finite_differences():
     X = rng.standard_normal((4, 3))
     y = np.array([1, 0, 1, 0])
     state = forward(net, X)
-    got = cut_gradients(state, y)
+    got = label_party_gradients(state, y)[0]
     from splitsim.model import _act
 
     for j in range(4):
@@ -132,7 +132,7 @@ def test_cut_gradient_norm_factorization():
     X = rng.standard_normal((16, 5))
     y = (rng.random(16) < 0.5).astype(int)
     state = forward(net, X)
-    g = cut_gradients(state, y)
+    g = label_party_gradients(state, y)[0]
     hg = h_feature_gradients(net, state)
     lhs = np.linalg.norm(g, axis=1)
     rhs = np.abs(state.probs - y) * np.linalg.norm(hg, axis=1)
@@ -156,7 +156,7 @@ def test_backprop_nonlabel_linear_in_received():
     net = _random_net(rng, hidden=(4, 3), cut=2, acts=("relu", "tanh"))
     X = rng.standard_normal((8, 3))
     state = forward(net, X)
-    g = cut_gradients(state, (rng.random(8) < 0.5).astype(int))
+    g = label_party_gradients(state, (rng.random(8) < 0.5).astype(int))[0]
     one, first_one = backprop_nonlabel(net, state, g)
     two, first_two = backprop_nonlabel(net, state, 2.0 * g)
     for (dW1, db1), (dW2, db2) in zip(one, two):
@@ -172,13 +172,8 @@ def test_param_gradients_match_finite_differences():
     y = (rng.random(6) < 0.5).astype(int)
 
     state = forward(net, X)
-    bundle = compute_gradients(net, state, y)
-    got = np.concatenate(
-        [
-            np.concatenate([dW.ravel(), db])
-            for dW, db in bundle.f_param_grads + bundle.h_param_grads
-        ]
-    )
+    f_grads, h_grads = compute_gradients(net, state, y)
+    got = np.concatenate([np.concatenate([dW.ravel(), db]) for dW, db in f_grads + h_grads])
 
     base = _flatten_params(net).copy()
 
@@ -200,7 +195,7 @@ def test_first_layer_gradients_match_finite_differences():
     X = rng.standard_normal((3, 3))
     y = np.array([1, 0, 1])
     state = forward(net, X)
-    g = cut_gradients(state, y)
+    g = label_party_gradients(state, y)[0]
     _, first = backprop_nonlabel(net, state, g)
     a1 = state.f_act[0]
     for j in range(3):
@@ -220,6 +215,29 @@ def test_first_layer_gradients_match_finite_differences():
         assert rel <= 1e-4
 
 
+def test_first_layer_gradient_row_matches_batch_pass():
+    # random nets as in c02: mixed activations, every cut_index (cut 1
+    # is the single-f-layer case, where the row is the cut row itself)
+    rng = make_rng(12)
+    checked_single = 0
+    for _ in range(40):
+        in_dim = int(rng.integers(2, 5))
+        hidden = [int(rng.integers(3, 6)) for _ in range(int(rng.integers(1, 4)))]
+        acts = [str(rng.choice(["relu", "tanh", "sigmoid", "identity"])) for _ in hidden]
+        for cut in range(1, len(hidden) + 1):
+            net = SplitNet.build(in_dim, hidden, acts, cut, rng)
+            B = int(rng.integers(2, 6))
+            state = forward(net, rng.standard_normal((B, in_dim)))
+            clean_cut, _ = label_party_gradients(state, rng.integers(0, 2, size=B))
+            _, first = backprop_nonlabel(net, state, clean_cut)
+            for j in range(B):
+                row = first_layer_gradient_row(net, state, j, clean_cut[j])
+                rel = np.linalg.norm(row - first[j]) / max(np.linalg.norm(first[j]), 1e-12)
+                assert rel <= 1e-12
+            checked_single += cut == 1
+    assert checked_single == 40
+
+
 def _pairwise_cosines(hg):
     hg = hg[np.linalg.norm(hg, axis=1) > 1e-12]
     norms = np.linalg.norm(hg, axis=1)
@@ -234,7 +252,6 @@ def test_acute_angle_of_h_gradients_throughout_training():
     # init the property is only a strong-majority one (a few percent of
     # pairs violate it), so init is asserted at majority level instead.
     from splitsim.data import generate_synthetic
-    from splitsim.model import compute_gradients
 
     rng = make_rng(9)
     ds = generate_synthetic(2000, 20, 0.1, 2.0, 1.0, seed=12)
@@ -250,12 +267,12 @@ def test_acute_angle_of_h_gradients_throughout_training():
         idx = rng.choice(ds.n, size=64, replace=False)
         X, y = ds.X[idx], ds.y[idx]
         state = forward(net, X)
-        bundle = compute_gradients(net, state, y)
+        grads = compute_gradients(net, state, y)
         if it >= 20 and it % 20 == 0:
             cos = _pairwise_cosines(h_feature_gradients(net, state))
             assert np.all(cos > 0.0)
             checked += cos.size
-        apply_update(net, bundle, opt)
+        apply_update(net, *grads, opt)
     assert checked > 1000
 
 
@@ -292,8 +309,8 @@ def test_apply_update_moves_both_parties():
     X = rng.standard_normal((8, 3))
     y = (rng.random(8) < 0.5).astype(int)
     state = forward(net, X)
-    bundle = compute_gradients(net, state, y)
+    grads = compute_gradients(net, state, y)
     before = _flatten_params(net).copy()
-    apply_update(net, bundle, SGD(lr=0.5))
+    apply_update(net, *grads, SGD(lr=0.5))
     after = _flatten_params(net)
     assert not np.array_equal(before, after)
