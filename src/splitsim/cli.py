@@ -5,7 +5,9 @@
     splitsim gen-data synthetic --n 4000 --out data.csv [...]
     splitsim gen-data toy1d --n 4000 --out toy.csv [...]
 
-Exit codes: 0 success, 2 config error, 3 runtime/numeric error.
+Exit codes: 0 success, 2 config error (bad config file, option or
+generator argument), 3 runtime/numeric error (including any ValueError
+raised mid-run).
 """
 
 from __future__ import annotations
@@ -100,17 +102,20 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_gen_data(args) -> int:
-    if args.generator == "synthetic":
-        dataset = data_mod.generate_synthetic(
-            args.n,
-            args.d_in,
-            args.pos_frac,
-            args.separation,
-            args.noise_scale,
-            seed=args.seed,
-        )
-    else:
-        dataset = data_mod.generate_toy_1d(args.n, seed=args.seed)
+    try:
+        if args.generator == "synthetic":
+            dataset = data_mod.generate_synthetic(
+                args.n,
+                args.d_in,
+                args.pos_frac,
+                args.separation,
+                args.noise_scale,
+                seed=args.seed,
+            )
+        else:
+            dataset = data_mod.generate_toy_1d(args.n, seed=args.seed)
+    except ValueError as exc:  # the generators only reject their arguments
+        raise ConfigError(str(exc)) from None
     data_mod.save_csv(dataset, args.out)
     print(f"wrote {args.out} ({dataset.n} rows, {dataset.d} features)")
     return 0
@@ -128,11 +133,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        # bad hyperparameters surfacing below config parsing
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except (data_mod.DataError, ArithmeticError, RuntimeError) as exc:
+    except (data_mod.DataError, ValueError, ArithmeticError, RuntimeError) as exc:
+        # configs are fully validated at parse time, so these arise mid-run
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

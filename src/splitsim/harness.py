@@ -30,6 +30,7 @@ from .attacks import (
 )
 from .marvell import SolverSettings
 from .model import (
+    ACTIVATIONS,
     Adam,
     SGD,
     SplitNet,
@@ -97,6 +98,8 @@ class ExperimentConfig:
 
 
 def _check_keys(d: dict, allowed: set[str], where: str) -> None:
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {type(d).__name__}")
     unknown = set(d) - allowed
     if unknown:
         raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
@@ -127,6 +130,10 @@ def _dataset_from_dict(d: dict) -> DatasetConfig:
         raise ConfigError(f"test_frac must be in (0, 1), got {cfg.test_frac}")
     if kind == "synthetic" and not 0.0 < cfg.pos_frac < 1.0:
         raise ConfigError(f"pos_frac must be in (0, 1), got {cfg.pos_frac}")
+    if kind in ("synthetic", "toy1d") and cfg.n < 1:
+        raise ConfigError(f"dataset n must be >= 1, got {cfg.n}")
+    if kind == "synthetic" and cfg.d_in < 1:
+        raise ConfigError(f"dataset d_in must be >= 1, got {cfg.d_in}")
     return cfg
 
 
@@ -137,6 +144,11 @@ def _net_from_dict(d: dict) -> NetConfig:
     cut = int(d.get("cut_index", max(1, len(hidden) - 1)))
     if len(acts) != len(hidden):
         raise ConfigError("activations must match hidden_dims in length")
+    if any(h < 1 for h in hidden):
+        raise ConfigError(f"hidden_dims must all be >= 1, got {list(hidden)}")
+    unknown = [a for a in acts if a not in ACTIVATIONS]
+    if unknown:
+        raise ConfigError(f"unknown activations {unknown}; expected one of {list(ACTIVATIONS)}")
     if not 1 <= cut <= len(hidden):
         raise ConfigError(f"cut_index must be in [1, {len(hidden)}], got {cut}")
     return NetConfig(hidden_dims=hidden, activations=acts, cut_index=cut)
@@ -171,21 +183,25 @@ def _mechanism_from_dict(d: dict) -> MechanismConfig:
 
 
 def config_from_dict(d: dict) -> ExperimentConfig:
+    """Parse and fully validate a config; every rejection is a ConfigError."""
     _check_keys(
         d,
         {"dataset", "net", "optimizer", "batch_size", "iterations", "mechanism", "seed", "out"},
         "config",
     )
-    cfg = ExperimentConfig(
-        dataset=_dataset_from_dict(d.get("dataset", {})),
-        net=_net_from_dict(d.get("net", {})),
-        optimizer=_optimizer_from_dict(d.get("optimizer", {})),
-        batch_size=int(d.get("batch_size", 64)),
-        iterations=int(d.get("iterations", 200)),
-        mechanism=_mechanism_from_dict(d.get("mechanism", {})),
-        seed=int(d.get("seed", 0)),
-        out=d.get("out"),
-    )
+    try:
+        cfg = ExperimentConfig(
+            dataset=_dataset_from_dict(d.get("dataset", {})),
+            net=_net_from_dict(d.get("net", {})),
+            optimizer=_optimizer_from_dict(d.get("optimizer", {})),
+            batch_size=int(d.get("batch_size", 64)),
+            iterations=int(d.get("iterations", 200)),
+            mechanism=_mechanism_from_dict(d.get("mechanism", {})),
+            seed=int(d.get("seed", 0)),
+            out=d.get("out"),
+        )
+    except (TypeError, ValueError) as exc:  # a field of the wrong type
+        raise ConfigError(f"bad config value: {exc}") from None
     if cfg.batch_size < 1:
         raise ConfigError(f"batch_size must be >= 1, got {cfg.batch_size}")
     if cfg.iterations < 1:
@@ -458,18 +474,21 @@ def sweep(
     Writes each run's run.csv/summary.csv in a subdirectory plus one
     tradeoff.csv at the top.
     """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if kind in ("none", "max_norm"):
         values: list[float | None] = [None]
     else:
         if not grid:
             raise ConfigError(f"mechanism {kind!r} requires a nonempty grid")
         values = sorted(float(v) for v in grid)
+    try:
+        mechs = [_mechanism_with_param(kind, value) for value in values]
+    except ValueError as exc:
+        raise ConfigError(f"bad grid value: {exc}") from None
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     points: list[TradeoffPoint] = []
-    for value in values:
-        mech = _mechanism_with_param(kind, value)
+    for value, mech in zip(values, mechs):
         cfg = dataclasses.replace(base, mechanism=mech)
         sub = kind if value is None else f"{kind}_{value:g}"
         try:

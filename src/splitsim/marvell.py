@@ -7,18 +7,31 @@ perturbed class distributions under a noise power budget, and turn the
 solution into factored covariances plus a privacy certificate (the
 achieved symmetrized KL, the implied worst-case attack-AUC upper bound,
 and a total-variation upper bound).
+
+The solve runs once per protected batch.  It is a golden-section
+coordinate descent over four scalars, written on plain Python floats,
+lists and tuples: numpy scalars would box every read and every
+arithmetic step of the inner loop.  Each expression keeps a fixed
+operand order, so a solve is a deterministic function of its inputs
+down to the last bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .numeric import StructuredCovariance
 
 VARIANCE_FLOOR = 1e-12
+
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
+# rows gamma of the eigenvalue-ordering constraints gamma . lam <= 0,
+# i.e. lam[1] <= lam[0] and lam[3] <= lam[2]
+_ORDER_ROWS = ((-1.0, 1.0, 0.0, 0.0), (0.0, 0.0, -1.0, 1.0))
 
 
 class SingleClassBatchError(ValueError):
@@ -108,14 +121,155 @@ def power_budget(s: float, stats: BatchStats) -> float:
     return s * stats.delta_norm_sq
 
 
+def _objective4(l11, l21, l10, l20, d, u, v, dsq):
+    """Ratio objective of the 4-variable problem.
+
+    (l11, l21) are the positive class's along/orthogonal eigenvalues,
+    (l10, l20) the negative class's; u, v must already carry the
+    variance floor so every denominator is positive.
+    """
+    return (
+        (d - 1.0) * ((l20 + u) / (l21 + v) + (l21 + v) / (l20 + u))
+        + (l10 + u + dsq) / (l11 + v)
+        + (l11 + v + dsq) / (l10 + u)
+    )
+
+
 def objective(lams, stats: BatchStats) -> float:
     """4-variable ratio objective at (lam1_pos, lam2_pos, lam1_neg, lam2_neg)."""
     l11, l21, l10, l20 = (float(x) for x in lams)
     u = max(stats.u, VARIANCE_FLOOR)
     v = max(stats.v, VARIANCE_FLOOR)
-    return float(
-        _kernels.objective4(l11, l21, l10, l20, float(stats.d), u, v, stats.delta_norm_sq)
-    )
+    return float(_objective4(l11, l21, l10, l20, float(stats.d), u, v, stats.delta_norm_sq))
+
+
+def _segment_bounds(lam, i, j, w, R):
+    """Feasible t-range for the move lam[i]=t, lam[j]=(R - w[i] t)/w[j].
+
+    Intersects t >= 0, lam[j] >= 0 and the two ordering rows.
+    """
+    lo = 0.0
+    hi = R / w[i]
+    for gamma in _ORDER_ROWS:
+        gj = gamma[j]
+        alpha = gamma[i] - gj * w[i] / w[j]
+        beta = gj * R / w[j]
+        for k in range(4):
+            if k != i and k != j:
+                beta += gamma[k] * lam[k]
+        if alpha > 1e-300:
+            hi = min(hi, -beta / alpha)
+        elif alpha < -1e-300:
+            lo = max(lo, -beta / alpha)
+    return lo, hi
+
+
+def _line_min(lam, i, j, w, R, d, u, v, dsq, tol):
+    """Golden-section minimization over the feasible segment of (i, j).
+
+    Leaves lam[i] at the bracket midpoint and lam[j] on the segment.
+    """
+    lo, hi = _segment_bounds(lam, i, j, w, R)
+    wi = w[i]
+    wj = w[j]
+    if hi <= lo:
+        t = max(lo, min(hi, lo))
+        lam[i] = t
+        lam[j] = max((R - wi * t) / wj, 0.0)
+        return
+    dm1 = d - 1.0
+
+    def f(t):
+        # _objective4 inlined term by term, so the bits agree with it
+        lam[i] = t
+        lam[j] = max((R - wi * t) / wj, 0.0)
+        l11, l21, l10, l20 = lam
+        x = l20 + u
+        y = l21 + v
+        return dm1 * (x / y + y / x) + (l10 + u + dsq) / (l11 + v) + (l11 + v + dsq) / (l10 + u)
+
+    width = hi - lo
+    tol_w = max(tol * width, 1e-10)
+    a = lo
+    b = hi
+    c = a + _INVPHI2 * width
+    e = a + _INVPHI * width
+    fc = f(c)
+    fe = f(e)
+    while b - a > tol_w:
+        if fc < fe:
+            b = e
+            e = c
+            fe = fc
+            c = a + _INVPHI2 * (b - a)
+            fc = f(c)
+        else:
+            a = c
+            c = e
+            fc = fe
+            e = a + _INVPHI * (b - a)
+            fe = f(e)
+    t = 0.5 * (a + b)
+    lam[i] = t
+    lam[j] = max((R - wi * t) / wj, 0.0)
+
+
+def _solve_lambdas(d, u, v, dsq, p, P, tol, max_sweeps, pin_pos):
+    """Coordinate descent on the power hyperplane.
+
+    One orthogonal eigenvalue is pinned to zero (lam[1] when pin_pos,
+    else lam[3]); the remaining variables are swept in round-robin: fix
+    one, line-search the other two along the feasible segment of the
+    hyperplane p*l11 + p(d-1)*l21 + (1-p)*l10 + (1-p)(d-1)*l20 = P.
+
+    Returns (lam[4], objective, converged, sweeps_used).
+    """
+    lam = [0.0, 0.0, 0.0, 0.0]
+    w = (p, p * (d - 1.0), 1.0 - p, (1.0 - p) * (d - 1.0))
+
+    if P <= 0.0:
+        return lam, _objective4(0.0, 0.0, 0.0, 0.0, d, u, v, dsq), True, 0
+
+    if d == 1.0:
+        # orthogonal eigenvalues have zero power weight and no objective
+        # term; the problem is a single segment over (lam[0], lam[2])
+        lam[0] = P / (2.0 * w[0])
+        lam[2] = P / (2.0 * w[2])
+        _line_min(lam, 0, 2, w, P, d, u, v, dsq, tol)
+        return lam, _objective4(*lam, d, u, v, dsq), True, 1
+
+    free = (0, 2, 3) if pin_pos else (0, 1, 2)
+    # (fixed, i, j) per step of a sweep; free is ascending, so i < j
+    moves = tuple((k, *(m for m in free if m != k)) for k in free)
+    for k in free:
+        lam[k] = (P / 3.0) / w[k]
+
+    prev = _objective4(*lam, d, u, v, dsq)
+    converged = False
+    sweeps = 0
+    for _ in range(max_sweeps):
+        sweeps += 1
+        for f_idx, i, j in moves:
+            R = P - w[f_idx] * lam[f_idx]
+            if R < 0.0:
+                R = 0.0
+            _line_min(lam, i, j, w, R, d, u, v, dsq, tol)
+        cur = _objective4(*lam, d, u, v, dsq)
+        if prev - cur <= tol * max(abs(prev), 1e-300):
+            converged = True
+            break
+        prev = cur
+
+    # land exactly on the hyperplane: absorb float drift into the
+    # free variable carrying the most power
+    drift = P - (w[0] * lam[0] + w[1] * lam[1] + w[2] * lam[2] + w[3] * lam[3])
+    best = free[0]
+    for k in free[1:]:
+        if w[k] * lam[k] > w[best] * lam[best]:
+            best = k
+    lam[best] = max(lam[best] + drift / w[best], 0.0)
+
+    return lam, _objective4(*lam, d, u, v, dsq), converged, sweeps
 
 
 def solve(stats: BatchStats, P: float, settings: SolverSettings = SolverSettings()) -> LambdaSolution:
@@ -125,17 +279,19 @@ def solve(stats: BatchStats, P: float, settings: SolverSettings = SolverSettings
     when u < v, negative otherwise), restricts to the active power
     constraint, and coordinate-descends with golden-section line
     searches until the per-sweep relative decrease drops below
-    settings.tol.
+    settings.tol or settings.max_sweeps sweeps are spent.  The descent
+    runs on plain Python floats (see the module docstring); there is
+    no other solver path.
     """
     if P < 0:
         raise ValueError(f"P must be >= 0, got {P!r}")
+    if not 0.0 < stats.p < 1.0:
+        raise ValueError(f"positive fraction must be in (0, 1), got {stats.p!r}")
     pin_pos = stats.u < stats.v  # pins lam2_pos; else lam2_neg
-    u = max(stats.u, VARIANCE_FLOOR)
-    v = max(stats.v, VARIANCE_FLOOR)
-    lam, obj, converged, sweeps = _kernels.solve_lambdas(
+    lam, obj, converged, sweeps = _solve_lambdas(
         float(stats.d),
-        u,
-        v,
+        float(max(stats.u, VARIANCE_FLOOR)),
+        float(max(stats.v, VARIANCE_FLOOR)),
         float(stats.delta_norm_sq),
         float(stats.p),
         float(P),
@@ -143,15 +299,8 @@ def solve(stats: BatchStats, P: float, settings: SolverSettings = SolverSettings
         int(settings.max_sweeps),
         bool(pin_pos),
     )
-    return LambdaSolution(
-        lam1_pos=float(lam[0]),
-        lam2_pos=float(lam[1]),
-        lam1_neg=float(lam[2]),
-        lam2_neg=float(lam[3]),
-        objective_value=float(obj),
-        converged=bool(converged),
-        sweeps_used=int(sweeps),
-    )
+    lam1_pos, lam2_pos, lam1_neg, lam2_neg = lam
+    return LambdaSolution(lam1_pos, lam2_pos, lam1_neg, lam2_neg, obj, converged, sweeps)
 
 
 def build_covariances(sol: LambdaSolution, stats: BatchStats):

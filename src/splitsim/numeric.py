@@ -73,11 +73,12 @@ def sample_structured_gaussian_batch(
     """n independent draws, stacked as an (n, d) matrix.
 
     Draw order is fixed (all along-direction scalars first, then the
-    isotropic block) so batches are reproducible.
+    isotropic block) so batches are reproducible.  The isotropic draw
+    is scaled and shifted in place; the rank-one term is the only other
+    (n, d) array built.
     """
     z0 = rng.standard_normal(n)
     z = rng.standard_normal((n, cov.dim))
-    return (
-        np.sqrt(cov.along_var) * z0[:, None] * cov.direction[None, :]
-        + np.sqrt(cov.iso_var) * z
-    )
+    z *= np.sqrt(cov.iso_var)
+    z += np.outer(np.sqrt(cov.along_var) * z0, cov.direction)
+    return z

@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 
+from splitsim import protection
 from splitsim.cli import main
 from splitsim.data import load_csv
 
@@ -67,6 +68,33 @@ def test_missing_config_exits_2(tmp_path):
     assert main(["run", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 2
 
 
+def test_unknown_activation_exits_2(tmp_path, capsys):
+    cfg = _write_config(
+        tmp_path / "cfg.json",
+        net={"hidden_dims": [8, 8, 4], "activations": ["gelu", "relu", "relu"]},
+    )
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "gelu" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_zero_hidden_dim_exits_2(tmp_path, capsys):
+    cfg = _write_config(tmp_path / "cfg.json", net={"hidden_dims": [0, 8, 4]})
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "hidden_dims" in capsys.readouterr().err
+
+
+def test_mid_run_value_error_exits_3(tmp_path, monkeypatch, capsys):
+    def broken(sol, stats):
+        raise ValueError("numeric failure")
+
+    monkeypatch.setattr(protection.marvell, "build_covariances", broken)
+    cfg = _write_config(tmp_path / "cfg.json", mechanism={"kind": "marvell", "s": 1.0})
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert "numeric failure" in err and "config error" not in err
+
+
 def test_missing_dataset_file_exits_3(tmp_path, capsys):
     cfg = _write_config(
         tmp_path / "cfg.json",
@@ -93,6 +121,11 @@ def test_sweep_bad_grid_exits_2(tmp_path, capsys):
     rc = main(["sweep", "--config", str(cfg), "--mechanism", "iso",
                "--grid", "1,zap", "--out", str(tmp_path / "sw")])
     assert rc == 2
+    # a parseable but out-of-range value is rejected before any run
+    rc = main(["sweep", "--config", str(cfg), "--mechanism", "iso",
+               "--grid", "1,-2", "--out", str(tmp_path / "sw2")])
+    assert rc == 2
+    assert not (tmp_path / "sw2").exists()
 
 
 def test_gen_data_synthetic(tmp_path):
@@ -101,6 +134,13 @@ def test_gen_data_synthetic(tmp_path):
     assert rc == 0
     ds = load_csv(out)
     assert ds.n == 200 and ds.d == 5
+
+
+def test_gen_data_bad_argument_exits_2(tmp_path, capsys):
+    out = tmp_path / "data.csv"
+    assert main(["gen-data", "synthetic", "--pos-frac", "1.5", "--out", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_gen_data_toy1d_feeds_run(tmp_path):

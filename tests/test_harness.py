@@ -66,6 +66,20 @@ def test_config_rejects_bad_values():
         config_from_dict({"batch_size": 0})
     with pytest.raises(ConfigError):
         config_from_dict({"optimizer": {"kind": "lbfgs"}})
+    with pytest.raises(ConfigError):
+        config_from_dict({"net": {"hidden_dims": [8, 0]}})
+    with pytest.raises(ConfigError):
+        config_from_dict({"net": {"hidden_dims": [8], "activations": ["gelu"]}})
+    with pytest.raises(ConfigError):
+        config_from_dict({"dataset": {"kind": "synthetic", "n": 0}})
+    with pytest.raises(ConfigError):
+        config_from_dict({"dataset": {"kind": "synthetic", "d_in": 0}})
+    with pytest.raises(ConfigError):
+        config_from_dict({"dataset": {"kind": "toy1d", "n": -3}})
+    with pytest.raises(ConfigError):
+        config_from_dict({"batch_size": "many"})
+    with pytest.raises(ConfigError):
+        config_from_dict({"net": [32, 16]})
 
 
 def test_config_mechanism_parsing():

@@ -5,6 +5,7 @@ from oracles import dense_sum_kl, grid_search_objective, make_stats
 from splitsim.attacks import CosineScorer, NormScorer, leak_auc
 from splitsim.marvell import (
     SingleClassBatchError,
+    SolverSettings,
     auc_upper_bound,
     build_covariances,
     estimate_stats,
@@ -158,6 +159,41 @@ def test_solve_objective_monotone_in_power():
     stats = make_stats(u=0.3, v=0.05, dsq=10.0, p=0.1, d=12)
     objs = [solve(stats, P).objective_value for P in (0.0, 1.0, 5.0, 25.0, 125.0)]
     assert all(objs[i + 1] <= objs[i] + 1e-9 for i in range(len(objs) - 1))
+
+
+# (u, v, dsq, p, d, s, max_sweeps) with s = 0 meaning P = 0, then the
+# exact bits of (lam1_pos, lam2_pos, lam1_neg, lam2_neg, objective),
+# converged and sweeps_used, recorded from the numpy-scalar solver this
+# plain-float one replaced.  Covers both pin sides, d = 1, P = 0, a
+# one-sweep cap that stops unconverged, and variances below the floor.
+PINNED_SOLVES = [
+    ((0.3, 0.7, 12.0, 0.1, 48, 4.0, 200), ("0x1.1630be09633e0p+5", "0x0.0p+0", "0x1.ee7610f4488b8p+4", "0x1.947f147a0ccd2p-2", "0x1.82f784c091ee2p+6"), True, 5),
+    ((0.9, 0.2, 0.5, 0.5, 48, 1.0, 200), ("0x1.2f2ba921c5c34p-4", "0x1.42cb434db46d7p-6", "0x1.a646f00000000p-33", "0x0.0p+0", "0x1.a3f3d4d5c54afp+7"), True, 2),
+    ((0.05, 0.4, 80.0, 0.3, 384, 1.0, 200), ("0x1.49c06322cc9fcp+3", "0x0.0p+0", "0x1.e33ba0fa10720p+2", "0x1.11901139b9eb7p-2", "0x1.936b86422178ap+9"), True, 3),
+    ((2.0, 0.6, 3.0, 0.7, 16, 16.0, 200), ("0x1.0cf6d0572073ap+5", "0x1.6498b645374a8p+0", "0x1.0663bd2e55237p+5", "0x0.0p+0", "0x1.01650ea2e95bdp+5"), True, 4),
+    ((0.2, 0.5, 2.0, 0.25, 1, 4.0, 200), ("0x1.03a91449b5177p+3", "0x0.0p+0", "0x1.fd8f47cedc9b0p+2", "0x0.0p+0", "0x1.3d74b423b9832p+1"), True, 1),
+    ((0.5, 0.2, 2.0, 0.25, 1, 4.0, 200), ("0x1.121427c3d5fe1p+3", "0x0.0p+0", "0x1.f3f290281c015p+2", "0x0.0p+0", "0x1.3c5e44ab0827ep+1"), True, 1),
+    ((0.4, 0.1, 5.0, 0.2, 8, 0.0, 200), ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x1.8200000000000p+6"), True, 0),
+    ((0.3, 0.7, 12.0, 0.1, 48, 4.0, 1), ("0x1.d7de91dc5c2f3p+4", "0x0.0p+0", "0x1.9b593fe69d621p+4", "0x1.093a912ccaff4p-1", "0x1.88190d1aa6618p+6"), False, 1),
+    ((0.9, 0.2, 0.5, 0.5, 48, 1.0, 1), ("0x1.2f2bae6af920ep-4", "0x1.42cb42d5100e4p-6", "0x1.3628de0000000p-30", "0x0.0p+0", "0x1.a3f3d4d667fcep+7"), False, 1),
+    ((0.0, 0.5, 1.5, 0.1, 32, 4.0, 200), ("0x1.fc4cb999381e6p-3", "0x0.0p+0", "0x1.be85388290eafp-2", "0x1.99ccec172453dp-3", "0x1.86723a80ba5ddp+6"), True, 6),
+    ((0.3, 1e-14, 1.5, 0.1, 32, 4.0, 200), ("0x1.757a2264fec5fp+2", "0x1.32bc0634fdae0p-2", "0x1.3f22d7495edbap+2", "0x0.0p+0", "0x1.0233d83360f08p+6"), True, 3),
+    ((0.4, 0.4, 5.0, 0.5, 6, 2.0, 200), ("0x1.400000477edd5p+3", "0x1.94ee3e6666666p-28", "0x1.3fffffa8afd44p+3", "0x0.0p+0", "0x1.9ec4ec4f801d2p+3"), True, 3),
+    ((0.0, 0.0, 0.7, 0.15, 24, 4.0, 200), ("0x1.7ecbadcc10719p+1", "0x1.e46489bd37a70p-32", "0x1.62184aba07f2cp+1", "0x0.0p+0", "0x1.3d720b434eb6ep+13"), True, 2),
+]
+
+
+@pytest.mark.parametrize("case", PINNED_SOLVES, ids=lambda c: "-".join(map(str, c[0])))
+def test_solve_bitwise_pinned(case):
+    # float.hex tells -0.0 from 0.0, which == does not
+    (u, v, dsq, p, d, s, max_sweeps), bits, converged, sweeps = case
+    stats = make_stats(u=u, v=v, dsq=dsq, p=p, d=d)
+    P = 0.0 if s == 0.0 else power_budget(s, stats)
+    sol = solve(stats, P, SolverSettings(tol=1e-8, max_sweeps=max_sweeps))
+    got = (sol.lam1_pos, sol.lam2_pos, sol.lam1_neg, sol.lam2_neg, sol.objective_value)
+    assert tuple(x.hex() for x in got) == bits
+    assert sol.converged is converged
+    assert sol.sweeps_used == sweeps
 
 
 def test_objective_convex_along_feasible_segments():
