@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from . import data as data_mod
-from .harness import ConfigError, load_config, run_to_dir, sweep
+from .harness import ConfigError, DatasetConfig, load_config, run_to_dir, sweep
 from .protection import MECHANISMS
 
 
@@ -45,16 +45,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     gen_p = sub.add_parser("gen-data", help="write a synthetic dataset CSV")
     gen_sub = gen_p.add_subparsers(dest="generator", required=True)
+    dataset = DatasetConfig()
     synth = gen_sub.add_parser("synthetic")
-    synth.add_argument("--n", type=int, default=4000)
-    synth.add_argument("--d-in", type=int, default=20)
-    synth.add_argument("--pos-frac", type=float, default=0.1)
-    synth.add_argument("--separation", type=float, default=2.0)
-    synth.add_argument("--noise-scale", type=float, default=1.0)
+    synth.add_argument("--n", type=int, default=dataset.n)
+    synth.add_argument("--d-in", type=int, default=dataset.d_in)
+    synth.add_argument("--pos-frac", type=float, default=dataset.pos_frac)
+    synth.add_argument("--separation", type=float, default=dataset.separation)
+    synth.add_argument("--noise-scale", type=float, default=dataset.noise_scale)
     synth.add_argument("--seed", type=int, default=0)
     synth.add_argument("--out", required=True)
     toy = gen_sub.add_parser("toy1d")
-    toy.add_argument("--n", type=int, default=4000)
+    toy.add_argument("--n", type=int, default=dataset.n)
     toy.add_argument("--seed", type=int, default=0)
     toy.add_argument("--out", required=True)
 
@@ -84,19 +85,19 @@ def _cmd_sweep(args) -> int:
     except ValueError as exc:
         raise ConfigError(f"bad --grid value: {exc}") from None
     points = sweep(config, args.mechanism, grid, args.out)
-    ok = [p for p in points if p.status == "ok"]
     for p in points:
-        param = "" if p.param is None else f" {p.param:g}"
-        if p.status == "ok":
-            print(
-                f"{p.mechanism}{param}: test_auc="
-                f"{'NA' if p.test_auc is None else f'{p.test_auc:.4f}'} "
-                f"cos_cut_q95={'NA' if p.cos_cut_q95 is None else f'{p.cos_cut_q95:.4f}'}"
-            )
-        else:
-            print(f"{p.mechanism}{param}: FAILED")
+        param = "" if p.mechanism.param is None else f" {p.mechanism.param:g}"
+        if p.record is None:
+            print(f"{p.mechanism.kind}{param}: FAILED")
+            continue
+        test_auc, cos_cut_q95 = p.record.test_auc, p.record.summary["cos_cut_q95"]
+        print(
+            f"{p.mechanism.kind}{param}: test_auc="
+            f"{'NA' if test_auc is None else f'{test_auc:.4f}'} "
+            f"cos_cut_q95={'NA' if cos_cut_q95 is None else f'{cos_cut_q95:.4f}'}"
+        )
     print(f"wrote {Path(args.out) / 'tradeoff.csv'}")
-    if not ok:
+    if all(p.record is None for p in points):
         raise RuntimeError("every sweep point failed")
     return 0
 

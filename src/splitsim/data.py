@@ -76,12 +76,6 @@ def generate_toy_1d(n: int, seed: int = 0) -> Dataset:
     return Dataset(X=x[:, None], y=y)
 
 
-def bayes_posterior_toy_1d(x: np.ndarray) -> np.ndarray:
-    """Optimal P(y=1 | x) for the 1-d mixture: 10/11 on [0,1], 0 on (1,2]."""
-    x = np.asarray(x, dtype=np.float64)
-    return np.where(x <= 1.0, 10.0 / 11.0, 0.0)
-
-
 def load_csv(path) -> Dataset:
     """Load `label,f1,...,fk` rows; features are linearly normalized to
     [0, 1] per column (constant columns map to 0)."""

@@ -42,9 +42,8 @@ from .model import (
     logistic_loss,
 )
 from .numeric import make_rng
-from .protection import MechanismConfig, apply_mechanism
+from .protection import HYPERPARAMETERS, MechanismConfig, apply_mechanism
 
-RUN_CSV_HEADER = "iter,train_loss,norm_cut,cos_cut,norm_first,cos_first,sum_kl,auc_bound,noise_power"
 LEAK_SERIES = ("norm_cut", "cos_cut", "norm_first", "cos_first")
 SUMMARY_QUANTILE = 0.95
 
@@ -97,111 +96,107 @@ class ExperimentConfig:
     out: str | None = None
 
 
-def _check_keys(d: dict, allowed: set[str], where: str) -> None:
+def _fields_from_dict(d: dict, defaults: dict, where: str) -> dict:
+    """Keyword arguments for a config dataclass from the JSON object `d`.
+
+    `defaults` maps each allowed key to its field's default.  An absent
+    key is left out, so the dataclass default applies; a given value is
+    converted to the type of its default (int, float, or a tuple of the
+    type of its first element) and any other value is kept as given.
+    """
     if not isinstance(d, dict):
         raise ConfigError(f"{where} must be a JSON object, got {type(d).__name__}")
-    unknown = set(d) - allowed
+    unknown = set(d) - set(defaults)
     if unknown:
         raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
+    kwargs = {}
+    try:
+        for key, value in d.items():
+            default = defaults[key]
+            if type(default) in (int, float):
+                value = type(default)(value)
+            elif type(default) is tuple:
+                value = tuple(type(default[0])(x) for x in value)
+            kwargs[key] = value
+    except (TypeError, ValueError) as exc:  # a field of the wrong type
+        raise ConfigError(f"bad config value: {exc}") from None
+    return kwargs
+
+
+def _defaults(cls) -> dict:
+    return {f.name: f.default for f in dataclasses.fields(cls)}
 
 
 def _dataset_from_dict(d: dict) -> DatasetConfig:
-    _check_keys(
-        d,
-        {"kind", "n", "d_in", "pos_frac", "separation", "noise_scale", "path", "test_frac"},
-        "dataset",
-    )
-    kind = d.get("kind", "synthetic")
-    if kind not in ("synthetic", "toy1d", "csv"):
-        raise ConfigError(f"unknown dataset kind {kind!r}")
-    if kind == "csv" and not d.get("path"):
+    cfg = DatasetConfig(**_fields_from_dict(d, _defaults(DatasetConfig), "dataset"))
+    if cfg.kind not in ("synthetic", "toy1d", "csv"):
+        raise ConfigError(f"unknown dataset kind {cfg.kind!r}")
+    if cfg.kind == "csv" and not cfg.path:
         raise ConfigError("csv dataset requires a path")
-    cfg = DatasetConfig(
-        kind=kind,
-        n=int(d.get("n", 4000)),
-        d_in=int(d.get("d_in", 20)),
-        pos_frac=float(d.get("pos_frac", 0.1)),
-        separation=float(d.get("separation", 2.0)),
-        noise_scale=float(d.get("noise_scale", 1.0)),
-        path=d.get("path"),
-        test_frac=float(d.get("test_frac", 0.2)),
-    )
     if not 0.0 < cfg.test_frac < 1.0:
         raise ConfigError(f"test_frac must be in (0, 1), got {cfg.test_frac}")
-    if kind == "synthetic" and not 0.0 < cfg.pos_frac < 1.0:
+    if cfg.kind == "synthetic" and not 0.0 < cfg.pos_frac < 1.0:
         raise ConfigError(f"pos_frac must be in (0, 1), got {cfg.pos_frac}")
-    if kind in ("synthetic", "toy1d") and cfg.n < 1:
+    if cfg.kind in ("synthetic", "toy1d") and cfg.n < 1:
         raise ConfigError(f"dataset n must be >= 1, got {cfg.n}")
-    if kind == "synthetic" and cfg.d_in < 1:
+    if cfg.kind == "synthetic" and cfg.d_in < 1:
         raise ConfigError(f"dataset d_in must be >= 1, got {cfg.d_in}")
     return cfg
 
 
 def _net_from_dict(d: dict) -> NetConfig:
-    _check_keys(d, {"hidden_dims", "activations", "cut_index"}, "net")
-    hidden = tuple(int(x) for x in d.get("hidden_dims", (32, 32, 16)))
-    acts = tuple(str(a) for a in d.get("activations", ("relu",) * len(hidden)))
-    cut = int(d.get("cut_index", max(1, len(hidden) - 1)))
-    if len(acts) != len(hidden):
+    kwargs = _fields_from_dict(d, _defaults(NetConfig), "net")
+    # activations and cut_index default from the depth of hidden_dims
+    depth = len(kwargs.get("hidden_dims", NetConfig.hidden_dims))
+    kwargs.setdefault("activations", ("relu",) * depth)
+    kwargs.setdefault("cut_index", max(1, depth - 1))
+    cfg = NetConfig(**kwargs)
+    if len(cfg.activations) != len(cfg.hidden_dims):
         raise ConfigError("activations must match hidden_dims in length")
-    if any(h < 1 for h in hidden):
-        raise ConfigError(f"hidden_dims must all be >= 1, got {list(hidden)}")
-    unknown = [a for a in acts if a not in ACTIVATIONS]
+    if any(h < 1 for h in cfg.hidden_dims):
+        raise ConfigError(f"hidden_dims must all be >= 1, got {list(cfg.hidden_dims)}")
+    unknown = [a for a in cfg.activations if a not in ACTIVATIONS]
     if unknown:
         raise ConfigError(f"unknown activations {unknown}; expected one of {list(ACTIVATIONS)}")
-    if not 1 <= cut <= len(hidden):
-        raise ConfigError(f"cut_index must be in [1, {len(hidden)}], got {cut}")
-    return NetConfig(hidden_dims=hidden, activations=acts, cut_index=cut)
+    if not 1 <= cfg.cut_index <= len(cfg.hidden_dims):
+        raise ConfigError(
+            f"cut_index must be in [1, {len(cfg.hidden_dims)}], got {cfg.cut_index}"
+        )
+    return cfg
 
 
 def _optimizer_from_dict(d: dict) -> OptimizerConfig:
-    _check_keys(d, {"kind", "lr", "beta1", "beta2", "eps"}, "optimizer")
-    kind = d.get("kind", "adam")
-    if kind not in ("adam", "sgd"):
-        raise ConfigError(f"unknown optimizer kind {kind!r}")
-    return OptimizerConfig(
-        kind=kind,
-        lr=float(d.get("lr", 1e-3)),
-        beta1=float(d.get("beta1", 0.9)),
-        beta2=float(d.get("beta2", 0.999)),
-        eps=float(d.get("eps", 1e-8)),
-    )
+    cfg = OptimizerConfig(**_fields_from_dict(d, _defaults(OptimizerConfig), "optimizer"))
+    if cfg.kind not in ("adam", "sgd"):
+        raise ConfigError(f"unknown optimizer kind {cfg.kind!r}")
+    return cfg
 
 
 def _mechanism_from_dict(d: dict) -> MechanismConfig:
-    _check_keys(d, {"kind", "t", "s", "tol", "max_sweeps"}, "mechanism")
-    kind = d.get("kind", "none")
-    solver = SolverSettings(
-        tol=float(d.get("tol", 1e-8)), max_sweeps=int(d.get("max_sweeps", 200))
-    )
+    # The solver's settings are keys of the mechanism object itself.
+    solver_defaults = _defaults(SolverSettings)
+    defaults = {**_defaults(MechanismConfig), **solver_defaults}
+    del defaults["solver"]
+    kwargs = _fields_from_dict(d, defaults, "mechanism")
+    solver = SolverSettings(**{k: kwargs.pop(k) for k in solver_defaults if k in kwargs})
     try:
-        return MechanismConfig(
-            kind=kind, t=float(d.get("t", 1.0)), s=float(d.get("s", 1.0)), solver=solver
-        )
+        return MechanismConfig(**kwargs, solver=solver)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
 
 def config_from_dict(d: dict) -> ExperimentConfig:
     """Parse and fully validate a config; every rejection is a ConfigError."""
-    _check_keys(
-        d,
-        {"dataset", "net", "optimizer", "batch_size", "iterations", "mechanism", "seed", "out"},
-        "config",
+    kwargs = _fields_from_dict(d, _defaults(ExperimentConfig), "config")
+    cfg = ExperimentConfig(
+        **{
+            **kwargs,
+            "dataset": _dataset_from_dict(kwargs.get("dataset", {})),
+            "net": _net_from_dict(kwargs.get("net", {})),
+            "optimizer": _optimizer_from_dict(kwargs.get("optimizer", {})),
+            "mechanism": _mechanism_from_dict(kwargs.get("mechanism", {})),
+        }
     )
-    try:
-        cfg = ExperimentConfig(
-            dataset=_dataset_from_dict(d.get("dataset", {})),
-            net=_net_from_dict(d.get("net", {})),
-            optimizer=_optimizer_from_dict(d.get("optimizer", {})),
-            batch_size=int(d.get("batch_size", 64)),
-            iterations=int(d.get("iterations", 200)),
-            mechanism=_mechanism_from_dict(d.get("mechanism", {})),
-            seed=int(d.get("seed", 0)),
-            out=d.get("out"),
-        )
-    except (TypeError, ValueError) as exc:  # a field of the wrong type
-        raise ConfigError(f"bad config value: {exc}") from None
     if cfg.batch_size < 1:
         raise ConfigError(f"batch_size must be >= 1, got {cfg.batch_size}")
     if cfg.iterations < 1:
@@ -239,6 +234,11 @@ class IterationRow:
     noise_power: float
 
 
+# run.csv's columns after `iter`, one per IterationRow field after `iteration`
+_RUN_CSV_VALUES = tuple(f.name for f in dataclasses.fields(IterationRow))[1:]
+RUN_CSV_HEADER = ",".join(("iter",) + _RUN_CSV_VALUES)
+
+
 @dataclass
 class RunRecord:
     rows: list[IterationRow]
@@ -274,7 +274,9 @@ def _build_dataset(cfg: DatasetConfig, seed: int) -> data_mod.Dataset:
 def _make_optimizer(cfg: OptimizerConfig):
     if cfg.kind == "sgd":
         return SGD(cfg.lr)
-    return Adam(cfg.lr, cfg.beta1, cfg.beta2, cfg.eps)
+    if cfg.kind == "adam":
+        return Adam(cfg.lr, cfg.beta1, cfg.beta2, cfg.eps)
+    raise ValueError(f"unknown optimizer kind {cfg.kind!r}")
 
 
 def _batch_indices(n: int, batch_size: int, iterations: int, rng: np.random.Generator):
@@ -394,33 +396,23 @@ def _fmt(value) -> str:
 def write_run_csv(record: RunRecord, path) -> None:
     lines = [RUN_CSV_HEADER]
     for r in record.rows:
-        lines.append(
-            ",".join(
-                [
-                    str(r.iteration),
-                    _fmt(r.train_loss),
-                    _fmt(r.norm_cut),
-                    _fmt(r.cos_cut),
-                    _fmt(r.norm_first),
-                    _fmt(r.cos_first),
-                    _fmt(r.sum_kl),
-                    _fmt(r.auc_bound),
-                    _fmt(r.noise_power),
-                ]
-            )
-        )
+        values = [_fmt(getattr(r, name)) for name in _RUN_CSV_VALUES]
+        lines.append(",".join([str(r.iteration)] + values))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _results(record: RunRecord) -> dict[str, float | None]:
+    """A run's reported values, in summary.csv's row order."""
+    return {**record.summary, "test_loss": record.test_loss, "test_auc": record.test_auc}
+
+
+def _fmt_param(mechanism: MechanismConfig) -> str:
+    return "" if mechanism.param is None else _fmt(mechanism.param)
+
+
 def write_summary_csv(record: RunRecord, mechanism: MechanismConfig, path) -> None:
-    lines = ["field,value"]
-    lines.append(f"mechanism,{mechanism.kind}")
-    lines.append(f"param,{_fmt(mechanism.param) if mechanism.param is not None else ''}")
-    for name in LEAK_SERIES:
-        lines.append(f"{name}_q95,{_fmt(record.summary[f'{name}_q95'])}")
-    lines.append(f"train_loss_min,{_fmt(record.summary['train_loss_min'])}")
-    lines.append(f"test_loss,{_fmt(record.test_loss)}")
-    lines.append(f"test_auc,{_fmt(record.test_auc)}")
+    lines = ["field,value", f"mechanism,{mechanism.kind}", f"param,{_fmt_param(mechanism)}"]
+    lines += [f"{name},{_fmt(value)}" for name, value in _results(record).items()]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -439,30 +431,18 @@ def run_to_dir(config: ExperimentConfig, out_dir) -> RunRecord:
 
 @dataclass
 class TradeoffPoint:
-    mechanism: str
-    param: float | None
-    status: str  # ok | failed
-    test_loss: float | None = None
-    test_auc: float | None = None
-    train_loss_min: float | None = None
-    norm_cut_q95: float | None = None
-    cos_cut_q95: float | None = None
-    norm_first_q95: float | None = None
-    cos_first_q95: float | None = None
+    mechanism: MechanismConfig
+    record: RunRecord | None  # None when the run failed
+
+    @property
+    def status(self) -> str:
+        return "failed" if self.record is None else "ok"
 
 
-TRADEOFF_CSV_HEADER = (
-    "mechanism,param,status,test_loss,test_auc,train_loss_min,"
-    "norm_cut_q95,cos_cut_q95,norm_first_q95,cos_first_q95"
+_TRADEOFF_VALUES = ("test_loss", "test_auc", "train_loss_min") + tuple(
+    f"{name}_q95" for name in LEAK_SERIES
 )
-
-
-def _mechanism_with_param(kind: str, value: float | None) -> MechanismConfig:
-    if kind == "iso":
-        return MechanismConfig(kind="iso", t=float(value))
-    if kind == "marvell":
-        return MechanismConfig(kind="marvell", s=float(value))
-    return MechanismConfig(kind=kind)
+TRADEOFF_CSV_HEADER = ",".join(("mechanism", "param", "status") + _TRADEOFF_VALUES)
 
 
 def sweep(
@@ -474,44 +454,29 @@ def sweep(
     Writes each run's run.csv/summary.csv in a subdirectory plus one
     tradeoff.csv at the top.
     """
-    if kind in ("none", "max_norm"):
-        values: list[float | None] = [None]
+    name = HYPERPARAMETERS.get(kind)
+    if name is None:
+        settings: list[dict] = [{}]
+    elif not grid:
+        raise ConfigError(f"mechanism {kind!r} requires a nonempty grid")
     else:
-        if not grid:
-            raise ConfigError(f"mechanism {kind!r} requires a nonempty grid")
-        values = sorted(float(v) for v in grid)
+        settings = [{name: value} for value in sorted(float(v) for v in grid)]
     try:
-        mechs = [_mechanism_with_param(kind, value) for value in values]
+        mechs = [MechanismConfig(kind=kind, **setting) for setting in settings]
     except ValueError as exc:
         raise ConfigError(f"bad grid value: {exc}") from None
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     points: list[TradeoffPoint] = []
-    for value, mech in zip(values, mechs):
-        cfg = dataclasses.replace(base, mechanism=mech)
-        sub = kind if value is None else f"{kind}_{value:g}"
+    for mech in mechs:
+        sub = kind if mech.param is None else f"{kind}_{mech.param:g}"
         try:
-            record = run_to_dir(cfg, out_dir / sub)
+            record = run_to_dir(dataclasses.replace(base, mechanism=mech), out_dir / sub)
         except Exception as exc:  # keep sweeping, mark the failure
             print(f"sweep point {sub} failed: {exc}", file=sys.stderr)
-            points.append(TradeoffPoint(mechanism=kind, param=value, status="failed"))
-            continue
-        s = record.summary
-        points.append(
-            TradeoffPoint(
-                mechanism=kind,
-                param=value,
-                status="ok",
-                test_loss=record.test_loss,
-                test_auc=record.test_auc,
-                train_loss_min=s["train_loss_min"],
-                norm_cut_q95=s["norm_cut_q95"],
-                cos_cut_q95=s["cos_cut_q95"],
-                norm_first_q95=s["norm_first_q95"],
-                cos_first_q95=s["cos_first_q95"],
-            )
-        )
+            record = None
+        points.append(TradeoffPoint(mechanism=mech, record=record))
 
     write_tradeoff_csv(points, out_dir / "tradeoff.csv")
     return points
@@ -520,20 +485,7 @@ def sweep(
 def write_tradeoff_csv(points: list[TradeoffPoint], path) -> None:
     lines = [TRADEOFF_CSV_HEADER]
     for p in points:
-        lines.append(
-            ",".join(
-                [
-                    p.mechanism,
-                    "" if p.param is None else repr(float(p.param)),
-                    p.status,
-                    _fmt(p.test_loss) if p.status == "ok" else "",
-                    _fmt(p.test_auc) if p.status == "ok" else "",
-                    _fmt(p.train_loss_min) if p.status == "ok" else "",
-                    _fmt(p.norm_cut_q95) if p.status == "ok" else "",
-                    _fmt(p.cos_cut_q95) if p.status == "ok" else "",
-                    _fmt(p.norm_first_q95) if p.status == "ok" else "",
-                    _fmt(p.cos_first_q95) if p.status == "ok" else "",
-                ]
-            )
-        )
+        results = {} if p.record is None else _results(p.record)
+        values = [_fmt(results[name]) if results else "" for name in _TRADEOFF_VALUES]
+        lines.append(",".join([p.mechanism.kind, _fmt_param(p.mechanism), p.status] + values))
     Path(path).write_text("\n".join(lines) + "\n")

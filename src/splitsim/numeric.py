@@ -62,10 +62,6 @@ class StructuredCovariance:
     def dim(self) -> int:
         return self.direction.shape[0]
 
-    @property
-    def trace(self) -> float:
-        return self.along_var + self.iso_var * self.dim
-
 
 def sample_structured_gaussian_batch(
     cov: StructuredCovariance, rng: np.random.Generator, n: int

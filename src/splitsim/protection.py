@@ -12,9 +12,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import marvell
-from .numeric import StructuredCovariance, sample_structured_gaussian_batch
+from .numeric import sample_structured_gaussian_batch
 
 MECHANISMS = ("none", "iso", "max_norm", "marvell")
+# The MechanismConfig field that holds each mechanism's privacy hyperparameter.
+HYPERPARAMETERS = {"iso": "t", "marvell": "s"}
 
 
 @dataclass(frozen=True)
@@ -36,11 +38,8 @@ class MechanismConfig:
 
     @property
     def param(self) -> float | None:
-        if self.kind == "iso":
-            return self.t
-        if self.kind == "marvell":
-            return self.s
-        return None
+        name = HYPERPARAMETERS.get(self.kind)
+        return None if name is None else getattr(self, name)
 
 
 @dataclass
@@ -48,8 +47,6 @@ class PerturbOutcome:
     perturbed: np.ndarray
     certificate: marvell.PrivacyCertificate | None = None
     noise_power: float = 0.0
-    pos_cov: StructuredCovariance | None = None
-    neg_cov: StructuredCovariance | None = None
     fallback: bool = False  # marvell passed through (single-class / zero-gap batch)
 
 
@@ -140,8 +137,6 @@ def perturb_marvell(
         perturbed=perturbed,
         certificate=cert,
         noise_power=marvell.noise_power(sol, stats),
-        pos_cov=pos_cov,
-        neg_cov=neg_cov,
     )
 
 

@@ -1,6 +1,27 @@
-"""Shared pytest hooks: prints one PASS/FAIL line per acceptance criterion."""
+"""Shared pytest hooks: prints one PASS/FAIL line per acceptance criterion.
+
+Also the environment for tests that start `python -m splitsim` in a
+subprocess.
+"""
+
+import os
+from pathlib import Path
+
+import pytest
+
+import splitsim
 
 _acceptance_results = []
+
+
+@pytest.fixture
+def module_env() -> dict:
+    """os.environ with the directory holding the imported splitsim
+    package put first on PYTHONPATH, so that a child interpreter imports
+    the same package whether or not it is installed."""
+    src = str(Path(splitsim.__file__).resolve().parent.parent)
+    rest = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src if not rest else src + os.pathsep + rest}
 
 
 def pytest_runtest_logreport(report):

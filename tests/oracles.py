@@ -1,7 +1,8 @@
 """Independent test oracles: brute-force pairwise AUC, dense-grid search
 over the solver's feasible hyperplane, the dense closed-form
-symmetrized Gaussian KL, and central finite differences.  These
-deliberately share no code with the implementations they check.
+symmetrized Gaussian KL, central finite differences, and the Bayes
+posterior of the toy 1-d mixture.  These deliberately share no code
+with the implementations they check.
 
 The last section holds gradient helpers that tests use but the package
 does not.  They are built from the package's own backward passes, so
@@ -128,6 +129,12 @@ def finite_difference_gradient(fn, x, h=1e-5):
         step.flat[i] = h
         grad.flat[i] = (fn(x + step) - fn(x - step)) / (2.0 * h)
     return grad
+
+
+def bayes_posterior_toy_1d(x):
+    """Optimal P(y=1 | x) for the 1-d mixture: 10/11 on [0,1], 0 on (1,2]."""
+    x = np.asarray(x, dtype=np.float64)
+    return np.where(x <= 1.0, 10.0 / 11.0, 0.0)
 
 
 # ---------------------------------------------------------------------------

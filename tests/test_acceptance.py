@@ -398,7 +398,7 @@ def test_c10_tradeoff_dominance(marvell_runs, iso_runs):
     )
 
 
-def test_c11_determinism(tmp_path):
+def test_c11_determinism(tmp_path, module_env):
     # identical config+seed produce byte-identical run.csv twice via the CLI
     cfg = {
         "dataset": {"kind": "synthetic", "n": 1500, "d_in": 12, "pos_frac": 0.15,
@@ -419,6 +419,7 @@ def test_c11_determinism(tmp_path):
              "--out", str(tmp_path / sub)],
             capture_output=True,
             text=True,
+            env=module_env,
         )
         assert proc.returncode == 0, proc.stderr
     a = (tmp_path / "a/run.csv").read_bytes()

@@ -154,13 +154,14 @@ def test_gen_data_toy1d_feeds_run(tmp_path):
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
 
 
-def test_module_entry_point(tmp_path):
+def test_module_entry_point(tmp_path, module_env):
     cfg = _write_config(tmp_path / "cfg.json", iterations=5)
     proc = subprocess.run(
         [sys.executable, "-m", "splitsim", "run", "--config", str(cfg),
          "--out", str(tmp_path / "out")],
         capture_output=True,
         text=True,
+        env=module_env,
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "out/run.csv").exists()

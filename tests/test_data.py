@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
+from oracles import bayes_posterior_toy_1d
 from splitsim.data import (
     DataError,
     Dataset,
-    bayes_posterior_toy_1d,
     generate_synthetic,
     generate_toy_1d,
     load_csv,

@@ -5,6 +5,7 @@ from splitsim.harness import (
     ConfigError,
     DatasetConfig,
     ExperimentConfig,
+    OptimizerConfig,
     RUN_CSV_HEADER,
     config_from_dict,
     run_to_dir,
@@ -38,6 +39,11 @@ def test_config_defaults_and_round_trip():
     assert cfg.mechanism.kind == "none"
     assert cfg.net.hidden_dims == (32, 32, 16)
     assert cfg.net.cut_index == 2
+    assert cfg == ExperimentConfig()
+    # activations and cut_index default from the depth of hidden_dims
+    net = config_from_dict({"net": {"hidden_dims": [8, 8]}}).net
+    assert net.activations == ("relu", "relu")
+    assert net.cut_index == 1
 
 
 def test_config_rejects_unknown_keys():
@@ -104,6 +110,12 @@ def test_train_run_deterministic():
     assert a.test_loss == b.test_loss
     assert a.test_auc == b.test_auc
     assert a.summary == b.summary
+
+
+def test_train_run_rejects_unknown_optimizer():
+    # config_from_dict rejects it too; a config built in Python must not train with Adam
+    with pytest.raises(ValueError, match="lbfgs"):
+        train_run(_quick_config(optimizer=OptimizerConfig(kind="lbfgs")))
 
 
 def test_train_run_seed_changes_outcome():
@@ -232,7 +244,7 @@ def test_sweep_none_single_point(tmp_path):
     cfg = _quick_config(iterations=30)
     points = sweep(cfg, "none", [], tmp_path)
     assert len(points) == 1
-    assert points[0].param is None and points[0].status == "ok"
+    assert points[0].mechanism.param is None and points[0].status == "ok"
     tradeoff = (tmp_path / "tradeoff.csv").read_text().splitlines()
     assert len(tradeoff) == 2
     assert tradeoff[1].startswith("none,,ok,")
@@ -241,10 +253,11 @@ def test_sweep_none_single_point(tmp_path):
 def test_sweep_iso_monotone_and_sorted(tmp_path):
     cfg = _quick_config(iterations=100)
     points = sweep(cfg, "iso", [4.0, 0.25], tmp_path)
-    params = [p.param for p in points]
+    params = [p.mechanism.param for p in points]
     assert params == [0.25, 4.0]
     assert all(p.status == "ok" for p in points)
-    assert points[1].norm_cut_q95 <= points[0].norm_cut_q95 + 1e-12
+    q95 = [p.record.summary["norm_cut_q95"] for p in points]
+    assert q95[1] <= q95[0] + 1e-12
     assert (tmp_path / "iso_0.25/run.csv").exists()
     assert (tmp_path / "iso_4/run.csv").exists()
 
@@ -262,3 +275,4 @@ def test_sweep_marks_failures(tmp_path):
     assert points[0].status == "failed"
     tradeoff = (tmp_path / "tradeoff.csv").read_text().splitlines()
     assert "failed" in tradeoff[1]
+    assert tradeoff[1] == "none,,failed,,,,,,,"
