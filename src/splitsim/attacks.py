@@ -28,12 +28,16 @@ class UndefinedAUCError(ValueError):
 
 
 def roc_auc(scores: np.ndarray, labels: np.ndarray) -> float:
-    """ROC AUC as the Mann-Whitney statistic with midrank tie handling.
+    """ROC AUC as the Mann-Whitney statistic with ties counted half.
 
     Equals P(score+ > score-) + 0.5 P(score+ = score-) over all
     positive-negative pairs, i.e. the area under the empirical ROC curve
     with trapezoidal ties.  Invariant under strictly increasing score
-    transforms.
+    transforms.  Each positive counts the negatives below it and those
+    tied with it by binary search in the sorted negatives; U is then a
+    sum of half-integers, exact in float64, so the value equals the
+    midrank formula bit for bit.  NaN sorts above every number and ties
+    with NaN, and -0.0 ties with 0.0.
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
@@ -44,12 +48,12 @@ def roc_auc(scores: np.ndarray, labels: np.ndarray) -> float:
     n_neg = scores.shape[0] - n_pos
     if n_pos == 0 or n_neg == 0:
         raise UndefinedAUCError("AUC undefined for a single-class batch")
-    # midranks: average rank over each run of tied values (1-based)
-    _, inverse, counts = np.unique(scores, return_inverse=True, return_counts=True)
-    cum = np.cumsum(counts)
-    midranks = cum - (counts - 1) / 2.0
-    ranks = midranks[inverse]
-    u = ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0
+    neg = np.sort(scores[~pos])
+    pos_scores = scores[pos]
+    # below + below_or_tied = 2 * (negatives below + half the ties)
+    below = np.searchsorted(neg, pos_scores, side="left").sum()
+    below_or_tied = np.searchsorted(neg, pos_scores, side="right").sum()
+    u = (below + below_or_tied) * 0.5
     return float(u / (n_pos * n_neg))
 
 
@@ -60,15 +64,20 @@ def select_oracle_positive(labels: np.ndarray, rng: np.random.Generator) -> int:
     pos_idx = np.flatnonzero(labels == 1)
     if pos_idx.size == 0:
         raise UndefinedAUCError("no positive example in batch")
-    return int(rng.choice(pos_idx))
+    return int(pos_idx[rng.integers(0, pos_idx.size)])
+
+
+# A scorer's `scores(gradients, norms)` takes the rows' L2 norms,
+# np.linalg.norm(gradients, axis=1), computed once per received matrix
+# and shared by every scorer of it.
 
 
 @dataclass(frozen=True)
 class NormScorer:
     """Norm attack: score = ||g||_2."""
 
-    def scores(self, gradients: np.ndarray) -> np.ndarray:
-        return np.linalg.norm(gradients, axis=1)
+    def scores(self, gradients: np.ndarray, norms: np.ndarray) -> np.ndarray:
+        return norms
 
 
 @dataclass(frozen=True)
@@ -80,24 +89,25 @@ class CosineScorer:
 
     g_plus: np.ndarray
 
-    def scores(self, gradients: np.ndarray) -> np.ndarray:
+    def scores(self, gradients: np.ndarray, norms: np.ndarray) -> np.ndarray:
         np_ = np.linalg.norm(self.g_plus)
         if np_ == 0.0:
             raise ValueError("oracle gradient must be nonzero")
-        norms = np.linalg.norm(gradients, axis=1)
-        out = np.zeros(gradients.shape[0])
         nz = norms > 0.0
+        if nz.all():
+            return (gradients @ self.g_plus) / (norms * np_)
+        out = np.zeros(gradients.shape[0])
         out[nz] = (gradients[nz] @ self.g_plus) / (norms[nz] * np_)
         return out
 
 
-def leak_auc(gradients: np.ndarray, labels: np.ndarray, scorer) -> float:
+def leak_auc(gradients: np.ndarray, labels: np.ndarray, scorer, norms: np.ndarray) -> float:
     """ROC AUC of the scorer applied rowwise to a gradient batch.
 
-    The scorer sees the (possibly perturbed) gradients; a cosine
-    scorer's oracle must come from the clean ones.
+    The scorer sees the (possibly perturbed) gradients and their row
+    norms; a cosine scorer's oracle must come from the clean ones.
     """
-    return roc_auc(scorer.scores(np.asarray(gradients, dtype=np.float64)), labels)
+    return roc_auc(scorer.scores(gradients, norms), labels)
 
 
 def quantile(series, q: float) -> float:

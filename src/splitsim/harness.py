@@ -268,7 +268,9 @@ def _build_dataset(cfg: DatasetConfig, seed: int) -> data_mod.Dataset:
         )
     if cfg.kind == "toy1d":
         return data_mod.generate_toy_1d(cfg.n, seed=seed)
-    return data_mod.load_csv(cfg.path)
+    if cfg.kind == "csv":
+        return data_mod.load_csv(cfg.path)
+    raise ValueError(f"unknown dataset kind {cfg.kind!r}")
 
 
 def _make_optimizer(cfg: OptimizerConfig):
@@ -343,16 +345,18 @@ def train_run(config: ExperimentConfig) -> RunRecord:
         mixed = 0 < n_pos < y_b.shape[0]
         norm_cut = cos_cut = norm_first = cos_first = None
         if mixed:
-            norm_cut = leak_auc(outcome.perturbed, y_b, NormScorer())
-            norm_first = leak_auc(pert_first, y_b, NormScorer())
+            norms_cut = np.linalg.norm(outcome.perturbed, axis=1)
+            norms_first = np.linalg.norm(pert_first, axis=1)
+            norm_cut = leak_auc(outcome.perturbed, y_b, NormScorer(), norms_cut)
+            norm_first = leak_auc(pert_first, y_b, NormScorer(), norms_first)
             j_cut = select_oracle_positive(y_b, attack_rng)
             j_first = select_oracle_positive(y_b, attack_rng)
             g_plus_cut = clean_cut[j_cut]
             g_plus_first = first_layer_gradient_row(net, state, j_first, clean_cut[j_first])
             if np.linalg.norm(g_plus_cut) > 0:
-                cos_cut = leak_auc(outcome.perturbed, y_b, CosineScorer(g_plus_cut))
+                cos_cut = leak_auc(outcome.perturbed, y_b, CosineScorer(g_plus_cut), norms_cut)
             if np.linalg.norm(g_plus_first) > 0:
-                cos_first = leak_auc(pert_first, y_b, CosineScorer(g_plus_first))
+                cos_first = leak_auc(pert_first, y_b, CosineScorer(g_plus_first), norms_first)
 
         apply_update(net, f_grads, h_grads, optimizer)
 
@@ -450,6 +454,9 @@ def sweep(
 ) -> list[TradeoffPoint]:
     """One train_run per grid value; points sorted by hyperparameter.
 
+    Each point is the base config's mechanism with `kind` and the grid
+    value set, so the base's solver settings carry over.
+
     Failures are recorded (status=failed) and the sweep continues.
     Writes each run's run.csv/summary.csv in a subdirectory plus one
     tradeoff.csv at the top.
@@ -462,7 +469,7 @@ def sweep(
     else:
         settings = [{name: value} for value in sorted(float(v) for v in grid)]
     try:
-        mechs = [MechanismConfig(kind=kind, **setting) for setting in settings]
+        mechs = [dataclasses.replace(base.mechanism, kind=kind, **setting) for setting in settings]
     except ValueError as exc:
         raise ConfigError(f"bad grid value: {exc}") from None
     out_dir = Path(out_dir)

@@ -11,9 +11,11 @@ and a total-variation upper bound).
 The solve runs once per protected batch.  It is a golden-section
 coordinate descent over four scalars, written on plain Python floats,
 lists and tuples: numpy scalars would box every read and every
-arithmetic step of the inner loop.  Each expression keeps a fixed
-operand order, so a solve is a deterministic function of its inputs
-down to the last bit.
+arithmetic step of the inner loop.  For the same reason the line
+search clamps at zero with `0.0 if x < 0.0 else x` rather than a call to
+`max(x, 0.0)`; both return x itself for -0.0 and NaN, so the bits agree.
+Each expression keeps a fixed operand order, so a solve is a
+deterministic function of its inputs down to the last bit.
 """
 
 from __future__ import annotations
@@ -96,10 +98,16 @@ def estimate_stats(g: np.ndarray, labels: np.ndarray) -> BatchStats:
     n_neg = B - n_pos
     if n_pos == 0 or n_neg == 0:
         raise SingleClassBatchError("both classes must be present")
-    pos_mean = g[pos].mean(axis=0)
-    neg_mean = g[~pos].mean(axis=0)
-    v = float(((g[pos] - pos_mean) ** 2).sum() / (d * n_pos))
-    u = float(((g[~pos] - neg_mean) ** 2).sum() / (d * n_neg))
+    g_pos = g[pos]  # boolean indexing copies, so both are ours to overwrite
+    g_neg = g[~pos]
+    pos_mean = g_pos.mean(axis=0)
+    neg_mean = g_neg.mean(axis=0)
+    g_pos -= pos_mean
+    g_pos *= g_pos
+    g_neg -= neg_mean
+    g_neg *= g_neg
+    v = float(g_pos.sum() / (d * n_pos))
+    u = float(g_neg.sum() / (d * n_neg))
     delta = pos_mean - neg_mean
     return BatchStats(
         p=n_pos / B,
@@ -175,14 +183,16 @@ def _line_min(lam, i, j, w, R, d, u, v, dsq, tol):
     if hi <= lo:
         t = max(lo, min(hi, lo))
         lam[i] = t
-        lam[j] = max((R - wi * t) / wj, 0.0)
+        lj = (R - wi * t) / wj
+        lam[j] = 0.0 if lj < 0.0 else lj
         return
     dm1 = d - 1.0
 
     def f(t):
         # _objective4 inlined term by term, so the bits agree with it
         lam[i] = t
-        lam[j] = max((R - wi * t) / wj, 0.0)
+        lj = (R - wi * t) / wj
+        lam[j] = 0.0 if lj < 0.0 else lj
         l11, l21, l10, l20 = lam
         x = l20 + u
         y = l21 + v
@@ -211,7 +221,8 @@ def _line_min(lam, i, j, w, R, d, u, v, dsq, tol):
             fe = f(e)
     t = 0.5 * (a + b)
     lam[i] = t
-    lam[j] = max((R - wi * t) / wj, 0.0)
+    lj = (R - wi * t) / wj
+    lam[j] = 0.0 if lj < 0.0 else lj
 
 
 def _solve_lambdas(d, u, v, dsq, p, P, tol, max_sweeps, pin_pos):

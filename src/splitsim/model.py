@@ -261,7 +261,13 @@ class SGD:
 
 
 class Adam:
-    """Adam with bias correction; moment state persists across calls."""
+    """Adam with bias correction; moment state persists across calls.
+
+    The moments and the step are updated in place, one parameter array
+    at a time, in the operand order of the textbook expressions
+    m = b1 m + (1-b1) g, v = b2 v + ((1-b2) g) g and
+    p -= lr (m/c1) / (sqrt(v/c2) + eps).
+    """
 
     def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.lr = lr
@@ -269,26 +275,33 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self._m: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._v: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._m: list[np.ndarray] = []
+        self._v: list[np.ndarray] = []
 
     def update(self, layers: list[Layer], grads: list) -> None:
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2, lr, eps = self.beta1, self.beta2, self.lr, self.eps
         c1 = 1.0 - b1**self.t
         c2 = 1.0 - b2**self.t
-        for idx, (layer, (dW, db)) in enumerate(zip(layers, grads)):
-            if idx not in self._m:
-                self._m[idx] = (np.zeros_like(layer.W), np.zeros_like(layer.b))
-                self._v[idx] = (np.zeros_like(layer.W), np.zeros_like(layer.b))
-            mW, mb = self._m[idx]
-            vW, vb = self._v[idx]
-            mW[...] = b1 * mW + (1 - b1) * dW
-            mb[...] = b1 * mb + (1 - b1) * db
-            vW[...] = b2 * vW + (1 - b2) * dW * dW
-            vb[...] = b2 * vb + (1 - b2) * db * db
-            layer.W -= self.lr * (mW / c1) / (np.sqrt(vW / c2) + self.eps)
-            layer.b -= self.lr * (mb / c1) / (np.sqrt(vb / c2) + self.eps)
+        params = [p for layer in layers for p in (layer.W, layer.b)]
+        if not self._m:
+            self._m = [np.zeros_like(p) for p in params]
+            self._v = [np.zeros_like(p) for p in params]
+        flat_grads = [g for pair in grads for g in pair]
+        for param, g, m, v in zip(params, flat_grads, self._m, self._v):
+            m *= b1
+            m += (1 - b1) * g
+            v *= b2
+            gg = (1 - b2) * g
+            gg *= g
+            v += gg
+            step = m / c1
+            step *= lr
+            den = np.divide(v, c2, out=gg)  # gg is spent; reuse its buffer
+            np.sqrt(den, out=den)
+            den += eps
+            step /= den
+            param -= step
 
 
 def apply_update(net: SplitNet, f_param_grads: list, h_param_grads: list, optimizer) -> None:

@@ -4,6 +4,11 @@ symmetrized Gaussian KL, central finite differences, and the Bayes
 posterior of the toy 1-d mixture.  These deliberately share no code
 with the implementations they check.
 
+A second section keeps earlier, plainer forms of hot-path functions
+(the np.unique midrank AUC, the out-of-place Adam step, the batch
+statistics with their repeated copies).  The package's faster forms
+must equal them bit for bit.
+
 The last section holds gradient helpers that tests use but the package
 does not.  They are built from the package's own backward passes, so
 they are conveniences, not independent oracles.
@@ -135,6 +140,77 @@ def bayes_posterior_toy_1d(x):
     """Optimal P(y=1 | x) for the 1-d mixture: 10/11 on [0,1], 0 on (1,2]."""
     x = np.asarray(x, dtype=np.float64)
     return np.where(x <= 1.0, 10.0 / 11.0, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# bitwise references: earlier forms of the package's hot-path functions
+
+
+def midrank_auc(scores, labels):
+    """Mann-Whitney U from np.unique midranks, divided by n+ n-."""
+    scores = np.asarray(scores, dtype=np.float64)
+    pos = np.asarray(labels) == 1
+    n_pos = int(pos.sum())
+    n_neg = scores.shape[0] - n_pos
+    _, inverse, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    cum = np.cumsum(counts)
+    midranks = cum - (counts - 1) / 2.0
+    ranks = midranks[inverse]
+    u = ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0
+    return float(u / (n_pos * n_neg))
+
+
+def masked_cosine_scores(gradients, g_plus):
+    """Cosine to g_plus of every nonzero row, from a copy of those rows;
+    zero rows score 0."""
+    np_ = np.linalg.norm(g_plus)
+    norms = np.linalg.norm(gradients, axis=1)
+    out = np.zeros(gradients.shape[0])
+    nz = norms > 0.0
+    out[nz] = (gradients[nz] @ g_plus) / (norms[nz] * np_)
+    return out
+
+
+class OutOfPlaceAdam:
+    """Adam with each step written as one out-of-place expression."""
+
+    def __init__(self, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.t = 0
+        self._m = {}
+        self._v = {}
+
+    def update(self, layers, grads):
+        self.t += 1
+        b1, b2 = self.beta1, self.beta2
+        c1 = 1.0 - b1**self.t
+        c2 = 1.0 - b2**self.t
+        for idx, (layer, (dW, db)) in enumerate(zip(layers, grads)):
+            if idx not in self._m:
+                self._m[idx] = (np.zeros_like(layer.W), np.zeros_like(layer.b))
+                self._v[idx] = (np.zeros_like(layer.W), np.zeros_like(layer.b))
+            mW, mb = self._m[idx]
+            vW, vb = self._v[idx]
+            mW[...] = b1 * mW + (1 - b1) * dW
+            mb[...] = b1 * mb + (1 - b1) * db
+            vW[...] = b2 * vW + (1 - b2) * dW * dW
+            vb[...] = b2 * vb + (1 - b2) * db * db
+            layer.W -= self.lr * (mW / c1) / (np.sqrt(vW / c2) + self.eps)
+            layer.b -= self.lr * (mb / c1) / (np.sqrt(vb / c2) + self.eps)
+
+
+def copying_stats(g, labels):
+    """(pos_mean, neg_mean, v, u) with a fresh class copy per use."""
+    g = np.asarray(g, dtype=np.float64)
+    pos = np.asarray(labels) == 1
+    B, d = g.shape
+    n_pos = int(pos.sum())
+    n_neg = B - n_pos
+    pos_mean = g[pos].mean(axis=0)
+    neg_mean = g[~pos].mean(axis=0)
+    v = float(((g[pos] - pos_mean) ** 2).sum() / (d * n_pos))
+    u = float(((g[~pos] - neg_mean) ** 2).sum() / (d * n_neg))
+    return pos_mean, neg_mean, v, u
 
 
 # ---------------------------------------------------------------------------

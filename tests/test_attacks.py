@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import masked_cosine_scores, midrank_auc
 from splitsim.attacks import (
     CosineScorer,
     NormScorer,
@@ -80,24 +81,65 @@ def test_roc_auc_complement_symmetries():
     assert roc_auc(scores, 1 - labels) == pytest.approx(1.0 - base, abs=1e-12)
 
 
+def _auc_cases(rng, count):
+    """Seeded (scores, labels) with both classes present: continuous
+    scores, heavy ties, only special values (+-0.0, +-inf, NaN), and a
+    mix; every tenth case has a single positive."""
+    specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+    for case in range(count):
+        n = int(rng.integers(2, 1001 if case % 25 == 0 else 120))
+        kind = case % 4
+        if kind == 0:
+            scores = rng.standard_normal(n)
+        elif kind == 1:
+            scores = rng.integers(-3, 4, size=n).astype(np.float64)
+        elif kind == 2:
+            scores = rng.choice(specials, size=n)
+        else:
+            ties = rng.integers(-2, 3, size=n).astype(np.float64)
+            scores = np.where(rng.random(n) < 0.3, rng.choice(specials, size=n), ties)
+        if case % 10 == 0:
+            labels = np.zeros(n, dtype=np.int64)
+            labels[rng.integers(0, n)] = 1
+        else:
+            labels = (rng.random(n) < rng.uniform(0.05, 0.95)).astype(np.int64)
+            labels[0], labels[-1] = 1, 0
+        yield scores, labels
+
+
+def test_roc_auc_bitwise_matches_midrank():
+    for scores, labels in _auc_cases(make_rng(41), 400):
+        assert roc_auc(scores, labels).hex() == midrank_auc(scores, labels).hex()
+
+
+def test_roc_auc_nan_and_signed_zero_ties():
+    # NaN sorts above every number and ties with NaN; -0.0 ties with 0.0
+    labels = np.array([1, 0, 0])
+    assert roc_auc(np.array([np.nan, np.inf, np.nan]), labels) == 0.75
+    assert roc_auc(np.array([-0.0, 0.0, -1.0]), labels) == 0.75
+
+
 def test_norm_score():
     g = np.array([[3.0, 4.0, 0.0], [0.0, 0.0, 0.0], [1.0, -2.0, 0.5]])
-    scores = NormScorer().scores(g)
+    scores = NormScorer().scores(g, np.linalg.norm(g, axis=1))
     assert scores[0] == pytest.approx(5.0)
     assert scores[1] == 0.0
-    assert NormScorer().scores(2.0 * g)[2] == pytest.approx(2.0 * scores[2])
+    g2 = 2.0 * g
+    assert NormScorer().scores(g2, np.linalg.norm(g2, axis=1))[2] == pytest.approx(2.0 * scores[2])
 
 
 def test_cosine_score():
     g = np.array([1.0, 2.0, -1.0])
-    scores = CosineScorer(g).scores(np.vstack([g, -g, np.zeros(3)]))
+    rows = np.vstack([g, -g, np.zeros(3)])
+    scores = CosineScorer(g).scores(rows, np.linalg.norm(rows, axis=1))
     assert scores[0] == pytest.approx(1.0)
     assert scores[1] == pytest.approx(-1.0)
     assert scores[2] == 0.0  # zero row: uninformative, not an error
     e1 = np.array([[1.0, 0.0]])
-    assert CosineScorer(np.array([0.0, 2.0])).scores(e1)[0] == pytest.approx(0.0)
+    e1_norms = np.linalg.norm(e1, axis=1)
+    assert CosineScorer(np.array([0.0, 2.0])).scores(e1, e1_norms)[0] == pytest.approx(0.0)
     with pytest.raises(ValueError):
-        CosineScorer(np.zeros(2)).scores(e1)
+        CosineScorer(np.zeros(2)).scores(e1, e1_norms)
 
 
 def test_select_oracle_positive():
@@ -111,6 +153,29 @@ def test_select_oracle_positive():
     assert a == b and labels2[a] == 1
 
 
+def test_select_oracle_positive_draws_as_choice():
+    # the same index sequence, and the same stream left behind, as rng.choice
+    rng_a, rng_b = make_rng(12), make_rng(12)
+    labels_rng = make_rng(13)
+    for _ in range(200):
+        labels = (labels_rng.random(int(labels_rng.integers(1, 300))) < 0.2).astype(int)
+        labels[0] = 1
+        pos_idx = np.flatnonzero(labels == 1)
+        assert select_oracle_positive(labels, rng_a) == int(rng_b.choice(pos_idx))
+    assert rng_a.random() == rng_b.random()
+
+
+def test_cosine_scores_bitwise_match_masked_copy():
+    rng = make_rng(14)
+    g_plus = rng.standard_normal(384)
+    for zero_rows in ((), (0, 17, 255)):
+        g = rng.standard_normal((256, 384))
+        g[list(zero_rows)] = 0.0
+        scores = CosineScorer(g_plus).scores(g, np.linalg.norm(g, axis=1))
+        assert scores.tobytes() == masked_cosine_scores(g, g_plus).tobytes()
+        assert np.all(scores[list(zero_rows)] == 0.0)
+
+
 def test_leak_auc_separated_norms():
     rng = make_rng(5)
     d = 8
@@ -118,7 +183,7 @@ def test_leak_auc_separated_norms():
     neg = 0.1 * rng.standard_normal((10, d))
     g = np.vstack([pos, neg])
     labels = np.array([1] * 6 + [0] * 10)
-    assert leak_auc(g, labels, NormScorer()) == 1.0
+    assert leak_auc(g, labels, NormScorer(), np.linalg.norm(g, axis=1)) == 1.0
 
 
 def test_leak_auc_permutation_null():
@@ -126,7 +191,7 @@ def test_leak_auc_permutation_null():
     n = 10**4
     g = rng.standard_normal((n, 4))
     labels = rng.integers(0, 2, size=n)
-    auc = leak_auc(g, labels, NormScorer())
+    auc = leak_auc(g, labels, NormScorer(), np.linalg.norm(g, axis=1))
     assert abs(auc - 0.5) <= 0.02
 
 
@@ -144,10 +209,10 @@ def test_leak_auc_cosine_exact_with_linear_h():
     state = forward(net, X)
     g = label_party_gradients(state, y)[0]
     g_plus = g[select_oracle_positive(y, make_rng(8))]
-    scores = CosineScorer(g_plus).scores(g)
+    scores = CosineScorer(g_plus).scores(g, np.linalg.norm(g, axis=1))
     assert np.all(scores[y == 1] == pytest.approx(1.0))
     assert np.all(scores[y == 0] == pytest.approx(-1.0))
-    assert leak_auc(g, y, CosineScorer(g_plus)) == 1.0
+    assert leak_auc(g, y, CosineScorer(g_plus), np.linalg.norm(g, axis=1)) == 1.0
 
 
 def test_quantile():

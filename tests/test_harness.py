@@ -1,7 +1,9 @@
 import pytest
 
+from splitsim import harness
 from splitsim.attacks import quantile
 from splitsim.harness import (
+    RunRecord,
     ConfigError,
     DatasetConfig,
     ExperimentConfig,
@@ -116,6 +118,12 @@ def test_train_run_rejects_unknown_optimizer():
     # config_from_dict rejects it too; a config built in Python must not train with Adam
     with pytest.raises(ValueError, match="lbfgs"):
         train_run(_quick_config(optimizer=OptimizerConfig(kind="lbfgs")))
+
+
+def test_train_run_rejects_unknown_dataset_kind():
+    # config_from_dict rejects it too; a config built in Python must not reach load_csv
+    with pytest.raises(ValueError, match="unknown dataset kind 'bogus'"):
+        train_run(ExperimentConfig(dataset=DatasetConfig(kind="bogus")))
 
 
 def test_train_run_seed_changes_outcome():
@@ -260,6 +268,21 @@ def test_sweep_iso_monotone_and_sorted(tmp_path):
     assert q95[1] <= q95[0] + 1e-12
     assert (tmp_path / "iso_0.25/run.csv").exists()
     assert (tmp_path / "iso_4/run.csv").exists()
+
+
+def test_sweep_keeps_base_solver_settings(tmp_path, monkeypatch):
+    ran = []
+
+    def fake_run_to_dir(config, out_dir):
+        ran.append(config.mechanism)
+        return RunRecord(rows=[], test_loss=0.0, test_auc=None, summary=summarize_rows([]))
+
+    monkeypatch.setattr(harness, "run_to_dir", fake_run_to_dir)
+    base = config_from_dict({"mechanism": {"kind": "marvell", "max_sweeps": 1}})
+    points = sweep(base, "marvell", [4.0, 1.0], tmp_path)
+    assert [m.s for m in ran] == [1.0, 4.0]
+    assert [m.solver.max_sweeps for m in ran] == [1, 1]
+    assert [p.mechanism for p in points] == ran
 
 
 def test_sweep_requires_grid_for_parametric(tmp_path):

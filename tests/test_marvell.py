@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import dense_sum_kl, grid_search_objective, make_stats
+from oracles import copying_stats, dense_sum_kl, grid_search_objective, make_stats
 from splitsim.attacks import CosineScorer, NormScorer, leak_auc
 from splitsim.marvell import (
     SingleClassBatchError,
@@ -50,6 +50,20 @@ def test_estimate_stats_single_class_errors():
     g = np.ones((3, 2))
     with pytest.raises(SingleClassBatchError):
         estimate_stats(g, np.array([1, 1, 1]))
+
+
+def test_estimate_stats_bitwise_matches_copying_reference():
+    rng = make_rng(17)
+    for B, d in ((256, 384), (16, 16), (2, 1), (5, 3)):
+        for _ in range(5):
+            g = rng.standard_normal((B, d)) * rng.uniform(0.1, 10.0)
+            labels = (rng.random(B) < 0.3).astype(np.int64)
+            labels[0], labels[-1] = 1, 0
+            stats = estimate_stats(g, labels)
+            pos_mean, neg_mean, v, u = copying_stats(g, labels)
+            assert stats.pos_mean.tobytes() == pos_mean.tobytes()
+            assert stats.neg_mean.tobytes() == neg_mean.tobytes()
+            assert (stats.v.hex(), stats.u.hex()) == (v.hex(), u.hex())
 
 
 def test_estimate_stats_sampling_consistency():
@@ -351,8 +365,9 @@ def test_theorem1_empirical_mini():
         )
         labels = np.array([1] * n + [0] * n)
         g_plus = stats.pos_mean + np.sqrt(stats.v) * rng.standard_normal(d)
-        norm_auc = leak_auc(g, labels, NormScorer())
-        cos_auc = leak_auc(g, labels, CosineScorer(g_plus))
+        norms = np.linalg.norm(g, axis=1)
+        norm_auc = leak_auc(g, labels, NormScorer(), norms)
+        cos_auc = leak_auc(g, labels, CosineScorer(g_plus), norms)
         assert norm_auc <= cert.auc_bound + 0.03
         assert cos_auc <= cert.auc_bound + 0.03
 

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from oracles import compute_gradients, finite_difference_gradient, h_feature_gradients
+from oracles import (
+    OutOfPlaceAdam,
+    compute_gradients,
+    finite_difference_gradient,
+    h_feature_gradients,
+)
 from splitsim.model import (
     Adam,
     Layer,
@@ -291,6 +296,21 @@ def test_adam_zero_grads_no_motion():
     for _ in range(50):
         opt.update(net.f_layers + net.h_layers, zeros)
     assert np.array_equal(_flatten_params(net), before)
+
+
+def test_adam_bitwise_matches_out_of_place_steps():
+    net_a = _random_net(make_rng(15))
+    net_b = _random_net(make_rng(15))
+    opt_a, opt_b = Adam(lr=0.05), OutOfPlaceAdam(lr=0.05)
+    grad_rng = make_rng(16)
+    for _ in range(25):
+        grads = [
+            (grad_rng.standard_normal(l.W.shape), grad_rng.standard_normal(l.b.shape))
+            for l in net_a.f_layers + net_a.h_layers
+        ]
+        opt_a.update(net_a.f_layers + net_a.h_layers, grads)
+        opt_b.update(net_b.f_layers + net_b.h_layers, grads)
+        assert _flatten_params(net_a).tobytes() == _flatten_params(net_b).tobytes()
 
 
 def test_sgd_converges_on_quadratic():
