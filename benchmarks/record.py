@@ -8,9 +8,9 @@ then with ``--trace 1`` (the per-layer split), one run at a time.  The
 file holds, per run, the final JSON line perfbench prints, its
 fingerprint line (python, numpy, BLAS, cores), its unscaled timings and
 its host-slowdown line, plus the commit and the seed.  ``n`` is one
-more than the highest BENCH file present, unless ``--out`` names the
-file.  ``--root`` benchmarks another checkout, such as a clone of the
-parent commit; the file is still written beside this script.
+more than the highest BENCH file present.  ``--root`` benchmarks
+another checkout, such as a clone of the parent commit; the file is
+still written beside this script.
 """
 
 from __future__ import annotations
@@ -41,8 +41,13 @@ def _last_line(lines: list[str], prefix: str):
 
 
 def _json_after(lines: list[str], prefix: str):
+    """The JSON after `prefix` on the last line that starts with it, or
+    None when there is no such line or it does not parse (a crashed run)."""
     line = _last_line(lines, prefix)
-    return None if line is None else json.loads(line[len(prefix):])
+    try:
+        return None if line is None else json.loads(line[len(prefix):])
+    except json.JSONDecodeError:
+        return None
 
 
 def run_perfbench(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -56,7 +61,7 @@ def run_perfbench(root: Path, workload: str, seed: int, seconds: float, trace: i
         "seed": seed,
         "seconds": seconds,
         "exit_code": proc.returncode,
-        "result": json.loads(lines[-1]) if lines else None,
+        "result": _json_after(lines[-1:], ""),  # perfbench's final line
         "fingerprint": _json_after(lines, "fingerprint:"),
         "unscaled": _json_after(lines, "unscaled timings:"),
         "host": _last_line(lines, "timed runs"),
@@ -70,11 +75,10 @@ def main(argv=None) -> int:
                         help="checkout to benchmark (default: this one)")
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--seconds", type=float, default=36.0)
-    parser.add_argument("--out", type=Path, default=None)
     args = parser.parse_args(argv)
     root = args.root.resolve()
     workloads = [w["name"] for w in json.loads((root / "BENCHMARK.json").read_text())["workloads"]]
-    out = args.out or _next_path()
+    out = _next_path()
 
     runs = []
     for trace in (0, 1):
@@ -85,7 +89,6 @@ def main(argv=None) -> int:
         "commit": _git(root, "rev-parse", "HEAD"),
         "uncommitted_changes": bool(_git(root, "status", "--porcelain", "--", "src", "perfbench")),
         "seed": args.seed,
-        "command": "perfbench/run.py --workload W --seed S --seconds T --trace 0|1",
         "runs": runs,
     }
     out.write_text(json.dumps(record, indent=1) + "\n")
