@@ -127,13 +127,25 @@ def save_csv(dataset: Dataset, path) -> None:
             writer.writerow([int(label)] + [repr(float(v)) for v in row])
 
 
+def split_sizes(n: int, test_frac: float) -> tuple[int, int]:
+    """(train, test) row counts of a split of n rows: round(n * test_frac)
+    test rows, at least one.  Raises ValueError when no training row is
+    left."""
+    n_test = max(1, int(round(n * test_frac)))
+    if n - n_test < 1:
+        raise ValueError(
+            f"splitting {n} rows at test_frac {test_frac} leaves {n - n_test} training "
+            f"and {n_test} test rows; at least 1 training row is needed"
+        )
+    return n - n_test, n_test
+
+
 def train_test_split(dataset: Dataset, test_frac: float, rng: np.random.Generator):
-    """Random split into (train, test)."""
+    """Random split into (train, test), sized by split_sizes."""
     if not 0.0 < test_frac < 1.0:
         raise ValueError(f"test_frac must be in (0, 1), got {test_frac!r}")
-    n = dataset.n
-    perm = rng.permutation(n)
-    n_test = max(1, int(round(n * test_frac)))
+    _, n_test = split_sizes(dataset.n, test_frac)
+    perm = rng.permutation(dataset.n)
     test_idx = perm[:n_test]
     train_idx = perm[n_test:]
     return (

@@ -137,8 +137,13 @@ def _dataset_from_dict(d: dict) -> DatasetConfig:
         raise ConfigError(f"test_frac must be in (0, 1), got {cfg.test_frac}")
     if cfg.kind == "synthetic" and not 0.0 < cfg.pos_frac < 1.0:
         raise ConfigError(f"pos_frac must be in (0, 1), got {cfg.pos_frac}")
-    if cfg.kind in ("synthetic", "toy1d") and cfg.n < 1:
-        raise ConfigError(f"dataset n must be >= 1, got {cfg.n}")
+    if cfg.kind in ("synthetic", "toy1d"):
+        if cfg.n < 1:
+            raise ConfigError(f"dataset n must be >= 1, got {cfg.n}")
+        try:
+            data_mod.split_sizes(cfg.n, cfg.test_frac)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
     if cfg.kind == "synthetic" and cfg.d_in < 1:
         raise ConfigError(f"dataset d_in must be >= 1, got {cfg.d_in}")
     return cfg

@@ -16,6 +16,16 @@ search clamps at zero with `0.0 if x < 0.0 else x` rather than a call to
 `max(x, 0.0)`; both return x itself for -0.0 and NaN, so the bits agree.
 Each expression keeps a fixed operand order, so a solve is a
 deterministic function of its inputs down to the last bit.
+
+Each line search moves two eigenvalues and holds the other two fixed,
+and only five such moves occur.  A per-move objective evaluates the
+terms built from the fixed pair once per line search instead of at
+every golden-section point.  A hoisted term is the same expression on
+the same operands, which do not change during the search, and every
+sum is still formed left to right in `_objective4`'s order, so each
+objective value, and with it every bracket decision and the solution,
+is bit-identical to evaluating `_objective4` term by term at each
+point.
 """
 
 from __future__ import annotations
@@ -172,54 +182,128 @@ def _segment_bounds(lam, i, j, w, R):
     return lo, hi
 
 
+# The objective along each move (i, j) of the descent, as a function of
+# t = lam[i] with lam[j] = max((R - w[i] t) / w[j], 0) and the other two
+# eigenvalues fixed.  Each factory evaluates the terms that involve only
+# the fixed eigenvalues once per line search and returns f(t), which
+# evaluates the rest.  With (l11, l21, l10, l20) = lam, every term is
+# _objective4's expression on the same operands in the same order.
+
+
+def _objective_02(lam, R, wi, wj, dm1, u, v, dsq):
+    x = lam[3] + u  # l20 + u
+    y = lam[1] + v  # l21 + v
+    c = dm1 * (x / y + y / x)
+
+    def f(t):
+        lj = (R - wi * t) / wj
+        a = t + v  # l11 + v
+        b = (0.0 if lj < 0.0 else lj) + u  # l10 + u
+        return c + (b + dsq) / a + (a + dsq) / b
+
+    return f
+
+
+def _objective_03(lam, R, wi, wj, dm1, u, v, dsq):
+    y = lam[1] + v  # l21 + v
+    b = lam[2] + u  # l10 + u
+    nb = b + dsq
+
+    def f(t):
+        lj = (R - wi * t) / wj
+        x = (0.0 if lj < 0.0 else lj) + u  # l20 + u
+        a = t + v  # l11 + v
+        return dm1 * (x / y + y / x) + nb / a + (a + dsq) / b
+
+    return f
+
+
+def _objective_23(lam, R, wi, wj, dm1, u, v, dsq):
+    y = lam[1] + v  # l21 + v
+    a = lam[0] + v  # l11 + v
+    na = a + dsq
+
+    def f(t):
+        lj = (R - wi * t) / wj
+        x = (0.0 if lj < 0.0 else lj) + u  # l20 + u
+        b = t + u  # l10 + u
+        return dm1 * (x / y + y / x) + (b + dsq) / a + na / b
+
+    return f
+
+
+def _objective_01(lam, R, wi, wj, dm1, u, v, dsq):
+    x = lam[3] + u  # l20 + u
+    b = lam[2] + u  # l10 + u
+    nb = b + dsq
+
+    def f(t):
+        lj = (R - wi * t) / wj
+        y = (0.0 if lj < 0.0 else lj) + v  # l21 + v
+        a = t + v  # l11 + v
+        return dm1 * (x / y + y / x) + nb / a + (a + dsq) / b
+
+    return f
+
+
+def _objective_12(lam, R, wi, wj, dm1, u, v, dsq):
+    x = lam[3] + u  # l20 + u
+    a = lam[0] + v  # l11 + v
+    na = a + dsq
+
+    def f(t):
+        lj = (R - wi * t) / wj
+        y = t + v  # l21 + v
+        b = (0.0 if lj < 0.0 else lj) + u  # l10 + u
+        return dm1 * (x / y + y / x) + (b + dsq) / a + na / b
+
+    return f
+
+
+_MOVE_OBJECTIVES = {
+    (0, 2): _objective_02,
+    (0, 3): _objective_03,
+    (2, 3): _objective_23,
+    (0, 1): _objective_01,
+    (1, 2): _objective_12,
+}
+
+
 def _line_min(lam, i, j, w, R, d, u, v, dsq, tol):
     """Golden-section minimization over the feasible segment of (i, j).
 
-    Leaves lam[i] at the bracket midpoint and lam[j] on the segment.
+    Leaves lam[i] at the bracket midpoint (at the segment's lower end
+    when the segment is empty) and lam[j] on the segment.
     """
     lo, hi = _segment_bounds(lam, i, j, w, R)
     wi = w[i]
     wj = w[j]
     if hi <= lo:
-        t = max(lo, min(hi, lo))
-        lam[i] = t
-        lj = (R - wi * t) / wj
-        lam[j] = 0.0 if lj < 0.0 else lj
-        return
-    dm1 = d - 1.0
-
-    def f(t):
-        # _objective4 inlined term by term, so the bits agree with it
-        lam[i] = t
-        lj = (R - wi * t) / wj
-        lam[j] = 0.0 if lj < 0.0 else lj
-        l11, l21, l10, l20 = lam
-        x = l20 + u
-        y = l21 + v
-        return dm1 * (x / y + y / x) + (l10 + u + dsq) / (l11 + v) + (l11 + v + dsq) / (l10 + u)
-
-    width = hi - lo
-    tol_w = max(tol * width, 1e-10)
-    a = lo
-    b = hi
-    c = a + _INVPHI2 * width
-    e = a + _INVPHI * width
-    fc = f(c)
-    fe = f(e)
-    while b - a > tol_w:
-        if fc < fe:
-            b = e
-            e = c
-            fe = fc
-            c = a + _INVPHI2 * (b - a)
-            fc = f(c)
-        else:
-            a = c
-            c = e
-            fc = fe
-            e = a + _INVPHI * (b - a)
-            fe = f(e)
-    t = 0.5 * (a + b)
+        t = lo
+    else:
+        f = _MOVE_OBJECTIVES[i, j](lam, R, wi, wj, d - 1.0, u, v, dsq)
+        width = hi - lo
+        tol_w = max(tol * width, 1e-10)
+        a = lo
+        b = hi
+        c = a + _INVPHI2 * width
+        e = a + _INVPHI * width
+        fc = f(c)
+        fe = f(e)
+        while b - a > tol_w:
+            if fc < fe:
+                b = e
+                e = c
+                fe = fc
+                c = a + _INVPHI2 * (b - a)
+                fc = f(c)
+            else:
+                a = c
+                c = e
+                fc = fe
+                e = a + _INVPHI * (b - a)
+                fe = f(e)
+        t = 0.5 * (a + b)
     lam[i] = t
     lj = (R - wi * t) / wj
     lam[j] = 0.0 if lj < 0.0 else lj

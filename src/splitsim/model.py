@@ -11,7 +11,7 @@ at the parameter-gradient level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -78,10 +78,18 @@ class SplitNet:
     f_layers ends at the cut features (dimension cut_dim); h_layers
     map the cut features to a single logit (last layer is identity,
     out_dim 1).
+
+    All parameters live in one contiguous float64 vector, `params`:
+    layer by layer, f then h, each layer's W (row-major) followed by
+    its b.  On construction the layers' W and b are copied into it and
+    rebound to views of it, so an optimizer steps every parameter at
+    once and writes through `layer.W[...]` reach `params`.  Rebinding
+    `layer.W` or `layer.b` would detach it from `params`.
     """
 
     f_layers: list[Layer]
     h_layers: list[Layer]
+    params: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.f_layers or not self.h_layers:
@@ -90,6 +98,16 @@ class SplitNet:
             raise ValueError("f output dim must equal h input dim")
         if self.h_layers[-1].spec.out_dim != 1:
             raise ValueError("h must end in a single logit")
+        layers = self.f_layers + self.h_layers
+        arrays = [a for layer in layers for a in (layer.W, layer.b)]
+        self.params = np.concatenate(arrays, axis=None, dtype=np.float64)
+        pos = 0
+        for layer in layers:
+            W, b = layer.W, layer.b
+            layer.W = self.params[pos : pos + W.size].reshape(W.shape)
+            pos += W.size
+            layer.b = self.params[pos : pos + b.size].reshape(b.shape)
+            pos += b.size
 
     @property
     def cut_dim(self) -> int:
@@ -254,19 +272,20 @@ class SGD:
     def __init__(self, lr: float):
         self.lr = lr
 
-    def update(self, layers: list[Layer], grads: list) -> None:
-        for layer, (dW, db) in zip(layers, grads):
-            layer.W -= self.lr * dW
-            layer.b -= self.lr * db
+    def update(self, params: np.ndarray, grad: np.ndarray) -> None:
+        """One in-place step of the flat parameter vector."""
+        params -= self.lr * grad
 
 
 class Adam:
     """Adam with bias correction; moment state persists across calls.
 
-    The moments and the step are updated in place, one parameter array
-    at a time, in the operand order of the textbook expressions
+    One step updates the flat moment vectors and the flat parameter
+    vector in place, in the operand order of the textbook expressions
     m = b1 m + (1-b1) g, v = b2 v + ((1-b2) g) g and
-    p -= lr (m/c1) / (sqrt(v/c2) + eps).
+    p -= lr (m/c1) / (sqrt(v/c2) + eps).  Every operation is
+    elementwise, so stepping all parameters as one vector gives the
+    same bits as stepping them one array at a time.
     """
 
     def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
@@ -275,39 +294,40 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self._m: list[np.ndarray] = []
-        self._v: list[np.ndarray] = []
+        self._m: np.ndarray | None = None
+        self._v: np.ndarray | None = None
 
-    def update(self, layers: list[Layer], grads: list) -> None:
+    def update(self, params: np.ndarray, grad: np.ndarray) -> None:
+        """One in-place step of the flat parameter vector."""
         self.t += 1
         b1, b2, lr, eps = self.beta1, self.beta2, self.lr, self.eps
         c1 = 1.0 - b1**self.t
         c2 = 1.0 - b2**self.t
-        params = [p for layer in layers for p in (layer.W, layer.b)]
-        if not self._m:
-            self._m = [np.zeros_like(p) for p in params]
-            self._v = [np.zeros_like(p) for p in params]
-        flat_grads = [g for pair in grads for g in pair]
-        for param, g, m, v in zip(params, flat_grads, self._m, self._v):
-            m *= b1
-            m += (1 - b1) * g
-            v *= b2
-            gg = (1 - b2) * g
-            gg *= g
-            v += gg
-            step = m / c1
-            step *= lr
-            den = np.divide(v, c2, out=gg)  # gg is spent; reuse its buffer
-            np.sqrt(den, out=den)
-            den += eps
-            step /= den
-            param -= step
+        if self._m is None:
+            self._m = np.zeros_like(params)
+            self._v = np.zeros_like(params)
+        m, v = self._m, self._v
+        m *= b1
+        m += (1 - b1) * grad
+        v *= b2
+        gg = (1 - b2) * grad
+        gg *= grad
+        v += gg
+        step = m / c1
+        step *= lr
+        den = np.divide(v, c2, out=gg)  # gg is spent; reuse its buffer
+        np.sqrt(den, out=den)
+        den += eps
+        step /= den
+        params -= step
 
 
 def apply_update(net: SplitNet, f_param_grads: list, h_param_grads: list, optimizer) -> None:
     """In-place parameter update of both parties.
 
-    The optimizer keeps per-parameter state across calls, keyed by
-    position (f layers first, then h layers).
+    The (dW, db) pairs of f then h are gathered into one vector in the
+    order of `net.params`, and the optimizer steps `net.params` with it.
     """
-    optimizer.update(net.f_layers + net.h_layers, f_param_grads + h_param_grads)
+    pairs = f_param_grads + h_param_grads
+    grad = np.concatenate([g for pair in pairs for g in pair], axis=None)
+    optimizer.update(net.params, grad)

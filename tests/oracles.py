@@ -5,9 +5,10 @@ posterior of the toy 1-d mixture.  These deliberately share no code
 with the implementations they check.
 
 A second section keeps earlier, plainer forms of hot-path functions
-(the np.unique midrank AUC, the out-of-place Adam step, the batch
-statistics with their repeated copies).  The package's faster forms
-must equal them bit for bit.
+(the np.unique midrank AUC, the out-of-place Adam step and the
+per-array SGD step, the batch statistics with their repeated copies,
+marvell's line search evaluating the whole objective at every point).
+The package's faster forms must equal them bit for bit.
 
 The last section holds gradient helpers that tests use but the package
 does not.  They are built from the package's own backward passes, so
@@ -16,7 +17,7 @@ they are conveniences, not independent oracles.
 
 import numpy as np
 
-from splitsim.marvell import BatchStats
+from splitsim.marvell import _INVPHI, _INVPHI2, BatchStats, _objective4, _segment_bounds
 from splitsim.model import _backward_layers, backprop_nonlabel, label_party_gradients
 
 
@@ -197,6 +198,120 @@ class OutOfPlaceAdam:
             vb[...] = b2 * vb + (1 - b2) * db * db
             layer.W -= self.lr * (mW / c1) / (np.sqrt(vW / c2) + self.eps)
             layer.b -= self.lr * (mb / c1) / (np.sqrt(vb / c2) + self.eps)
+
+
+class PerArraySGD:
+    """SGD stepping each parameter array on its own."""
+
+    def __init__(self, lr):
+        self.lr = lr
+
+    def update(self, layers, grads):
+        for layer, (dW, db) in zip(layers, grads):
+            layer.W -= self.lr * dW
+            layer.b -= self.lr * db
+
+
+def closure_line_min(lam, i, j, w, R, d, u, v, dsq, tol, seen=None):
+    """Golden-section line search whose objective closure writes lam[i]
+    and lam[j] and evaluates every term at each point.  `seen`, when
+    given, collects each move (i, j) searched and "empty" for every
+    empty segment."""
+    lo, hi = _segment_bounds(lam, i, j, w, R)
+    wi = w[i]
+    wj = w[j]
+    if hi <= lo:
+        if seen is not None:
+            seen.add("empty")
+        t = max(lo, min(hi, lo))
+        lam[i] = t
+        lj = (R - wi * t) / wj
+        lam[j] = 0.0 if lj < 0.0 else lj
+        return
+    if seen is not None:
+        seen.add((i, j))
+    dm1 = d - 1.0
+
+    def f(t):
+        lam[i] = t
+        lj = (R - wi * t) / wj
+        lam[j] = 0.0 if lj < 0.0 else lj
+        l11, l21, l10, l20 = lam
+        x = l20 + u
+        y = l21 + v
+        return dm1 * (x / y + y / x) + (l10 + u + dsq) / (l11 + v) + (l11 + v + dsq) / (l10 + u)
+
+    width = hi - lo
+    tol_w = max(tol * width, 1e-10)
+    a = lo
+    b = hi
+    c = a + _INVPHI2 * width
+    e = a + _INVPHI * width
+    fc = f(c)
+    fe = f(e)
+    while b - a > tol_w:
+        if fc < fe:
+            b = e
+            e = c
+            fe = fc
+            c = a + _INVPHI2 * (b - a)
+            fc = f(c)
+        else:
+            a = c
+            c = e
+            fc = fe
+            e = a + _INVPHI * (b - a)
+            fe = f(e)
+    t = 0.5 * (a + b)
+    lam[i] = t
+    lj = (R - wi * t) / wj
+    lam[j] = 0.0 if lj < 0.0 else lj
+
+
+def closure_solve_lambdas(d, u, v, dsq, p, P, tol, max_sweeps, pin_pos, seen=None):
+    """marvell._solve_lambdas on closure_line_min:
+    (lam[4], objective, converged, sweeps_used)."""
+    lam = [0.0, 0.0, 0.0, 0.0]
+    w = (p, p * (d - 1.0), 1.0 - p, (1.0 - p) * (d - 1.0))
+
+    if P <= 0.0:
+        return lam, _objective4(0.0, 0.0, 0.0, 0.0, d, u, v, dsq), True, 0
+
+    if d == 1.0:
+        lam[0] = P / (2.0 * w[0])
+        lam[2] = P / (2.0 * w[2])
+        closure_line_min(lam, 0, 2, w, P, d, u, v, dsq, tol, seen)
+        return lam, _objective4(*lam, d, u, v, dsq), True, 1
+
+    free = (0, 2, 3) if pin_pos else (0, 1, 2)
+    moves = tuple((k, *(m for m in free if m != k)) for k in free)
+    for k in free:
+        lam[k] = (P / 3.0) / w[k]
+
+    prev = _objective4(*lam, d, u, v, dsq)
+    converged = False
+    sweeps = 0
+    for _ in range(max_sweeps):
+        sweeps += 1
+        for f_idx, i, j in moves:
+            R = P - w[f_idx] * lam[f_idx]
+            if R < 0.0:
+                R = 0.0
+            closure_line_min(lam, i, j, w, R, d, u, v, dsq, tol, seen)
+        cur = _objective4(*lam, d, u, v, dsq)
+        if prev - cur <= tol * max(abs(prev), 1e-300):
+            converged = True
+            break
+        prev = cur
+
+    drift = P - (w[0] * lam[0] + w[1] * lam[1] + w[2] * lam[2] + w[3] * lam[3])
+    best = free[0]
+    for k in free[1:]:
+        if w[k] * lam[k] > w[best] * lam[best]:
+            best = k
+    lam[best] = max(lam[best] + drift / w[best], 0.0)
+
+    return lam, _objective4(*lam, d, u, v, dsq), converged, sweeps
 
 
 def copying_stats(g, labels):

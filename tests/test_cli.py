@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from splitsim import protection
 from splitsim.cli import main
 from splitsim.data import load_csv
@@ -82,6 +84,28 @@ def test_zero_hidden_dim_exits_2(tmp_path, capsys):
     cfg = _write_config(tmp_path / "cfg.json", net={"hidden_dims": [0, 8, 4]})
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert "hidden_dims" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "dataset",
+    [{"n": 1}, {"n": 3, "test_frac": 0.9}, {"kind": "toy1d", "n": 1}],
+    ids=["n1", "n3_test_frac_0.9", "toy1d_n1"],
+)
+def test_empty_training_split_exits_2(tmp_path, capsys, dataset):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"dataset": dataset}))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "0 training" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_csv_without_training_rows_exits_3(tmp_path, capsys):
+    data = tmp_path / "one.csv"
+    data.write_text("label,f1\n1,0.5\n")
+    cfg = _write_config(tmp_path / "cfg.json", dataset={"kind": "csv", "path": str(data)})
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    assert "0 training and 1 test rows" in capsys.readouterr().err
 
 
 def test_mid_run_value_error_exits_3(tmp_path, monkeypatch, capsys):

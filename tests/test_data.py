@@ -130,3 +130,11 @@ def test_train_test_split():
     assert np.array_equal(merged, np.sort(ds.X[:, 0]))
     with pytest.raises(ValueError):
         train_test_split(ds, 0.0, make_rng(5))
+
+
+@pytest.mark.parametrize("n, test_frac, sizes", [(1, 0.2, "0 training and 1 test"),
+                                                 (3, 0.9, "0 training and 3 test")])
+def test_train_test_split_without_training_rows(n, test_frac, sizes):
+    ds = generate_synthetic(n, 2, 0.5, 1.0, seed=4)
+    with pytest.raises(ValueError, match=sizes):
+        train_test_split(ds, test_frac, make_rng(5))

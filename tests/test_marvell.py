@@ -1,11 +1,21 @@
 import numpy as np
 import pytest
 
-from oracles import copying_stats, dense_sum_kl, grid_search_objective, make_stats
+from oracles import (
+    closure_line_min,
+    closure_solve_lambdas,
+    copying_stats,
+    dense_sum_kl,
+    grid_search_objective,
+    make_stats,
+)
 from splitsim.attacks import CosineScorer, NormScorer, leak_auc
 from splitsim.marvell import (
+    VARIANCE_FLOOR,
     SingleClassBatchError,
     SolverSettings,
+    _line_min,
+    _solve_lambdas,
     auc_upper_bound,
     build_covariances,
     estimate_stats,
@@ -208,6 +218,73 @@ def test_solve_bitwise_pinned(case):
     assert tuple(x.hex() for x in got) == bits
     assert sol.converged is converged
     assert sol.sweeps_used == sweeps
+
+
+MOVES = ((0, 2), (0, 3), (2, 3), (0, 1), (1, 2))
+
+
+def _solver_bits(result):
+    lam, obj, converged, sweeps = result
+    return tuple(float(x).hex() for x in lam) + (float(obj).hex(), converged, sweeps)
+
+
+def _random_solver_args(rng):
+    """_solve_lambdas arguments (d, u, v, dsq, p, P, tol, max_sweeps,
+    pin_pos) spanning d = 1 to 384, variances at and far from the floor,
+    P = 0, one-sweep caps and both pin sides."""
+    d = float(rng.choice([1, 2, 3, 16, 384]))
+    u = max(10.0 ** rng.uniform(-14.0, 1.0), VARIANCE_FLOOR)
+    v = max(10.0 ** rng.uniform(-14.0, 1.0), VARIANCE_FLOOR)
+    dsq = 10.0 ** rng.uniform(-4.0, 2.0)
+    p = float(rng.uniform(0.02, 0.98))
+    P = 0.0 if rng.random() < 0.05 else float(rng.choice([0.01, 0.25, 1.0, 4.0, 64.0])) * dsq
+    tol = float(rng.choice([1e-8, 1e-4]))
+    max_sweeps = int(rng.choice([1, 2, 200]))
+    return d, u, v, dsq, p, P, tol, max_sweeps, bool(rng.random() < 0.5)
+
+
+def test_solve_lambdas_bitwise_matches_closure_line_search():
+    # the per-move objectives must reproduce the closure that evaluated
+    # the whole objective at every golden-section point, bit for bit
+    rng = make_rng(23)
+    seen = set()
+    covered = set()
+    for _ in range(1200):
+        args = _random_solver_args(rng)
+        d, P, max_sweeps, pin_pos = args[0], args[5], args[7], args[8]
+        covered |= {("d1", d == 1.0), ("P0", P == 0.0), ("one_sweep", max_sweeps == 1)}
+        covered.add(("pin_pos", pin_pos))
+        want = _solver_bits(closure_solve_lambdas(*args, seen=seen))
+        got = _solver_bits(_solve_lambdas(*args))
+        assert got == want, args
+    assert set(MOVES) <= seen  # the empty segment is covered below
+    assert all((name, True) in covered for name in ("d1", "P0", "one_sweep", "pin_pos"))
+    assert ("pin_pos", False) in covered
+
+
+def test_line_min_bitwise_matches_closure_line_search():
+    # single line searches from random feasible states, with R = 0 and
+    # tight orderings among them so the empty-segment branch runs
+    rng = make_rng(29)
+    seen = set()
+    for _ in range(1000):
+        d = float(rng.choice([2, 16, 384]))
+        p = float(rng.uniform(0.02, 0.98))
+        w = (p, p * (d - 1.0), 1.0 - p, (1.0 - p) * (d - 1.0))
+        u, v, dsq = 10.0 ** rng.uniform(-12.0, 1.0, size=3)
+        i, j = MOVES[rng.integers(len(MOVES))]
+        lam = [float(x) for x in 10.0 ** rng.uniform(-6.0, 1.0, size=4)]
+        if rng.random() < 0.3:  # an ordering row holds with equality
+            lam[1], lam[3] = min(lam[0], lam[1]), min(lam[2], lam[3])
+            k = int(rng.integers(2))
+            lam[2 * k + 1] = lam[2 * k]
+        R = 0.0 if rng.random() < 0.2 else w[i] * lam[i] + w[j] * lam[j]
+        tol = float(rng.choice([1e-8, 1e-3]))
+        want, got = list(lam), list(lam)
+        closure_line_min(want, i, j, w, R, d, u, v, dsq, tol, seen)
+        _line_min(got, i, j, w, R, d, u, v, dsq, tol)
+        assert [x.hex() for x in got] == [x.hex() for x in want], (lam, i, j, R)
+    assert seen == set(MOVES) | {"empty"}
 
 
 def test_objective_convex_along_feasible_segments():

@@ -3,6 +3,7 @@ import pytest
 
 from oracles import (
     OutOfPlaceAdam,
+    PerArraySGD,
     compute_gradients,
     finite_difference_gradient,
     h_feature_gradients,
@@ -282,9 +283,9 @@ def test_acute_angle_of_h_gradients_throughout_training():
 
 
 def test_sgd_single_step():
-    layer = Layer(LayerSpec(1, 1, "identity"), np.array([[3.0]]), np.zeros(1))
-    SGD(lr=1.0).update([layer], [(np.array([[1.0]]), np.zeros(1))])
-    assert layer.W[0, 0] == pytest.approx(2.0)
+    params = np.array([3.0])
+    SGD(lr=1.0).update(params, np.array([1.0]))
+    assert params[0] == pytest.approx(2.0)
 
 
 def test_adam_zero_grads_no_motion():
@@ -292,35 +293,64 @@ def test_adam_zero_grads_no_motion():
     net = _random_net(rng)
     before = _flatten_params(net).copy()
     opt = Adam(lr=0.1)
-    zeros = [(np.zeros_like(l.W), np.zeros_like(l.b)) for l in net.f_layers + net.h_layers]
     for _ in range(50):
-        opt.update(net.f_layers + net.h_layers, zeros)
+        opt.update(net.params, np.zeros_like(net.params))
     assert np.array_equal(_flatten_params(net), before)
 
 
-def test_adam_bitwise_matches_out_of_place_steps():
-    net_a = _random_net(make_rng(15))
-    net_b = _random_net(make_rng(15))
-    opt_a, opt_b = Adam(lr=0.05), OutOfPlaceAdam(lr=0.05)
-    grad_rng = make_rng(16)
+def _steps_match_per_array_reference(flat_opt, reference_opt, seed):
+    """25 apply_update steps with `flat_opt` against `reference_opt`
+    stepping a twin net one parameter array at a time, compared by bytes."""
+    net_a = _random_net(make_rng(seed))
+    net_b = _random_net(make_rng(seed))
+    n_f = len(net_a.f_layers)
+    grad_rng = make_rng(seed + 1)
     for _ in range(25):
         grads = [
             (grad_rng.standard_normal(l.W.shape), grad_rng.standard_normal(l.b.shape))
             for l in net_a.f_layers + net_a.h_layers
         ]
-        opt_a.update(net_a.f_layers + net_a.h_layers, grads)
-        opt_b.update(net_b.f_layers + net_b.h_layers, grads)
+        apply_update(net_a, grads[:n_f], grads[n_f:], flat_opt)
+        reference_opt.update(net_b.f_layers + net_b.h_layers, grads)
         assert _flatten_params(net_a).tobytes() == _flatten_params(net_b).tobytes()
+
+
+def test_adam_bitwise_matches_out_of_place_steps():
+    _steps_match_per_array_reference(Adam(lr=0.05), OutOfPlaceAdam(lr=0.05), 15)
+
+
+def test_sgd_bitwise_matches_per_array_steps():
+    _steps_match_per_array_reference(SGD(lr=0.05), PerArraySGD(lr=0.05), 17)
 
 
 def test_sgd_converges_on_quadratic():
     # loss (w - 2)^2 / 2, lr 0.1, 100 steps
-    layer = Layer(LayerSpec(1, 1, "identity"), np.array([[10.0]]), np.zeros(1))
+    params = np.array([10.0])
     opt = SGD(lr=0.1)
     for _ in range(100):
-        grad = layer.W - 2.0
-        opt.update([layer], [(grad, np.zeros(1))])
-    assert abs(layer.W[0, 0] - 2.0) <= 1e-3
+        opt.update(params, params - 2.0)
+    assert abs(params[0] - 2.0) <= 1e-3
+
+
+@pytest.mark.parametrize("kind", ["built", "bare_layers"])
+def test_parameters_are_views_of_one_flat_buffer(kind):
+    w = np.array([0.5, -1.0, 2.0])
+    net = _random_net(make_rng(18)) if kind == "built" else _linear_h_net(w)
+    layers = net.f_layers + net.h_layers
+    assert net.params.flags.c_contiguous and net.params.dtype == np.float64
+    for l in layers:
+        assert np.shares_memory(l.W, net.params) and np.shares_memory(l.b, net.params)
+    if kind == "bare_layers":  # the values the layers were given, in params order
+        want = np.concatenate([np.eye(3).ravel(), np.zeros(3), w, np.zeros(1)])
+        assert np.array_equal(net.params, want)
+        assert net.f_layers[0].b.shape == (3,) and net.h_layers[0].W.shape == (3, 1)
+    # in-place writes through a layer reach the buffer, and back
+    l = layers[-1]
+    l.W[...] = 7.0
+    l.b[...] = -3.0
+    assert net.params[-1] == -3.0 and np.all(net.params[-1 - l.W.size : -1] == 7.0)
+    net.params[0] = 11.0
+    assert layers[0].W[0, 0] == 11.0
 
 
 def test_apply_update_moves_both_parties():
