@@ -84,7 +84,8 @@ class SplitNet:
     its b.  On construction the layers' W and b are copied into it and
     rebound to views of it, so an optimizer steps every parameter at
     once and writes through `layer.W[...]` reach `params`.  Rebinding
-    `layer.W` or `layer.b` would detach it from `params`.
+    `layer.W` or `layer.b` would detach it from `params`, so a layer
+    belongs to one net: a second net built from it takes it over.
     """
 
     f_layers: list[Layer]
