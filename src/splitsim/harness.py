@@ -183,8 +183,8 @@ def _mechanism_from_dict(d: dict) -> MechanismConfig:
     defaults = {**_defaults(MechanismConfig), **solver_defaults}
     del defaults["solver"]
     kwargs = _fields_from_dict(d, defaults, "mechanism")
-    solver = SolverSettings(**{k: kwargs.pop(k) for k in solver_defaults if k in kwargs})
     try:
+        solver = SolverSettings(**{k: kwargs.pop(k) for k in solver_defaults if k in kwargs})
         return MechanismConfig(**kwargs, solver=solver)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None

@@ -8,24 +8,16 @@ solution into factored covariances plus a privacy certificate (the
 achieved symmetrized KL, the implied worst-case attack-AUC upper bound,
 and a total-variation upper bound).
 
-The solve runs once per protected batch.  It is a golden-section
-coordinate descent over four scalars, written on plain Python floats,
-lists and tuples: numpy scalars would box every read and every
-arithmetic step of the inner loop.  For the same reason the line
-search clamps at zero with `0.0 if x < 0.0 else x` rather than a call to
-`max(x, 0.0)`; both return x itself for -0.0 and NaN, so the bits agree.
-Each expression keeps a fixed operand order, so a solve is a
-deterministic function of its inputs down to the last bit.
-
-Each line search moves two eigenvalues and holds the other two fixed,
-and only five such moves occur.  A per-move objective evaluates the
-terms built from the fixed pair once per line search instead of at
-every golden-section point.  A hoisted term is the same expression on
-the same operands, which do not change during the search, and every
-sum is still formed left to right in `_objective4`'s order, so each
-objective value, and with it every bracket decision and the solution,
-is bit-identical to evaluating `_objective4` term by term at each
-point.
+The solve runs once per protected batch.  It is a coordinate descent
+over four scalars: each step moves two eigenvalues along the power
+hyperplane with the other two fixed, and minimizes exactly along that
+segment with a safeguarded Newton search on the objective's first and
+second derivatives.  It is written on plain Python floats, lists and
+tuples: numpy scalars would box every read and every arithmetic step
+of the inner loop.  For the same reason it clamps at zero with
+`0.0 if x < 0.0 else x` rather than a call to `max(x, 0.0)`.  Each
+expression keeps a fixed operand order, so a solve is a deterministic
+function of its inputs down to the last bit.
 """
 
 from __future__ import annotations
@@ -39,11 +31,16 @@ from .numeric import StructuredCovariance
 
 VARIANCE_FLOOR = 1e-12
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-_INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
-# rows gamma of the eigenvalue-ordering constraints gamma . lam <= 0,
-# i.e. lam[1] <= lam[0] and lam[3] <= lam[2]
-_ORDER_ROWS = ((-1.0, 1.0, 0.0, 0.0), (0.0, 0.0, -1.0, 1.0))
+# A line search measures steps in t against the smaller of the segment's
+# width and the distances at which either moving eigenvalue plus its
+# floor would reach zero, the scale on which f' varies.  It takes a
+# Newton step of at most _NEWTON_TOL of that scale and stops: Newton
+# converges quadratically, so the next step would be about _NEWTON_TOL**2
+# of it.  Bisection stops once the bracket is _BISECT_TOL of it, and no
+# search takes more than _MAX_STEPS steps.
+_NEWTON_TOL = 1e-5
+_BISECT_TOL = 1e-10
+_MAX_STEPS = 100
 
 
 class SingleClassBatchError(ValueError):
@@ -69,6 +66,12 @@ class BatchStats:
 class SolverSettings:
     tol: float = 1e-8  # relative objective decrease per sweep
     max_sweeps: int = 200
+
+    def __post_init__(self):
+        if not (math.isfinite(self.tol) and self.tol > 0.0):
+            raise ValueError(f"tol must be finite and > 0, got {self.tol!r}")
+        if self.max_sweeps < 1:
+            raise ValueError(f"max_sweeps must be >= 1, got {self.max_sweeps!r}")
 
 
 @dataclass(frozen=True)
@@ -134,8 +137,8 @@ def estimate_stats(g: np.ndarray, labels: np.ndarray) -> BatchStats:
 
 def power_budget(s: float, stats: BatchStats) -> float:
     """Noise power cap expressed relative to the class-mean gap."""
-    if s <= 0:
-        raise ValueError(f"s must be > 0, got {s!r}")
+    if not (math.isfinite(s) and s > 0):
+        raise ValueError(f"s must be finite and > 0, got {s!r}")
     return s * stats.delta_norm_sq
 
 
@@ -161,149 +164,113 @@ def objective(lams, stats: BatchStats) -> float:
     return float(_objective4(l11, l21, l10, l20, float(stats.d), u, v, stats.delta_norm_sq))
 
 
-def _segment_bounds(lam, i, j, w, R):
-    """Feasible t-range for the move lam[i]=t, lam[j]=(R - w[i] t)/w[j].
+def _line_min(lam, i, j, w, R, d, u, v, dsq):
+    """Exact minimization over the feasible segment of the move (i, j).
 
-    Intersects t >= 0, lam[j] >= 0 and the two ordering rows.
+    Along the move, t = lam[i] and lam[j] = max((R - w[i] t) / w[j], 0),
+    so each of l11 + v, l21 + v, l10 + u and l20 + u is linear in t
+    with slope 0, 1 or -w[i]/w[j].  The objective is a sum of ratios of
+    such linear functions, convex on the segment, and the quotient rule
+    gives its first and second derivatives.  Newton runs from lam[i]
+    inside a sign bracket of f' and bisects whenever a step would leave
+    it; a step that would leave through an end of the segment whose f'
+    is not yet known evaluates f' there first, so a boundary minimum is
+    taken exactly.  The search stops when f' is zero or a step is small
+    (see _NEWTON_TOL).  Leaves lam[i] at the minimizer (at the segment's
+    lower end when the segment is empty) and lam[j] on the segment.
     """
-    lo = 0.0
-    hi = R / w[i]
-    for gamma in _ORDER_ROWS:
-        gj = gamma[j]
-        alpha = gamma[i] - gj * w[i] / w[j]
-        beta = gj * R / w[j]
-        for k in range(4):
-            if k != i and k != j:
-                beta += gamma[k] * lam[k]
-        if alpha > 1e-300:
-            hi = min(hi, -beta / alpha)
-        elif alpha < -1e-300:
-            lo = max(lo, -beta / alpha)
-    return lo, hi
-
-
-# The objective along each move (i, j) of the descent, as a function of
-# t = lam[i] with lam[j] = max((R - w[i] t) / w[j], 0) and the other two
-# eigenvalues fixed.  Each factory evaluates the terms that involve only
-# the fixed eigenvalues once per line search and returns f(t), which
-# evaluates the rest.  With (l11, l21, l10, l20) = lam, every term is
-# _objective4's expression on the same operands in the same order.
-
-
-def _objective_02(lam, R, wi, wj, dm1, u, v, dsq):
-    x = lam[3] + u  # l20 + u
-    y = lam[1] + v  # l21 + v
-    c = dm1 * (x / y + y / x)
-
-    def f(t):
-        lj = (R - wi * t) / wj
-        a = t + v  # l11 + v
-        b = (0.0 if lj < 0.0 else lj) + u  # l10 + u
-        return c + (b + dsq) / a + (a + dsq) / b
-
-    return f
-
-
-def _objective_03(lam, R, wi, wj, dm1, u, v, dsq):
-    y = lam[1] + v  # l21 + v
-    b = lam[2] + u  # l10 + u
-    nb = b + dsq
-
-    def f(t):
-        lj = (R - wi * t) / wj
-        x = (0.0 if lj < 0.0 else lj) + u  # l20 + u
-        a = t + v  # l11 + v
-        return dm1 * (x / y + y / x) + nb / a + (a + dsq) / b
-
-    return f
-
-
-def _objective_23(lam, R, wi, wj, dm1, u, v, dsq):
-    y = lam[1] + v  # l21 + v
-    a = lam[0] + v  # l11 + v
-    na = a + dsq
-
-    def f(t):
-        lj = (R - wi * t) / wj
-        x = (0.0 if lj < 0.0 else lj) + u  # l20 + u
-        b = t + u  # l10 + u
-        return dm1 * (x / y + y / x) + (b + dsq) / a + na / b
-
-    return f
-
-
-def _objective_01(lam, R, wi, wj, dm1, u, v, dsq):
-    x = lam[3] + u  # l20 + u
-    b = lam[2] + u  # l10 + u
-    nb = b + dsq
-
-    def f(t):
-        lj = (R - wi * t) / wj
-        y = (0.0 if lj < 0.0 else lj) + v  # l21 + v
-        a = t + v  # l11 + v
-        return dm1 * (x / y + y / x) + nb / a + (a + dsq) / b
-
-    return f
-
-
-def _objective_12(lam, R, wi, wj, dm1, u, v, dsq):
-    x = lam[3] + u  # l20 + u
-    a = lam[0] + v  # l11 + v
-    na = a + dsq
-
-    def f(t):
-        lj = (R - wi * t) / wj
-        y = t + v  # l21 + v
-        b = (0.0 if lj < 0.0 else lj) + u  # l10 + u
-        return dm1 * (x / y + y / x) + (b + dsq) / a + na / b
-
-    return f
-
-
-_MOVE_OBJECTIVES = {
-    (0, 2): _objective_02,
-    (0, 3): _objective_03,
-    (2, 3): _objective_23,
-    (0, 1): _objective_01,
-    (1, 2): _objective_12,
-}
-
-
-def _line_min(lam, i, j, w, R, d, u, v, dsq, tol):
-    """Golden-section minimization over the feasible segment of (i, j).
-
-    Leaves lam[i] at the bracket midpoint (at the segment's lower end
-    when the segment is empty) and lam[j] on the segment.
-    """
-    lo, hi = _segment_bounds(lam, i, j, w, R)
     wi = w[i]
     wj = w[j]
-    if hi <= lo:
-        t = lo
-    else:
-        f = _MOVE_OBJECTIVES[i, j](lam, R, wi, wj, d - 1.0, u, v, dsq)
+    r = wi / wj
+    # along the move, lam[k] = c[k] + s[k] t
+    c = list(lam)
+    c[i] = 0.0
+    c[j] = R / wj
+    s = [0.0, 0.0, 0.0, 0.0]
+    s[i] = 1.0
+    s[j] = -r
+    sa, sy, sb, sx = s
+    # feasible t: t >= 0, lam[j] >= 0, lam[1] <= lam[0] and lam[3] <= lam[2]
+    lo = 0.0
+    hi = R / wi
+    for alpha, beta in ((sy - sa, c[1] - c[0]), (sx - sb, c[3] - c[2])):
+        if alpha > 0.0:
+            hi = min(hi, -beta / alpha)
+        elif alpha < 0.0:
+            lo = max(lo, -beta / alpha)
+    t = lo
+    if hi > lo:
+        dm1 = d - 1.0
+        off_i = v if i < 2 else u
+        off_j = v if j < 2 else u
+        q = [lam[0] + v, lam[1] + v, lam[2] + u, lam[3] + u]
         width = hi - lo
-        tol_w = max(tol * width, 1e-10)
-        a = lo
-        b = hi
-        c = a + _INVPHI2 * width
-        e = a + _INVPHI * width
-        fc = f(c)
-        fe = f(e)
-        while b - a > tol_w:
-            if fc < fe:
-                b = e
-                e = c
-                fe = fc
-                c = a + _INVPHI2 * (b - a)
-                fc = f(c)
+        t = lam[i]
+        t = lo if t < lo else hi if t > hi else t
+        # the sign bracket f'(left) < 0 < f'(right); while an end of it
+        # is still an end of the segment, f' there is not yet known
+        left = lo
+        right = hi
+        left_open = t > lo
+        right_open = t < hi
+        probe = False
+        for _ in range(_MAX_STEPS):
+            lj = (R - wi * t) / wj
+            q[i] = t + off_i
+            q[j] = (0.0 if lj < 0.0 else lj) + off_j
+            qa, qy, qb, qx = q  # l11 + v, l21 + v, l10 + u, l20 + u
+            ia = 1.0 / qa
+            ib = 1.0 / qb
+            ixy = 1.0 / (qx * qy)
+            cxy = sx * qy - qx * sy
+            ga = (sb * qa - (qb + dsq) * sa) * ia * ia  # d/dt (qb + dsq) / qa
+            gb = (sa * qb - (qa + dsq) * sb) * ib * ib  # d/dt (qa + dsq) / qb
+            # f' and f''/2; d/dt (qx / qy + qy / qx) = cxy (qx^2 - qy^2) / (qx qy)^2
+            fp = dm1 * cxy * (qx - qy) * (qx + qy) * ixy * ixy + ga + gb
+            fpp = (
+                dm1 * cxy * (sx / (qx * qx * qx) - sy / (qy * qy * qy))
+                - ga * sa * ia
+                - gb * sb * ib
+            )
+            if fp > 0.0:
+                if t == lo:
+                    break
+                right = t
+                right_open = False
+            elif fp < 0.0:
+                if t == hi:
+                    break
+                left = t
+                left_open = False
             else:
-                a = c
-                c = e
-                fc = fe
-                e = a + _INVPHI * (b - a)
-                fe = f(e)
-        t = 0.5 * (a + b)
+                break
+            # q[i] and q[j] / r are the distances to where l_i + floor
+            # and l_j + floor would reach zero
+            scale = q[j] / r
+            if q[i] < scale:
+                scale = q[i]
+            if width < scale:
+                scale = width
+            # a probed end that holds no minimum bisects
+            tn = t - 0.5 * fp / fpp if fpp > 0.0 and not probe else math.nan
+            probe = False
+            if -_NEWTON_TOL * scale <= tn - t <= _NEWTON_TOL * scale:
+                # the next step would be about this one's square
+                t = left if tn < left else right if tn > right else tn
+                break
+            if not left < tn < right:
+                if tn >= right and right_open:
+                    probe = True
+                    tn = right
+                elif tn <= left and left_open:
+                    probe = True
+                    tn = left
+                else:
+                    tn = 0.5 * (left + right)
+                    if tn - left <= _BISECT_TOL * scale:
+                        t = tn
+                        break
+            t = tn
     lam[i] = t
     lj = (R - wi * t) / wj
     lam[j] = 0.0 if lj < 0.0 else lj
@@ -330,7 +297,7 @@ def _solve_lambdas(d, u, v, dsq, p, P, tol, max_sweeps, pin_pos):
         # term; the problem is a single segment over (lam[0], lam[2])
         lam[0] = P / (2.0 * w[0])
         lam[2] = P / (2.0 * w[2])
-        _line_min(lam, 0, 2, w, P, d, u, v, dsq, tol)
+        _line_min(lam, 0, 2, w, P, d, u, v, dsq)
         return lam, _objective4(*lam, d, u, v, dsq), True, 1
 
     free = (0, 2, 3) if pin_pos else (0, 1, 2)
@@ -348,7 +315,7 @@ def _solve_lambdas(d, u, v, dsq, p, P, tol, max_sweeps, pin_pos):
             R = P - w[f_idx] * lam[f_idx]
             if R < 0.0:
                 R = 0.0
-            _line_min(lam, i, j, w, R, d, u, v, dsq, tol)
+            _line_min(lam, i, j, w, R, d, u, v, dsq)
         cur = _objective4(*lam, d, u, v, dsq)
         if prev - cur <= tol * max(abs(prev), 1e-300):
             converged = True
@@ -372,7 +339,7 @@ def solve(stats: BatchStats, P: float, settings: SolverSettings = SolverSettings
 
     Applies the zero rule for the orthogonal eigenvalue (positive class
     when u < v, negative otherwise), restricts to the active power
-    constraint, and coordinate-descends with golden-section line
+    constraint, and coordinate-descends with exact Newton line
     searches until the per-sweep relative decrease drops below
     settings.tol or settings.max_sweeps sweeps are spent.  The descent
     runs on plain Python floats (see the module docstring); there is

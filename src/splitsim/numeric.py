@@ -69,12 +69,17 @@ def sample_structured_gaussian_batch(
     """n independent draws, stacked as an (n, d) matrix.
 
     Draw order is fixed (all along-direction scalars first, then the
-    isotropic block) so batches are reproducible.  The isotropic draw
-    is scaled and shifted in place; the rank-one term is the only other
-    (n, d) array built.
+    isotropic block) so batches are reproducible.  With iso_var == 0
+    there is no isotropic block: only the n scalars are drawn and the
+    rank-one term is returned.  Otherwise the isotropic draw is scaled
+    and shifted in place; the rank-one term is the only other (n, d)
+    array built.
     """
     z0 = rng.standard_normal(n)
+    rank_one = np.outer(np.sqrt(cov.along_var) * z0, cov.direction)
+    if cov.iso_var == 0.0:
+        return rank_one
     z = rng.standard_normal((n, cov.dim))
     z *= np.sqrt(cov.iso_var)
-    z += np.outer(np.sqrt(cov.along_var) * z0, cov.direction)
+    z += rank_one
     return z

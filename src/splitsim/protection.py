@@ -7,6 +7,7 @@ non-label party's parameter gradients stay unbiased.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,10 +32,10 @@ class MechanismConfig:
     def __post_init__(self):
         if self.kind not in MECHANISMS:
             raise ValueError(f"unknown mechanism {self.kind!r}")
-        if self.kind == "iso" and self.t < 0:
-            raise ValueError(f"iso t must be >= 0, got {self.t!r}")
-        if self.kind == "marvell" and self.s <= 0:
-            raise ValueError(f"marvell s must be > 0, got {self.s!r}")
+        if self.kind == "iso" and not (math.isfinite(self.t) and self.t >= 0):
+            raise ValueError(f"iso t must be finite and >= 0, got {self.t!r}")
+        if self.kind == "marvell" and not (math.isfinite(self.s) and self.s > 0):
+            raise ValueError(f"marvell s must be finite and > 0, got {self.s!r}")
 
     @property
     def param(self) -> float | None:
@@ -48,6 +49,7 @@ class PerturbOutcome:
     certificate: marvell.PrivacyCertificate | None = None
     noise_power: float = 0.0
     fallback: bool = False  # marvell passed through (single-class / zero-gap batch)
+    solution: marvell.LambdaSolution | None = None  # marvell's solve; None off that path
 
 
 def perturb_none(g: np.ndarray) -> PerturbOutcome:
@@ -137,6 +139,7 @@ def perturb_marvell(
         perturbed=perturbed,
         certificate=cert,
         noise_power=marvell.noise_power(sol, stats),
+        solution=sol,
     )
 
 

@@ -6,18 +6,22 @@ with the implementations they check.
 
 A second section keeps earlier, plainer forms of hot-path functions
 (the np.unique midrank AUC, the out-of-place Adam step and the
-per-array SGD step, the batch statistics with their repeated copies,
-marvell's line search evaluating the whole objective at every point).
-The package's faster forms must equal them bit for bit.
+per-array SGD step, the batch statistics with their repeated copies).
+The package's faster forms must equal them bit for bit.  It also keeps
+marvell's earlier golden-section solver, which evaluates the whole
+objective at every point; the package's Newton line search must reach
+its objective or better.
 
 The last section holds gradient helpers that tests use but the package
 does not.  They are built from the package's own backward passes, so
 they are conveniences, not independent oracles.
 """
 
+import math
+
 import numpy as np
 
-from splitsim.marvell import _INVPHI, _INVPHI2, BatchStats, _objective4, _segment_bounds
+from splitsim.marvell import BatchStats, _objective4
 from splitsim.model import _backward_layers, backprop_nonlabel, label_party_gradients
 
 
@@ -212,6 +216,34 @@ class PerArraySGD:
             layer.b -= self.lr * db
 
 
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
+# rows gamma of the eigenvalue-ordering constraints gamma . lam <= 0,
+# i.e. lam[1] <= lam[0] and lam[3] <= lam[2]
+_ORDER_ROWS = ((-1.0, 1.0, 0.0, 0.0), (0.0, 0.0, -1.0, 1.0))
+
+
+def _segment_bounds(lam, i, j, w, R):
+    """Feasible t-range for the move lam[i]=t, lam[j]=(R - w[i] t)/w[j].
+
+    Intersects t >= 0, lam[j] >= 0 and the two ordering rows.
+    """
+    lo = 0.0
+    hi = R / w[i]
+    for gamma in _ORDER_ROWS:
+        gj = gamma[j]
+        alpha = gamma[i] - gj * w[i] / w[j]
+        beta = gj * R / w[j]
+        for k in range(4):
+            if k != i and k != j:
+                beta += gamma[k] * lam[k]
+        if alpha > 1e-300:
+            hi = min(hi, -beta / alpha)
+        elif alpha < -1e-300:
+            lo = max(lo, -beta / alpha)
+    return lo, hi
+
+
 def closure_line_min(lam, i, j, w, R, d, u, v, dsq, tol, seen=None):
     """Golden-section line search whose objective closure writes lam[i]
     and lam[j] and evaluates every term at each point.  `seen`, when
@@ -269,8 +301,8 @@ def closure_line_min(lam, i, j, w, R, d, u, v, dsq, tol, seen=None):
 
 
 def closure_solve_lambdas(d, u, v, dsq, p, P, tol, max_sweeps, pin_pos, seen=None):
-    """marvell._solve_lambdas on closure_line_min:
-    (lam[4], objective, converged, sweeps_used)."""
+    """marvell._solve_lambdas with golden-section line searches
+    (closure_line_min): (lam[4], objective, converged, sweeps_used)."""
     lam = [0.0, 0.0, 0.0, 0.0]
     w = (p, p * (d - 1.0), 1.0 - p, (1.0 - p) * (d - 1.0))
 

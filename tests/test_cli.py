@@ -87,6 +87,25 @@ def test_zero_hidden_dim_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    ("mechanism", "field"),
+    [
+        ({"kind": "marvell", "s": float("nan")}, "marvell s"),
+        ({"kind": "iso", "t": float("nan")}, "iso t"),
+        ({"kind": "marvell", "max_sweeps": 0}, "max_sweeps"),
+        ({"kind": "marvell", "tol": -1}, "tol"),
+    ],
+    ids=["marvell_s_nan", "iso_t_nan", "max_sweeps_0", "tol_negative"],
+)
+def test_bad_mechanism_value_exits_2(tmp_path, capsys, mechanism, field):
+    # json.dumps writes NaN, which json.load reads back as a float
+    cfg = _write_config(tmp_path / "cfg.json", mechanism=mechanism)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and field in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
     "dataset",
     [{"n": 1}, {"n": 3, "test_frac": 0.9}, {"kind": "toy1d", "n": 1}],
     ids=["n1", "n3_test_frac_0.9", "toy1d_n1"],

@@ -1,7 +1,10 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from oracles import (
+    _segment_bounds,
     closure_line_min,
     closure_solve_lambdas,
     copying_stats,
@@ -15,6 +18,7 @@ from splitsim.marvell import (
     SingleClassBatchError,
     SolverSettings,
     _line_min,
+    _objective4,
     _solve_lambdas,
     auc_upper_bound,
     build_covariances,
@@ -104,8 +108,17 @@ def test_power_budget():
     assert power_budget(4.0, zero) == 0.0
     quad = make_stats(u=1.0, v=1.0, dsq=16.0, p=0.5, d=2)  # delta doubled
     assert power_budget(4.0, quad) == 4.0 * power_budget(4.0, stats)
-    with pytest.raises(ValueError):
-        power_budget(0.0, stats)
+    for bad in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            power_budget(bad, stats)
+
+
+def test_solver_settings_validation():
+    for bad in ({"tol": 0.0}, {"tol": -1.0}, {"tol": float("nan")}, {"tol": float("inf")},
+                {"max_sweeps": 0}):
+        with pytest.raises(ValueError):
+            SolverSettings(**bad)
+    assert SolverSettings(tol=1e-4, max_sweeps=1).max_sweeps == 1
 
 
 def test_objective_hand_values():
@@ -187,30 +200,31 @@ def test_solve_objective_monotone_in_power():
 
 # (u, v, dsq, p, d, s, max_sweeps) with s = 0 meaning P = 0, then the
 # exact bits of (lam1_pos, lam2_pos, lam1_neg, lam2_neg, objective),
-# converged and sweeps_used, recorded from the numpy-scalar solver this
-# plain-float one replaced.  Covers both pin sides, d = 1, P = 0, a
-# one-sweep cap that stops unconverged, and variances below the floor.
+# converged, sweeps_used, and the objective the golden-section line
+# search reached on the same instance.  Covers both pin sides, d = 1,
+# P = 0, a one-sweep cap that stops unconverged, and variances below
+# the floor.
 PINNED_SOLVES = [
-    ((0.3, 0.7, 12.0, 0.1, 48, 4.0, 200), ("0x1.1630be09633e0p+5", "0x0.0p+0", "0x1.ee7610f4488b8p+4", "0x1.947f147a0ccd2p-2", "0x1.82f784c091ee2p+6"), True, 5),
-    ((0.9, 0.2, 0.5, 0.5, 48, 1.0, 200), ("0x1.2f2ba921c5c34p-4", "0x1.42cb434db46d7p-6", "0x1.a646f00000000p-33", "0x0.0p+0", "0x1.a3f3d4d5c54afp+7"), True, 2),
-    ((0.05, 0.4, 80.0, 0.3, 384, 1.0, 200), ("0x1.49c06322cc9fcp+3", "0x0.0p+0", "0x1.e33ba0fa10720p+2", "0x1.11901139b9eb7p-2", "0x1.936b86422178ap+9"), True, 3),
-    ((2.0, 0.6, 3.0, 0.7, 16, 16.0, 200), ("0x1.0cf6d0572073ap+5", "0x1.6498b645374a8p+0", "0x1.0663bd2e55237p+5", "0x0.0p+0", "0x1.01650ea2e95bdp+5"), True, 4),
-    ((0.2, 0.5, 2.0, 0.25, 1, 4.0, 200), ("0x1.03a91449b5177p+3", "0x0.0p+0", "0x1.fd8f47cedc9b0p+2", "0x0.0p+0", "0x1.3d74b423b9832p+1"), True, 1),
-    ((0.5, 0.2, 2.0, 0.25, 1, 4.0, 200), ("0x1.121427c3d5fe1p+3", "0x0.0p+0", "0x1.f3f290281c015p+2", "0x0.0p+0", "0x1.3c5e44ab0827ep+1"), True, 1),
-    ((0.4, 0.1, 5.0, 0.2, 8, 0.0, 200), ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x1.8200000000000p+6"), True, 0),
-    ((0.3, 0.7, 12.0, 0.1, 48, 4.0, 1), ("0x1.d7de91dc5c2f3p+4", "0x0.0p+0", "0x1.9b593fe69d621p+4", "0x1.093a912ccaff4p-1", "0x1.88190d1aa6618p+6"), False, 1),
-    ((0.9, 0.2, 0.5, 0.5, 48, 1.0, 1), ("0x1.2f2bae6af920ep-4", "0x1.42cb42d5100e4p-6", "0x1.3628de0000000p-30", "0x0.0p+0", "0x1.a3f3d4d667fcep+7"), False, 1),
-    ((0.0, 0.5, 1.5, 0.1, 32, 4.0, 200), ("0x1.fc4cb999381e6p-3", "0x0.0p+0", "0x1.be85388290eafp-2", "0x1.99ccec172453dp-3", "0x1.86723a80ba5ddp+6"), True, 6),
-    ((0.3, 1e-14, 1.5, 0.1, 32, 4.0, 200), ("0x1.757a2264fec5fp+2", "0x1.32bc0634fdae0p-2", "0x1.3f22d7495edbap+2", "0x0.0p+0", "0x1.0233d83360f08p+6"), True, 3),
-    ((0.4, 0.4, 5.0, 0.5, 6, 2.0, 200), ("0x1.400000477edd5p+3", "0x1.94ee3e6666666p-28", "0x1.3fffffa8afd44p+3", "0x0.0p+0", "0x1.9ec4ec4f801d2p+3"), True, 3),
-    ((0.0, 0.0, 0.7, 0.15, 24, 4.0, 200), ("0x1.7ecbadcc10719p+1", "0x1.e46489bd37a70p-32", "0x1.62184aba07f2cp+1", "0x0.0p+0", "0x1.3d720b434eb6ep+13"), True, 2),
+    ((0.3, 0.7, 12.0, 0.1, 48, 4.0, 200), ("0x1.1630bcb0de0c9p+5", "0x0.0p+0", "0x1.ee76118369f33p+4", "0x1.947f141f66a27p-2", "0x1.82f784c091e86p+6"), True, 5, "0x1.82f784c091ee2p+6"),
+    ((0.9, 0.2, 0.5, 0.5, 48, 1.0, 200), ("0x1.2f2badc25468cp-4", "0x1.42cb42ea03b5bp-6", "0x0.0p+0", "0x0.0p+0", "0x1.a3f3d4d5a3ecep+7"), True, 2, "0x1.a3f3d4d5c54afp+7"),
+    ((0.05, 0.4, 80.0, 0.3, 384, 1.0, 200), ("0x1.49c0616aff5f9p+3", "0x0.0p+0", "0x1.e33b9f84cc10fp+2", "0x1.11901159115fep-2", "0x1.936b864221791p+9"), True, 3, "0x1.936b86422178ap+9"),
+    ((2.0, 0.6, 3.0, 0.7, 16, 16.0, 200), ("0x1.0cf6cfd914a4cp+5", "0x1.6498b68fbc0bep+0", "0x1.0663be02ef7d4p+5", "0x0.0p+0", "0x1.01650ea2e9889p+5"), True, 4, "0x1.01650ea2e95bdp+5"),
+    ((0.2, 0.5, 2.0, 0.25, 1, 4.0, 200), ("0x1.03a9141b58e83p+3", "0x0.0p+0", "0x1.fd8f47edc4ba8p+2", "0x0.0p+0", "0x1.3d74b423b9832p+1"), True, 1, "0x1.3d74b423b9832p+1"),
+    ((0.5, 0.2, 2.0, 0.25, 1, 4.0, 200), ("0x1.121427a9bb5a8p+3", "0x0.0p+0", "0x1.f3f2903983190p+2", "0x0.0p+0", "0x1.3c5e44ab0827dp+1"), True, 1, "0x1.3c5e44ab0827ep+1"),
+    ((0.4, 0.1, 5.0, 0.2, 8, 0.0, 200), ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x1.8200000000000p+6"), True, 0, "0x1.8200000000000p+6"),
+    ((0.3, 0.7, 12.0, 0.1, 48, 4.0, 1), ("0x1.d7de90e9dc201p+4", "0x0.0p+0", "0x1.9b59402741d5dp+4", "0x1.093a911320546p-1", "0x1.88190d16c4fdep+6"), False, 1, "0x1.88190d1aa6618p+6"),
+    ((0.9, 0.2, 0.5, 0.5, 48, 1.0, 1), ("0x1.2f2badc2545f1p-4", "0x1.42cb42ea03b69p-6", "0x0.0p+0", "0x0.0p+0", "0x1.a3f3d4d5a3ecep+7"), False, 1, "0x1.a3f3d4d667fcep+7"),
+    ((0.0, 0.5, 1.5, 0.1, 32, 4.0, 200), ("0x1.fc4cb0e0d45d3p-3", "0x0.0p+0", "0x1.be8537081be71p-2", "0x1.99ccec378f54cp-3", "0x1.86723a80ba04cp+6"), True, 6, "0x1.86723a80ba5ddp+6"),
+    ((0.3, 1e-14, 1.5, 0.1, 32, 4.0, 200), ("0x1.757a20017877dp+2", "0x1.32bc067ef6a73p-2", "0x1.3f22d77d64a07p+2", "0x0.0p+0", "0x1.0233d83360f2fp+6"), True, 3, "0x1.0233d83360f08p+6"),
+    ((0.4, 0.4, 5.0, 0.5, 6, 2.0, 200), ("0x1.4000000000000p+3", "0x0.0p+0", "0x1.4000000000000p+3", "0x0.0p+0", "0x1.9ec4ec4ec4ec4p+3"), True, 3, "0x1.9ec4ec4f801d2p+3"),
+    ((0.0, 0.0, 0.7, 0.15, 24, 4.0, 200), ("0x1.7ecb9686d1a9fp+1", "0x0.0p+0", "0x1.62184ed9264b7p+1", "0x0.0p+0", "0x1.83f20a842f652p+5"), True, 2, "0x1.3d720b434eb6ep+13"),
 ]
 
 
 @pytest.mark.parametrize("case", PINNED_SOLVES, ids=lambda c: "-".join(map(str, c[0])))
 def test_solve_bitwise_pinned(case):
     # float.hex tells -0.0 from 0.0, which == does not
-    (u, v, dsq, p, d, s, max_sweeps), bits, converged, sweeps = case
+    (u, v, dsq, p, d, s, max_sweeps), bits, converged, sweeps, golden = case
     stats = make_stats(u=u, v=v, dsq=dsq, p=p, d=d)
     P = 0.0 if s == 0.0 else power_budget(s, stats)
     sol = solve(stats, P, SolverSettings(tol=1e-8, max_sweeps=max_sweeps))
@@ -218,60 +232,105 @@ def test_solve_bitwise_pinned(case):
     assert tuple(x.hex() for x in got) == bits
     assert sol.converged is converged
     assert sol.sweeps_used == sweeps
+    assert sol.objective_value <= float.fromhex(golden) * (1 + 1e-10)
 
 
 MOVES = ((0, 2), (0, 3), (2, 3), (0, 1), (1, 2))
-
-
-def _solver_bits(result):
-    lam, obj, converged, sweeps = result
-    return tuple(float(x).hex() for x in lam) + (float(obj).hex(), converged, sweeps)
+_EPS = 2.0**-52
 
 
 def _random_solver_args(rng):
-    """_solve_lambdas arguments (d, u, v, dsq, p, P, tol, max_sweeps,
-    pin_pos) spanning d = 1 to 384, variances at and far from the floor,
-    P = 0, one-sweep caps and both pin sides."""
+    """_solve_lambdas arguments (d, u, v, dsq, p, P, pin_pos) spanning
+    d = 1 to 384, variances at and far from the floor, P = 0 and both
+    pin sides."""
     d = float(rng.choice([1, 2, 3, 16, 384]))
     u = max(10.0 ** rng.uniform(-14.0, 1.0), VARIANCE_FLOOR)
     v = max(10.0 ** rng.uniform(-14.0, 1.0), VARIANCE_FLOOR)
     dsq = 10.0 ** rng.uniform(-4.0, 2.0)
     p = float(rng.uniform(0.02, 0.98))
     P = 0.0 if rng.random() < 0.05 else float(rng.choice([0.01, 0.25, 1.0, 4.0, 64.0])) * dsq
-    tol = float(rng.choice([1e-8, 1e-4]))
-    max_sweeps = int(rng.choice([1, 2, 200]))
-    return d, u, v, dsq, p, P, tol, max_sweeps, bool(rng.random() < 0.5)
+    return d, u, v, dsq, p, P, bool(rng.random() < 0.5)
 
 
-def test_solve_lambdas_bitwise_matches_closure_line_search():
-    # the per-move objectives must reproduce the closure that evaluated
-    # the whole objective at every golden-section point, bit for bit
+def _assert_feasible(lam, d, p, P, pin_pos):
+    # c03's feasibility and exact zero rule
+    w = np.array([p, p * (d - 1.0), 1.0 - p, (1.0 - p) * (d - 1.0)])
+    x = np.array(lam)
+    assert x.min() >= -1e-9
+    assert lam[1] - lam[0] <= 1e-9 and lam[3] - lam[2] <= 1e-9
+    assert w @ x <= P + 1e-9
+    assert abs(w @ x - P) <= 1e-6 * max(P, 1e-12)
+    assert lam[1 if pin_pos else 3] == 0.0
+
+
+def test_solve_lambdas_no_worse_than_golden_section_reference():
+    # at the default settings every solve converges, is feasible, and
+    # reaches the golden-section reference's objective or better; under
+    # a sweep cap or a loose tol it stays feasible
     rng = make_rng(23)
     seen = set()
     covered = set()
     for _ in range(1200):
-        args = _random_solver_args(rng)
-        d, P, max_sweeps, pin_pos = args[0], args[5], args[7], args[8]
-        covered |= {("d1", d == 1.0), ("P0", P == 0.0), ("one_sweep", max_sweeps == 1)}
-        covered.add(("pin_pos", pin_pos))
-        want = _solver_bits(closure_solve_lambdas(*args, seen=seen))
-        got = _solver_bits(_solve_lambdas(*args))
-        assert got == want, args
-    assert set(MOVES) <= seen  # the empty segment is covered below
-    assert all((name, True) in covered for name in ("d1", "P0", "one_sweep", "pin_pos"))
+        d, u, v, dsq, p, P, pin_pos = _random_solver_args(rng)
+        covered |= {("d1", d == 1.0), ("P0", P == 0.0), ("pin_pos", pin_pos)}
+        args = (d, u, v, dsq, p, P, 1e-8, 200, pin_pos)
+        lam, obj, converged, _ = _solve_lambdas(*args)
+        _, ref, _, _ = closure_solve_lambdas(*args, seen=seen)
+        assert converged, args
+        assert obj <= ref * (1 + 1e-10), args
+        assert obj == objective(lam, make_stats(u=u, v=v, dsq=dsq, p=p, d=int(d)))
+        _assert_feasible(lam, d, p, P, pin_pos)
+        tol, max_sweeps = float(rng.choice([1e-8, 1e-4])), int(rng.choice([1, 2]))
+        capped = _solve_lambdas(d, u, v, dsq, p, P, tol, max_sweeps, pin_pos)
+        _assert_feasible(capped[0], d, p, P, pin_pos)
+    assert set(MOVES) <= seen
+    assert all((name, True) in covered for name in ("d1", "P0", "pin_pos"))
     assert ("pin_pos", False) in covered
 
 
-def test_line_min_bitwise_matches_closure_line_search():
+def _exact_slope(lam, i, j, w, R, d, u, v, dsq, t):
+    """Derivative of the objective along the move (i, j) at t, by the
+    quotient rule per term in exact rational arithmetic on the float
+    inputs, with lam[j] clamped at zero as the objective clamps it.
+    Returns (f', sum of the terms' absolute derivatives); no float
+    evaluation can resolve the sign of f' below about 2^-52 times the
+    latter."""
+    F = Fraction
+    t = F(t)
+    x = [F(a) for a in lam]
+    dx = [F(0)] * 4
+    x[i], dx[i] = t, F(1)
+    lj = (F(R) - F(w[i]) * t) / F(w[j])
+    x[j], dx[j] = (lj, -F(w[i]) / F(w[j])) if lj >= 0 else (F(0), F(0))
+    a, y, b, xx = x[0] + F(v), x[1] + F(v), x[2] + F(u), x[3] + F(u)
+    da, dy, db, dxx = dx
+
+    def quotient(num, dnum, den, dden):
+        return (dnum * den - num * dden) / (den * den)
+
+    g = F(dsq)
+    terms = (
+        (F(d) - 1) * quotient(xx, dxx, y, dy),
+        (F(d) - 1) * quotient(y, dy, xx, dxx),
+        quotient(b + g, db, a, da),
+        quotient(a + g, da, b, db),
+    )
+    return sum(terms), sum(abs(term) for term in terms)
+
+
+def test_line_min_exact_on_random_segments():
     # single line searches from random feasible states, with R = 0 and
-    # tight orderings among them so the empty-segment branch runs
+    # tight orderings among them so empty segments and boundary minima
+    # occur: the result is within 1e-9 of the segment's width of the
+    # exact minimizer (f' changes sign across it, or it sits on an end
+    # where f' points outward), and no point of a dense scan is lower
     rng = make_rng(29)
-    seen = set()
+    kinds = set()
     for _ in range(1000):
         d = float(rng.choice([2, 16, 384]))
         p = float(rng.uniform(0.02, 0.98))
         w = (p, p * (d - 1.0), 1.0 - p, (1.0 - p) * (d - 1.0))
-        u, v, dsq = 10.0 ** rng.uniform(-12.0, 1.0, size=3)
+        u, v, dsq = (float(x) for x in 10.0 ** rng.uniform(-12.0, 1.0, size=3))
         i, j = MOVES[rng.integers(len(MOVES))]
         lam = [float(x) for x in 10.0 ** rng.uniform(-6.0, 1.0, size=4)]
         if rng.random() < 0.3:  # an ordering row holds with equality
@@ -279,12 +338,41 @@ def test_line_min_bitwise_matches_closure_line_search():
             k = int(rng.integers(2))
             lam[2 * k + 1] = lam[2 * k]
         R = 0.0 if rng.random() < 0.2 else w[i] * lam[i] + w[j] * lam[j]
-        tol = float(rng.choice([1e-8, 1e-3]))
-        want, got = list(lam), list(lam)
-        closure_line_min(want, i, j, w, R, d, u, v, dsq, tol, seen)
-        _line_min(got, i, j, w, R, d, u, v, dsq, tol)
-        assert [x.hex() for x in got] == [x.hex() for x in want], (lam, i, j, R)
-    assert seen == set(MOVES) | {"empty"}
+        got = list(lam)
+        _line_min(got, i, j, w, R, d, u, v, dsq)
+        lo, hi = _segment_bounds(lam, i, j, w, R)
+        if hi <= lo:
+            want = list(lam)
+            closure_line_min(want, i, j, w, R, d, u, v, dsq, 1e-8)
+            assert [x.hex() for x in got] == [x.hex() for x in want]
+            kinds.add("empty")
+            continue
+        t = got[i]
+        assert lo <= t <= hi
+        assert got[j] == max((R - w[i] * t) / w[j], 0.0)
+        delta = 1e-9 * (hi - lo)
+        left, right = max(lo, t - delta), min(hi, t + delta)
+        args = (lam, i, j, w, R, d, u, v, dsq)
+        if left > lo:
+            slope, scale = _exact_slope(*args, left)
+            assert slope <= 4 * _EPS * scale, (lam, i, j, R, t)
+        if right < hi:
+            slope, scale = _exact_slope(*args, right)
+            assert slope >= -4 * _EPS * scale, (lam, i, j, R, t)
+        if t == lo:
+            kinds.add("lo")
+        elif t == hi:
+            kinds.add("hi")
+        else:
+            kinds.add("interior")
+
+        scan = np.linspace(lo, hi, 2001)
+        lam_j = np.maximum((R - w[i] * scan) / w[j], 0.0)
+        grid = [np.full_like(scan, x) for x in lam]
+        grid[i], grid[j] = scan, lam_j
+        f_scan = _objective4(*grid, d, u, v, dsq)
+        assert _objective4(*got, d, u, v, dsq) <= f_scan.min() * (1 + 1e-12), (lam, i, j, R)
+    assert kinds == {"empty", "lo", "hi", "interior"}
 
 
 def test_objective_convex_along_feasible_segments():

@@ -41,6 +41,18 @@ def test_structured_rank_one_support():
         assert np.all(out[:, 1:] == 0.0)
 
 
+def test_structured_rank_one_draws_only_its_scalars():
+    # with iso_var == 0 only the n along-direction scalars are drawn, so
+    # the stream continues as after n plain normals
+    u = np.array([0.6, 0.0, -0.8])
+    cov = StructuredCovariance(direction=u, along_var=2.0, iso_var=0.0)
+    rng, twin = make_rng(6), make_rng(6)
+    out = sample_structured_gaussian_batch(cov, rng, 7)
+    z0 = twin.standard_normal(7)
+    assert np.array_equal(out, np.outer(np.sqrt(2.0) * z0, u))
+    assert np.array_equal(rng.standard_normal(5), twin.standard_normal(5))
+
+
 def test_structured_empirical_covariance():
     # along_var=3, iso_var=1, d=2: empirical covariance ~ 3 u u^T + I
     u = np.array([1.0, 1.0]) / np.sqrt(2.0)

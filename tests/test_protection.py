@@ -121,6 +121,19 @@ def test_marvell_single_class_fallback():
     assert out.fallback
     assert np.array_equal(out.perturbed, g)
     assert out.certificate is None
+    assert out.solution is None
+
+
+def test_marvell_outcome_carries_its_solve():
+    rng = make_rng(20)
+    g, labels = _mixed_batch(rng, B=32, d=6, pos=8)
+    out = perturb_marvell(g, labels, 2.0, make_rng(21))
+    stats = estimate_stats(g, labels)
+    assert out.solution == solve(stats, power_budget(2.0, stats))
+    assert out.solution.converged
+    assert perturb_iso(g, 1.0, make_rng(22)).solution is None
+    assert perturb_max_norm(g, make_rng(23)).solution is None
+    assert perturb_none(g).solution is None
 
 
 def test_marvell_zero_gap_fallback():
@@ -128,6 +141,7 @@ def test_marvell_zero_gap_fallback():
     out = perturb_marvell(g, np.array([1, 1, 0, 0]), 1.0, make_rng(18))
     assert out.fallback
     assert np.array_equal(out.perturbed, g)
+    assert out.solution is None
 
 
 def test_marvell_power_within_budget():
@@ -196,6 +210,11 @@ def test_mechanism_config_validation():
         MechanismConfig(kind="iso", t=-1.0)
     with pytest.raises(ValueError):
         MechanismConfig(kind="marvell", s=0.0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            MechanismConfig(kind="iso", t=bad)
+        with pytest.raises(ValueError):
+            MechanismConfig(kind="marvell", s=bad)
     assert MechanismConfig(kind="iso", t=2.0).param == 2.0
     assert MechanismConfig(kind="marvell", s=3.0).param == 3.0
     assert MechanismConfig(kind="none").param is None
