@@ -63,8 +63,8 @@ def perturb_iso(g: np.ndarray, t: float, rng: np.random.Generator) -> PerturbOut
     Every row gets independent N(0, (t/d) ||g_max||^2 I) noise, where
     g_max is the largest-norm row of this batch.
     """
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t!r}")
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"t must be finite and >= 0, got {t!r}")
     g = np.asarray(g, dtype=np.float64)
     B, d = g.shape
     max_sq = float((g * g).sum(axis=1).max())
@@ -114,8 +114,8 @@ def perturb_marvell(
     back to pass-through and are flagged; the harness keeps such
     batches rare.
     """
-    if s <= 0:
-        raise ValueError(f"s must be > 0, got {s!r}")
+    if not (math.isfinite(s) and s > 0):
+        raise ValueError(f"s must be finite and > 0, got {s!r}")
     g = np.asarray(g, dtype=np.float64)
     labels = np.asarray(labels)
     try:

@@ -215,6 +215,12 @@ def test_mechanism_config_validation():
             MechanismConfig(kind="iso", t=bad)
         with pytest.raises(ValueError):
             MechanismConfig(kind="marvell", s=bad)
+    g = make_rng(24).standard_normal((4, 3))
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            perturb_iso(g, bad, make_rng(25))
+        with pytest.raises(ValueError):  # even where the batch would fall back
+            perturb_marvell(g, np.ones(4, dtype=np.int64), bad, make_rng(26))
     assert MechanismConfig(kind="iso", t=2.0).param == 2.0
     assert MechanismConfig(kind="marvell", s=3.0).param == 3.0
     assert MechanismConfig(kind="none").param is None
