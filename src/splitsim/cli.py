@@ -65,7 +65,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_run(args) -> int:
     config = load_config(args.config)
     if args.seed is not None:
-        config = dataclasses.replace(config, seed=args.seed)
+        try:
+            config = dataclasses.replace(config, seed=args.seed)
+        except ValueError as exc:  # the config's own check of the seed
+            raise ConfigError(str(exc)) from None
     out = args.out or config.out
     if out is None:
         raise ConfigError("no output directory: pass --out or set `out` in the config")

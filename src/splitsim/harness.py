@@ -1,6 +1,7 @@
 """Experiment orchestration: config parsing, the split-training loop
 with per-iteration leak-AUC evaluation at the cut and first layers,
-hyperparameter sweeps, and CSV reporting.
+hyperparameter sweeps, and CSV reporting.  Each config dataclass checks
+its own values when it is built, in Python or by `config_from_dict`.
 
 Determinism contract: a run is a pure function of its config (seed
 included).  Five independent RNG streams are derived from the seed
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -67,12 +69,45 @@ class DatasetConfig:
     path: str | None = None
     test_frac: float = 0.2
 
+    def __post_init__(self):
+        if self.kind not in ("synthetic", "toy1d", "csv"):
+            raise ValueError(f"unknown dataset kind {self.kind!r}")
+        if self.kind == "csv" and not self.path:
+            raise ValueError("csv dataset requires a path")
+        if not 0.0 < self.test_frac < 1.0:
+            raise ValueError(f"test_frac must be in (0, 1), got {self.test_frac}")
+        if self.kind == "synthetic" and not 0.0 < self.pos_frac < 1.0:
+            raise ValueError(f"pos_frac must be in (0, 1), got {self.pos_frac}")
+        if self.kind in ("synthetic", "toy1d"):
+            if self.n < 1:
+                raise ValueError(f"dataset n must be >= 1, got {self.n}")
+            data_mod.split_sizes(self.n, self.test_frac)  # at least one training row
+        if self.kind == "synthetic" and self.d_in < 1:
+            raise ValueError(f"dataset d_in must be >= 1, got {self.d_in}")
+        if not math.isfinite(self.separation):
+            raise ValueError(f"separation must be finite, got {self.separation!r}")
+        if not math.isfinite(self.noise_scale):
+            raise ValueError(f"noise_scale must be finite, got {self.noise_scale!r}")
+
 
 @dataclass(frozen=True)
 class NetConfig:
     hidden_dims: tuple[int, ...] = (32, 32, 16)
     activations: tuple[str, ...] = ("relu", "relu", "relu")
     cut_index: int = 2
+
+    def __post_init__(self):
+        if len(self.activations) != len(self.hidden_dims):
+            raise ValueError("activations must match hidden_dims in length")
+        if any(h < 1 for h in self.hidden_dims):
+            raise ValueError(f"hidden_dims must all be >= 1, got {list(self.hidden_dims)}")
+        unknown = [a for a in self.activations if a not in ACTIVATIONS]
+        if unknown:
+            raise ValueError(f"unknown activations {unknown}; expected one of {list(ACTIVATIONS)}")
+        if not 1 <= self.cut_index <= len(self.hidden_dims):
+            raise ValueError(
+                f"cut_index must be in [1, {len(self.hidden_dims)}], got {self.cut_index}"
+            )
 
 
 @dataclass(frozen=True)
@@ -82,6 +117,16 @@ class OptimizerConfig:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
+
+    def __post_init__(self):
+        if self.kind not in ("adam", "sgd"):
+            raise ValueError(f"unknown optimizer kind {self.kind!r}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be finite and > 0, got {self.lr!r}")
+        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
+            raise ValueError(f"beta1, beta2 must be in [0, 1), got {self.beta1!r}, {self.beta2!r}")
+        if not (math.isfinite(self.eps) and self.eps > 0):
+            raise ValueError(f"eps must be finite and > 0, got {self.eps!r}")
 
 
 @dataclass(frozen=True)
@@ -95,118 +140,75 @@ class ExperimentConfig:
     seed: int = 0
     out: str | None = None
 
+    def __post_init__(self):
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.iterations < 1:
+            raise ValueError(f"iterations must be >= 1, got {self.iterations}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
-def _fields_from_dict(d: dict, defaults: dict, where: str) -> dict:
-    """Keyword arguments for a config dataclass from the JSON object `d`.
 
-    `defaults` maps each allowed key to its field's default.  An absent
-    key is left out, so the dataclass default applies; a given value is
-    converted to the type of its default (int, float, or a tuple of the
-    type of its first element) and any other value is kept as given.
+def _convert(value, default, key: str):
+    """`value` as the type of its field's `default`.  An int takes an
+    integral number or a numeral, a float any number or numeral, neither a
+    bool; a tuple is built from the value's elements, each converted like
+    the default's first; a None default takes a string or null; other
+    values are kept."""
+    typ = type(default)
+    if typ is tuple:
+        return tuple(type(default[0])(_convert(x, default[0], key)) for x in value)
+    if typ not in (int, float):
+        if default is None and not (value is None or isinstance(value, str)):
+            raise ValueError(f"expected str or null for {key}, got {value!r}")
+        return value
+    fractional = isinstance(value, float) and not value.is_integer()
+    if isinstance(value, bool) or typ is int and fractional:
+        raise ValueError(f"expected {typ.__name__} for {key}, got {value!r}")
+    return typ(value)
+
+
+def _from_dict(cls, d, where: str):
+    """The config dataclass `cls` from the JSON object `d`: absent keys take
+    their defaults, given values go through `_convert`, and a section (a
+    field defaulting to a config dataclass) is parsed from its own object.
+    Net's `activations` and `cut_index` default from the depth of
+    `hidden_dims`; mechanism's `tol` and `max_sweeps` build its solver.
+    Every rejection, the dataclasses' own checks included, is a ConfigError.
     """
     if not isinstance(d, dict):
         raise ConfigError(f"{where} must be a JSON object, got {type(d).__name__}")
-    unknown = set(d) - set(defaults)
+    fields = dataclasses.fields(cls)
+    names = keys = {f.name for f in fields}
+    if cls is MechanismConfig:  # the solver's settings are keys of the mechanism object itself
+        keys = names - {"solver"} | {f.name for f in dataclasses.fields(SolverSettings)}
+    unknown = set(d) - keys
     if unknown:
         raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
-    kwargs = {}
+    if cls is MechanismConfig:
+        solver = {k: v for k, v in d.items() if k not in names}
+        d = {**{k: v for k, v in d.items() if k in names}, "solver": solver}
+    sections = [f for f in fields if dataclasses.is_dataclass(f.default_factory)]
+    defaults = {f.name: f.default for f in fields if f not in sections}
     try:
-        for key, value in d.items():
-            default = defaults[key]
-            if type(default) in (int, float):
-                value = type(default)(value)
-            elif type(default) is tuple:
-                value = tuple(type(default[0])(x) for x in value)
-            kwargs[key] = value
-    except (TypeError, ValueError) as exc:  # a field of the wrong type
+        kwargs = {k: _convert(v, defaults[k], k) for k, v in d.items() if k in defaults}
+    except (TypeError, ValueError, OverflowError) as exc:  # a value of the wrong type
         raise ConfigError(f"bad config value: {exc}") from None
-    return kwargs
-
-
-def _defaults(cls) -> dict:
-    return {f.name: f.default for f in dataclasses.fields(cls)}
-
-
-def _dataset_from_dict(d: dict) -> DatasetConfig:
-    cfg = DatasetConfig(**_fields_from_dict(d, _defaults(DatasetConfig), "dataset"))
-    if cfg.kind not in ("synthetic", "toy1d", "csv"):
-        raise ConfigError(f"unknown dataset kind {cfg.kind!r}")
-    if cfg.kind == "csv" and not cfg.path:
-        raise ConfigError("csv dataset requires a path")
-    if not 0.0 < cfg.test_frac < 1.0:
-        raise ConfigError(f"test_frac must be in (0, 1), got {cfg.test_frac}")
-    if cfg.kind == "synthetic" and not 0.0 < cfg.pos_frac < 1.0:
-        raise ConfigError(f"pos_frac must be in (0, 1), got {cfg.pos_frac}")
-    if cfg.kind in ("synthetic", "toy1d"):
-        if cfg.n < 1:
-            raise ConfigError(f"dataset n must be >= 1, got {cfg.n}")
-        try:
-            data_mod.split_sizes(cfg.n, cfg.test_frac)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-    if cfg.kind == "synthetic" and cfg.d_in < 1:
-        raise ConfigError(f"dataset d_in must be >= 1, got {cfg.d_in}")
-    return cfg
-
-
-def _net_from_dict(d: dict) -> NetConfig:
-    kwargs = _fields_from_dict(d, _defaults(NetConfig), "net")
-    # activations and cut_index default from the depth of hidden_dims
-    depth = len(kwargs.get("hidden_dims", NetConfig.hidden_dims))
-    kwargs.setdefault("activations", ("relu",) * depth)
-    kwargs.setdefault("cut_index", max(1, depth - 1))
-    cfg = NetConfig(**kwargs)
-    if len(cfg.activations) != len(cfg.hidden_dims):
-        raise ConfigError("activations must match hidden_dims in length")
-    if any(h < 1 for h in cfg.hidden_dims):
-        raise ConfigError(f"hidden_dims must all be >= 1, got {list(cfg.hidden_dims)}")
-    unknown = [a for a in cfg.activations if a not in ACTIVATIONS]
-    if unknown:
-        raise ConfigError(f"unknown activations {unknown}; expected one of {list(ACTIVATIONS)}")
-    if not 1 <= cfg.cut_index <= len(cfg.hidden_dims):
-        raise ConfigError(
-            f"cut_index must be in [1, {len(cfg.hidden_dims)}], got {cfg.cut_index}"
-        )
-    return cfg
-
-
-def _optimizer_from_dict(d: dict) -> OptimizerConfig:
-    cfg = OptimizerConfig(**_fields_from_dict(d, _defaults(OptimizerConfig), "optimizer"))
-    if cfg.kind not in ("adam", "sgd"):
-        raise ConfigError(f"unknown optimizer kind {cfg.kind!r}")
-    return cfg
-
-
-def _mechanism_from_dict(d: dict) -> MechanismConfig:
-    # The solver's settings are keys of the mechanism object itself.
-    solver_defaults = _defaults(SolverSettings)
-    defaults = {**_defaults(MechanismConfig), **solver_defaults}
-    del defaults["solver"]
-    kwargs = _fields_from_dict(d, defaults, "mechanism")
+    for f in sections:
+        kwargs[f.name] = _from_dict(f.default_factory, d.get(f.name, {}), f.name)
+    if cls is NetConfig:
+        depth = len(kwargs.get("hidden_dims", NetConfig.hidden_dims))
+        kwargs.setdefault("activations", ("relu",) * depth)
+        kwargs.setdefault("cut_index", max(1, depth - 1))
     try:
-        solver = SolverSettings(**{k: kwargs.pop(k) for k in solver_defaults if k in kwargs})
-        return MechanismConfig(**kwargs, solver=solver)
-    except ValueError as exc:
+        return cls(**kwargs)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(str(exc)) from None
 
 
 def config_from_dict(d: dict) -> ExperimentConfig:
     """Parse and fully validate a config; every rejection is a ConfigError."""
-    kwargs = _fields_from_dict(d, _defaults(ExperimentConfig), "config")
-    cfg = ExperimentConfig(
-        **{
-            **kwargs,
-            "dataset": _dataset_from_dict(kwargs.get("dataset", {})),
-            "net": _net_from_dict(kwargs.get("net", {})),
-            "optimizer": _optimizer_from_dict(kwargs.get("optimizer", {})),
-            "mechanism": _mechanism_from_dict(kwargs.get("mechanism", {})),
-        }
-    )
-    if cfg.batch_size < 1:
-        raise ConfigError(f"batch_size must be >= 1, got {cfg.batch_size}")
-    if cfg.iterations < 1:
-        raise ConfigError(f"iterations must be >= 1, got {cfg.iterations}")
-    return cfg
+    return _from_dict(ExperimentConfig, d, "config")
 
 
 def load_config(path) -> ExperimentConfig:
@@ -273,17 +275,13 @@ def _build_dataset(cfg: DatasetConfig, seed: int) -> data_mod.Dataset:
         )
     if cfg.kind == "toy1d":
         return data_mod.generate_toy_1d(cfg.n, seed=seed)
-    if cfg.kind == "csv":
-        return data_mod.load_csv(cfg.path)
-    raise ValueError(f"unknown dataset kind {cfg.kind!r}")
+    return data_mod.load_csv(cfg.path)
 
 
 def _make_optimizer(cfg: OptimizerConfig):
     if cfg.kind == "sgd":
         return SGD(cfg.lr)
-    if cfg.kind == "adam":
-        return Adam(cfg.lr, cfg.beta1, cfg.beta2, cfg.eps)
-    raise ValueError(f"unknown optimizer kind {cfg.kind!r}")
+    return Adam(cfg.lr, cfg.beta1, cfg.beta2, cfg.eps)
 
 
 def _batch_indices(n: int, batch_size: int, iterations: int, rng: np.random.Generator):

@@ -152,6 +152,4 @@ def apply_mechanism(
         return perturb_iso(g, config.t, rng)
     if config.kind == "max_norm":
         return perturb_max_norm(g, rng)
-    if config.kind == "marvell":
-        return perturb_marvell(g, labels, config.s, rng, config.solver)
-    raise ValueError(f"unknown mechanism {config.kind!r}")
+    return perturb_marvell(g, labels, config.s, rng, config.solver)

@@ -106,6 +106,23 @@ def test_bad_mechanism_value_exits_2(tmp_path, capsys, mechanism, field):
 
 
 @pytest.mark.parametrize(
+    ("overrides", "argv", "field"),
+    [
+        ({}, ["--seed", "-1"], "seed"),
+        ({"out": 5}, [], "out"),
+        ({"optimizer": {"lr": float("nan")}}, [], "lr"),
+    ],
+    ids=["seed_negative", "out_int", "lr_nan"],
+)
+def test_bad_config_value_exits_2(tmp_path, capsys, overrides, argv, field):
+    cfg = _write_config(tmp_path / "cfg.json", **overrides)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o"), *argv]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and field in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
     "dataset",
     [{"n": 1}, {"n": 3, "test_frac": 0.9}, {"kind": "toy1d", "n": 1}],
     ids=["n1", "n3_test_frac_0.9", "toy1d_n1"],

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from splitsim import harness
@@ -7,6 +9,7 @@ from splitsim.harness import (
     ConfigError,
     DatasetConfig,
     ExperimentConfig,
+    NetConfig,
     OptimizerConfig,
     RUN_CSV_HEADER,
     config_from_dict,
@@ -42,6 +45,9 @@ def test_config_defaults_and_round_trip():
     assert cfg.net.hidden_dims == (32, 32, 16)
     assert cfg.net.cut_index == 2
     assert cfg == ExperimentConfig()
+    # an integral float is an int; null is an unset optional string
+    cfg = config_from_dict({"batch_size": 64.0, "out": None})
+    assert cfg == ExperimentConfig() and type(cfg.batch_size) is int
     # activations and cut_index default from the depth of hidden_dims
     net = config_from_dict({"net": {"hidden_dims": [8, 8]}}).net
     assert net.activations == ("relu", "relu")
@@ -62,32 +68,55 @@ def test_config_rejects_unknown_keys():
 
 
 def test_config_rejects_bad_values():
-    with pytest.raises(ConfigError):
-        config_from_dict({"dataset": {"kind": "exotic"}})
-    with pytest.raises(ConfigError):
-        config_from_dict({"dataset": {"kind": "csv"}})  # missing path
-    with pytest.raises(ConfigError):
-        config_from_dict({"net": {"hidden_dims": [8, 8], "cut_index": 3}})
-    with pytest.raises(ConfigError):
-        config_from_dict({"mechanism": {"kind": "marvell", "s": 0.0}})
-    with pytest.raises(ConfigError):
-        config_from_dict({"batch_size": 0})
-    with pytest.raises(ConfigError):
-        config_from_dict({"optimizer": {"kind": "lbfgs"}})
-    with pytest.raises(ConfigError):
-        config_from_dict({"net": {"hidden_dims": [8, 0]}})
-    with pytest.raises(ConfigError):
-        config_from_dict({"net": {"hidden_dims": [8], "activations": ["gelu"]}})
-    with pytest.raises(ConfigError):
-        config_from_dict({"dataset": {"kind": "synthetic", "n": 0}})
-    with pytest.raises(ConfigError):
-        config_from_dict({"dataset": {"kind": "synthetic", "d_in": 0}})
-    with pytest.raises(ConfigError):
-        config_from_dict({"dataset": {"kind": "toy1d", "n": -3}})
-    with pytest.raises(ConfigError):
-        config_from_dict({"batch_size": "many"})
-    with pytest.raises(ConfigError):
-        config_from_dict({"net": [32, 16]})
+    nan, inf = float("nan"), float("inf")
+    for bad in [
+        {"dataset": {"kind": "exotic"}},
+        {"dataset": {"kind": "csv"}},  # missing path
+        {"net": {"hidden_dims": [8, 8], "cut_index": 3}},
+        {"mechanism": {"kind": "marvell", "s": 0.0}},
+        {"batch_size": 0},
+        {"optimizer": {"kind": "lbfgs"}},
+        {"net": {"hidden_dims": [8, 0]}},
+        {"net": {"hidden_dims": [8], "activations": ["gelu"]}},
+        {"dataset": {"kind": "synthetic", "n": 0}},
+        {"dataset": {"kind": "synthetic", "d_in": 0}},
+        {"dataset": {"kind": "toy1d", "n": -3}},
+        {"batch_size": "many"},
+        {"net": [32, 16]},
+        # wrong-typed values: no bool or fractional number for an int, no
+        # bool for a float, only a string or null for an optional string
+        {"out": 5},
+        {"dataset": {"kind": "csv", "path": 5}},
+        {"batch_size": 16.9},
+        {"iterations": True},
+        {"net": {"hidden_dims": [8.5]}},
+        {"net": {"hidden_dims": [True]}},
+        {"optimizer": {"lr": True}},
+        {"batch_size": inf},  # int(inf) raises OverflowError
+        {"dataset": {"pos_frac": 10**400}},  # too large for a float
+        # non-finite or out-of-range settings
+        {"seed": -1},
+        {"optimizer": {"lr": nan}},
+        {"optimizer": {"lr": 0.0}},
+        {"optimizer": {"beta1": 1.0}},
+        {"optimizer": {"beta2": -0.1}},
+        {"optimizer": {"eps": inf}},
+        {"dataset": {"separation": nan}},
+        {"dataset": {"noise_scale": -inf}},
+    ]:
+        with pytest.raises(ConfigError):
+            config_from_dict(bad)
+
+
+def test_config_built_in_python_is_checked():
+    with pytest.raises(ValueError, match="batch_size must be >= 1"):
+        ExperimentConfig(batch_size=0)
+    with pytest.raises(ValueError, match="iterations must be >= 1"):
+        dataclasses.replace(ExperimentConfig(), iterations=0)
+    with pytest.raises(ValueError, match="activations must match hidden_dims"):
+        NetConfig(hidden_dims=(8,), activations=("relu", "relu"))
+    with pytest.raises(ValueError, match="csv dataset requires a path"):
+        DatasetConfig(kind="csv")
 
 
 def test_config_mechanism_parsing():
@@ -115,13 +144,13 @@ def test_train_run_deterministic():
 
 
 def test_train_run_rejects_unknown_optimizer():
-    # config_from_dict rejects it too; a config built in Python must not train with Adam
+    # OptimizerConfig rejects the kind when it is built, so no config trains with Adam instead
     with pytest.raises(ValueError, match="lbfgs"):
         train_run(_quick_config(optimizer=OptimizerConfig(kind="lbfgs")))
 
 
 def test_train_run_rejects_unknown_dataset_kind():
-    # config_from_dict rejects it too; a config built in Python must not reach load_csv
+    # DatasetConfig rejects the kind when it is built, so no config reaches load_csv
     with pytest.raises(ValueError, match="unknown dataset kind 'bogus'"):
         train_run(ExperimentConfig(dataset=DatasetConfig(kind="bogus")))
 
