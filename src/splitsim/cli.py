@@ -1,13 +1,15 @@
 """Command-line entry points.
 
-    splitsim run --config cfg.json [--seed N] [--out DIR]
+    splitsim run --config cfg.json [--seed N] --out DIR
     splitsim sweep --config cfg.json --mechanism iso --grid 0.25,1,4 --out DIR
-    splitsim gen-data synthetic --n 4000 --out data.csv [...]
-    splitsim gen-data toy1d --n 4000 --out toy.csv [...]
+    splitsim gen-data --config cfg.json [--seed N] --out data.csv
 
-Exit codes: 0 success, 2 config error (bad config file, option or
-generator argument), 3 runtime/numeric error (including any ValueError
-raised mid-run).
+`gen-data` writes the dataset that `run` builds for the same config and
+seed, before its train/test split.
+
+Exit codes: 0 success, 2 config error (bad config file or option),
+3 runtime/numeric error (including any ValueError raised mid-run, and an
+output path that cannot be written).
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import sys
 from pathlib import Path
 
 from . import data as data_mod
-from .harness import ConfigError, DatasetConfig, load_config, run_to_dir, sweep
+from .harness import ConfigError, build_dataset, load_config, run_to_dir, sweep
 from .protection import MECHANISMS
 
 
@@ -31,10 +33,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="single training run")
-    run_p.add_argument("--config", required=True, help="JSON experiment config")
-    run_p.add_argument("--seed", type=int, default=None, help="override config seed")
-    run_p.add_argument("--out", default=None, help="output directory (overrides config)")
-
     sweep_p = sub.add_parser("sweep", help="hyperparameter sweep for one mechanism")
     sweep_p.add_argument("--config", required=True)
     sweep_p.add_argument("--mechanism", required=True, choices=MECHANISMS)
@@ -42,42 +40,33 @@ def _build_parser() -> argparse.ArgumentParser:
         "--grid", default="", help="comma-separated hyperparameter values (t or s)"
     )
     sweep_p.add_argument("--out", required=True)
-
-    gen_p = sub.add_parser("gen-data", help="write a synthetic dataset CSV")
-    gen_sub = gen_p.add_subparsers(dest="generator", required=True)
-    dataset = DatasetConfig()
-    synth = gen_sub.add_parser("synthetic")
-    synth.add_argument("--n", type=int, default=dataset.n)
-    synth.add_argument("--d-in", type=int, default=dataset.d_in)
-    synth.add_argument("--pos-frac", type=float, default=dataset.pos_frac)
-    synth.add_argument("--separation", type=float, default=dataset.separation)
-    synth.add_argument("--noise-scale", type=float, default=dataset.noise_scale)
-    synth.add_argument("--seed", type=int, default=0)
-    synth.add_argument("--out", required=True)
-    toy = gen_sub.add_parser("toy1d")
-    toy.add_argument("--n", type=int, default=dataset.n)
-    toy.add_argument("--seed", type=int, default=0)
-    toy.add_argument("--out", required=True)
+    gen_p = sub.add_parser("gen-data", help="write the dataset a run of the config builds")
+    for p, out_help in ((run_p, "output directory"), (gen_p, "output CSV file")):
+        p.add_argument("--config", required=True, help="JSON experiment config")
+        p.add_argument("--seed", type=int, default=None, help="override config seed")
+        p.add_argument("--out", required=True, help=out_help)
 
     return parser
 
 
-def _cmd_run(args) -> int:
+def _seeded_config(args):
+    """The config file's experiment, with `--seed` in place of its seed if given."""
     config = load_config(args.config)
-    if args.seed is not None:
-        try:
-            config = dataclasses.replace(config, seed=args.seed)
-        except ValueError as exc:  # the config's own check of the seed
-            raise ConfigError(str(exc)) from None
-    out = args.out or config.out
-    if out is None:
-        raise ConfigError("no output directory: pass --out or set `out` in the config")
-    record = run_to_dir(config, out)
+    if args.seed is None:
+        return config
+    try:
+        return dataclasses.replace(config, seed=args.seed)
+    except ValueError as exc:  # the config's own check of the seed
+        raise ConfigError(str(exc)) from None
+
+
+def _cmd_run(args) -> int:
+    record = run_to_dir(_seeded_config(args), args.out)
     for name, value in record.summary.items():
         print(f"{name}: {'NA' if value is None else f'{value:.6f}'}")
     print(f"test_loss: {record.test_loss:.6f}")
     print(f"test_auc: {'NA' if record.test_auc is None else f'{record.test_auc:.6f}'}")
-    print(f"wrote {Path(out) / 'run.csv'}")
+    print(f"wrote {Path(args.out) / 'run.csv'}")
     return 0
 
 
@@ -106,20 +95,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_gen_data(args) -> int:
-    try:
-        if args.generator == "synthetic":
-            dataset = data_mod.generate_synthetic(
-                args.n,
-                args.d_in,
-                args.pos_frac,
-                args.separation,
-                args.noise_scale,
-                seed=args.seed,
-            )
-        else:
-            dataset = data_mod.generate_toy_1d(args.n, seed=args.seed)
-    except ValueError as exc:  # the generators only reject their arguments
-        raise ConfigError(str(exc)) from None
+    dataset = build_dataset(_seeded_config(args))
     data_mod.save_csv(dataset, args.out)
     print(f"wrote {args.out} ({dataset.n} rows, {dataset.d} features)")
     return 0
@@ -137,7 +113,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (data_mod.DataError, ValueError, ArithmeticError, RuntimeError) as exc:
+    except (data_mod.DataError, ValueError, ArithmeticError, RuntimeError, OSError) as exc:
         # configs are fully validated at parse time, so these arise mid-run
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -77,8 +78,8 @@ def generate_toy_1d(n: int, seed: int = 0) -> Dataset:
 
 
 def load_csv(path) -> Dataset:
-    """Load `label,f1,...,fk` rows; features are linearly normalized to
-    [0, 1] per column (constant columns map to 0)."""
+    """Load `label,f1,...,fk` rows of finite features; features are
+    linearly normalized to [0, 1] per column (constant columns map to 0)."""
     path = Path(path)
     try:
         fh = open(path, newline="")
@@ -102,9 +103,12 @@ def load_csv(path) -> Dataset:
                 raise DataError(f"{path}:{lineno}: non-binary label {row[0]!r}")
             labels.append(int(row[0]))
             try:
-                rows.append([float(v) for v in row[1:]])
+                values = [float(v) for v in row[1:]]
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: {exc}") from None
+            if not all(map(math.isfinite, values)):
+                raise DataError(f"{path}:{lineno}: non-finite feature value in {row[1:]!r}")
+            rows.append(values)
     if not rows:
         raise DataError(f"{path}: no data rows")
     X = np.array(rows, dtype=np.float64)

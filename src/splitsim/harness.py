@@ -30,7 +30,6 @@ from .attacks import (
     roc_auc,
     select_oracle_positive,
 )
-from .marvell import SolverSettings
 from .model import (
     ACTIVATIONS,
     Adam,
@@ -138,7 +137,6 @@ class ExperimentConfig:
     iterations: int = 200
     mechanism: MechanismConfig = field(default_factory=MechanismConfig)
     seed: int = 0
-    out: str | None = None
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -152,12 +150,14 @@ class ExperimentConfig:
 def _convert(value, default, key: str):
     """`value` as the type of its field's `default`.  An int takes an
     integral number or a numeral, a float any number or numeral, neither a
-    bool; a tuple is built from the value's elements, each converted like
+    bool; a tuple takes a list (or tuple) and converts each element like
     the default's first; a None default takes a string or null; other
     values are kept."""
     typ = type(default)
     if typ is tuple:
-        return tuple(type(default[0])(_convert(x, default[0], key)) for x in value)
+        if not isinstance(value, (list, tuple)):
+            raise ValueError(f"expected a list for {key}, got {value!r}")
+        return tuple(_convert(x, default[0], key) for x in value)
     if typ not in (int, float):
         if default is None and not (value is None or isinstance(value, str)):
             raise ValueError(f"expected str or null for {key}, got {value!r}")
@@ -173,21 +173,15 @@ def _from_dict(cls, d, where: str):
     their defaults, given values go through `_convert`, and a section (a
     field defaulting to a config dataclass) is parsed from its own object.
     Net's `activations` and `cut_index` default from the depth of
-    `hidden_dims`; mechanism's `tol` and `max_sweeps` build its solver.
-    Every rejection, the dataclasses' own checks included, is a ConfigError.
+    `hidden_dims`.  Every rejection, the dataclasses' own checks included,
+    is a ConfigError.
     """
     if not isinstance(d, dict):
         raise ConfigError(f"{where} must be a JSON object, got {type(d).__name__}")
     fields = dataclasses.fields(cls)
-    names = keys = {f.name for f in fields}
-    if cls is MechanismConfig:  # the solver's settings are keys of the mechanism object itself
-        keys = names - {"solver"} | {f.name for f in dataclasses.fields(SolverSettings)}
-    unknown = set(d) - keys
+    unknown = set(d) - {f.name for f in fields}
     if unknown:
         raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
-    if cls is MechanismConfig:
-        solver = {k: v for k, v in d.items() if k not in names}
-        d = {**{k: v for k, v in d.items() if k in names}, "solver": solver}
     sections = [f for f in fields if dataclasses.is_dataclass(f.default_factory)]
     defaults = {f.name: f.default for f in fields if f not in sections}
     try:
@@ -268,7 +262,10 @@ def summarize_rows(rows: list[IterationRow]) -> dict[str, float | None]:
 # training loop
 
 
-def _build_dataset(cfg: DatasetConfig, seed: int) -> data_mod.Dataset:
+def build_dataset(config: ExperimentConfig) -> data_mod.Dataset:
+    """The dataset a run of `config` splits into its train and test sets:
+    generated from the run's data stream, or read from the csv file."""
+    cfg, seed = config.dataset, _stream_seeds(config.seed)[0]
     if cfg.kind == "synthetic":
         return data_mod.generate_synthetic(
             cfg.n, cfg.d_in, cfg.pos_frac, cfg.separation, cfg.noise_scale, seed=seed
@@ -315,9 +312,8 @@ def train_run(config: ExperimentConfig) -> RunRecord:
     """
     data_seed, init_seed, batch_seed, mech_seed, attack_seed = _stream_seeds(config.seed)
 
-    dataset = _build_dataset(config.dataset, data_seed)
     train, test = data_mod.train_test_split(
-        dataset, config.dataset.test_frac, make_rng(data_seed, 1)
+        build_dataset(config), config.dataset.test_frac, make_rng(data_seed, 1)
     )
 
     net = SplitNet.build(
@@ -457,22 +453,22 @@ def sweep(
 ) -> list[TradeoffPoint]:
     """One train_run per grid value; points sorted by hyperparameter.
 
-    Each point is the base config's mechanism with `kind` and the grid
-    value set, so the base's solver settings carry over.
+    A mechanism without a hyperparameter (none, max_norm) runs once and
+    takes no grid; the others need a nonempty one.
 
     Failures are recorded (status=failed) and the sweep continues.
     Writes each run's run.csv/summary.csv in a subdirectory plus one
     tradeoff.csv at the top.
     """
     name = HYPERPARAMETERS.get(kind)
-    if name is None:
-        settings: list[dict] = [{}]
-    elif not grid:
+    if name is None and grid:
+        raise ConfigError(f"mechanism {kind!r} has no hyperparameter, so it takes no grid")
+    if name is not None and not grid:
         raise ConfigError(f"mechanism {kind!r} requires a nonempty grid")
-    else:
-        settings = [{name: value} for value in sorted(float(v) for v in grid)]
+    values = sorted(float(v) for v in grid)
+    settings = [{}] if name is None else [{name: value} for value in values]
     try:
-        mechs = [dataclasses.replace(base.mechanism, kind=kind, **setting) for setting in settings]
+        mechs = [MechanismConfig(kind=kind, **setting) for setting in settings]
     except ValueError as exc:
         raise ConfigError(f"bad grid value: {exc}") from None
     out_dir = Path(out_dir)

@@ -8,7 +8,7 @@ non-label party's parameter gradients stay unbiased.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +27,6 @@ class MechanismConfig:
     kind: str = "none"
     t: float = 1.0  # iso noise scale
     s: float = 1.0  # marvell power scale
-    solver: marvell.SolverSettings = field(default_factory=marvell.SolverSettings)
 
     def __post_init__(self):
         if self.kind not in MECHANISMS:
@@ -100,11 +99,7 @@ def perturb_max_norm(g: np.ndarray, rng: np.random.Generator) -> PerturbOutcome:
 
 
 def perturb_marvell(
-    g: np.ndarray,
-    labels: np.ndarray,
-    s: float,
-    rng: np.random.Generator,
-    settings: marvell.SolverSettings = marvell.SolverSettings(),
+    g: np.ndarray, labels: np.ndarray, s: float, rng: np.random.Generator
 ) -> PerturbOutcome:
     """Optimized class-dependent Gaussian perturbation.
 
@@ -126,7 +121,7 @@ def perturb_marvell(
         return PerturbOutcome(perturbed=g.copy(), fallback=True)
 
     P = marvell.power_budget(s, stats)
-    sol = marvell.solve(stats, P, settings)
+    sol = marvell.solve(stats, P)
     pos_cov, neg_cov = marvell.build_covariances(sol, stats)
     cert = marvell.make_certificate(sol, stats)
 
@@ -152,4 +147,4 @@ def apply_mechanism(
         return perturb_iso(g, config.t, rng)
     if config.kind == "max_norm":
         return perturb_max_norm(g, rng)
-    return perturb_marvell(g, labels, config.s, rng, config.solver)
+    return perturb_marvell(g, labels, config.s, rng)

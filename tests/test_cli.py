@@ -1,12 +1,13 @@
+import csv
 import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from splitsim import protection
+from splitsim import harness, protection
 from splitsim.cli import main
-from splitsim.data import load_csv
 
 
 def _write_config(path, **overrides):
@@ -33,17 +34,12 @@ def test_run_command(tmp_path, capsys):
     assert "test_auc" in out
 
 
-def test_run_requires_out_somewhere(tmp_path, capsys):
+def test_run_requires_out(tmp_path, capsys):
     cfg = _write_config(tmp_path / "cfg.json")
-    rc = main(["run", "--config", str(cfg)])
-    assert rc == 2
-    assert "config error" in capsys.readouterr().err
-
-
-def test_run_out_from_config(tmp_path):
-    cfg = _write_config(tmp_path / "cfg.json", out=str(tmp_path / "fromcfg"))
-    assert main(["run", "--config", str(cfg)]) == 0
-    assert (tmp_path / "fromcfg/run.csv").exists()
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--config", str(cfg)])
+    assert exc.value.code == 2
+    assert "--out" in capsys.readouterr().err
 
 
 def test_seed_override_changes_csv(tmp_path):
@@ -91,6 +87,7 @@ def test_zero_hidden_dim_exits_2(tmp_path, capsys):
     [
         ({"kind": "marvell", "s": float("nan")}, "marvell s"),
         ({"kind": "iso", "t": float("nan")}, "iso t"),
+        # the solver's settings are not config keys, so setting one is refused by name
         ({"kind": "marvell", "max_sweeps": 0}, "max_sweeps"),
         ({"kind": "marvell", "tol": -1}, "tol"),
     ],
@@ -109,7 +106,7 @@ def test_bad_mechanism_value_exits_2(tmp_path, capsys, mechanism, field):
     ("overrides", "argv", "field"),
     [
         ({}, ["--seed", "-1"], "seed"),
-        ({"out": 5}, [], "out"),
+        ({"out": 5}, [], "out"),  # the output directory is only --out, never a config key
         ({"optimizer": {"lr": float("nan")}}, [], "lr"),
     ],
     ids=["seed_negative", "out_int", "lr_nan"],
@@ -186,26 +183,67 @@ def test_sweep_bad_grid_exits_2(tmp_path, capsys):
                "--grid", "1,-2", "--out", str(tmp_path / "sw2")])
     assert rc == 2
     assert not (tmp_path / "sw2").exists()
+    # a mechanism without a hyperparameter takes no grid
+    rc = main(["sweep", "--config", str(cfg), "--mechanism", "max_norm",
+               "--grid", "1", "--out", str(tmp_path / "sw3")])
+    assert rc == 2
+    assert "takes no grid" in capsys.readouterr().err
+    assert not (tmp_path / "sw3").exists()
 
 
-def test_gen_data_synthetic(tmp_path):
+def _read_raw_csv(path):
+    """(labels, features) of a `label,f1,...,fk` file, as written."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    return (np.array([int(r[0]) for r in rows]),
+            np.array([[float(v) for v in r[1:]] for r in rows]))
+
+
+def test_gen_data_synthetic(tmp_path, monkeypatch):
+    # gen-data writes, bit for bit, the dataset that run splits for the same config and seed
+    cfg = _write_config(tmp_path / "cfg.json", iterations=2)
+    split, real_split = [], harness.data_mod.train_test_split
+
+    def recording_split(dataset, *args):
+        split.append(dataset)
+        return real_split(dataset, *args)
+
+    monkeypatch.setattr(harness.data_mod, "train_test_split", recording_split)
+    assert main(["run", "--config", str(cfg), "--seed", "5", "--out", str(tmp_path / "o")]) == 0
     out = tmp_path / "data.csv"
-    rc = main(["gen-data", "synthetic", "--n", "200", "--d-in", "5", "--out", str(out)])
-    assert rc == 0
-    ds = load_csv(out)
-    assert ds.n == 200 and ds.d == 5
+    assert main(["gen-data", "--config", str(cfg), "--seed", "5", "--out", str(out)]) == 0
+    y, X = _read_raw_csv(out)
+    (run_data,) = split
+    assert X.shape == (800, 8)
+    assert np.array_equal(y, run_data.y) and np.array_equal(X, run_data.X)
+    # the seed picks the data stream, as it does for run
+    assert main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "seed3.csv")]) == 0
+    assert not np.array_equal(_read_raw_csv(tmp_path / "seed3.csv")[1], X)
 
 
 def test_gen_data_bad_argument_exits_2(tmp_path, capsys):
+    # the config's own rules hold for gen-data; json.dumps writes NaN, which json.load reads
+    cfg = _write_config(tmp_path / "cfg.json", dataset={"separation": float("nan")})
     out = tmp_path / "data.csv"
-    assert main(["gen-data", "synthetic", "--pos-frac", "1.5", "--out", str(out)]) == 2
-    assert "config error" in capsys.readouterr().err
+    assert main(["gen-data", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "separation" in err
     assert not out.exists()
 
 
+def test_unwritable_output_exits_3(tmp_path, capsys):
+    cfg = _write_config(tmp_path / "cfg.json", iterations=2)
+    out = tmp_path / "absent_dir" / "data.csv"
+    assert main(["gen-data", "--config", str(cfg), "--out", str(out)]) == 3
+    assert main(["run", "--config", str(cfg), "--out", str(cfg)]) == 3  # a file, not a directory
+    err = capsys.readouterr().err
+    assert str(out) in err and str(cfg) in err
+
+
 def test_gen_data_toy1d_feeds_run(tmp_path):
+    gen_cfg = _write_config(tmp_path / "gen.json", dataset={"kind": "toy1d", "n": 600})
     out = tmp_path / "toy.csv"
-    assert main(["gen-data", "toy1d", "--n", "600", "--out", str(out)]) == 0
+    assert main(["gen-data", "--config", str(gen_cfg), "--out", str(out)]) == 0
     cfg = _write_config(
         tmp_path / "cfg.json",
         dataset={"kind": "csv", "path": str(out), "test_frac": 0.2},

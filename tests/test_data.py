@@ -108,6 +108,15 @@ def test_csv_non_numeric_feature(tmp_path):
         load_csv(path)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+def test_csv_non_finite_feature(tmp_path, value):
+    # float() parses these, but a non-finite feature would train to a nan loss
+    path = tmp_path / "bad4.csv"
+    path.write_text(f"label,f1,f2\n0,0.5,1.0\n1,0.25,{value}\n")
+    with pytest.raises(DataError, match=":3: non-finite"):
+        load_csv(path)
+
+
 def test_csv_empty_file(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("")

@@ -2,10 +2,8 @@ import dataclasses
 
 import pytest
 
-from splitsim import harness
 from splitsim.attacks import quantile
 from splitsim.harness import (
-    RunRecord,
     ConfigError,
     DatasetConfig,
     ExperimentConfig,
@@ -46,7 +44,7 @@ def test_config_defaults_and_round_trip():
     assert cfg.net.cut_index == 2
     assert cfg == ExperimentConfig()
     # an integral float is an int; null is an unset optional string
-    cfg = config_from_dict({"batch_size": 64.0, "out": None})
+    cfg = config_from_dict({"batch_size": 64.0, "dataset": {"path": None}})
     assert cfg == ExperimentConfig() and type(cfg.batch_size) is int
     # activations and cut_index default from the depth of hidden_dims
     net = config_from_dict({"net": {"hidden_dims": [8, 8]}}).net
@@ -65,6 +63,11 @@ def test_config_rejects_unknown_keys():
         config_from_dict({"optimizer": {"momentum": 0.9}})
     with pytest.raises(ConfigError, match="unknown mechanism keys"):
         config_from_dict({"mechanism": {"kind": "iso", "sigma": 1.0}})
+    # the solver's settings and the output directory are not config keys
+    with pytest.raises(ConfigError, match=r"unknown mechanism keys: \['max_sweeps', 'tol'\]"):
+        config_from_dict({"mechanism": {"kind": "marvell", "tol": 1e-7, "max_sweeps": 50}})
+    with pytest.raises(ConfigError, match=r"unknown config keys: \['out'\]"):
+        config_from_dict({"out": "runs/exp1"})
 
 
 def test_config_rejects_bad_values():
@@ -84,9 +87,12 @@ def test_config_rejects_bad_values():
         {"batch_size": "many"},
         {"net": [32, 16]},
         # wrong-typed values: no bool or fractional number for an int, no
-        # bool for a float, only a string or null for an optional string
-        {"out": 5},
+        # bool for a float, only a string or null for an optional string,
+        # only a list for a tuple
         {"dataset": {"kind": "csv", "path": 5}},
+        {"net": {"hidden_dims": "88"}},
+        {"net": {"hidden_dims": {"8": 1, "4": 2}}},
+        {"net": {"activations": "relu"}},
         {"batch_size": 16.9},
         {"iterations": True},
         {"net": {"hidden_dims": [8.5]}},
@@ -106,6 +112,8 @@ def test_config_rejects_bad_values():
     ]:
         with pytest.raises(ConfigError):
             config_from_dict(bad)
+    with pytest.raises(ConfigError, match="expected a list for activations, got 'relu'"):
+        config_from_dict({"net": {"activations": "relu"}})
 
 
 def test_config_built_in_python_is_checked():
@@ -120,11 +128,9 @@ def test_config_built_in_python_is_checked():
 
 
 def test_config_mechanism_parsing():
-    cfg = config_from_dict({"mechanism": {"kind": "marvell", "s": 2.5, "tol": 1e-7, "max_sweeps": 50}})
-    assert cfg.mechanism.kind == "marvell"
-    assert cfg.mechanism.s == 2.5
-    assert cfg.mechanism.solver.tol == 1e-7
-    assert cfg.mechanism.solver.max_sweeps == 50
+    cfg = config_from_dict({"mechanism": {"kind": "marvell", "s": 2.5}})
+    assert cfg.mechanism == MechanismConfig(kind="marvell", s=2.5)
+    assert cfg.mechanism.param == 2.5
 
 
 # ---------------------------------------------------------------------------
@@ -299,24 +305,11 @@ def test_sweep_iso_monotone_and_sorted(tmp_path):
     assert (tmp_path / "iso_4/run.csv").exists()
 
 
-def test_sweep_keeps_base_solver_settings(tmp_path, monkeypatch):
-    ran = []
-
-    def fake_run_to_dir(config, out_dir):
-        ran.append(config.mechanism)
-        return RunRecord(rows=[], test_loss=0.0, test_auc=None, summary=summarize_rows([]))
-
-    monkeypatch.setattr(harness, "run_to_dir", fake_run_to_dir)
-    base = config_from_dict({"mechanism": {"kind": "marvell", "max_sweeps": 1}})
-    points = sweep(base, "marvell", [4.0, 1.0], tmp_path)
-    assert [m.s for m in ran] == [1.0, 4.0]
-    assert [m.solver.max_sweeps for m in ran] == [1, 1]
-    assert [p.mechanism for p in points] == ran
-
-
 def test_sweep_requires_grid_for_parametric(tmp_path):
     with pytest.raises(ConfigError):
         sweep(_quick_config(), "iso", [], tmp_path)
+    with pytest.raises(ConfigError, match="takes no grid"):
+        sweep(_quick_config(), "none", [1.0], tmp_path)
 
 
 def test_sweep_marks_failures(tmp_path):

@@ -1,8 +1,9 @@
 """The run bytes of the benchmark's three workloads, pinned by sha256.
 
 A performance change is meant to leave every byte of `run.csv` and
-`summary.csv` unchanged.  These are the workload configs of
-`perfbench/workloads.py` at seed 7.  accept_none's hashes are the ones
+`summary.csv` unchanged.  The configs are taken from
+`perfbench/workloads.py` at seed 7, so the pinned bytes are always the
+benchmark's own workloads.  accept_none's hashes are the ones
 recorded when the single backward pass per party landed, and every
 later change has kept them.  The two marvell workloads were re-pinned
 when marvell's line search became an exact Newton search and the
@@ -16,6 +17,8 @@ bytes without any change to this package.
 """
 
 import hashlib
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,25 +26,13 @@ import pytest
 from splitsim import harness, protection
 from splitsim.harness import config_from_dict, run_to_dir
 
-_ACCEPTANCE = {
-    "dataset": {"kind": "synthetic", "n": 8000, "d_in": 20, "pos_frac": 0.1,
-                "separation": 2.0, "noise_scale": 1.0, "test_frac": 0.2},
-    "net": {"hidden_dims": [64, 384, 16], "activations": ["relu"] * 3, "cut_index": 2},
-    "batch_size": 256,
-    "iterations": 200,
-}
-_SMALL = {
-    "dataset": {"kind": "synthetic", "n": 4000, "d_in": 20, "pos_frac": 0.1,
-                "separation": 2.0, "noise_scale": 1.0, "test_frac": 0.2},
-    "net": {"hidden_dims": [32, 32, 16], "activations": ["relu"] * 3, "cut_index": 2},
-    "batch_size": 16,
-    "iterations": 2000,
-}
-WORKLOADS = {
-    "accept_none": {**_ACCEPTANCE, "mechanism": {"kind": "none"}},
-    "accept_marvell": {**_ACCEPTANCE, "mechanism": {"kind": "marvell", "s": 4.0}},
-    "small_marvell": {**_SMALL, "mechanism": {"kind": "marvell", "s": 1.0}},
-}
+# perfbench/workloads.py imports nothing from splitsim, so it loads on its own
+_spec = importlib.util.spec_from_file_location(
+    "perfbench_workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+)
+workloads = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(workloads)
+
 SEED = 7
 SHA256 = {
     "accept_none": {
@@ -82,13 +73,13 @@ def workload_run(request, tmp_path_factory):
 
     harness.apply_mechanism = recording
     try:
-        run_to_dir(config_from_dict({**WORKLOADS[name], "seed": SEED}), out)
+        run_to_dir(config_from_dict(workloads.config_dict(name, SEED)), out)
     finally:
         harness.apply_mechanism = protection.apply_mechanism
     return name, out, seen
 
 
-@pytest.mark.parametrize("workload_run", sorted(WORKLOADS), indirect=True)
+@pytest.mark.parametrize("workload_run", sorted(SHA256), indirect=True)
 def test_workload_run_bytes_match_pinned_hashes(workload_run):
     workload, out, _ = workload_run
     for name, want in SHA256[workload].items():
@@ -108,3 +99,7 @@ def test_marvell_workload_solves_converge(workload_run):
     solved = [sol for fallback, sol in seen if not fallback]
     assert solved and all(sol is not None and sol.converged for sol in solved)
     assert all(sol is None for fallback, sol in seen if fallback)
+
+
+def test_every_workload_is_pinned():
+    assert sorted(SHA256) == sorted(workloads.WORKLOADS)
