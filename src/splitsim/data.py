@@ -1,4 +1,9 @@
-"""Dataset generation and CSV ingestion for the experiment harness."""
+"""Dataset generation and CSV ingestion for the experiment harness.
+
+The generators do not check their arguments: `harness.DatasetConfig`
+holds the rules for `n`, `d_in` and `pos_frac`, and every run and
+`gen-data` call builds its dataset from a checked config.
+"""
 
 from __future__ import annotations
 
@@ -47,10 +52,6 @@ def generate_synthetic(
     Labels are Bernoulli(pos_frac); class imbalance (pos_frac well below
     0.5) is the regime where gradient norms leak labels hardest.
     """
-    if not 0.0 < pos_frac < 1.0:
-        raise ValueError(f"pos_frac must be in (0, 1), got {pos_frac!r}")
-    if n < 1 or d_in < 1:
-        raise ValueError("n and d_in must be >= 1")
     rng = make_rng(seed)
     y = (rng.random(n) < pos_frac).astype(np.int64)
     direction = np.ones(d_in) / np.sqrt(d_in)
@@ -67,8 +68,6 @@ def generate_toy_1d(n: int, seed: int = 0) -> Dataset:
     Bayes-optimal classifier is only 10/11 confident on [0, 1], so even
     perfectly trained models stay underconfident about positives.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
     rng = make_rng(seed)
     y = (rng.random(n) < 0.5).astype(np.int64)
     base = rng.random(n)

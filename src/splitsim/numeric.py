@@ -2,10 +2,14 @@
 Gaussian sampling.
 
 All vectors/matrices are plain float64 numpy arrays.  Randomness goes
-through counter-based Philox generators so that a given (seed, stream)
-pair always reproduces the same draw sequence, and distinct streams
-(one per training run, one per mechanism, one per attack) never
-interfere with each other.
+through SFC64 generators, each seeded by
+`SeedSequence(entropy=seed, spawn_key=(stream,))`.  The seed sequence,
+not the bit generator, is what makes a (seed, stream) pair always
+reproduce the same draw sequence and keeps generators with different
+keys independent; a run gives each of its streams (data, init,
+batching, noise, attack oracle) its own seed.  SFC64 is there for
+speed alone: it fills a large standard-normal draw about 30% faster
+than Philox.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     sequence.
     """
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(stream),))
-    return np.random.Generator(np.random.Philox(ss))
+    return np.random.Generator(np.random.SFC64(ss))
 
 
 @dataclass(frozen=True)

@@ -32,13 +32,6 @@ def test_synthetic_deterministic():
     assert np.array_equal(a.X, b.X) and np.array_equal(a.y, b.y)
 
 
-def test_synthetic_validation():
-    with pytest.raises(ValueError):
-        generate_synthetic(10, 3, pos_frac=0.0, separation=1.0)
-    with pytest.raises(ValueError):
-        generate_synthetic(0, 3, pos_frac=0.5, separation=1.0)
-
-
 def test_toy1d_supports():
     ds = generate_toy_1d(10**4, seed=2)
     x = ds.X[:, 0]

@@ -81,6 +81,8 @@ def test_config_rejects_bad_values():
         {"optimizer": {"kind": "lbfgs"}},
         {"net": {"hidden_dims": [8, 0]}},
         {"net": {"hidden_dims": [8], "activations": ["gelu"]}},
+        {"dataset": {"pos_frac": 0.0}},
+        {"dataset": {"pos_frac": 1.0}},
         {"dataset": {"kind": "synthetic", "n": 0}},
         {"dataset": {"kind": "synthetic", "d_in": 0}},
         {"dataset": {"kind": "toy1d", "n": -3}},

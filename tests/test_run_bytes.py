@@ -3,17 +3,15 @@
 A performance change is meant to leave every byte of `run.csv` and
 `summary.csv` unchanged.  The configs are taken from
 `perfbench/workloads.py` at seed 7, so the pinned bytes are always the
-benchmark's own workloads.  accept_none's hashes are the ones
-recorded when the single backward pass per party landed, and every
-later change has kept them.  The two marvell workloads were re-pinned
-when marvell's line search became an exact Newton search and the
-sampler stopped drawing an isotropic block for a class whose
-orthogonal noise eigenvalue is zero: the first moves the solved
-eigenvalues in their last bits (and far more where golden-section left
-them short of the minimum), the second shifts every later draw of the
-mechanism's random stream.  The matrix products go through numpy's
-BLAS, so a different BLAS build may round differently and change the
-bytes without any change to this package.
+benchmark's own workloads.  All three workloads were last re-pinned
+when every random stream (data, init, batching, noise, attack oracle)
+moved from the Philox bit generator to SFC64: the streams keep their
+`SeedSequence` keys and every draw keeps its shape and order, but the
+bits behind each draw differ, so every run's data, initial weights,
+batches and noise differ.  Two things besides this package can move the
+bytes: another bit generator behind `numeric.make_rng`, and another
+BLAS build, since the matrix products go through numpy's BLAS and may
+round differently.
 """
 
 import hashlib
@@ -25,6 +23,7 @@ import pytest
 
 from splitsim import harness, protection
 from splitsim.harness import config_from_dict, run_to_dir
+from splitsim.numeric import make_rng
 
 # perfbench/workloads.py imports nothing from splitsim, so it loads on its own
 _spec = importlib.util.spec_from_file_location(
@@ -36,16 +35,16 @@ _spec.loader.exec_module(workloads)
 SEED = 7
 SHA256 = {
     "accept_none": {
-        "run.csv": "93dd949b8501e392af884f297391fe643a21cc4f57c14bd4d39c66c23839cb30",
-        "summary.csv": "c8ccd8d2740421c00ec07e121b1de2b603a55d9d67fd9976c37ed44fe61a0651",
+        "run.csv": "7239324f0a5838b435b08aa1594fd0f138fb24209ad45b24b62e2e9b90204178",
+        "summary.csv": "21fb4cea5f451556f33970a448d1fe0670ae5bf77316dc559394be4f26602436",
     },
     "accept_marvell": {
-        "run.csv": "22768ad161ed9c5d8493b43efffddd8fa8f6edc5328761015a765d058ec99561",
-        "summary.csv": "804db90a11c7dac9972a058f7c61b7578217b5b97446da8cde01f089c9ce662a",
+        "run.csv": "fdbeb07cf738c5719f197b24c48479fb9581adb3738a9a8c4ac1cc7de04565ad",
+        "summary.csv": "15d612b28813dd98c807f0bf1576334e43376d7c5d495135c7ff91054aabe737",
     },
     "small_marvell": {
-        "run.csv": "331f48f7356402aa20d7871d7e9fb9f3fc752d79ba511f85fb396d57db03d295",
-        "summary.csv": "ef9e3d2a991508f4e5af3964685f7390484f47674a47388bf79e4f1fe16d9733",
+        "run.csv": "92a965c86804d26b29d5a82738095683eb096fc2f20e1f5675e4ad3c3c280365",
+        "summary.csv": "be9b43e174944252e2eee35e5f7c4f464e991f6fd6b0d4e0339b020c37bd4f14",
     },
 }
 
@@ -86,8 +85,10 @@ def test_workload_run_bytes_match_pinned_hashes(workload_run):
         got = hashlib.sha256((out / name).read_bytes()).hexdigest()
         assert got == want, (
             f"{workload} seed {SEED}: {name} sha256 {got} differs from the pinned {want} "
-            f"(numpy {np.__version__}, BLAS {_blas()}; the pinned bytes were written with "
-            f"scipy-openblas 0.3.31, and another BLAS build may round differently)"
+            f"(numpy {np.__version__}, BLAS {_blas()}, bit generator "
+            f"{type(make_rng(0).bit_generator).__name__}; the pinned bytes were written with "
+            f"scipy-openblas 0.3.31 and SFC64; another BLAS build may round differently, and "
+            f"another bit generator draws other numbers)"
         )
 
 
