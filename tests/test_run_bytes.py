@@ -8,10 +8,10 @@ when every random stream (data, init, batching, noise, attack oracle)
 moved from the Philox bit generator to SFC64: the streams keep their
 `SeedSequence` keys and every draw keeps its shape and order, but the
 bits behind each draw differ, so every run's data, initial weights,
-batches and noise differ.  Two things besides this package can move the
-bytes: another bit generator behind `numeric.make_rng`, and another
-BLAS build, since the matrix products go through numpy's BLAS and may
-round differently.
+batches and noise differ.  Besides a change to this package, such as
+another bit generator behind `numeric.make_rng`, a different BLAS
+build can move the bytes: the matrix products go through numpy's BLAS
+and may round differently.
 """
 
 import hashlib
