@@ -11,6 +11,7 @@ from splitsim.data import (
     save_csv,
     train_test_split,
 )
+from splitsim.harness import DatasetConfig
 from splitsim.numeric import make_rng
 
 
@@ -30,6 +31,13 @@ def test_synthetic_deterministic():
     a = generate_synthetic(100, 4, 0.2, 1.0, seed=7)
     b = generate_synthetic(100, 4, 0.2, 1.0, seed=7)
     assert np.array_equal(a.X, b.X) and np.array_equal(a.y, b.y)
+
+
+def test_synthetic_validation():
+    # DatasetConfig holds the synthetic generator's argument rules.
+    for bad in ({"pos_frac": 0.0}, {"pos_frac": 1.0}, {"n": 0}, {"d_in": 0}):
+        with pytest.raises(ValueError):
+            DatasetConfig(kind="synthetic", **bad)
 
 
 def test_toy1d_supports():
