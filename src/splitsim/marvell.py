@@ -8,16 +8,16 @@ solution into factored covariances plus a privacy certificate (the
 achieved symmetrized KL, the implied worst-case attack-AUC upper bound,
 and a total-variation upper bound).
 
-The solve runs once per protected batch.  It is a coordinate descent
-over four scalars: each step moves two eigenvalues along the power
-hyperplane with the other two fixed, and minimizes exactly along that
-segment with a safeguarded Newton search on the objective's first and
-second derivatives.  It is written on plain Python floats, lists and
-tuples: numpy scalars would box every read and every arithmetic step
-of the inner loop.  For the same reason it clamps at zero with
-`0.0 if x < 0.0 else x` rather than a call to `max(x, 0.0)`.  Each
-expression keeps a fixed operand order, so a solve is a deterministic
-function of its inputs down to the last bit.
+The solve runs once per protected batch.  The zero rule pins one
+class's orthogonal eigenvalue at zero, and the power equation gives the
+pinned class's along eigenvalue, so the problem left is smooth in two
+variables on a triangle: the other class's along and orthogonal
+eigenvalues.  A damped Newton solve with an active set over the
+triangle's edges and vertices runs until its KKT residual proves the
+optimum to the solver's tolerance.  It is written on plain Python
+floats: numpy scalars would box every read and every arithmetic step of
+the loop.  Each expression keeps a fixed operand order, so a solve is a
+deterministic function of its inputs down to the last bit.
 """
 
 from __future__ import annotations
@@ -31,16 +31,14 @@ from .numeric import StructuredCovariance
 
 VARIANCE_FLOOR = 1e-12
 
-# A line search measures steps in t against the smaller of the segment's
-# width and the distances at which either moving eigenvalue plus its
-# floor would reach zero, the scale on which f' varies.  It takes a
-# Newton step of at most _NEWTON_TOL of that scale and stops: Newton
-# converges quadratically, so the next step would be about _NEWTON_TOL**2
-# of it.  Bisection stops once the bracket is _BISECT_TOL of it, and no
-# search takes more than _MAX_STEPS steps.
-_NEWTON_TOL = 1e-5
-_BISECT_TOL = 1e-10
-_MAX_STEPS = 100
+# The faces of the (beta, gamma) triangle, as bits of a working set:
+# gamma = 0, gamma = beta and alpha = 0 (see _solve_canonical).
+_G0, _GB, _A0 = 1, 2, 4
+# A step must reach _ARMIJO of its first-order decrease within
+# _MAX_HALVINGS halvings; scaled Hessian eigenvalues count as >= _EIG_FLOOR.
+_ARMIJO = 1e-4
+_MAX_HALVINGS = 60
+_EIG_FLOOR = 1e-6
 
 
 class SingleClassBatchError(ValueError):
@@ -64,8 +62,8 @@ class BatchStats:
 
 @dataclass(frozen=True)
 class SolverSettings:
-    tol: float = 1e-8  # relative objective decrease per sweep
-    max_sweeps: int = 200
+    tol: float = 1e-8  # bound on the KKT residual
+    max_sweeps: int = 200  # cap on Newton steps
 
     def __post_init__(self):
         if not (math.isfinite(self.tol) and self.tol > 0.0):
@@ -87,8 +85,9 @@ class LambdaSolution:
     lam1_neg: float
     lam2_neg: float
     objective_value: float
-    converged: bool
-    sweeps_used: int
+    converged: bool  # kkt_residual <= the solve's tol
+    sweeps_used: int  # Newton steps taken
+    kkt_residual: float
 
 
 @dataclass(frozen=True)
@@ -142,227 +141,218 @@ def power_budget(s: float, stats: BatchStats) -> float:
     return s * stats.delta_norm_sq
 
 
-def _objective4(l11, l21, l10, l20, d, u, v, dsq):
-    """Ratio objective of the 4-variable problem.
-
-    (l11, l21) are the positive class's along/orthogonal eigenvalues,
-    (l10, l20) the negative class's; u, v must already carry the
-    variance floor so every denominator is positive.
-    """
-    return (
-        (d - 1.0) * ((l20 + u) / (l21 + v) + (l21 + v) / (l20 + u))
-        + (l10 + u + dsq) / (l11 + v)
-        + (l11 + v + dsq) / (l10 + u)
-    )
-
-
 def objective(lams, stats: BatchStats) -> float:
     """4-variable ratio objective at (lam1_pos, lam2_pos, lam1_neg, lam2_neg)."""
     l11, l21, l10, l20 = (float(x) for x in lams)
     u = max(stats.u, VARIANCE_FLOOR)
     v = max(stats.v, VARIANCE_FLOOR)
-    return float(_objective4(l11, l21, l10, l20, float(stats.d), u, v, stats.delta_norm_sq))
+    dsq = stats.delta_norm_sq
+    return float(
+        (stats.d - 1.0) * ((l20 + u) / (l21 + v) + (l21 + v) / (l20 + u))
+        + (l10 + u + dsq) / (l11 + v)
+        + (l11 + v + dsq) / (l10 + u)
+    )
 
 
-def _line_min(lam, i, j, w, R, d, u, v, dsq):
-    """Exact minimization over the feasible segment of the move (i, j).
+def _snap(work, beta, gamma, top, m):
+    """(beta, gamma) put exactly on the faces of the working set."""
+    if work & _G0:
+        gamma = 0.0
+    if work & _A0:
+        beta = top - m * gamma
+    if work & _GB:
+        if work & _A0:
+            beta = gamma = top / (m + 1.0)
+        elif work & _G0:
+            beta = 0.0
+        else:
+            gamma = beta
+    return beta, gamma
 
-    Along the move, t = lam[i] and lam[j] = max((R - w[i] t) / w[j], 0),
-    so each of l11 + v, l21 + v, l10 + u and l20 + u is linear in t
-    with slope 0, 1 or -w[i]/w[j].  The objective is a sum of ratios of
-    such linear functions, convex on the segment, and the quotient rule
-    gives its first and second derivatives.  Newton runs from lam[i]
-    inside a sign bracket of f' and bisects whenever a step would leave
-    it; a step that would leave through an end of the segment whose f'
-    is not yet known evaluates f' there first, so a boundary minimum is
-    taken exactly.  The search stops when f' is zero or a step is small
-    (see _NEWTON_TOL).  Leaves lam[i] at the minimizer (at the segment's
-    lower end when the segment is empty) and lam[j] on the segment.
+
+def _kkt_residual(Gb, Gg, faces):
+    """Least |G - sum mu_i n_i| + sum mu_i |c_i| over multipliers mu >= 0
+    on one or both of the working set's faces, each given as its unit
+    normal (n_b, n_g) and slack c; |G| when no face is active."""
+    best = math.hypot(Gb, Gg)
+    for nb, ng, c in faces:
+        mu = Gb * nb + Gg * ng
+        if mu > 0.0:
+            best = min(best, math.hypot(Gb - mu * nb, Gg - mu * ng) + mu * abs(c))
+    if len(faces) == 2:
+        (nb1, ng1, c1), (nb2, ng2, c2) = faces
+        det = nb1 * ng2 - nb2 * ng1
+        mu1 = (Gb * ng2 - Gg * nb2) / det
+        mu2 = (nb1 * Gg - ng1 * Gb) / det
+        if mu1 >= 0.0 and mu2 >= 0.0:
+            best = min(best, mu1 * abs(c1) + mu2 * abs(c2))
+    return best
+
+
+def _solve_canonical(m, a, b, D, pa, pb, P, tol, max_steps):
+    """Damped active-set Newton on the problem in canonical form.
+
+    Class A's orthogonal eigenvalue is pinned at zero and alpha is its
+    along one; beta and gamma are class B's along and orthogonal ones.
+    m = d - 1, a and b are the classes' floored variances, D the squared
+    mean gap and pa, pb the class weights.  The power equation gives
+    alpha = (P - pb (beta + m gamma)) / pa, so with q_alpha = alpha + a,
+    q_beta = beta + b and q_gamma = gamma + b the objective is
+
+        m (q_gamma / a + a / q_gamma) + (q_beta + D) / q_alpha + (q_alpha + D) / q_beta
+
+    on the triangle gamma >= 0, gamma <= beta, alpha >= 0.  Each step is
+    the best descent among Newton steps in the working set's faces or
+    with faces dropped, cut at the first face it would cross.  Returns
+    (alpha, beta, gamma, steps, residual).
     """
-    wi = w[i]
-    wj = w[j]
-    r = wi / wj
-    # along the move, lam[k] = c[k] + s[k] t
-    c = list(lam)
-    c[i] = 0.0
-    c[j] = R / wj
-    s = [0.0, 0.0, 0.0, 0.0]
-    s[i] = 1.0
-    s[j] = -r
-    sa, sy, sb, sx = s
-    # feasible t: t >= 0, lam[j] >= 0, lam[1] <= lam[0] and lam[3] <= lam[2]
-    lo = 0.0
-    hi = R / wi
-    for alpha, beta in ((sy - sa, c[1] - c[0]), (sx - sb, c[3] - c[2])):
-        if alpha > 0.0:
-            hi = min(hi, -beta / alpha)
-        elif alpha < 0.0:
-            lo = max(lo, -beta / alpha)
-    t = lo
-    if hi > lo:
-        dm1 = d - 1.0
-        off_i = v if i < 2 else u
-        off_j = v if j < 2 else u
-        q = [lam[0] + v, lam[1] + v, lam[2] + u, lam[3] + u]
-        width = hi - lo
-        t = lam[i]
-        t = lo if t < lo else hi if t > hi else t
-        # the sign bracket f'(left) < 0 < f'(right); while an end of it
-        # is still an end of the segment, f' there is not yet known
-        left = lo
-        right = hi
-        left_open = t > lo
-        right_open = t < hi
-        probe = False
-        for _ in range(_MAX_STEPS):
-            lj = (R - wi * t) / wj
-            q[i] = t + off_i
-            q[j] = (0.0 if lj < 0.0 else lj) + off_j
-            qa, qy, qb, qx = q  # l11 + v, l21 + v, l10 + u, l20 + u
-            ia = 1.0 / qa
-            ib = 1.0 / qb
-            ixy = 1.0 / (qx * qy)
-            cxy = sx * qy - qx * sy
-            ga = (sb * qa - (qb + dsq) * sa) * ia * ia  # d/dt (qb + dsq) / qa
-            gb = (sa * qb - (qa + dsq) * sb) * ib * ib  # d/dt (qa + dsq) / qb
-            # f' and f''/2; d/dt (qx / qy + qy / qx) = cxy (qx^2 - qy^2) / (qx qy)^2
-            fp = dm1 * cxy * (qx - qy) * (qx + qy) * ixy * ixy + ga + gb
-            fpp = (
-                dm1 * cxy * (sx / (qx * qx * qx) - sy / (qy * qy * qy))
-                - ga * sa * ia
-                - gb * sb * ib
-            )
-            if fp > 0.0:
-                if t == lo:
-                    break
-                right = t
-                right_open = False
-            elif fp < 0.0:
-                if t == hi:
-                    break
-                left = t
-                left_open = False
-            else:
-                break
-            # q[i] and q[j] / r are the distances to where l_i + floor
-            # and l_j + floor would reach zero
-            scale = q[j] / r
-            if q[i] < scale:
-                scale = q[i]
-            if width < scale:
-                scale = width
-            # a probed end that holds no minimum bisects
-            tn = t - 0.5 * fp / fpp if fpp > 0.0 and not probe else math.nan
-            probe = False
-            if -_NEWTON_TOL * scale <= tn - t <= _NEWTON_TOL * scale:
-                # the next step would be about this one's square
-                t = left if tn < left else right if tn > right else tn
-                break
-            if not left < tn < right:
-                if tn >= right and right_open:
-                    probe = True
-                    tn = right
-                elif tn <= left and left_open:
-                    probe = True
-                    tn = left
-                else:
-                    tn = 0.5 * (left + right)
-                    if tn - left <= _BISECT_TOL * scale:
-                        t = tn
-                        break
-            t = tn
-    lam[i] = t
-    lj = (R - wi * t) / wj
-    lam[j] = 0.0 if lj < 0.0 else lj
-
-
-def _solve_lambdas(d, u, v, dsq, p, P, tol, max_sweeps, pin_pos):
-    """Coordinate descent on the power hyperplane.
-
-    One orthogonal eigenvalue is pinned to zero (lam[1] when pin_pos,
-    else lam[3]); the remaining variables are swept in round-robin: fix
-    one, line-search the other two along the feasible segment of the
-    hyperplane p*l11 + p(d-1)*l21 + (1-p)*l10 + (1-p)(d-1)*l20 = P.
-
-    Returns (lam[4], objective, converged, sweeps_used).
-    """
-    lam = [0.0, 0.0, 0.0, 0.0]
-    w = (p, p * (d - 1.0), 1.0 - p, (1.0 - p) * (d - 1.0))
-
     if P <= 0.0:
-        return lam, _objective4(0.0, 0.0, 0.0, 0.0, d, u, v, dsq), True, 0
+        return 0.0, 0.0, 0.0, 0, 0.0
+    k = pb / pa
+    top = P / pb  # beta + m gamma at alpha = 0
+    gap = a - b  # the gamma at which the orthogonal term is least
+    # the gradient of each face's slack: gamma, beta - gamma and alpha
+    normal = {_G0: (0.0, 1.0), _GB: (1.0, -1.0), _A0: (-k, -k * m)}
+    fixed = _G0 if m == 0.0 else 0  # at d = 1 gamma has no weight and no term
+    # start inside the triangle: gamma at the orthogonal term's least
+    # value if it takes at most a quarter of the budget, and beta at equal
+    # q_alpha and q_beta if that leaves alpha and beta a tenth of the rest
+    gamma = 0.0 if fixed or gap <= 0.0 else min(gap, top / (2.0 * m + 4.0))
+    rest = top - m * gamma
+    beta = min(max(pb * rest + pa * gap, 0.1 * rest), 0.9 * rest)
+    work = fixed if gamma else _G0
+    steps = 0
+    while True:
+        slack_a = (P - pb * (beta + m * gamma)) / pa
+        alpha = slack_a if slack_a > 0.0 else 0.0
+        qa, qb, qg = alpha + a, beta + b, gamma + b
+        ia, ib, ig = 1.0 / qa, 1.0 / qb, 1.0 / qg
+        ea = (qb + D) * ia
+        eb = (qa + D) * ib
+        ha = ib - ea * ia  # d/dq_alpha of the two ratio terms
+        haa = 2.0 * ea * ia * ia
+        hab = -(ia * ia + ib * ib)
+        e0 = gamma - gap  # q_gamma - a, without cancellation
+        gB = ia - eb * ib - k * ha
+        gG = m * (e0 * (qg + a) * ig * ig / a - k * ha)
+        Hbb = 2.0 * eb * ib * ib - 2.0 * k * hab + k * k * haa
+        Hbg = k * m * (k * haa - hab)
+        Hgg = m * (2.0 * a * ig * ig * ig + k * k * m * haa)
+        faces = ((_G0, gamma, qg), (_GB, beta - gamma, qb), (_A0, slack_a, qa))
 
-    if d == 1.0:
-        # orthogonal eigenvalues have zero power weight and no objective
-        # term; the problem is a single segment over (lam[0], lam[2])
-        lam[0] = P / (2.0 * w[0])
-        lam[2] = P / (2.0 * w[2])
-        _line_min(lam, 0, 2, w, P, d, u, v, dsq)
-        return lam, _objective4(*lam, d, u, v, dsq), True, 1
+        # the residual scales each gradient component by the sum of its
+        # terms' magnitudes, the most that rounding lets it resolve, and
+        # each face's slack by the q it moves
+        ka = k * (ib + ea * ia)
+        rb = 1.0 / (ia + eb * ib + ka)
+        rg = 1.0 / (m * (1.0 / a + a * ig * ig + ka)) if m else 1.0
+        active = []
+        for face, slack, q in faces:
+            if work & face:
+                nb, ng = normal[face]
+                norm = math.hypot(nb * rb, ng * rg)
+                active.append((nb * rb / norm, ng * rg / norm, slack / q))
+        residual = _kkt_residual(gB * rb, gG * rg, active)
+        if residual <= tol or steps == max_steps:
+            return alpha, beta, gamma, steps, residual
 
-    free = (0, 2, 3) if pin_pos else (0, 1, 2)
-    # (fixed, i, j) per step of a sweep; free is ascending, so i < j
-    moves = tuple((k, *(m for m in free if m != k)) for k in free)
-    for k in free:
-        lam[k] = (P / 3.0) / w[k]
+        # a step moves in one face of the working set or in none, and
+        # keeps the fixed face
+        best, gp = None, 0.0
+        for keep in (_G0, _GB, _A0, 0):
+            if keep & work != keep or keep & fixed != fixed:
+                continue
+            if keep:  # Newton along the face
+                tg, tb = normal[keep]
+                tb = -tb
+                s = -(gB * tb + gG * tg) / (Hbb * tb * tb + 2.0 * Hbg * tb * tg + Hgg * tg * tg)
+                sb, sg = s * tb, s * tg
+            else:  # Newton on |H|, in Jacobi-scaled coordinates
+                jb, jg = math.sqrt(Hbb), math.sqrt(Hgg)
+                rho = Hbg / (jb * jg)  # eigenvalues 1 + rho, 1 - rho
+                c1 = 0.5 * (gB / jb + gG / jg) / max(abs(1.0 + rho), _EIG_FLOOR)
+                c2 = 0.5 * (gB / jb - gG / jg) / max(abs(1.0 - rho), _EIG_FLOOR)
+                sb, sg = -(c1 + c2) / jb, -(c1 - c2) / jg
+            descent = gB * sb + gG * sg
+            inward = all(
+                normal[face][0] * sb + normal[face][1] * sg > 0.0
+                for face in (_G0, _GB, _A0)
+                if work & face and not keep & face
+            )
+            if descent < gp and inward:
+                best, gp = (keep, sb, sg), descent
+        if best is None:
+            return alpha, beta, gamma, steps, residual
+        keep, sb, sg = best
 
-    prev = _objective4(*lam, d, u, v, dsq)
-    converged = False
-    sweeps = 0
-    for _ in range(max_sweeps):
-        sweeps += 1
-        for f_idx, i, j in moves:
-            R = P - w[f_idx] * lam[f_idx]
-            if R < 0.0:
-                R = 0.0
-            _line_min(lam, i, j, w, R, d, u, v, dsq)
-        cur = _objective4(*lam, d, u, v, dsq)
-        if prev - cur <= tol * max(abs(prev), 1e-300):
-            converged = True
-            break
-        prev = cur
+        t, block = 1.0, 0  # cut at the first face the step would cross
+        for face, slack, _ in faces:
+            rate = normal[face][0] * sb + normal[face][1] * sg
+            if not keep & face and rate < 0.0:
+                reach = (slack if slack > 0.0 else 0.0) / -rate
+                if reach <= t:
+                    t, block = reach, face
 
-    # land exactly on the hyperplane: absorb float drift into the
-    # free variable carrying the most power
-    drift = P - (w[0] * lam[0] + w[1] * lam[1] + w[2] * lam[2] + w[3] * lam[3])
-    best = free[0]
-    for k in free[1:]:
-        if w[k] * lam[k] > w[best] * lam[best]:
-            best = k
-    lam[best] = max(lam[best] + drift / w[best], 0.0)
+        # backtrack to Armijo's condition on the exact objective along the
+        # straight step.  Each ratio term's change is formed from the
+        # changes of its parts, so it resolves decreases far below the
+        # objective's rounding, which the point stored on its faces blurs.
+        for _ in range(_MAX_HALVINGS):
+            dB, dG = t * sb, t * sg
+            dA = -k * (dB + m * dG)
+            qa2 = max(qa + dA, a)  # a face the step ends on can round past
+            qb2 = max(qb + dB, b)
+            qg2 = max(qg + dG, b)
+            change = (
+                m * dG * (e0 * qg2 + a * (e0 + dG)) / (a * qg * qg2)
+                + (dB * qa - (qb + D) * dA) / (qa * qa2)
+                + (dA * qb - (qa + D) * dB) / (qb * qb2)
+            )
+            if change <= _ARMIJO * t * gp:
+                break
+            t *= 0.5
+            block = 0
+        else:
+            return alpha, beta, gamma, steps, residual
+        beta, gamma = _snap(keep | block, beta + dB, gamma + dG, top, m)
+        work = keep | block
+        steps += 1
 
-    return lam, _objective4(*lam, d, u, v, dsq), converged, sweeps
+
+def _solve_lambdas(d, u, v, dsq, p, P, tol, max_steps, pin_pos):
+    """(lam, steps, residual) with lam[1] pinned at zero when pin_pos,
+    else lam[3]: the pinned class is _solve_canonical's class A."""
+    if pin_pos:
+        alpha, beta, gamma, steps, res = _solve_canonical(d - 1.0, v, u, dsq, p, 1.0 - p, P, tol, max_steps)
+        return (alpha, 0.0, beta, gamma), steps, res
+    alpha, beta, gamma, steps, res = _solve_canonical(d - 1.0, u, v, dsq, 1.0 - p, p, P, tol, max_steps)
+    return (beta, gamma, alpha, 0.0), steps, res
 
 
 def solve(stats: BatchStats, P: float, settings: SolverSettings = SolverSettings()) -> LambdaSolution:
     """Minimize the objective over the power hyperplane.
 
     Applies the zero rule for the orthogonal eigenvalue (positive class
-    when u < v, negative otherwise), restricts to the active power
-    constraint, and coordinate-descends with exact Newton line
-    searches until the per-sweep relative decrease drops below
-    settings.tol or settings.max_sweeps sweeps are spent.  The descent
-    runs on plain Python floats (see the module docstring); there is
-    no other solver path.
+    when u < v, negative otherwise), swaps the classes so the pinned one
+    is class A of _solve_canonical, and runs its Newton solve until the
+    KKT residual is at most settings.tol or settings.max_sweeps Newton
+    steps are spent.  There is no other solver path.
     """
+    for name, x in (("P", P), ("u", stats.u), ("v", stats.v), ("delta_norm_sq", stats.delta_norm_sq)):
+        if not math.isfinite(x):
+            raise ValueError(f"{name} must be finite, got {x!r}")
     if P < 0:
         raise ValueError(f"P must be >= 0, got {P!r}")
-    if not 0.0 < stats.p < 1.0:
+    p = float(stats.p)
+    if not 0.0 < p < 1.0:
         raise ValueError(f"positive fraction must be in (0, 1), got {stats.p!r}")
-    pin_pos = stats.u < stats.v  # pins lam2_pos; else lam2_neg
-    lam, obj, converged, sweeps = _solve_lambdas(
-        float(stats.d),
-        float(max(stats.u, VARIANCE_FLOOR)),
-        float(max(stats.v, VARIANCE_FLOOR)),
-        float(stats.delta_norm_sq),
-        float(stats.p),
-        float(P),
-        float(settings.tol),
-        int(settings.max_sweeps),
-        bool(pin_pos),
+    u = float(max(stats.u, VARIANCE_FLOOR))
+    v = float(max(stats.v, VARIANCE_FLOOR))
+    lam, steps, residual = _solve_lambdas(
+        float(stats.d), u, v, float(stats.delta_norm_sq), p, float(P),
+        float(settings.tol), int(settings.max_sweeps), stats.u < stats.v,
     )
-    lam1_pos, lam2_pos, lam1_neg, lam2_neg = lam
-    return LambdaSolution(lam1_pos, lam2_pos, lam1_neg, lam2_neg, obj, converged, sweeps)
+    return LambdaSolution(*lam, objective(lam, stats), residual <= settings.tol, steps, residual)
 
 
 def build_covariances(sol: LambdaSolution, stats: BatchStats):

@@ -105,9 +105,10 @@ def perturb_marvell(
 
     Fits batch statistics, solves the eigenvalue problem at power
     P = s ||delta_g||^2, and perturbs each class with its optimal
-    covariance.  Single-class batches (or a zero class-mean gap) fall
-    back to pass-through and are flagged; the harness keeps such
-    batches rare.
+    covariance.  A single-class batch (or a zero class-mean gap) is
+    passed through unperturbed and flagged as a fallback.  That is not
+    rare at small batch sizes: a B=16 batch at a 10% positive rate
+    holds one class about a fifth of the time.
     """
     if not (math.isfinite(s) and s > 0):
         raise ValueError(f"s must be finite and > 0, got {s!r}")

@@ -8,9 +8,9 @@ A second section keeps earlier, plainer forms of hot-path functions
 (the np.unique midrank AUC, the out-of-place Adam step and the
 per-array SGD step, the batch statistics with their repeated copies).
 The package's faster forms must equal them bit for bit.  It also keeps
-marvell's earlier golden-section solver, which evaluates the whole
-objective at every point; the package's Newton line search must reach
-its objective or better.
+marvell's earlier solver: a coordinate descent whose golden-section
+line searches evaluate the whole objective at every point.  The
+package's Newton solve must reach its objective or better.
 
 The last section holds gradient helpers that tests use but the package
 does not.  They are built from the package's own backward passes, so
@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from splitsim.marvell import BatchStats, _objective4
+from splitsim.marvell import BatchStats
 from splitsim.model import _backward_layers, backprop_nonlabel, label_party_gradients
 
 
@@ -216,6 +216,15 @@ class PerArraySGD:
             layer.b -= self.lr * db
 
 
+def _objective4(l11, l21, l10, l20, d, u, v, dsq):
+    """marvell's ratio objective with floored variances u, v."""
+    return (
+        (d - 1.0) * ((l20 + u) / (l21 + v) + (l21 + v) / (l20 + u))
+        + (l10 + u + dsq) / (l11 + v)
+        + (l11 + v + dsq) / (l10 + u)
+    )
+
+
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 # rows gamma of the eigenvalue-ordering constraints gamma . lam <= 0,
@@ -244,24 +253,18 @@ def _segment_bounds(lam, i, j, w, R):
     return lo, hi
 
 
-def closure_line_min(lam, i, j, w, R, d, u, v, dsq, tol, seen=None):
+def closure_line_min(lam, i, j, w, R, d, u, v, dsq, tol):
     """Golden-section line search whose objective closure writes lam[i]
-    and lam[j] and evaluates every term at each point.  `seen`, when
-    given, collects each move (i, j) searched and "empty" for every
-    empty segment."""
+    and lam[j] and evaluates every term at each point."""
     lo, hi = _segment_bounds(lam, i, j, w, R)
     wi = w[i]
     wj = w[j]
     if hi <= lo:
-        if seen is not None:
-            seen.add("empty")
         t = max(lo, min(hi, lo))
         lam[i] = t
         lj = (R - wi * t) / wj
         lam[j] = 0.0 if lj < 0.0 else lj
         return
-    if seen is not None:
-        seen.add((i, j))
     dm1 = d - 1.0
 
     def f(t):
@@ -300,9 +303,11 @@ def closure_line_min(lam, i, j, w, R, d, u, v, dsq, tol, seen=None):
     lam[j] = 0.0 if lj < 0.0 else lj
 
 
-def closure_solve_lambdas(d, u, v, dsq, p, P, tol, max_sweeps, pin_pos, seen=None):
-    """marvell._solve_lambdas with golden-section line searches
-    (closure_line_min): (lam[4], objective, converged, sweeps_used)."""
+def closure_solve_lambdas(d, u, v, dsq, p, P, tol, max_sweeps, pin_pos):
+    """marvell's earlier coordinate descent on the power hyperplane with
+    golden-section line searches (closure_line_min): lam[1] is pinned at
+    zero when pin_pos, else lam[3].  Returns (lam[4], objective,
+    converged, sweeps_used)."""
     lam = [0.0, 0.0, 0.0, 0.0]
     w = (p, p * (d - 1.0), 1.0 - p, (1.0 - p) * (d - 1.0))
 
@@ -312,7 +317,7 @@ def closure_solve_lambdas(d, u, v, dsq, p, P, tol, max_sweeps, pin_pos, seen=Non
     if d == 1.0:
         lam[0] = P / (2.0 * w[0])
         lam[2] = P / (2.0 * w[2])
-        closure_line_min(lam, 0, 2, w, P, d, u, v, dsq, tol, seen)
+        closure_line_min(lam, 0, 2, w, P, d, u, v, dsq, tol)
         return lam, _objective4(*lam, d, u, v, dsq), True, 1
 
     free = (0, 2, 3) if pin_pos else (0, 1, 2)
@@ -329,7 +334,7 @@ def closure_solve_lambdas(d, u, v, dsq, p, P, tol, max_sweeps, pin_pos, seen=Non
             R = P - w[f_idx] * lam[f_idx]
             if R < 0.0:
                 R = 0.0
-            closure_line_min(lam, i, j, w, R, d, u, v, dsq, tol, seen)
+            closure_line_min(lam, i, j, w, R, d, u, v, dsq, tol)
         cur = _objective4(*lam, d, u, v, dsq)
         if prev - cur <= tol * max(abs(prev), 1e-300):
             converged = True
