@@ -215,8 +215,9 @@ def _solve_canonical(m, a, b, D, pa, pb, P, tol, max_steps):
     normal = {_G0: (0.0, 1.0), _GB: (1.0, -1.0), _A0: (-k, -k * m)}
     fixed = _G0 if m == 0.0 else 0  # at d = 1 gamma has no weight and no term
     # start inside the triangle: gamma at the orthogonal term's least
-    # value if it takes at most a quarter of the budget, and beta at equal
-    # q_alpha and q_beta if that leaves alpha and beta a tenth of the rest
+    # value, capped below half the budget and below beta, and beta at
+    # equal q_alpha and q_beta if that leaves alpha and beta a tenth of
+    # the rest
     gamma = 0.0 if fixed or gap <= 0.0 else min(gap, top / (2.0 * m + 4.0))
     rest = top - m * gamma
     beta = min(max(pb * rest + pa * gap, 0.1 * rest), 0.9 * rest)
