@@ -1,14 +1,13 @@
 """Adversarial scoring of communicated gradients and the leak-AUC metric.
 
-A scoring function maps a per-example gradient row to a real score; the
-leak AUC is the ROC AUC of those scores against the hidden labels,
-evaluated per batch.  0.5 means the scorer learns nothing, 1.0 means the
-labels are fully recovered.
+An attack maps each per-example gradient row to a real score: its norm,
+or its cosine with an oracle clean positive row.  The leak AUC is the
+ROC AUC of those scores against the hidden labels, evaluated per batch.
+0.5 means the attack learns nothing, 1.0 means the labels are fully
+recovered.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,8 +15,6 @@ __all__ = [
     "UndefinedAUCError",
     "roc_auc",
     "select_oracle_positive",
-    "NormScorer",
-    "CosineScorer",
     "leak_auc",
     "quantile",
 ]
@@ -67,47 +64,28 @@ def select_oracle_positive(labels: np.ndarray, rng: np.random.Generator) -> int:
     return int(pos_idx[rng.integers(0, pos_idx.size)])
 
 
-# A scorer's `scores(gradients, norms)` takes the rows' L2 norms,
-# np.linalg.norm(gradients, axis=1), computed once per received matrix
-# and shared by every scorer of it.
-
-
-@dataclass(frozen=True)
-class NormScorer:
-    """Norm attack: score = ||g||_2."""
-
-    def scores(self, gradients: np.ndarray, norms: np.ndarray) -> np.ndarray:
-        return norms
-
-
-@dataclass(frozen=True)
-class CosineScorer:
-    """Direction attack with an oracle clean positive gradient.
-
-    Zero-norm rows score 0 (uninformative) rather than erroring out.
+def leak_auc(
+    gradients: np.ndarray, labels: np.ndarray, norms: np.ndarray, oracle: np.ndarray | None = None
+) -> float:
+    """ROC AUC of one attack's scores on a (possibly perturbed) gradient
+    batch.  `norms` are the rows' L2 norms, computed once per received
+    matrix.  Without an oracle the scores are the norms (norm attack);
+    with one, a clean positive row, they are the rows' cosines with it
+    (direction attack), and a zero-norm row scores 0 (uninformative)
+    rather than erroring out.
     """
-
-    g_plus: np.ndarray
-
-    def scores(self, gradients: np.ndarray, norms: np.ndarray) -> np.ndarray:
-        np_ = np.linalg.norm(self.g_plus)
-        if np_ == 0.0:
-            raise ValueError("oracle gradient must be nonzero")
-        nz = norms > 0.0
-        if nz.all():
-            return (gradients @ self.g_plus) / (norms * np_)
-        out = np.zeros(gradients.shape[0])
-        out[nz] = (gradients[nz] @ self.g_plus) / (norms[nz] * np_)
-        return out
-
-
-def leak_auc(gradients: np.ndarray, labels: np.ndarray, scorer, norms: np.ndarray) -> float:
-    """ROC AUC of the scorer applied rowwise to a gradient batch.
-
-    The scorer sees the (possibly perturbed) gradients and their row
-    norms; a cosine scorer's oracle must come from the clean ones.
-    """
-    return roc_auc(scorer.scores(gradients, norms), labels)
+    if oracle is None:
+        return roc_auc(norms, labels)
+    oracle_norm = np.linalg.norm(oracle)
+    if oracle_norm == 0.0:
+        raise ValueError("oracle gradient must be nonzero")
+    nz = norms > 0.0
+    if nz.all():
+        scores = (gradients @ oracle) / (norms * oracle_norm)
+    else:
+        scores = np.zeros(gradients.shape[0])
+        scores[nz] = (gradients[nz] @ oracle) / (norms[nz] * oracle_norm)
+    return roc_auc(scores, labels)
 
 
 def quantile(series, q: float) -> float:

@@ -5,8 +5,10 @@ its own values when it is built, in Python or by `config_from_dict`.
 
 Determinism contract: a run is a pure function of its config (seed
 included).  Five independent RNG streams are derived from the seed
-(data, init, batching, mechanism noise, attack oracle choice) so that
-toggling the attack evaluation can never shift the defense noise.
+(data, init, batching, mechanism noise, attack oracle choice).  The
+oracle draws happen only on mixed batches, so they take a stream of
+their own: drawn from the noise stream, they would shift every later
+batch's noise by a count that depends on the batch composition.
 """
 
 from __future__ import annotations
@@ -21,15 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import data as data_mod
-from .attacks import (
-    CosineScorer,
-    NormScorer,
-    UndefinedAUCError,
-    leak_auc,
-    quantile,
-    roc_auc,
-    select_oracle_positive,
-)
+from .attacks import UndefinedAUCError, leak_auc, quantile, roc_auc, select_oracle_positive
 from .model import (
     ACTIVATIONS,
     Adam,
@@ -341,21 +335,17 @@ def train_run(config: ExperimentConfig) -> RunRecord:
         f_grads, pert_first = backprop_nonlabel(net, state, outcome.perturbed)
 
         n_pos = int((y_b == 1).sum())
-        mixed = 0 < n_pos < y_b.shape[0]
-        norm_cut = cos_cut = norm_first = cos_first = None
-        if mixed:
-            norms_cut = np.linalg.norm(outcome.perturbed, axis=1)
-            norms_first = np.linalg.norm(pert_first, axis=1)
-            norm_cut = leak_auc(outcome.perturbed, y_b, NormScorer(), norms_cut)
-            norm_first = leak_auc(pert_first, y_b, NormScorer(), norms_first)
-            j_cut = select_oracle_positive(y_b, attack_rng)
-            j_first = select_oracle_positive(y_b, attack_rng)
-            g_plus_cut = clean_cut[j_cut]
-            g_plus_first = first_layer_gradient_row(net, state, j_first, clean_cut[j_first])
-            if np.linalg.norm(g_plus_cut) > 0:
-                cos_cut = leak_auc(outcome.perturbed, y_b, CosineScorer(g_plus_cut), norms_cut)
-            if np.linalg.norm(g_plus_first) > 0:
-                cos_first = leak_auc(pert_first, y_b, CosineScorer(g_plus_first), norms_first)
+        leaks = dict.fromkeys(LEAK_SERIES)
+        if 0 < n_pos < y_b.shape[0]:
+            for layer, received in (("cut", outcome.perturbed), ("first", pert_first)):
+                norms = np.linalg.norm(received, axis=1)
+                leaks[f"norm_{layer}"] = leak_auc(received, y_b, norms)
+                j = select_oracle_positive(y_b, attack_rng)
+                oracle = clean_cut[j]
+                if layer == "first":
+                    oracle = first_layer_gradient_row(state, j, oracle)
+                if np.linalg.norm(oracle) > 0:
+                    leaks[f"cos_{layer}"] = leak_auc(received, y_b, norms, oracle)
 
         apply_update(net, f_grads, h_grads, optimizer)
 
@@ -364,10 +354,7 @@ def train_run(config: ExperimentConfig) -> RunRecord:
             IterationRow(
                 iteration=it,
                 train_loss=train_loss,
-                norm_cut=norm_cut,
-                cos_cut=cos_cut,
-                norm_first=norm_first,
-                cos_first=cos_first,
+                **leaks,
                 sum_kl=cert.sum_kl if cert is not None else None,
                 auc_bound=cert.auc_bound if cert is not None else None,
                 noise_power=outcome.noise_power,
@@ -458,7 +445,8 @@ def sweep(
 
     Failures are recorded (status=failed) and the sweep continues.
     Writes each run's run.csv/summary.csv in a subdirectory plus one
-    tradeoff.csv at the top.
+    tradeoff.csv at the top.  A grid that repeats a value is a
+    ConfigError, and each value names its own subdirectory.
     """
     name = HYPERPARAMETERS.get(kind)
     if name is None and grid:
@@ -466,6 +454,8 @@ def sweep(
     if name is not None and not grid:
         raise ConfigError(f"mechanism {kind!r} requires a nonempty grid")
     values = sorted(float(v) for v in grid)
+    if len(set(values)) < len(values):
+        raise ConfigError(f"grid repeats a value: {values}")
     settings = [{}] if name is None else [{name: value} for value in values]
     try:
         mechs = [MechanismConfig(kind=kind, **setting) for setting in settings]
@@ -476,7 +466,10 @@ def sweep(
 
     points: list[TradeoffPoint] = []
     for mech in mechs:
-        sub = kind if mech.param is None else f"{kind}_{mech.param:g}"
+        sub = kind
+        if mech.param is not None:  # %g unless it would merge distinct values
+            short = f"{mech.param:g}"
+            sub += "_" + (short if float(short) == mech.param else repr(mech.param))
         try:
             record = run_to_dir(dataclasses.replace(base, mechanism=mech), out_dir / sub)
         except Exception as exc:  # keep sweeping, mark the failure

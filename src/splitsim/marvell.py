@@ -41,10 +41,6 @@ _MAX_HALVINGS = 60
 _EIG_FLOOR = 1e-6
 
 
-class SingleClassBatchError(ValueError):
-    """Batch statistics need both classes present."""
-
-
 @dataclass(frozen=True)
 class BatchStats:
     """MLE-fitted class-conditional spherical Gaussian parameters."""
@@ -109,7 +105,7 @@ def estimate_stats(g: np.ndarray, labels: np.ndarray) -> BatchStats:
     n_pos = int(pos.sum())
     n_neg = B - n_pos
     if n_pos == 0 or n_neg == 0:
-        raise SingleClassBatchError("both classes must be present")
+        raise ValueError("both classes must be present")
     g_pos = g[pos]  # boolean indexing copies, so both are ours to overwrite
     g_neg = g[~pos]
     pos_mean = g_pos.mean(axis=0)

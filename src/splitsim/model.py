@@ -15,32 +15,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-ACTIVATIONS = ("relu", "sigmoid", "tanh", "identity")
-
-
-def _act(name: str, z: np.ndarray) -> np.ndarray:
-    if name == "relu":
-        return np.maximum(z, 0.0)
-    if name == "sigmoid":
-        return 1.0 / (1.0 + np.exp(-z))
-    if name == "tanh":
-        return np.tanh(z)
-    if name == "identity":
-        return z
-    raise ValueError(f"unknown activation {name!r}")
-
-
-def _act_grad(name: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
-    # a is the cached activation output for z; avoids recomputing sigmoids
-    if name == "relu":
-        return (z > 0.0).astype(np.float64)
-    if name == "sigmoid":
-        return a * (1.0 - a)
-    if name == "tanh":
-        return 1.0 - a * a
-    if name == "identity":
-        return np.ones_like(z)
-    raise ValueError(f"unknown activation {name!r}")
+# name -> (function, derivative in terms of the function's output a):
+# no derivative reads the pre-activation, so the forward pass keeps
+# only the activations.  For relu, a > 0 exactly where z > 0.
+ACTIVATIONS = {
+    "relu": (lambda z: np.maximum(z, 0.0), lambda a: (a > 0.0).astype(np.float64)),
+    "sigmoid": (lambda z: 1.0 / (1.0 + np.exp(-z)), lambda a: a * (1.0 - a)),
+    "tanh": (np.tanh, lambda a: 1.0 - a * a),
+    "identity": (lambda z: z, np.ones_like),
+}
 
 
 @dataclass(frozen=True)
@@ -151,9 +134,7 @@ class ForwardState:
 
     net: SplitNet
     X: np.ndarray
-    f_pre: list[np.ndarray]  # pre-activations z per f layer
     f_act: list[np.ndarray]  # activations a per f layer; f_act[-1] = cut features
-    h_pre: list[np.ndarray]
     h_act: list[np.ndarray]
     logits: np.ndarray  # (B,)
     probs: np.ndarray  # sigmoid(logits)
@@ -163,15 +144,13 @@ class ForwardState:
         return self.f_act[-1]
 
 
-def _forward_layers(layers: list[Layer], x: np.ndarray):
-    pres, acts = [], []
+def _forward_layers(layers: list[Layer], x: np.ndarray) -> list[np.ndarray]:
+    acts = []
     a = x
     for layer in layers:
-        z = a @ layer.W + layer.b
-        a = _act(layer.spec.activation, z)
-        pres.append(z)
+        a = ACTIVATIONS[layer.spec.activation][0](a @ layer.W + layer.b)
         acts.append(a)
-    return pres, acts
+    return acts
 
 
 def forward(net: SplitNet, X: np.ndarray) -> ForwardState:
@@ -179,11 +158,11 @@ def forward(net: SplitNet, X: np.ndarray) -> ForwardState:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != net.in_dim:
         raise ValueError(f"X must be (B, {net.in_dim}), got {X.shape}")
-    f_pre, f_act = _forward_layers(net.f_layers, X)
-    h_pre, h_act = _forward_layers(net.h_layers, f_act[-1])
+    f_act = _forward_layers(net.f_layers, X)
+    h_act = _forward_layers(net.h_layers, f_act[-1])
     logits = h_act[-1][:, 0]
     probs = 1.0 / (1.0 + np.exp(-logits))
-    return ForwardState(net, X, f_pre, f_act, h_pre, h_act, logits, probs)
+    return ForwardState(net, X, f_act, h_act, logits, probs)
 
 
 def logistic_loss(logit, y):
@@ -197,7 +176,7 @@ def logistic_loss(logit, y):
     return float(out) if out.ndim == 0 else out
 
 
-def _backward_layers(layers, pres, acts, input_act, delta, to_input=True):
+def _backward_layers(layers, acts, input_act, delta, to_input=True):
     """Propagate upstream gradient `delta` (w.r.t. the final activation)
     back through `layers`; returns (param_grad_sums, delta), where delta
     is taken at the input of `layers` or, with to_input=False, at the
@@ -209,7 +188,7 @@ def _backward_layers(layers, pres, acts, input_act, delta, to_input=True):
     param_grads = [None] * len(layers)
     for k in range(len(layers) - 1, -1, -1):
         layer = layers[k]
-        dz = delta * _act_grad(layer.spec.activation, pres[k], acts[k])
+        dz = delta * ACTIVATIONS[layer.spec.activation][1](acts[k])
         prev_act = acts[k - 1] if k > 0 else input_act
         dW = prev_act.T @ dz
         db = dz.sum(axis=0)
@@ -229,7 +208,7 @@ def label_party_gradients(state: ForwardState, y: np.ndarray):
     B = y.shape[0]
     upstream = (state.probs - y)[:, None]
     param_sums, delta = _backward_layers(
-        state.net.h_layers, state.h_pre, state.h_act, state.cut_features, upstream
+        state.net.h_layers, state.h_act, state.cut_features, upstream
     )
     h_param_grads = [(dW / B, db / B) for dW, db in param_sums]
     return delta, h_param_grads
@@ -249,24 +228,20 @@ def backprop_nonlabel(net: SplitNet, state: ForwardState, received: np.ndarray):
     if received.shape != (B, d):
         raise ValueError(f"received must be {(B, d)}, got {received.shape}")
     param_sums, first_layer_grads = _backward_layers(
-        net.f_layers, state.f_pre, state.f_act, state.X, received, to_input=False
+        net.f_layers, state.f_act, state.X, received, to_input=False
     )
     f_param_grads = [(dW / B, db / B) for dW, db in param_sums]
     return f_param_grads, first_layer_grads
 
 
-def first_layer_gradient_row(
-    net: SplitNet, state: ForwardState, j: int, cut_row: np.ndarray
-) -> np.ndarray:
+def first_layer_gradient_row(state: ForwardState, j: int, cut_row: np.ndarray) -> np.ndarray:
     """Example j's gradient at the first hidden layer's activation, given
     its cut-layer gradient row: row j of backprop_nonlabel's first-layer
-    gradients, computed for that row alone."""
-    delta = np.asarray(cut_row, dtype=np.float64)
-    for k in range(len(net.f_layers) - 1, 0, -1):
-        layer = net.f_layers[k]
-        dz = delta * _act_grad(layer.spec.activation, state.f_pre[k][j], state.f_act[k][j])
-        delta = dz @ layer.W.T
-    return delta
+    gradients, computed by the same pass on row j alone."""
+    acts = [a[j : j + 1] for a in state.f_act]
+    delta = np.asarray(cut_row, dtype=np.float64)[None, :]
+    _, delta = _backward_layers(state.net.f_layers[1:], acts[1:], acts[0], delta)
+    return delta[0]
 
 
 class SGD:

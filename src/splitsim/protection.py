@@ -113,12 +113,12 @@ def perturb_marvell(
     if not (math.isfinite(s) and s > 0):
         raise ValueError(f"s must be finite and > 0, got {s!r}")
     g = np.asarray(g, dtype=np.float64)
-    labels = np.asarray(labels)
-    try:
-        stats = marvell.estimate_stats(g, labels)
-    except marvell.SingleClassBatchError:
-        return PerturbOutcome(perturbed=g.copy(), fallback=True)
-    if stats.delta_norm_sq == 0.0:
+    pos = np.asarray(labels) == 1
+    if g.ndim != 2 or pos.shape != g.shape[:1]:
+        raise ValueError("g must be (B, d) with one label per row")
+    n_pos = int(pos.sum())
+    stats = marvell.estimate_stats(g, labels) if 0 < n_pos < g.shape[0] else None
+    if stats is None or stats.delta_norm_sq == 0.0:
         return PerturbOutcome(perturbed=g.copy(), fallback=True)
 
     P = marvell.power_budget(s, stats)
@@ -127,8 +127,6 @@ def perturb_marvell(
     cert = marvell.make_certificate(sol, stats)
 
     perturbed = g.copy()
-    pos = labels == 1
-    n_pos = int(pos.sum())
     perturbed[pos] += sample_structured_gaussian_batch(pos_cov, rng, n_pos)
     perturbed[~pos] += sample_structured_gaussian_batch(neg_cov, rng, g.shape[0] - n_pos)
     return PerturbOutcome(

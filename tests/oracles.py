@@ -380,7 +380,5 @@ def compute_gradients(net, state, y):
 def h_feature_gradients(net, state):
     """Rows grad_z h(z)|_{z=f(X_j)} (upstream 1 per example)."""
     ones = np.ones((state.logits.shape[0], 1))
-    _, delta = _backward_layers(
-        net.h_layers, state.h_pre, state.h_act, state.cut_features, ones
-    )
+    _, delta = _backward_layers(net.h_layers, state.h_act, state.cut_features, ones)
     return delta

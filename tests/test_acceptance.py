@@ -22,7 +22,7 @@ from oracles import (
     grid_search_objective,
     make_stats,
 )
-from splitsim.attacks import CosineScorer, NormScorer, leak_auc, roc_auc
+from splitsim.attacks import leak_auc, roc_auc
 from splitsim.harness import DatasetConfig, ExperimentConfig, NetConfig, train_run
 from splitsim.marvell import (
     LambdaSolution,
@@ -34,6 +34,7 @@ from splitsim.marvell import (
     sum_kl,
 )
 from splitsim.model import (
+    ACTIVATIONS,
     SplitNet,
     backprop_nonlabel,
     forward,
@@ -125,10 +126,11 @@ def _relu_kink_distance(net, X) -> float:
     """Smallest |pre-activation| over relu units; the FD oracle is only
     valid when every relu evaluates well away from its kink."""
     state = forward(net, X)
+    inputs = [state.X] + state.f_act + state.h_act[:-1]  # each layer's input
     dist = np.inf
-    for layer, z in zip(net.f_layers + net.h_layers, state.f_pre + state.h_pre):
+    for layer, a in zip(net.f_layers + net.h_layers, inputs):
         if layer.spec.activation == "relu":
-            dist = min(dist, float(np.abs(z).min()))
+            dist = min(dist, float(np.abs(a @ layer.W + layer.b).min()))
     return dist
 
 
@@ -181,15 +183,13 @@ def test_c02_gradient_correctness():
         assert rel <= 1e-4, f"param gradients off by {rel} on net {trial}"
 
         # per-example cut-feature gradients
-        from splitsim.model import _act
-
         got_cut = label_party_gradients(state, y)[0]
         j = int(rng.integers(0, B))
 
         def h_loss(z):
             a = z[None, :]
             for layer in net.h_layers:
-                a = _act(layer.spec.activation, a @ layer.W + layer.b)
+                a = ACTIVATIONS[layer.spec.activation][0](a @ layer.W + layer.b)
             return float(logistic_loss(a[0, 0], y[j]))
 
         fd_cut = finite_difference_gradient(h_loss, state.cut_features[j], h=1e-5)
@@ -201,10 +201,8 @@ def test_c02_gradient_correctness():
 
         def first_layer_loss(a1):
             a = a1[None, :]
-            for layer in net.f_layers[1:]:
-                a = _act(layer.spec.activation, a @ layer.W + layer.b)
-            for layer in net.h_layers:
-                a = _act(layer.spec.activation, a @ layer.W + layer.b)
+            for layer in net.f_layers[1:] + net.h_layers:
+                a = ACTIVATIONS[layer.spec.activation][0](a @ layer.W + layer.b)
             return float(logistic_loss(a[0, 0], y[j]))
 
         fd_first = finite_difference_gradient(first_layer_loss, state.f_act[0][j], h=1e-5)
@@ -310,8 +308,8 @@ def test_c05_theorem1_empirical():
         labels = np.array([1] * n_samples + [0] * n_samples)
         g_plus = stats.pos_mean + np.sqrt(stats.v) * rng.standard_normal(d)
         norms = np.linalg.norm(g, axis=1)
-        assert leak_auc(g, labels, NormScorer(), norms) <= cert.auc_bound + 0.03
-        assert leak_auc(g, labels, CosineScorer(g_plus), norms) <= cert.auc_bound + 0.03
+        assert leak_auc(g, labels, norms) <= cert.auc_bound + 0.03
+        assert leak_auc(g, labels, norms, g_plus) <= cert.auc_bound + 0.03
     assert time.time() - start < 120.0
 
 

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from oracles import masked_cosine_scores, midrank_auc
+from splitsim import attacks
 from splitsim.attacks import (
-    CosineScorer,
-    NormScorer,
     UndefinedAUCError,
     leak_auc,
     quantile,
@@ -119,27 +118,35 @@ def test_roc_auc_nan_and_signed_zero_ties():
     assert roc_auc(np.array([-0.0, 0.0, -1.0]), labels) == 0.75
 
 
-def test_norm_score():
+def _scores(monkeypatch, gradients, oracle=None):
+    """The scores leak_auc ranks: what it hands roc_auc for `gradients`."""
+    seen = []
+    monkeypatch.setattr(attacks, "roc_auc", lambda scores, labels: seen.append(scores) or 0.5)
+    labels = np.arange(gradients.shape[0]) % 2
+    leak_auc(gradients, labels, np.linalg.norm(gradients, axis=1), oracle)
+    monkeypatch.undo()
+    return seen[0]
+
+
+def test_norm_score(monkeypatch):
     g = np.array([[3.0, 4.0, 0.0], [0.0, 0.0, 0.0], [1.0, -2.0, 0.5]])
-    scores = NormScorer().scores(g, np.linalg.norm(g, axis=1))
+    scores = _scores(monkeypatch, g)
     assert scores[0] == pytest.approx(5.0)
     assert scores[1] == 0.0
-    g2 = 2.0 * g
-    assert NormScorer().scores(g2, np.linalg.norm(g2, axis=1))[2] == pytest.approx(2.0 * scores[2])
+    assert _scores(monkeypatch, 2.0 * g)[2] == pytest.approx(2.0 * scores[2])
 
 
-def test_cosine_score():
+def test_cosine_score(monkeypatch):
     g = np.array([1.0, 2.0, -1.0])
     rows = np.vstack([g, -g, np.zeros(3)])
-    scores = CosineScorer(g).scores(rows, np.linalg.norm(rows, axis=1))
+    scores = _scores(monkeypatch, rows, g)
     assert scores[0] == pytest.approx(1.0)
     assert scores[1] == pytest.approx(-1.0)
     assert scores[2] == 0.0  # zero row: uninformative, not an error
-    e1 = np.array([[1.0, 0.0]])
-    e1_norms = np.linalg.norm(e1, axis=1)
-    assert CosineScorer(np.array([0.0, 2.0])).scores(e1, e1_norms)[0] == pytest.approx(0.0)
-    with pytest.raises(ValueError):
-        CosineScorer(np.zeros(2)).scores(e1, e1_norms)
+    e1 = np.array([[1.0, 0.0], [0.0, 0.0]])
+    assert _scores(monkeypatch, e1, np.array([0.0, 2.0]))[0] == pytest.approx(0.0)
+    with pytest.raises(ValueError, match="oracle gradient must be nonzero"):
+        leak_auc(e1, np.array([1, 0]), np.linalg.norm(e1, axis=1), np.zeros(2))
 
 
 def test_select_oracle_positive():
@@ -165,13 +172,13 @@ def test_select_oracle_positive_draws_as_choice():
     assert rng_a.random() == rng_b.random()
 
 
-def test_cosine_scores_bitwise_match_masked_copy():
+def test_cosine_scores_bitwise_match_masked_copy(monkeypatch):
     rng = make_rng(14)
     g_plus = rng.standard_normal(384)
     for zero_rows in ((), (0, 17, 255)):
         g = rng.standard_normal((256, 384))
         g[list(zero_rows)] = 0.0
-        scores = CosineScorer(g_plus).scores(g, np.linalg.norm(g, axis=1))
+        scores = _scores(monkeypatch, g, g_plus)
         assert scores.tobytes() == masked_cosine_scores(g, g_plus).tobytes()
         assert np.all(scores[list(zero_rows)] == 0.0)
 
@@ -183,7 +190,7 @@ def test_leak_auc_separated_norms():
     neg = 0.1 * rng.standard_normal((10, d))
     g = np.vstack([pos, neg])
     labels = np.array([1] * 6 + [0] * 10)
-    assert leak_auc(g, labels, NormScorer(), np.linalg.norm(g, axis=1)) == 1.0
+    assert leak_auc(g, labels, np.linalg.norm(g, axis=1)) == 1.0
 
 
 def test_leak_auc_permutation_null():
@@ -191,11 +198,11 @@ def test_leak_auc_permutation_null():
     n = 10**4
     g = rng.standard_normal((n, 4))
     labels = rng.integers(0, 2, size=n)
-    auc = leak_auc(g, labels, NormScorer(), np.linalg.norm(g, axis=1))
+    auc = leak_auc(g, labels, np.linalg.norm(g, axis=1))
     assert abs(auc - 0.5) <= 0.02
 
 
-def test_leak_auc_cosine_exact_with_linear_h():
+def test_leak_auc_cosine_exact_with_linear_h(monkeypatch):
     # pure-linear h: all h-gradients identical, so sign(prob - y) alone
     # determines the cosine and the attack is exact on a mixed batch
     rng = make_rng(7)
@@ -209,10 +216,10 @@ def test_leak_auc_cosine_exact_with_linear_h():
     state = forward(net, X)
     g = label_party_gradients(state, y)[0]
     g_plus = g[select_oracle_positive(y, make_rng(8))]
-    scores = CosineScorer(g_plus).scores(g, np.linalg.norm(g, axis=1))
+    scores = _scores(monkeypatch, g, g_plus)
     assert np.all(scores[y == 1] == pytest.approx(1.0))
     assert np.all(scores[y == 0] == pytest.approx(-1.0))
-    assert leak_auc(g, y, CosineScorer(g_plus), np.linalg.norm(g, axis=1)) == 1.0
+    assert leak_auc(g, y, np.linalg.norm(g, axis=1), g_plus) == 1.0
 
 
 def test_quantile():

@@ -189,6 +189,12 @@ def test_sweep_bad_grid_exits_2(tmp_path, capsys):
     assert rc == 2
     assert "takes no grid" in capsys.readouterr().err
     assert not (tmp_path / "sw3").exists()
+    # a value given twice would run the same point twice
+    rc = main(["sweep", "--config", str(cfg), "--mechanism", "iso",
+               "--grid", "1,0.5,1.0", "--out", str(tmp_path / "sw4")])
+    assert rc == 2
+    assert "repeats a value" in capsys.readouterr().err
+    assert not (tmp_path / "sw4").exists()
 
 
 def _read_raw_csv(path):

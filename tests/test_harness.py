@@ -207,6 +207,34 @@ def test_train_run_single_class_batches_marked_na():
     assert measured
 
 
+def test_zero_oracle_rows_keep_norms_and_skip_cosine_quantiles(tmp_path):
+    # h is one relu unit before the logit, so a positive row whose unit
+    # is dead has a zero clean gradient: drawn as the oracle, it leaves
+    # that batch's cosine attack unmeasured (NA) while the norm attack
+    # is still measured, and the cos_* quantiles skip the NA rows
+    cfg = config_from_dict({
+        "dataset": {"n": 400},
+        "net": {"hidden_dims": [4, 1], "cut_index": 1},
+        "batch_size": 32,
+        "iterations": 40,
+    })
+    record = run_to_dir(cfg, tmp_path)
+    measured = [r for r in record.rows if r.norm_cut is not None]
+    no_oracle = [r for r in measured if r.cos_cut is None]
+    assert (len(measured), len(no_oracle)) == (39, 23)
+    assert all(r.norm_first is not None for r in no_oracle)
+
+    lines = (tmp_path / "run.csv").read_text().splitlines()
+    columns = dict(zip(lines[0].split(","), zip(*(line.split(",") for line in lines[1:]))))
+    summary_lines = (tmp_path / "summary.csv").read_text().splitlines()
+    summary = dict(line.split(",", 1) for line in summary_lines)
+    assert columns["norm_cut"].count("NA") == len(record.rows) - len(measured)
+    for name in ("cos_cut", "cos_first"):
+        values = [float(v) for v in columns[name] if v != "NA"]
+        assert len(values) < len(measured)
+        assert float(summary[f"{name}_q95"]) == quantile(values, 0.95)
+
+
 def test_marvell_run_records_certificates():
     cfg = _quick_config(mechanism=MechanismConfig(kind="marvell", s=4.0), iterations=40)
     record = train_run(cfg)
@@ -305,6 +333,24 @@ def test_sweep_iso_monotone_and_sorted(tmp_path):
     assert q95[1] <= q95[0] + 1e-12
     assert (tmp_path / "iso_0.25/run.csv").exists()
     assert (tmp_path / "iso_4/run.csv").exists()
+
+
+def test_sweep_gives_close_values_their_own_directories(tmp_path):
+    # both values print as 0.5 under %g; each run keeps its own files
+    points = sweep(_quick_config(iterations=5), "iso", [0.5000002, 0.5000001], tmp_path)
+    assert [p.mechanism.param for p in points] == [0.5000001, 0.5000002]
+    assert [p.status for p in points] == ["ok", "ok"]
+    dirs = sorted(p.name for p in tmp_path.iterdir() if p.is_dir())
+    assert dirs == ["iso_0.5000001", "iso_0.5000002"]
+    for point, sub in zip(points, dirs):
+        summary = (tmp_path / sub / "summary.csv").read_text().splitlines()
+        assert summary[2] == f"param,{point.mechanism.param!r}"
+
+
+def test_sweep_rejects_repeated_grid_values(tmp_path):
+    with pytest.raises(ConfigError, match="repeats a value"):
+        sweep(_quick_config(), "iso", [1.0, 0.5, 1.0], tmp_path / "sw")
+    assert not (tmp_path / "sw").exists()
 
 
 def test_sweep_requires_grid_for_parametric(tmp_path):

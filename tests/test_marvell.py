@@ -10,10 +10,9 @@ from oracles import (
     grid_search_objective,
     make_stats,
 )
-from splitsim.attacks import CosineScorer, NormScorer, leak_auc
+from splitsim.attacks import leak_auc
 from splitsim.marvell import (
     VARIANCE_FLOOR,
-    SingleClassBatchError,
     LambdaSolution,
     SolverSettings,
     _solve_lambdas,
@@ -59,8 +58,10 @@ def test_estimate_stats_identical_rows_zero_variance():
 
 def test_estimate_stats_single_class_errors():
     g = np.ones((3, 2))
-    with pytest.raises(SingleClassBatchError):
+    with pytest.raises(ValueError, match="both classes"):
         estimate_stats(g, np.array([1, 1, 1]))
+    with pytest.raises(ValueError, match="both classes"):
+        estimate_stats(g, np.array([0, 0, 0]))
 
 
 def test_estimate_stats_bitwise_matches_copying_reference():
@@ -320,24 +321,45 @@ def test_solve_reaches_balanced_orthogonal_noise_at_tiny_variances():
     assert sum_kl(sol, stats) < 0.2437
 
 
-def test_objective_convex_along_feasible_segments():
+def test_objective_biconvex_in_each_class_pair():
+    # Holding one class's (along, orthogonal) pair fixed, the objective
+    # is a sum of convex functions of the other class's pair, each of one
+    # eigenvalue (c/x or linear), so it is convex there: midpoint
+    # convexity holds on every segment of feasible pairs.
     rng = make_rng(2)
+    for _ in range(2000):
+        d = int(rng.integers(1, 400))
+        stats = make_stats(u=float(10.0 ** rng.uniform(-12, 1)),
+                           v=float(10.0 ** rng.uniform(-12, 1)),
+                           dsq=float(10.0 ** rng.uniform(-3, 2)),
+                           p=float(rng.uniform(0.01, 0.99)), d=d)
+        scale = float(10.0 ** rng.uniform(-3, 2)) * stats.delta_norm_sq
+
+        def pair():
+            along, orth = scale * rng.random(2)
+            return [max(along, orth), min(along, orth)]
+
+        fixed, x, y = pair(), pair(), pair()
+        mid = [(a + b) / 2.0 for a, b in zip(x, y)]
+        if rng.random() < 0.5:  # vary the positive class, then the negative
+            f = [objective(lam + fixed, stats) for lam in (x, y, mid)]
+        else:
+            f = [objective(fixed + lam, stats) for lam in (x, y, mid)]
+        assert f[2] <= (f[0] + f[1]) / 2.0 * (1.0 + 1e-12)
+
+
+def test_objective_not_jointly_convex():
+    # The (d-1)(x/y + y/x) orthogonal term is not jointly convex in the
+    # two classes' orthogonal eigenvalues, so the objective is not convex
+    # on the power hyperplane: at this feasible pair the midpoint lies
+    # 0.87 above the chord.
     stats = make_stats(u=0.2, v=0.6, dsq=4.0, p=0.3, d=7)
-    P = 8.0
-    w = np.array(
-        [stats.p, stats.p * (stats.d - 1), 1 - stats.p, (1 - stats.p) * (stats.d - 1)]
-    )
-
-    def random_feasible():
-        x = rng.random(4)
-        x[1] = min(x[0], x[1])
-        x[3] = min(x[2], x[3])
-        return x * (P / (w @ x))
-
-    for _ in range(200):
-        x, y = random_feasible(), random_feasible()
-        mid = objective((x + y) / 2.0, stats)
-        assert mid <= (objective(x, stats) + objective(y, stats)) / 2.0 + 1e-12
+    w = np.array([0.3, 0.3 * 6, 0.7, 0.7 * 6])
+    x = np.array([1.837, 0.7568, 8.583, 0.01869])
+    y = np.array([2.071, 2.071, 4.369, 0.1413])
+    x, y = x * (8.0 / (w @ x)), y * (8.0 / (w @ y))  # onto P = 8
+    chord = (objective(x, stats) + objective(y, stats)) / 2.0
+    assert objective((x + y) / 2.0, stats) > chord + 0.8
 
 
 def test_build_covariances():
@@ -468,8 +490,8 @@ def test_theorem1_empirical_mini():
         labels = np.array([1] * n + [0] * n)
         g_plus = stats.pos_mean + np.sqrt(stats.v) * rng.standard_normal(d)
         norms = np.linalg.norm(g, axis=1)
-        norm_auc = leak_auc(g, labels, NormScorer(), norms)
-        cos_auc = leak_auc(g, labels, CosineScorer(g_plus), norms)
+        norm_auc = leak_auc(g, labels, norms)
+        cos_auc = leak_auc(g, labels, norms, g_plus)
         assert norm_auc <= cert.auc_bound + 0.03
         assert cos_auc <= cert.auc_bound + 0.03
 

@@ -9,6 +9,7 @@ from oracles import (
     h_feature_gradients,
 )
 from splitsim.model import (
+    ACTIVATIONS,
     Adam,
     Layer,
     LayerSpec,
@@ -115,7 +116,6 @@ def test_cut_gradients_match_finite_differences():
     y = np.array([1, 0, 1, 0])
     state = forward(net, X)
     got = label_party_gradients(state, y)[0]
-    from splitsim.model import _act
 
     for j in range(4):
         z0 = state.cut_features[j]
@@ -123,7 +123,7 @@ def test_cut_gradients_match_finite_differences():
         def per_example_loss(z):
             a = z[None, :]
             for layer in net.h_layers:
-                a = _act(layer.spec.activation, a @ layer.W + layer.b)
+                a = ACTIVATIONS[layer.spec.activation][0](a @ layer.W + layer.b)
             return float(logistic_loss(a[0, 0], y[j]))
 
         fd = finite_difference_gradient(per_example_loss, z0, h=1e-5)
@@ -207,13 +207,9 @@ def test_first_layer_gradients_match_finite_differences():
     for j in range(3):
 
         def loss_from_first_act(a):
-            from splitsim.model import _act
-
             out = a[None, :]
-            for layer in net.f_layers[1:]:
-                out = _act(layer.spec.activation, out @ layer.W + layer.b)
-            for layer in net.h_layers:
-                out = _act(layer.spec.activation, out @ layer.W + layer.b)
+            for layer in net.f_layers[1:] + net.h_layers:
+                out = ACTIVATIONS[layer.spec.activation][0](out @ layer.W + layer.b)
             return float(logistic_loss(out[0, 0], y[j]))
 
         fd = finite_difference_gradient(loss_from_first_act, a1[j], h=1e-5)
@@ -237,7 +233,7 @@ def test_first_layer_gradient_row_matches_batch_pass():
             clean_cut, _ = label_party_gradients(state, rng.integers(0, 2, size=B))
             _, first = backprop_nonlabel(net, state, clean_cut)
             for j in range(B):
-                row = first_layer_gradient_row(net, state, j, clean_cut[j])
+                row = first_layer_gradient_row(state, j, clean_cut[j])
                 rel = np.linalg.norm(row - first[j]) / max(np.linalg.norm(first[j]), 1e-12)
                 assert rel <= 1e-12
             checked_single += cut == 1

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from splitsim import protection
 from splitsim.marvell import estimate_stats, power_budget, solve
 from splitsim.numeric import make_rng
 from splitsim.protection import (
@@ -115,13 +116,18 @@ def test_marvell_sum_kl_monotone_in_s():
     assert all(kls[i + 1] <= kls[i] + 1e-9 for i in range(len(kls) - 1))
 
 
-def test_marvell_single_class_fallback():
+def test_marvell_single_class_fallback(monkeypatch):
+    # decided from the class count, before any batch statistics are fit
+    monkeypatch.setattr(protection.marvell, "estimate_stats", None)
     g = make_rng(16).standard_normal((4, 3))
-    out = perturb_marvell(g, np.array([1, 1, 1, 1]), 1.0, make_rng(17))
-    assert out.fallback
-    assert np.array_equal(out.perturbed, g)
-    assert out.certificate is None
-    assert out.solution is None
+    for labels in ([1, 1, 1, 1], [0, 0, 0, 0]):
+        out = perturb_marvell(g, np.array(labels), 1.0, make_rng(17))
+        assert out.fallback
+        assert np.array_equal(out.perturbed, g)
+        assert out.certificate is None
+        assert out.solution is None
+    with pytest.raises(ValueError, match="one label per row"):
+        perturb_marvell(g, np.array([0, 0]), 1.0, make_rng(17))
 
 
 def test_marvell_outcome_carries_its_solve():
