@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 from . import data as data_mod
-from .harness import ConfigError, build_dataset, load_config, run_to_dir, sweep
+from .harness import ConfigError, build_dataset, load_config, point_name, run_to_dir, sweep
 from .protection import MECHANISMS
 
 
@@ -78,13 +78,13 @@ def _cmd_sweep(args) -> int:
         raise ConfigError(f"bad --grid value: {exc}") from None
     points = sweep(config, args.mechanism, grid, args.out)
     for p in points:
-        param = "" if p.mechanism.param is None else f" {p.mechanism.param:g}"
+        name = point_name(p.mechanism)
         if p.record is None:
-            print(f"{p.mechanism.kind}{param}: FAILED")
+            print(f"{name}: FAILED")
             continue
         test_auc, cos_cut_q95 = p.record.test_auc, p.record.summary["cos_cut_q95"]
         print(
-            f"{p.mechanism.kind}{param}: test_auc="
+            f"{name}: test_auc="
             f"{'NA' if test_auc is None else f'{test_auc:.4f}'} "
             f"cos_cut_q95={'NA' if cos_cut_q95 is None else f'{cos_cut_q95:.4f}'}"
         )

@@ -23,7 +23,9 @@ from pathlib import Path
 import numpy as np
 
 from . import data as data_mod
-from .attacks import UndefinedAUCError, leak_auc, quantile, roc_auc, select_oracle_positive
+from .attacks import (
+    UndefinedAUCError, leak_auc, quantile, roc_auc, select_oracle_positive, split_labels
+)
 from .model import (
     ACTIVATIONS,
     Adam,
@@ -328,24 +330,26 @@ def train_run(config: ExperimentConfig) -> RunRecord:
     ):
         X_b, y_b = train.X[idx], train.y[idx]
         state = forward(net, X_b)
-        train_loss = float(np.mean(logistic_loss(state.logits, y_b)))
+        train_loss = float(np.add.reduce(logistic_loss(state.logits, y_b)) / y_b.shape[0])
 
         clean_cut, h_grads = label_party_gradients(state, y_b)
         outcome = apply_mechanism(config.mechanism, clean_cut, y_b, mech_rng)
         f_grads, pert_first = backprop_nonlabel(net, state, outcome.perturbed)
 
-        n_pos = int((y_b == 1).sum())
+        split = split_labels(y_b)
         leaks = dict.fromkeys(LEAK_SERIES)
-        if 0 < n_pos < y_b.shape[0]:
+        if split[2] and split[3]:
             for layer, received in (("cut", outcome.perturbed), ("first", pert_first)):
-                norms = np.linalg.norm(received, axis=1)
-                leaks[f"norm_{layer}"] = leak_auc(received, y_b, norms)
+                # np.linalg.norm's expressions, without its dispatch and conj copy
+                norms = np.sqrt(np.add.reduce(received * received, axis=1))
+                leaks[f"norm_{layer}"] = leak_auc(received, split, norms)
                 j = select_oracle_positive(y_b, attack_rng)
                 oracle = clean_cut[j]
                 if layer == "first":
                     oracle = first_layer_gradient_row(state, j, oracle)
-                if np.linalg.norm(oracle) > 0:
-                    leaks[f"cos_{layer}"] = leak_auc(received, y_b, norms, oracle)
+                oracle_norm = np.sqrt(oracle.dot(oracle))
+                if oracle_norm > 0:
+                    leaks[f"cos_{layer}"] = leak_auc(received, split, norms, oracle, oracle_norm)
 
         apply_update(net, f_grads, h_grads, optimizer)
 
@@ -435,6 +439,16 @@ _TRADEOFF_VALUES = ("test_loss", "test_auc", "train_loss_min") + tuple(
 TRADEOFF_CSV_HEADER = ",".join(("mechanism", "param", "status") + _TRADEOFF_VALUES)
 
 
+def point_name(mechanism: MechanismConfig) -> str:
+    """A sweep point's subdirectory and output-line name: the kind, then
+    `_` and the hyperparameter as %g unless that would merge distinct values."""
+    param = mechanism.param
+    if param is None:
+        return mechanism.kind
+    short = f"{param:g}"
+    return f"{mechanism.kind}_{short if float(short) == param else repr(param)}"
+
+
 def sweep(
     base: ExperimentConfig, kind: str, grid: list[float], out_dir
 ) -> list[TradeoffPoint]:
@@ -466,10 +480,7 @@ def sweep(
 
     points: list[TradeoffPoint] = []
     for mech in mechs:
-        sub = kind
-        if mech.param is not None:  # %g unless it would merge distinct values
-            short = f"{mech.param:g}"
-            sub += "_" + (short if float(short) == mech.param else repr(mech.param))
+        sub = point_name(mech)
         try:
             record = run_to_dir(dataclasses.replace(base, mechanism=mech), out_dir / sub)
         except Exception as exc:  # keep sweeping, mark the failure

@@ -102,20 +102,20 @@ def estimate_stats(g: np.ndarray, labels: np.ndarray) -> BatchStats:
         raise ValueError("g must be (B, d) with one label per row")
     B, d = g.shape
     pos = labels == 1
-    n_pos = int(pos.sum())
+    n_pos = int(np.count_nonzero(pos))
     n_neg = B - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("both classes must be present")
     g_pos = g[pos]  # boolean indexing copies, so both are ours to overwrite
     g_neg = g[~pos]
-    pos_mean = g_pos.mean(axis=0)
-    neg_mean = g_neg.mean(axis=0)
+    pos_mean = np.add.reduce(g_pos, axis=0) / n_pos  # ndarray.mean's sum and division
+    neg_mean = np.add.reduce(g_neg, axis=0) / n_neg
     g_pos -= pos_mean
     g_pos *= g_pos
     g_neg -= neg_mean
     g_neg *= g_neg
-    v = float(g_pos.sum() / (d * n_pos))
-    u = float(g_neg.sum() / (d * n_neg))
+    v = float(np.add.reduce(g_pos, axis=None) / (d * n_pos))
+    u = float(np.add.reduce(g_neg, axis=None) / (d * n_neg))
     delta = pos_mean - neg_mean
     return BatchStats(
         p=n_pos / B,
@@ -358,7 +358,7 @@ def build_covariances(sol: LambdaSolution, stats: BatchStats):
     Each is (lam1 - lam2) along the unit class-mean difference plus
     lam2 times the identity; the dense d x d matrix is never formed.
     """
-    norm = np.sqrt(stats.delta_norm_sq)
+    norm = math.sqrt(stats.delta_norm_sq)
     if norm == 0.0:
         raise ValueError("covariance direction undefined for zero class-mean gap")
     direction = stats.delta_g / norm
@@ -404,14 +404,14 @@ def auc_upper_bound(eps: float) -> float:
         raise ValueError(f"eps must be >= 0, got {eps!r}")
     if eps >= 4.0:
         return 1.0
-    return 0.5 + np.sqrt(eps) / 2.0 - eps / 8.0
+    return 0.5 + math.sqrt(eps) / 2.0 - eps / 8.0
 
 
 def tv_upper_bound(eps: float) -> float:
     """Total-variation bound sqrt(eps)/2, capped at 1."""
     if eps < 0:
         raise ValueError(f"eps must be >= 0, got {eps!r}")
-    return float(min(0.5 * np.sqrt(eps), 1.0))
+    return min(0.5 * math.sqrt(eps), 1.0)
 
 
 def make_certificate(sol: LambdaSolution, stats: BatchStats) -> PrivacyCertificate:

@@ -17,12 +17,15 @@ import numpy as np
 
 # name -> (function, derivative in terms of the function's output a):
 # no derivative reads the pre-activation, so the forward pass keeps
-# only the activations.  For relu, a > 0 exactly where z > 0.
+# only the activations.  A function may overwrite its argument (relu,
+# tanh and identity do; the forward pass hands each its fresh matmul
+# output).  For relu, a > 0 exactly where z > 0, and the mask multiplies
+# as 1.0/0.0; identity's derivative is None, as delta * 1.0 == delta.
 ACTIVATIONS = {
-    "relu": (lambda z: np.maximum(z, 0.0), lambda a: (a > 0.0).astype(np.float64)),
+    "relu": (lambda z: np.maximum(z, 0.0, out=z), lambda a: a > 0.0),
     "sigmoid": (lambda z: 1.0 / (1.0 + np.exp(-z)), lambda a: a * (1.0 - a)),
-    "tanh": (np.tanh, lambda a: 1.0 - a * a),
-    "identity": (lambda z: z, np.ones_like),
+    "tanh": (lambda z: np.tanh(z, out=z), lambda a: 1.0 - a * a),
+    "identity": (lambda z: z, None),
 }
 
 
@@ -148,7 +151,9 @@ def _forward_layers(layers: list[Layer], x: np.ndarray) -> list[np.ndarray]:
     acts = []
     a = x
     for layer in layers:
-        a = ACTIVATIONS[layer.spec.activation][0](a @ layer.W + layer.b)
+        z = a @ layer.W
+        z += layer.b
+        a = ACTIVATIONS[layer.spec.activation][0](z)
         acts.append(a)
     return acts
 
@@ -176,26 +181,29 @@ def logistic_loss(logit, y):
     return float(out) if out.ndim == 0 else out
 
 
-def _backward_layers(layers, acts, input_act, delta, to_input=True):
+def _backward_layers(layers, acts, input_act, delta, to_input=True, param_grads=True):
     """Propagate upstream gradient `delta` (w.r.t. the final activation)
-    back through `layers`; returns (param_grad_sums, delta), where delta
+    back through `layers`; returns (param_grads, delta), where delta
     is taken at the input of `layers` or, with to_input=False, at the
     output of `layers[0]`.
 
-    Parameter gradients are sums over the batch (caller divides by B);
-    `delta` stays per-example throughout.
+    Parameter gradients are batch means, divided in place; with
+    param_grads=False they are not formed (None per layer).  `delta`
+    stays per-example throughout.
     """
-    param_grads = [None] * len(layers)
+    B, grads = delta.shape[0], [None] * len(layers)
     for k in range(len(layers) - 1, -1, -1):
         layer = layers[k]
-        dz = delta * ACTIVATIONS[layer.spec.activation][1](acts[k])
-        prev_act = acts[k - 1] if k > 0 else input_act
-        dW = prev_act.T @ dz
-        db = dz.sum(axis=0)
-        param_grads[k] = (dW, db)
+        deriv = ACTIVATIONS[layer.spec.activation][1]
+        dz = delta if deriv is None else delta * deriv(acts[k])
+        if param_grads:
+            prev_act = acts[k - 1] if k > 0 else input_act
+            grads[k] = (prev_act.T @ dz, np.add.reduce(dz, axis=0))
+            for g in grads[k]:
+                g /= B
         if k > 0 or to_input:
             delta = dz @ layer.W.T
-    return param_grads, delta
+    return grads, delta
 
 
 def label_party_gradients(state: ForwardState, y: np.ndarray):
@@ -204,13 +212,10 @@ def label_party_gradients(state: ForwardState, y: np.ndarray):
     Row j of the cut gradients is the gradient of example j's own loss
     w.r.t. its cut features: (prob_j - y_j) * grad_z h(z)|_{z = f(X_j)}.
     """
-    y = np.asarray(y, dtype=np.float64)
-    B = y.shape[0]
-    upstream = (state.probs - y)[:, None]
-    param_sums, delta = _backward_layers(
+    upstream = (state.probs - np.asarray(y, dtype=np.float64))[:, None]
+    h_param_grads, delta = _backward_layers(
         state.net.h_layers, state.h_act, state.cut_features, upstream
     )
-    h_param_grads = [(dW / B, db / B) for dW, db in param_sums]
     return delta, h_param_grads
 
 
@@ -227,20 +232,17 @@ def backprop_nonlabel(net: SplitNet, state: ForwardState, received: np.ndarray):
     B, d = state.cut_features.shape
     if received.shape != (B, d):
         raise ValueError(f"received must be {(B, d)}, got {received.shape}")
-    param_sums, first_layer_grads = _backward_layers(
-        net.f_layers, state.f_act, state.X, received, to_input=False
-    )
-    f_param_grads = [(dW / B, db / B) for dW, db in param_sums]
-    return f_param_grads, first_layer_grads
+    return _backward_layers(net.f_layers, state.f_act, state.X, received, to_input=False)
 
 
 def first_layer_gradient_row(state: ForwardState, j: int, cut_row: np.ndarray) -> np.ndarray:
     """Example j's gradient at the first hidden layer's activation, given
     its cut-layer gradient row: row j of backprop_nonlabel's first-layer
-    gradients, computed by the same pass on row j alone."""
-    acts = [a[j : j + 1] for a in state.f_act]
+    gradients, computed by the same pass on row j alone, which forms no
+    parameter gradients."""
+    acts = [a[j : j + 1] for a in state.f_act[1:]]
     delta = np.asarray(cut_row, dtype=np.float64)[None, :]
-    _, delta = _backward_layers(state.net.f_layers[1:], acts[1:], acts[0], delta)
+    _, delta = _backward_layers(state.net.f_layers[1:], acts, None, delta, param_grads=False)
     return delta[0]
 
 

@@ -14,6 +14,7 @@ than Philox.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,7 +55,7 @@ class StructuredCovariance:
     def __post_init__(self):
         direction = np.asarray(self.direction, dtype=np.float64)
         object.__setattr__(self, "direction", direction)
-        nrm = float(np.linalg.norm(direction))
+        nrm = math.sqrt(direction.dot(direction))  # np.linalg.norm's formula
         if abs(nrm - 1.0) > _UNIT_NORM_TOL:
             raise ValueError(f"direction must be a unit vector, got norm {nrm!r}")
         if self.along_var < 0.0:
@@ -80,10 +81,11 @@ def sample_structured_gaussian_batch(
     array built.
     """
     z0 = rng.standard_normal(n)
-    rank_one = np.outer(np.sqrt(cov.along_var) * z0, cov.direction)
+    z0 *= math.sqrt(cov.along_var)
+    rank_one = z0[:, None] * cov.direction
     if cov.iso_var == 0.0:
         return rank_one
     z = rng.standard_normal((n, cov.dim))
-    z *= np.sqrt(cov.iso_var)
+    z *= math.sqrt(cov.iso_var)
     z += rank_one
     return z

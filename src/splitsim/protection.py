@@ -116,7 +116,7 @@ def perturb_marvell(
     pos = np.asarray(labels) == 1
     if g.ndim != 2 or pos.shape != g.shape[:1]:
         raise ValueError("g must be (B, d) with one label per row")
-    n_pos = int(pos.sum())
+    n_pos = int(np.count_nonzero(pos))
     stats = marvell.estimate_stats(g, labels) if 0 < n_pos < g.shape[0] else None
     if stats is None or stats.delta_norm_sq == 0.0:
         return PerturbOutcome(perturbed=g.copy(), fallback=True)
@@ -126,9 +126,13 @@ def perturb_marvell(
     pos_cov, neg_cov = marvell.build_covariances(sol, stats)
     cert = marvell.make_certificate(sol, stats)
 
-    perturbed = g.copy()
-    perturbed[pos] += sample_structured_gaussian_batch(pos_cov, rng, n_pos)
-    perturbed[~pos] += sample_structured_gaussian_batch(neg_cov, rng, g.shape[0] - n_pos)
+    # each class's fresh noise block takes its rows of g (x + y == y + x
+    # bit for bit) and is scattered once into the output
+    perturbed = np.empty_like(g)
+    for mask, cov, n in ((pos, pos_cov, n_pos), (~pos, neg_cov, g.shape[0] - n_pos)):
+        noise = sample_structured_gaussian_batch(cov, rng, n)
+        noise += g[mask]
+        perturbed[mask] = noise
     return PerturbOutcome(
         perturbed=perturbed,
         certificate=cert,

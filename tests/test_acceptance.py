@@ -22,7 +22,7 @@ from oracles import (
     grid_search_objective,
     make_stats,
 )
-from splitsim.attacks import leak_auc, roc_auc
+from splitsim.attacks import leak_auc, roc_auc, split_labels
 from splitsim.harness import DatasetConfig, ExperimentConfig, NetConfig, train_run
 from splitsim.marvell import (
     LambdaSolution,
@@ -307,9 +307,9 @@ def test_c05_theorem1_empirical():
         )
         labels = np.array([1] * n_samples + [0] * n_samples)
         g_plus = stats.pos_mean + np.sqrt(stats.v) * rng.standard_normal(d)
-        norms = np.linalg.norm(g, axis=1)
-        assert leak_auc(g, labels, norms) <= cert.auc_bound + 0.03
-        assert leak_auc(g, labels, norms, g_plus) <= cert.auc_bound + 0.03
+        split, norms = split_labels(labels), np.linalg.norm(g, axis=1)
+        assert leak_auc(g, split, norms) <= cert.auc_bound + 0.03
+        assert leak_auc(g, split, norms, g_plus, np.linalg.norm(g_plus)) <= cert.auc_bound + 0.03
     assert time.time() - start < 120.0
 
 

@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from oracles import masked_cosine_scores, midrank_auc
-from splitsim import attacks
+from splitsim import attacks, harness
 from splitsim.attacks import (
     UndefinedAUCError,
     leak_auc,
     quantile,
     roc_auc,
     select_oracle_positive,
+    split_labels,
 )
 from splitsim.model import Layer, LayerSpec, SplitNet, forward, label_party_gradients
 from splitsim.numeric import make_rng
@@ -83,7 +84,8 @@ def test_roc_auc_complement_symmetries():
 def _auc_cases(rng, count):
     """Seeded (scores, labels) with both classes present: continuous
     scores, heavy ties, only special values (+-0.0, +-inf, NaN), and a
-    mix; every tenth case has a single positive."""
+    mix; every tenth case has a single positive, and every tenth from
+    the fifth on a single negative."""
     specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
     for case in range(count):
         n = int(rng.integers(2, 1001 if case % 25 == 0 else 120))
@@ -100,6 +102,9 @@ def _auc_cases(rng, count):
         if case % 10 == 0:
             labels = np.zeros(n, dtype=np.int64)
             labels[rng.integers(0, n)] = 1
+        elif case % 10 == 5:
+            labels = np.ones(n, dtype=np.int64)
+            labels[rng.integers(0, n)] = 0
         else:
             labels = (rng.random(n) < rng.uniform(0.05, 0.95)).astype(np.int64)
             labels[0], labels[-1] = 1, 0
@@ -111,6 +116,72 @@ def test_roc_auc_bitwise_matches_midrank():
         assert roc_auc(scores, labels).hex() == midrank_auc(scores, labels).hex()
 
 
+def test_leak_auc_bitwise_matches_midrank():
+    # the norm attack ranks the norms it is given with roc_auc's core
+    for scores, labels in _auc_cases(make_rng(42), 400):
+        auc = leak_auc(np.empty((scores.shape[0], 0)), split_labels(labels), scores)
+        assert auc.hex() == midrank_auc(scores, labels).hex()
+
+
+def test_split_labels():
+    pos, neg, n_pos, n_neg = split_labels(np.array([1, 0, 0, 1, 0]))
+    assert pos.tolist() == [True, False, False, True, False]
+    assert neg.tolist() == [False, True, True, False, True]
+    assert (n_pos, n_neg) == (2, 3)
+    assert split_labels(np.zeros(3, dtype=int))[2:] == (0, 3)
+
+
+def _edge_matrices(rng):
+    """Random float64 matrices with zero rows, subnormal rows, rows near
+    the overflow edge and rows holding inf."""
+    tiny = np.finfo(np.float64).smallest_subnormal
+    for case in range(60):
+        m = rng.standard_normal((int(rng.integers(1, 40)), int(rng.integers(1, 400))))
+        m *= 10.0 ** rng.uniform(-3.0, 3.0)
+        rows = rng.integers(0, m.shape[0], size=4)
+        m[rows[0]] = 0.0
+        m[rows[1]] = tiny * rng.integers(-1000, 1000, size=m.shape[1])
+        m[rows[2], : 1 + case % 3] = 1e154 * (1 + case % 2)
+        if case % 2:
+            m[rows[3], case % m.shape[1]] = np.inf if case % 4 == 1 else -np.inf
+        yield m
+
+
+def test_norm_expressions_bitwise_match_linalg_norm():
+    # train_run's row norms and oracle norm are np.linalg.norm's own
+    # formulas for real input, so they must give its bits exactly
+    with np.errstate(over="ignore"):  # squares past the float64 range are inf
+        for m in _edge_matrices(make_rng(43)):
+            rows = np.sqrt(np.add.reduce(m * m, axis=1))
+            assert rows.tobytes() == np.linalg.norm(m, axis=1).tobytes()
+            for o in m:
+                assert np.sqrt(o.dot(o)).tobytes() == np.linalg.norm(o).tobytes()
+
+
+def test_train_run_norms_are_linalg_norms(monkeypatch):
+    # what train_run hands leak_auc: np.linalg.norm of the received rows
+    # and of the oracle, bit for bit, and the batch's own label split
+    seen = []
+
+    def spy(gradients, split, norms, oracle=None, oracle_norm=None):
+        seen.append((gradients, split, norms, oracle, oracle_norm))
+        return 0.5
+
+    monkeypatch.setattr(harness, "leak_auc", spy)
+    config = harness.config_from_dict(
+        {"dataset": {"n": 400}, "batch_size": 16, "iterations": 30,
+         "mechanism": {"kind": "marvell", "s": 1.0}}
+    )
+    harness.train_run(config)
+    assert len(seen) > 20
+    for gradients, (pos, neg, n_pos, n_neg), norms, oracle, oracle_norm in seen:
+        assert norms.tobytes() == np.linalg.norm(gradients, axis=1).tobytes()
+        assert 0 < n_pos == pos.sum() and 0 < n_neg == neg.sum()
+        assert (pos ^ neg).all() and n_pos + n_neg == gradients.shape[0]
+        if oracle is not None:
+            assert np.float64(oracle_norm).tobytes() == np.linalg.norm(oracle).tobytes()
+
+
 def test_roc_auc_nan_and_signed_zero_ties():
     # NaN sorts above every number and ties with NaN; -0.0 ties with 0.0
     labels = np.array([1, 0, 0])
@@ -119,11 +190,12 @@ def test_roc_auc_nan_and_signed_zero_ties():
 
 
 def _scores(monkeypatch, gradients, oracle=None):
-    """The scores leak_auc ranks: what it hands roc_auc for `gradients`."""
+    """The scores leak_auc ranks: what it hands the AUC core for `gradients`."""
     seen = []
-    monkeypatch.setattr(attacks, "roc_auc", lambda scores, labels: seen.append(scores) or 0.5)
-    labels = np.arange(gradients.shape[0]) % 2
-    leak_auc(gradients, labels, np.linalg.norm(gradients, axis=1), oracle)
+    monkeypatch.setattr(attacks, "_mann_whitney", lambda scores, split: seen.append(scores) or 0.5)
+    split = split_labels(np.arange(gradients.shape[0]) % 2)
+    oracle_norm = None if oracle is None else np.linalg.norm(oracle)
+    leak_auc(gradients, split, np.linalg.norm(gradients, axis=1), oracle, oracle_norm)
     monkeypatch.undo()
     return seen[0]
 
@@ -146,7 +218,7 @@ def test_cosine_score(monkeypatch):
     e1 = np.array([[1.0, 0.0], [0.0, 0.0]])
     assert _scores(monkeypatch, e1, np.array([0.0, 2.0]))[0] == pytest.approx(0.0)
     with pytest.raises(ValueError, match="oracle gradient must be nonzero"):
-        leak_auc(e1, np.array([1, 0]), np.linalg.norm(e1, axis=1), np.zeros(2))
+        leak_auc(e1, split_labels(np.array([1, 0])), np.linalg.norm(e1, axis=1), np.zeros(2), 0.0)
 
 
 def test_select_oracle_positive():
@@ -190,7 +262,7 @@ def test_leak_auc_separated_norms():
     neg = 0.1 * rng.standard_normal((10, d))
     g = np.vstack([pos, neg])
     labels = np.array([1] * 6 + [0] * 10)
-    assert leak_auc(g, labels, np.linalg.norm(g, axis=1)) == 1.0
+    assert leak_auc(g, split_labels(labels), np.linalg.norm(g, axis=1)) == 1.0
 
 
 def test_leak_auc_permutation_null():
@@ -198,7 +270,7 @@ def test_leak_auc_permutation_null():
     n = 10**4
     g = rng.standard_normal((n, 4))
     labels = rng.integers(0, 2, size=n)
-    auc = leak_auc(g, labels, np.linalg.norm(g, axis=1))
+    auc = leak_auc(g, split_labels(labels), np.linalg.norm(g, axis=1))
     assert abs(auc - 0.5) <= 0.02
 
 
@@ -219,7 +291,8 @@ def test_leak_auc_cosine_exact_with_linear_h(monkeypatch):
     scores = _scores(monkeypatch, g, g_plus)
     assert np.all(scores[y == 1] == pytest.approx(1.0))
     assert np.all(scores[y == 0] == pytest.approx(-1.0))
-    assert leak_auc(g, y, np.linalg.norm(g, axis=1), g_plus) == 1.0
+    norms = np.linalg.norm(g, axis=1)
+    assert leak_auc(g, split_labels(y), norms, g_plus, np.linalg.norm(g_plus)) == 1.0
 
 
 def test_quantile():

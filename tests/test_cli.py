@@ -173,6 +173,17 @@ def test_sweep_command(tmp_path):
     assert lines[1].split(",")[0] == "iso"
 
 
+def test_sweep_lines_name_points_as_their_directories(tmp_path, capsys):
+    # two values that %g prints alike are two points with two names
+    cfg = _write_config(tmp_path / "cfg.json", iterations=5)
+    rc = main(["sweep", "--config", str(cfg), "--mechanism", "iso",
+               "--grid", "0.5000001,0.5000002", "--out", str(tmp_path / "sw")])
+    assert rc == 0
+    names = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()[:2]]
+    assert names == ["iso_0.5000001", "iso_0.5000002"]
+    assert all((tmp_path / "sw" / name / "run.csv").exists() for name in names)
+
+
 def test_sweep_bad_grid_exits_2(tmp_path, capsys):
     cfg = _write_config(tmp_path / "cfg.json")
     rc = main(["sweep", "--config", str(cfg), "--mechanism", "iso",

@@ -10,7 +10,7 @@ from oracles import (
     grid_search_objective,
     make_stats,
 )
-from splitsim.attacks import leak_auc
+from splitsim.attacks import leak_auc, split_labels
 from splitsim.marvell import (
     VARIANCE_FLOOR,
     LambdaSolution,
@@ -489,9 +489,9 @@ def test_theorem1_empirical_mini():
         )
         labels = np.array([1] * n + [0] * n)
         g_plus = stats.pos_mean + np.sqrt(stats.v) * rng.standard_normal(d)
-        norms = np.linalg.norm(g, axis=1)
-        norm_auc = leak_auc(g, labels, norms)
-        cos_auc = leak_auc(g, labels, norms, g_plus)
+        split, norms = split_labels(labels), np.linalg.norm(g, axis=1)
+        norm_auc = leak_auc(g, split, norms)
+        cos_auc = leak_auc(g, split, norms, g_plus, np.linalg.norm(g_plus))
         assert norm_auc <= cert.auc_bound + 0.03
         assert cos_auc <= cert.auc_bound + 0.03
 

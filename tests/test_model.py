@@ -217,6 +217,19 @@ def test_first_layer_gradients_match_finite_differences():
         assert rel <= 1e-4
 
 
+def test_forward_leaves_input_unmodified():
+    # the activations work in place on each layer's matmul output, never
+    # on X, even when the first layer is the identity
+    rng = make_rng(13)
+    for acts in (["identity", "relu"], ["relu", "tanh"], ["sigmoid", "identity"]):
+        net = SplitNet.build(3, [4, 5], acts, 1, rng)
+        X = rng.standard_normal((6, 3))
+        X_before = X.copy()
+        state = forward(net, X)
+        assert X.tobytes() == X_before.tobytes()
+        assert all(not np.shares_memory(a, X) for a in state.f_act + state.h_act)
+
+
 def test_first_layer_gradient_row_matches_batch_pass():
     # random nets as in c02: mixed activations, every cut_index (cut 1
     # is the single-f-layer case, where the row is the cut row itself)
