@@ -338,7 +338,7 @@ def train_run(config: ExperimentConfig) -> RunRecord:
 
         split = split_labels(y_b)
         leaks = dict.fromkeys(LEAK_SERIES)
-        if split[2] and split[3]:
+        if split[2] and split[3]:  # both classes present
             for layer, received in (("cut", outcome.perturbed), ("first", pert_first)):
                 # np.linalg.norm's expressions, without its dispatch and conj copy
                 norms = np.sqrt(np.add.reduce(received * received, axis=1))
