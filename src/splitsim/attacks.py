@@ -34,10 +34,13 @@ def split_labels(labels: np.ndarray):
 
 
 def _mann_whitney(scores: np.ndarray, split) -> float:
-    """AUC of float64 `scores` against a two-class split.  Each positive
-    counts the negatives below it and those tied with it by binary search
-    in the sorted negatives; U is then a sum of half-integers, exact in
-    float64, so the value equals the midrank formula bit for bit."""
+    """AUC of float32 or float64 `scores` against a two-class split.  Each
+    positive counts the negatives below it and those tied with it by
+    binary search in the sorted negatives; U is then a sum of
+    half-integers, exact in float64, so the value equals the midrank
+    formula bit for bit.  The counts read only the scores' order and ties,
+    which upcasting float32 to float64 keeps, so both dtypes give the
+    same bits."""
     pos, neg, n_pos, n_neg = split
     neg_scores = scores[neg]  # boolean indexing copies, so it is ours to sort
     neg_scores.sort()
@@ -68,11 +71,10 @@ def roc_auc(scores: np.ndarray, labels: np.ndarray) -> float:
     return _mann_whitney(scores, split)
 
 
-def select_oracle_positive(labels: np.ndarray, rng: np.random.Generator) -> int:
-    """Index of a uniformly random positive-class row; the attacker's
-    oracle is that row of the unperturbed gradients."""
-    labels = np.asarray(labels)
-    pos_idx = np.flatnonzero(labels == 1)
+def select_oracle_positive(pos_idx: np.ndarray, rng: np.random.Generator) -> int:
+    """A uniformly random entry of `pos_idx`, the batch's positive-class
+    row indices; the attacker's oracle is that row of the unperturbed
+    gradients."""
     if pos_idx.size == 0:
         raise UndefinedAUCError("no positive example in batch")
     return int(pos_idx[rng.integers(0, pos_idx.size)])
@@ -97,7 +99,7 @@ def leak_auc(
     if nz.all():
         scores = (gradients @ oracle) / (norms * oracle_norm)
     else:
-        scores = np.zeros(gradients.shape[0])
+        scores = np.zeros(gradients.shape[0], dtype=np.result_type(gradients, oracle))
         scores[nz] = (gradients[nz] @ oracle) / (norms[nz] * oracle_norm)
     return _mann_whitney(scores, split)
 

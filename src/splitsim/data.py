@@ -23,7 +23,7 @@ class DataError(Exception):
 
 @dataclass
 class Dataset:
-    X: np.ndarray  # (n, d) float64
+    X: np.ndarray  # (n, d) float64 as generated or read; a run casts it to harness.RUN_DTYPE
     y: np.ndarray  # (n,) int64 in {0, 1}
 
     def __post_init__(self):

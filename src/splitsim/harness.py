@@ -41,6 +41,12 @@ from .model import (
 from .numeric import make_rng
 from .protection import HYPERPARAMETERS, MechanismConfig, apply_mechanism
 
+# The dtype of a run's model: features, parameters, activations, cut and
+# first-layer gradients, the received rows the audit scores and the
+# optimizer's moments.  The mechanisms fit, solve, draw noise and certify
+# in float64 and round only their output rows to it.
+RUN_DTYPE = np.float32
+
 LEAK_SERIES = ("norm_cut", "cos_cut", "norm_first", "cos_first")
 SUMMARY_QUANTILE = 0.95
 
@@ -308,8 +314,11 @@ def train_run(config: ExperimentConfig) -> RunRecord:
     """
     data_seed, init_seed, batch_seed, mech_seed, attack_seed = _stream_seeds(config.seed)
 
-    train, test = data_mod.train_test_split(
-        build_dataset(config), config.dataset.test_frac, make_rng(data_seed, 1)
+    train, test = (
+        data_mod.Dataset(part.X.astype(RUN_DTYPE), part.y)
+        for part in data_mod.train_test_split(
+            build_dataset(config), config.dataset.test_frac, make_rng(data_seed, 1)
+        )
     )
 
     net = SplitNet.build(
@@ -318,6 +327,7 @@ def train_run(config: ExperimentConfig) -> RunRecord:
         list(config.net.activations),
         config.net.cut_index,
         make_rng(init_seed),
+        RUN_DTYPE,
     )
     optimizer = _make_optimizer(config.optimizer)
     mech_rng = make_rng(mech_seed)
@@ -339,11 +349,12 @@ def train_run(config: ExperimentConfig) -> RunRecord:
         split = split_labels(y_b)
         leaks = dict.fromkeys(LEAK_SERIES)
         if split[2] and split[3]:  # both classes present
+            pos_idx = np.flatnonzero(split[0])
             for layer, received in (("cut", outcome.perturbed), ("first", pert_first)):
                 # np.linalg.norm's expressions, without its dispatch and conj copy
                 norms = np.sqrt(np.add.reduce(received * received, axis=1))
                 leaks[f"norm_{layer}"] = leak_auc(received, split, norms)
-                j = select_oracle_positive(y_b, attack_rng)
+                j = select_oracle_positive(pos_idx, attack_rng)
                 oracle = clean_cut[j]
                 if layer == "first":
                     oracle = first_layer_gradient_row(state, j, oracle)

@@ -3,6 +3,10 @@ head h (label party), logistic loss, and the split backward pass: one
 pass down h for the label party, one pass down f for the non-label
 party.
 
+Every function computes in the dtype of the net's parameters, float64
+or float32, so a net's forward pass, both backward passes and its
+optimizer state all share one precision.
+
 The cut layer is the boundary between f and h.  Per-example gradients
 of the loss with respect to the cut features (the rows the label party
 communicates back) are first-class here; batch averaging happens only
@@ -15,6 +19,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-z)), with exp taken of -|z| only, so it cannot
+    overflow at any z, float32 included; exactly 0.5 at z = 0."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 # name -> (function, derivative in terms of the function's output a):
 # no derivative reads the pre-activation, so the forward pass keeps
 # only the activations.  A function may overwrite its argument (relu,
@@ -23,7 +35,7 @@ import numpy as np
 # as 1.0/0.0; identity's derivative is None, as delta * 1.0 == delta.
 ACTIVATIONS = {
     "relu": (lambda z: np.maximum(z, 0.0, out=z), lambda a: a > 0.0),
-    "sigmoid": (lambda z: 1.0 / (1.0 + np.exp(-z)), lambda a: a * (1.0 - a)),
+    "sigmoid": (_sigmoid, lambda a: a * (1.0 - a)),
     "tanh": (lambda z: np.tanh(z, out=z), lambda a: 1.0 - a * a),
     "identity": (lambda z: z, None),
 }
@@ -49,11 +61,12 @@ class Layer:
     b: np.ndarray  # (out_dim,)
 
 
-def _init_layer(spec: LayerSpec, rng: np.random.Generator) -> Layer:
-    # uniform(-sqrt(6/(in+out)), +sqrt(6/(in+out)))
+def _init_layer(spec: LayerSpec, rng: np.random.Generator, dtype) -> Layer:
+    # uniform(-sqrt(6/(in+out)), +sqrt(6/(in+out))), drawn in float64 and
+    # rounded to dtype, so every dtype takes the same draws
     limit = np.sqrt(6.0 / (spec.in_dim + spec.out_dim))
-    W = rng.uniform(-limit, limit, size=(spec.in_dim, spec.out_dim))
-    b = np.zeros(spec.out_dim)
+    W = rng.uniform(-limit, limit, size=(spec.in_dim, spec.out_dim)).astype(dtype)
+    b = np.zeros(spec.out_dim, dtype=dtype)
     return Layer(spec, W, b)
 
 
@@ -65,9 +78,10 @@ class SplitNet:
     map the cut features to a single logit (last layer is identity,
     out_dim 1).
 
-    All parameters live in one contiguous float64 vector, `params`:
-    layer by layer, f then h, each layer's W (row-major) followed by
-    its b.  On construction the layers' W and b are copied into it and
+    All parameters live in one contiguous vector, `params`: layer by
+    layer, f then h, each layer's W (row-major) followed by its b.  Its
+    dtype is float32 when every layer array is float32, else float64,
+    and every function of this module computes in it.  On construction the layers' W and b are copied into it and
     rebound to views of it, so an optimizer steps every parameter at
     once and writes through `layer.W[...]` reach `params`.  Rebinding
     `layer.W` or `layer.b` would detach it from `params`, so a layer
@@ -87,7 +101,8 @@ class SplitNet:
             raise ValueError("h must end in a single logit")
         layers = self.f_layers + self.h_layers
         arrays = [a for layer in layers for a in (layer.W, layer.b)]
-        self.params = np.concatenate(arrays, axis=None, dtype=np.float64)
+        dtype = np.result_type(np.float32, *arrays)
+        self.params = np.concatenate(arrays, axis=None, dtype=dtype)
         pos = 0
         for layer in layers:
             W, b = layer.W, layer.b
@@ -111,10 +126,11 @@ class SplitNet:
         activations: list[str],
         cut_index: int,
         rng: np.random.Generator,
+        dtype=np.float64,
     ) -> "SplitNet":
         """Stack of hidden layers plus a final linear logit; the first
         cut_index hidden layers belong to f, the rest (possibly none)
-        plus the logit layer belong to h."""
+        plus the logit layer belong to h.  The parameters are `dtype`."""
         if len(hidden_dims) != len(activations):
             raise ValueError("hidden_dims and activations must have equal length")
         if not 1 <= cut_index <= len(hidden_dims):
@@ -127,7 +143,7 @@ class SplitNet:
             for i in range(len(hidden_dims))
         ]
         specs.append(LayerSpec(dims[-1], 1, "identity"))  # logit layer
-        layers = [_init_layer(s, rng) for s in specs]
+        layers = [_init_layer(s, rng, dtype) for s in specs]
         return SplitNet(f_layers=layers[:cut_index], h_layers=layers[cut_index:])
 
 
@@ -159,14 +175,15 @@ def _forward_layers(layers: list[Layer], x: np.ndarray) -> list[np.ndarray]:
 
 
 def forward(net: SplitNet, X: np.ndarray) -> ForwardState:
-    """Full forward pass, caching every intermediate activation."""
-    X = np.asarray(X, dtype=np.float64)
+    """Full forward pass, caching every intermediate activation; X is
+    taken in the net's dtype."""
+    X = np.asarray(X, dtype=net.params.dtype)
     if X.ndim != 2 or X.shape[1] != net.in_dim:
         raise ValueError(f"X must be (B, {net.in_dim}), got {X.shape}")
     f_act = _forward_layers(net.f_layers, X)
     h_act = _forward_layers(net.h_layers, f_act[-1])
     logits = h_act[-1][:, 0]
-    probs = 1.0 / (1.0 + np.exp(-logits))
+    probs = _sigmoid(logits)
     return ForwardState(net, X, f_act, h_act, logits, probs)
 
 
@@ -212,7 +229,7 @@ def label_party_gradients(state: ForwardState, y: np.ndarray):
     Row j of the cut gradients is the gradient of example j's own loss
     w.r.t. its cut features: (prob_j - y_j) * grad_z h(z)|_{z = f(X_j)}.
     """
-    upstream = (state.probs - np.asarray(y, dtype=np.float64))[:, None]
+    upstream = (state.probs - np.asarray(y, dtype=state.probs.dtype))[:, None]
     h_param_grads, delta = _backward_layers(
         state.net.h_layers, state.h_act, state.cut_features, upstream
     )
@@ -228,7 +245,7 @@ def backprop_nonlabel(net: SplitNet, state: ForwardState, received: np.ndarray):
     `received`, so unbiased received gradients give unbiased parameter
     gradients.
     """
-    received = np.asarray(received, dtype=np.float64)
+    received = np.asarray(received, dtype=net.params.dtype)
     B, d = state.cut_features.shape
     if received.shape != (B, d):
         raise ValueError(f"received must be {(B, d)}, got {received.shape}")
@@ -241,7 +258,7 @@ def first_layer_gradient_row(state: ForwardState, j: int, cut_row: np.ndarray) -
     gradients, computed by the same pass on row j alone, which forms no
     parameter gradients."""
     acts = [a[j : j + 1] for a in state.f_act[1:]]
-    delta = np.asarray(cut_row, dtype=np.float64)[None, :]
+    delta = np.asarray(cut_row, dtype=state.net.params.dtype)[None, :]
     _, delta = _backward_layers(state.net.f_layers[1:], acts, None, delta, param_grads=False)
     return delta[0]
 

@@ -1,7 +1,9 @@
 """Shared numeric primitives: seeded RNG streams and structured
 Gaussian sampling.
 
-All vectors/matrices are plain float64 numpy arrays.  Randomness goes
+Covariances and draws are float64 numpy arrays, as is all of the
+mechanisms' arithmetic; a run's model is float32 (`harness.RUN_DTYPE`),
+and a mechanism rounds only its noisy output rows to it.  Randomness goes
 through SFC64 generators, each seeded by
 `SeedSequence(entropy=seed, spawn_key=(stream,))`.  The seed sequence,
 not the bit generator, is what makes a (seed, stream) pair always

@@ -3,6 +3,11 @@ gradient batch before communicating it: none, iso, max_norm, marvell.
 
 All mechanisms are unbiased (E[perturbed | clean] = clean) so the
 non-label party's parameter gradients stay unbiased.
+
+A mechanism fits, solves, draws its noise and certifies in float64,
+whatever the batch's dtype, and rounds only its output rows to the
+batch's dtype (float32, or float64 for anything else): a float32 batch
+gets the same noise, solve and certificate as the same batch in float64.
 """
 
 from __future__ import annotations
@@ -51,9 +56,17 @@ class PerturbOutcome:
     solution: marvell.LambdaSolution | None = None  # marvell's solve; None off that path
 
 
+def _float64_rows(g: np.ndarray):
+    """(g as float64, the dtype the mechanism's output rows take)."""
+    g = np.asarray(g)
+    dtype = g.dtype if g.dtype == np.float32 else np.dtype(np.float64)
+    return g.astype(np.float64, copy=False), dtype
+
+
 def perturb_none(g: np.ndarray) -> PerturbOutcome:
     """no_noise baseline: identity."""
-    return PerturbOutcome(perturbed=np.array(g, dtype=np.float64))
+    g, dtype = _float64_rows(g)
+    return PerturbOutcome(perturbed=g.astype(dtype))
 
 
 def perturb_iso(g: np.ndarray, t: float, rng: np.random.Generator) -> PerturbOutcome:
@@ -64,14 +77,15 @@ def perturb_iso(g: np.ndarray, t: float, rng: np.random.Generator) -> PerturbOut
     """
     if not (math.isfinite(t) and t >= 0):
         raise ValueError(f"t must be finite and >= 0, got {t!r}")
-    g = np.asarray(g, dtype=np.float64)
+    g, dtype = _float64_rows(g)
     B, d = g.shape
     max_sq = float((g * g).sum(axis=1).max())
     var = t / d * max_sq
     if var == 0.0:
-        return PerturbOutcome(perturbed=g.copy())
+        return PerturbOutcome(perturbed=g.astype(dtype))
     noise = np.sqrt(var) * rng.standard_normal((B, d))
-    return PerturbOutcome(perturbed=g + noise, noise_power=t * max_sq)
+    noise += g
+    return PerturbOutcome(perturbed=noise.astype(dtype, copy=False), noise_power=t * max_sq)
 
 
 def perturb_max_norm(g: np.ndarray, rng: np.random.Generator) -> PerturbOutcome:
@@ -82,12 +96,12 @@ def perturb_max_norm(g: np.ndarray, rng: np.random.Generator) -> PerturbOutcome:
     maximum; this realizes exactly the rank-1 covariance
     sigma_j^2 g_j g_j^T in O(d) per row.
     """
-    g = np.asarray(g, dtype=np.float64)
+    g, dtype = _float64_rows(g)
     B, _ = g.shape
     sq = (g * g).sum(axis=1)
     max_sq = float(sq.max())
     if max_sq == 0.0:
-        return PerturbOutcome(perturbed=g.copy())
+        return PerturbOutcome(perturbed=g.astype(dtype))
     sigma = np.zeros(B)
     nz = sq > 0.0
     sigma[nz] = np.sqrt(max_sq / sq[nz] - 1.0)
@@ -95,7 +109,7 @@ def perturb_max_norm(g: np.ndarray, rng: np.random.Generator) -> PerturbOutcome:
     perturbed = g * (1.0 + sigma * z)[:, None]
     # batch-average trace of the per-row noise covariances
     power = float((sigma**2 * sq).mean())
-    return PerturbOutcome(perturbed=perturbed, noise_power=power)
+    return PerturbOutcome(perturbed=perturbed.astype(dtype, copy=False), noise_power=power)
 
 
 def perturb_marvell(
@@ -112,14 +126,14 @@ def perturb_marvell(
     """
     if not (math.isfinite(s) and s > 0):
         raise ValueError(f"s must be finite and > 0, got {s!r}")
-    g = np.asarray(g, dtype=np.float64)
+    g, dtype = _float64_rows(g)
     pos = np.asarray(labels) == 1
     if g.ndim != 2 or pos.shape != g.shape[:1]:
         raise ValueError("g must be (B, d) with one label per row")
     n_pos = int(np.count_nonzero(pos))
     stats = marvell.estimate_stats(g, labels) if 0 < n_pos < g.shape[0] else None
     if stats is None or stats.delta_norm_sq == 0.0:
-        return PerturbOutcome(perturbed=g.copy(), fallback=True)
+        return PerturbOutcome(perturbed=g.astype(dtype), fallback=True)
 
     P = marvell.power_budget(s, stats)
     sol = marvell.solve(stats, P)
@@ -127,8 +141,8 @@ def perturb_marvell(
     cert = marvell.make_certificate(sol, stats)
 
     # each class's fresh noise block takes its rows of g (x + y == y + x
-    # bit for bit) and is scattered once into the output
-    perturbed = np.empty_like(g)
+    # bit for bit) and is scattered once into the output, which rounds it
+    perturbed = np.empty(g.shape, dtype=dtype)
     for mask, cov, n in ((pos, pos_cov, n_pos), (~pos, neg_cov, g.shape[0] - n_pos)):
         noise = sample_structured_gaussian_batch(cov, rng, n)
         noise += g[mask]

@@ -179,7 +179,7 @@ def test_train_run_norms_are_linalg_norms(monkeypatch):
         assert 0 < n_pos == pos.sum() and 0 < n_neg == neg.sum()
         assert (pos ^ neg).all() and n_pos + n_neg == gradients.shape[0]
         if oracle is not None:
-            assert np.float64(oracle_norm).tobytes() == np.linalg.norm(oracle).tobytes()
+            assert oracle.dtype.type(oracle_norm).tobytes() == np.linalg.norm(oracle).tobytes()
 
 
 def test_roc_auc_nan_and_signed_zero_ties():
@@ -187,6 +187,29 @@ def test_roc_auc_nan_and_signed_zero_ties():
     labels = np.array([1, 0, 0])
     assert roc_auc(np.array([np.nan, np.inf, np.nan]), labels) == 0.75
     assert roc_auc(np.array([-0.0, 0.0, -1.0]), labels) == 0.75
+
+
+def test_leak_auc_ranks_float32_as_float64(monkeypatch):
+    # a run's received rows are float32, so leak_auc ranks float32 scores;
+    # float32 -> float64 is exact and keeps every order and tie (NaN, and
+    # -0.0 with 0.0), so the AUC is the same bits as roc_auc's
+    rng = make_rng(15)
+    oracle = np.array([1.0, 2.0, -1.0], dtype=np.float32)
+    for _ in range(200):
+        n = int(rng.integers(2, 60))
+        labels = rng.integers(0, 2, size=n)
+        labels[:2] = (0, 1)
+        split = split_labels(labels)
+        scores = rng.integers(-3, 4, size=n).astype(np.float32) / np.float32(7.0)
+        scores[rng.random(n) < 0.2] = -0.0
+        scores[rng.random(n) < 0.1] = np.nan
+        rows = rng.integers(-2, 3, size=(n, 3)).astype(np.float32)  # tied and zero rows
+        assert leak_auc(rows, split, scores) == roc_auc(scores.astype(np.float64), labels)
+        cosines = _scores(monkeypatch, rows, oracle)
+        assert cosines.dtype == np.float32
+        norms = np.linalg.norm(rows, axis=1)
+        got = leak_auc(rows, split, norms, oracle, np.linalg.norm(oracle))
+        assert got == roc_auc(cosines.astype(np.float64), labels)
 
 
 def _scores(monkeypatch, gradients, oracle=None):
@@ -221,14 +244,18 @@ def test_cosine_score(monkeypatch):
         leak_auc(e1, split_labels(np.array([1, 0])), np.linalg.norm(e1, axis=1), np.zeros(2), 0.0)
 
 
+def _positives(labels):
+    """The positive row indices train_run takes from split_labels' mask."""
+    return np.flatnonzero(split_labels(np.asarray(labels))[0])
+
+
 def test_select_oracle_positive():
-    labels = np.array([0, 0, 1, 0])
-    assert select_oracle_positive(labels, make_rng(3)) == 2
+    assert select_oracle_positive(_positives([0, 0, 1, 0]), make_rng(3)) == 2
     with pytest.raises(UndefinedAUCError):
-        select_oracle_positive(np.zeros(4, dtype=int), make_rng(3))
+        select_oracle_positive(_positives(np.zeros(4, dtype=int)), make_rng(3))
     labels2 = np.array([1, 0, 1, 1])
-    a = select_oracle_positive(labels2, make_rng(4))
-    b = select_oracle_positive(labels2, make_rng(4))
+    a = select_oracle_positive(_positives(labels2), make_rng(4))
+    b = select_oracle_positive(_positives(labels2), make_rng(4))
     assert a == b and labels2[a] == 1
 
 
@@ -240,7 +267,7 @@ def test_select_oracle_positive_draws_as_choice():
         labels = (labels_rng.random(int(labels_rng.integers(1, 300))) < 0.2).astype(int)
         labels[0] = 1
         pos_idx = np.flatnonzero(labels == 1)
-        assert select_oracle_positive(labels, rng_a) == int(rng_b.choice(pos_idx))
+        assert select_oracle_positive(_positives(labels), rng_a) == int(rng_b.choice(pos_idx))
     assert rng_a.random() == rng_b.random()
 
 
@@ -287,7 +314,7 @@ def test_leak_auc_cosine_exact_with_linear_h(monkeypatch):
     y = np.array([1] * 8 + [0] * 24)
     state = forward(net, X)
     g = label_party_gradients(state, y)[0]
-    g_plus = g[select_oracle_positive(y, make_rng(8))]
+    g_plus = g[select_oracle_positive(_positives(y), make_rng(8))]
     scores = _scores(monkeypatch, g, g_plus)
     assert np.all(scores[y == 1] == pytest.approx(1.0))
     assert np.all(scores[y == 0] == pytest.approx(-1.0))

@@ -1,7 +1,9 @@
 import dataclasses
 
+import numpy as np
 import pytest
 
+from splitsim import harness
 from splitsim.attacks import quantile
 from splitsim.harness import (
     ConfigError,
@@ -244,6 +246,34 @@ def test_marvell_run_records_certificates():
         assert r.sum_kl >= 0
         assert 0.5 <= r.auc_bound <= 1.0
         assert r.noise_power > 0
+
+
+def test_run_model_is_run_dtype(monkeypatch):
+    # a silent float64 upcast anywhere on the model's path (say, probs - y
+    # with a float64 y) would still pass every other test, at half speed
+    assert harness.RUN_DTYPE == np.float32
+    seen = {"cut": [], "received": [], "first": [], "oracle_first": [], "params_adam": []}
+
+    def spy(name, fn, pick):
+        def wrapper(*args):
+            result = fn(*args)
+            seen[name].append(pick(args, result))
+            return result
+        monkeypatch.setattr(harness, fn.__name__, wrapper)
+
+    spy("cut", harness.label_party_gradients, lambda args, out: out[0])
+    spy("received", harness.apply_mechanism, lambda args, out: out.perturbed)
+    spy("first", harness.backprop_nonlabel, lambda args, out: out[1])
+    spy("oracle_first", harness.first_layer_gradient_row, lambda args, out: out)
+    spy(  # the net's parameters and, after the step, Adam's two moments
+        "params_adam",
+        harness.apply_update,
+        lambda args, out: np.concatenate([args[0].params, args[3]._m, args[3]._v]),
+    )
+    for kind in ("none", "marvell"):
+        train_run(_quick_config(mechanism=MechanismConfig(kind=kind, s=2.0), iterations=10))
+    assert all(len(arrays) >= 10 for arrays in seen.values())
+    assert {a.dtype for arrays in seen.values() for a in arrays} == {np.dtype(np.float32)}
 
 
 def test_toy1d_run_works():

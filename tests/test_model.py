@@ -25,12 +25,12 @@ from splitsim.model import (
 from splitsim.numeric import make_rng
 
 
-def _linear_h_net(w, f_dim=None):
+def _linear_h_net(w, f_dim=None, dtype=np.float64):
     """f = identity layer, h = single linear logit with weight w."""
-    w = np.asarray(w, dtype=np.float64)
+    w = np.asarray(w, dtype=dtype)
     d = w.shape[0] if f_dim is None else f_dim
-    f_layer = Layer(LayerSpec(d, d, "identity"), np.eye(d), np.zeros(d))
-    h_layer = Layer(LayerSpec(d, 1, "identity"), w[:, None].copy(), np.zeros(1))
+    f_layer = Layer(LayerSpec(d, d, "identity"), np.eye(d, dtype=dtype), np.zeros(d, dtype))
+    h_layer = Layer(LayerSpec(d, 1, "identity"), w[:, None].copy(), np.zeros(1, dtype))
     return SplitNet(f_layers=[f_layer], h_layers=[h_layer])
 
 
@@ -74,6 +74,17 @@ def test_forward_probs_strictly_inside_unit_interval():
     X = make_rng(2).standard_normal((32, 3))
     state = forward(net, X)
     assert np.all(state.probs > 0.0) and np.all(state.probs < 1.0)
+
+
+@pytest.mark.parametrize("dtype,big", [(np.float32, 100.0), (np.float64, 1000.0)])
+def test_sigmoid_cannot_overflow(dtype, big):
+    # 1/(1+exp(-l)) overflows at l < -88.7 in float32 (-709 in float64),
+    # which the suite's warnings-as-errors turns into a failure
+    state = forward(_linear_h_net([1.0], dtype=dtype), np.array([[-big], [0.0], [big]]))
+    assert state.probs.dtype == dtype
+    assert 0.0 <= state.probs[0] < 1e-43 and state.probs[1] == 0.5 and state.probs[2] == 1.0
+    hidden = ACTIVATIONS["sigmoid"][0](state.logits.copy())
+    assert hidden.tobytes() == state.probs.tobytes()
 
 
 def test_forward_rejects_bad_width():
@@ -228,6 +239,29 @@ def test_forward_leaves_input_unmodified():
         state = forward(net, X)
         assert X.tobytes() == X_before.tobytes()
         assert all(not np.shares_memory(a, X) for a in state.f_act + state.h_act)
+
+
+@pytest.mark.parametrize("hidden", [(64, 384, 16), (32, 32, 16)], ids=["acceptance", "readme"])
+def test_float32_gradients_match_float64_twin(hidden):
+    # a run trains in float32, which the central differences of c02 and
+    # the checks above cannot resolve; a float32 net built from the same
+    # init must agree with its float64 twin instead
+    from splitsim.data import generate_synthetic
+
+    ds = generate_synthetic(256, 20, 0.1, 2.0, 1.0, seed=19)
+    results = []
+    for dtype in (np.float64, np.float32):
+        net = SplitNet.build(20, list(hidden), ["relu"] * 3, 2, make_rng(20), dtype)
+        state = forward(net, ds.X)
+        cut, h_grads = label_party_gradients(state, ds.y)
+        f_grads, first = backprop_nonlabel(net, state, cut)
+        grads = [cut, first] + [g for pair in f_grads + h_grads for g in pair]
+        assert net.params.dtype == dtype and all(g.dtype == dtype for g in grads)
+        rows = [first_layer_gradient_row(state, j, cut[j]) for j in (0, 255)]
+        assert all(r.dtype == dtype for r in rows)
+        results.append(grads)
+    for g64, g32 in zip(*results):
+        assert np.linalg.norm(g32 - g64) <= 1e-5 * np.linalg.norm(g64)
 
 
 def test_first_layer_gradient_row_matches_batch_pass():

@@ -5,6 +5,7 @@ from splitsim import protection
 from splitsim.marvell import estimate_stats, power_budget, solve
 from splitsim.numeric import make_rng
 from splitsim.protection import (
+    MECHANISMS,
     MechanismConfig,
     apply_mechanism,
     perturb_iso,
@@ -207,6 +208,26 @@ def test_unbiasedness(kind, param):
     # small absolute term absorbs float accumulation when the noise is zero
     tol = 4.0 * emp_std / np.sqrt(copies) + 1e-10
     assert np.all(np.abs(emp_mean - g_row) <= tol)
+
+
+@pytest.mark.parametrize("kind", MECHANISMS)
+@pytest.mark.parametrize("labels", [[1] * 8 + [0] * 24, [0] * 32], ids=["mixed", "one_class"])
+def test_float32_batch_is_the_float64_batch_rounded(kind, labels):
+    # a mechanism fits, solves, draws and certifies in float64 and rounds
+    # only its output rows: a float32 batch gives the rows of the same
+    # batch upcast to float64, rounded to float32, and the same solve and
+    # certificate, bit for bit
+    config = MechanismConfig(kind=kind, t=2.0, s=4.0)
+    labels = np.array(labels)
+    g32 = make_rng(27).standard_normal((32, 48)).astype(np.float32)
+    g32[labels == 1] += np.float32(0.5)
+    out32 = apply_mechanism(config, g32, labels, make_rng(28))
+    out64 = apply_mechanism(config, g32.astype(np.float64), labels, make_rng(28))
+    assert out32.perturbed.dtype == np.float32 and out64.perturbed.dtype == np.float64
+    assert out32.perturbed.tobytes() == out64.perturbed.astype(np.float32).tobytes()
+    assert out32.solution == out64.solution and out32.certificate == out64.certificate
+    assert out32.noise_power == out64.noise_power and out32.fallback == out64.fallback
+    assert (out32.solution is not None) == (kind == "marvell" and labels.any())
 
 
 def test_mechanism_config_validation():

@@ -11,7 +11,12 @@ bits behind each draw differ.  The two marvell workloads were re-pinned
 again when marvell's Newton solve replaced its coordinate descent: the
 solve stops on a KKT residual rather than a sweep's objective decrease,
 so the eigenvalues, and with them the noise scales, moved in their last
-bits (about 1e-9 relative).  Besides a change to this package, such as
+bits (about 1e-9 relative).  All three were re-pinned once more when a
+run's model moved from float64 to float32 (`harness.RUN_DTYPE`):
+features, parameters, activations, gradients and Adam's moments round
+to float32, so every loss, leak AUC and noise scale moved, while the
+mechanisms' noise is the same normals drawn in the same order, fitted,
+solved and certified in float64.  Besides a change to this package, such as
 another bit generator behind `numeric.make_rng`, a different BLAS build
 can move the bytes: the matrix products go through numpy's BLAS and may
 round differently.
@@ -38,16 +43,16 @@ _spec.loader.exec_module(workloads)
 SEED = 7
 SHA256 = {
     "accept_none": {
-        "run.csv": "7239324f0a5838b435b08aa1594fd0f138fb24209ad45b24b62e2e9b90204178",
-        "summary.csv": "21fb4cea5f451556f33970a448d1fe0670ae5bf77316dc559394be4f26602436",
+        "run.csv": "3de12fda02fb04abd2f2d17fa1511bef73fd114df7d859f865b77b7d569b516c",
+        "summary.csv": "43488c7b4af26b093755cd9581ae4505a69790ee33933a0afa18ce8db1193170",
     },
     "accept_marvell": {
-        "run.csv": "acd86fb2d8a83e23262c353c24c7c953f699749c0aed0307fda45e245cc100f5",
-        "summary.csv": "bd9ce4d69e0821efc683d9e56ca0231b89e3f06b063fc9877dc004b8f708225b",
+        "run.csv": "48308ff498081e0a5e4642a7788d26d1b4e6de42fca8d6f20a47d0426cfe690f",
+        "summary.csv": "7e53e24eed59124ca63ad083a7debf4c1795cc87c8a7f26317986dc56ae9351c",
     },
     "small_marvell": {
-        "run.csv": "2c9ce34806dac9b3dff835e8ac6820cf985cd39f8ed7b062e0ee218ed49e4cb4",
-        "summary.csv": "d7a57e6ab7d947603a0d60c3f0bf819cad62311cb05f1ecb73496215af245169",
+        "run.csv": "e665f06626074238f5eba477242185f40848b6a941a170a16bdf6323d6686fc6",
+        "summary.csv": "e615a04d5b55f3be665d14ffd80bed5cdc3b6c9486f4dc44e1b34c7e1da970c8",
     },
 }
 
@@ -89,8 +94,9 @@ def test_workload_run_bytes_match_pinned_hashes(workload_run):
         assert got == want, (
             f"{workload} seed {SEED}: {name} sha256 {got} differs from the pinned {want} "
             f"(numpy {np.__version__}, BLAS {_blas()}, bit generator "
-            f"{type(make_rng(0).bit_generator).__name__}; the pinned bytes were written with "
-            f"scipy-openblas 0.3.31 and SFC64; another BLAS build may round differently, and "
+            f"{type(make_rng(0).bit_generator).__name__}, run dtype "
+            f"{np.dtype(harness.RUN_DTYPE).name}; the pinned bytes were written with "
+            f"scipy-openblas 0.3.31, SFC64 and float32; another BLAS build may round differently, and "
             f"another bit generator draws other numbers)"
         )
 
