@@ -314,12 +314,10 @@ def train_run(config: ExperimentConfig) -> RunRecord:
     """
     data_seed, init_seed, batch_seed, mech_seed, attack_seed = _stream_seeds(config.seed)
 
-    train, test = (
-        data_mod.Dataset(part.X.astype(RUN_DTYPE), part.y)
-        for part in data_mod.train_test_split(
-            build_dataset(config), config.dataset.test_frac, make_rng(data_seed, 1)
-        )
+    train, test = data_mod.train_test_split(
+        build_dataset(config), config.dataset.test_frac, make_rng(data_seed, 1)
     )
+    train.X, test.X = train.X.astype(RUN_DTYPE), test.X.astype(RUN_DTYPE)
 
     net = SplitNet.build(
         train.d,

@@ -21,10 +21,14 @@ import numpy as np
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    """1 / (1 + exp(-z)), with exp taken of -|z| only, so it cannot
-    overflow at any z, float32 included; exactly 0.5 at z = 0."""
+    """1 / (1 + exp(-z)) as 1 / (1 + e) where z >= 0 and e / (1 + e)
+    elsewhere, with e = exp(-|z|) <= 1: it cannot overflow at any z,
+    float32 included, and is exactly 0.5 at z = 0."""
     e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    out = np.maximum(e, z >= 0)  # the numerator: 1 where z >= 0, else e
+    e += 1.0
+    out /= e
+    return out
 
 
 # name -> (function, derivative in terms of the function's output a):
@@ -81,11 +85,12 @@ class SplitNet:
     All parameters live in one contiguous vector, `params`: layer by
     layer, f then h, each layer's W (row-major) followed by its b.  Its
     dtype is float32 when every layer array is float32, else float64,
-    and every function of this module computes in it.  On construction the layers' W and b are copied into it and
-    rebound to views of it, so an optimizer steps every parameter at
-    once and writes through `layer.W[...]` reach `params`.  Rebinding
-    `layer.W` or `layer.b` would detach it from `params`, so a layer
-    belongs to one net: a second net built from it takes it over.
+    and every function of this module computes in it.  On construction
+    the layers' W and b are copied into it and rebound to views of it,
+    so an optimizer steps every parameter at once and writes through
+    `layer.W[...]` reach `params`.  Rebinding `layer.W` or `layer.b`
+    would detach it from `params`, so a layer belongs to one net: a
+    second net built from it takes it over.
     """
 
     f_layers: list[Layer]
