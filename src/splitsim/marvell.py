@@ -95,8 +95,9 @@ class PrivacyCertificate:
 
 
 def estimate_stats(g: np.ndarray, labels: np.ndarray) -> BatchStats:
-    """Spherical-Gaussian MLE of both classes from one gradient batch."""
-    g = np.asarray(g, dtype=np.float64)
+    """Spherical-Gaussian MLE of both classes from one gradient batch,
+    fitted in float64 whatever g's dtype."""
+    g = np.asarray(g)
     labels = np.asarray(labels)
     if g.ndim != 2 or g.shape[0] != labels.shape[0]:
         raise ValueError("g must be (B, d) with one label per row")
@@ -106,8 +107,9 @@ def estimate_stats(g: np.ndarray, labels: np.ndarray) -> BatchStats:
     n_neg = B - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("both classes must be present")
-    g_pos = g[pos]  # boolean indexing copies, so both are ours to overwrite
-    g_neg = g[~pos]
+    # boolean indexing copies, so both are ours to overwrite
+    g_pos = g[pos].astype(np.float64, copy=False)
+    g_neg = g[~pos].astype(np.float64, copy=False)
     pos_mean = np.add.reduce(g_pos, axis=0) / n_pos  # ndarray.mean's sum and division
     neg_mean = np.add.reduce(g_neg, axis=0) / n_neg
     g_pos -= pos_mean

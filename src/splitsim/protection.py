@@ -56,17 +56,15 @@ class PerturbOutcome:
     solution: marvell.LambdaSolution | None = None  # marvell's solve; None off that path
 
 
-def _float64_rows(g: np.ndarray):
-    """(g as float64, the dtype the mechanism's output rows take)."""
-    g = np.asarray(g)
-    dtype = g.dtype if g.dtype == np.float32 else np.dtype(np.float64)
-    return g.astype(np.float64, copy=False), dtype
+def _row_dtype(g: np.ndarray) -> np.dtype:
+    """The dtype of a mechanism's output rows: float32 for a float32
+    batch, float64 for any other."""
+    return np.dtype(np.float32 if np.asarray(g).dtype == np.float32 else np.float64)
 
 
 def perturb_none(g: np.ndarray) -> PerturbOutcome:
     """no_noise baseline: identity."""
-    g, dtype = _float64_rows(g)
-    return PerturbOutcome(perturbed=g.astype(dtype))
+    return PerturbOutcome(perturbed=np.array(g, dtype=_row_dtype(g)))
 
 
 def perturb_iso(g: np.ndarray, t: float, rng: np.random.Generator) -> PerturbOutcome:
@@ -77,7 +75,8 @@ def perturb_iso(g: np.ndarray, t: float, rng: np.random.Generator) -> PerturbOut
     """
     if not (math.isfinite(t) and t >= 0):
         raise ValueError(f"t must be finite and >= 0, got {t!r}")
-    g, dtype = _float64_rows(g)
+    dtype = _row_dtype(g)
+    g = np.asarray(g, dtype=np.float64)
     B, d = g.shape
     max_sq = float((g * g).sum(axis=1).max())
     var = t / d * max_sq
@@ -96,7 +95,8 @@ def perturb_max_norm(g: np.ndarray, rng: np.random.Generator) -> PerturbOutcome:
     maximum; this realizes exactly the rank-1 covariance
     sigma_j^2 g_j g_j^T in O(d) per row.
     """
-    g, dtype = _float64_rows(g)
+    dtype = _row_dtype(g)
+    g = np.asarray(g, dtype=np.float64)
     B, _ = g.shape
     sq = (g * g).sum(axis=1)
     max_sq = float(sq.max())
@@ -126,22 +126,24 @@ def perturb_marvell(
     """
     if not (math.isfinite(s) and s > 0):
         raise ValueError(f"s must be finite and > 0, got {s!r}")
-    g, dtype = _float64_rows(g)
+    dtype = _row_dtype(g)
+    g = np.asarray(g)  # fitted in float64 by estimate_stats
     pos = np.asarray(labels) == 1
     if g.ndim != 2 or pos.shape != g.shape[:1]:
         raise ValueError("g must be (B, d) with one label per row")
     n_pos = int(np.count_nonzero(pos))
     stats = marvell.estimate_stats(g, labels) if 0 < n_pos < g.shape[0] else None
     if stats is None or stats.delta_norm_sq == 0.0:
-        return PerturbOutcome(perturbed=g.astype(dtype), fallback=True)
+        return PerturbOutcome(perturbed=np.array(g, dtype=dtype), fallback=True)
 
     P = marvell.power_budget(s, stats)
     sol = marvell.solve(stats, P)
     pos_cov, neg_cov = marvell.build_covariances(sol, stats)
     cert = marvell.make_certificate(sol, stats)
 
-    # each class's fresh noise block takes its rows of g (x + y == y + x
-    # bit for bit) and is scattered once into the output, which rounds it
+    # each class's fresh float64 noise block takes its rows of g, upcast
+    # exactly (x + y == y + x bit for bit), and is scattered once into
+    # the output, which rounds it
     perturbed = np.empty(g.shape, dtype=dtype)
     for mask, cov, n in ((pos, pos_cov, n_pos), (~pos, neg_cov, g.shape[0] - n_pos)):
         noise = sample_structured_gaussian_batch(cov, rng, n)

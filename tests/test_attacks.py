@@ -267,7 +267,7 @@ def test_select_oracle_positive_draws_as_choice():
         labels = (labels_rng.random(int(labels_rng.integers(1, 300))) < 0.2).astype(int)
         labels[0] = 1
         pos_idx = np.flatnonzero(labels == 1)
-        assert select_oracle_positive(_positives(labels), rng_a) == int(rng_b.choice(pos_idx))
+        assert select_oracle_positive(pos_idx, rng_a) == int(rng_b.choice(pos_idx))
     assert rng_a.random() == rng_b.random()
 
 
