@@ -23,7 +23,7 @@ class DataError(Exception):
 
 @dataclass
 class Dataset:
-    X: np.ndarray  # (n, d) float64 as generated or read; a run casts it to harness.RUN_DTYPE
+    X: np.ndarray  # (n, d) float64 as generated or read; a run casts it to model.RUN_DTYPE
     y: np.ndarray  # (n,) int64 in {0, 1}
 
     def __post_init__(self):
@@ -115,8 +115,7 @@ def load_csv(path) -> Dataset:
     hi = X.max(axis=0)
     span = hi - lo
     span[span == 0.0] = 1.0
-    X = (X - lo) / span
-    X[:, hi == lo] = 0.0
+    X = (X - lo) / span  # a constant column: (lo - lo) / 1 = 0
     return Dataset(X=X, y=np.array(labels, dtype=np.int64))
 
 

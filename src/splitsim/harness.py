@@ -29,7 +29,6 @@ from .attacks import (
 from .model import (
     ACTIVATIONS,
     Adam,
-    SGD,
     SplitNet,
     apply_update,
     backprop_nonlabel,
@@ -40,12 +39,6 @@ from .model import (
 )
 from .numeric import make_rng
 from .protection import HYPERPARAMETERS, MechanismConfig, apply_mechanism
-
-# The dtype of a run's model: features, parameters, activations, cut and
-# first-layer gradients, the received rows the audit scores and the
-# optimizer's moments.  The mechanisms fit, solve, draw noise and certify
-# in float64 and round only their output rows to it.
-RUN_DTYPE = np.float32
 
 LEAK_SERIES = ("norm_cut", "cos_cut", "norm_first", "cos_first")
 SUMMARY_QUANTILE = 0.95
@@ -113,21 +106,13 @@ class NetConfig:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    kind: str = "adam"
+    """Adam's step size; Adam is the one optimizer."""
+
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     def __post_init__(self):
-        if self.kind not in ("adam", "sgd"):
-            raise ValueError(f"unknown optimizer kind {self.kind!r}")
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ValueError(f"lr must be finite and > 0, got {self.lr!r}")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ValueError(f"beta1, beta2 must be in [0, 1), got {self.beta1!r}, {self.beta2!r}")
-        if not (math.isfinite(self.eps) and self.eps > 0):
-            raise ValueError(f"eps must be finite and > 0, got {self.eps!r}")
 
 
 @dataclass(frozen=True)
@@ -277,12 +262,6 @@ def build_dataset(config: ExperimentConfig) -> data_mod.Dataset:
     return data_mod.load_csv(cfg.path)
 
 
-def _make_optimizer(cfg: OptimizerConfig):
-    if cfg.kind == "sgd":
-        return SGD(cfg.lr)
-    return Adam(cfg.lr, cfg.beta1, cfg.beta2, cfg.eps)
-
-
 def _batch_indices(n: int, batch_size: int, iterations: int, rng: np.random.Generator):
     """Plain uniform shuffling per epoch, full batches only."""
     B = min(batch_size, n)
@@ -317,17 +296,16 @@ def train_run(config: ExperimentConfig) -> RunRecord:
     train, test = data_mod.train_test_split(
         build_dataset(config), config.dataset.test_frac, make_rng(data_seed, 1)
     )
-    train.X, test.X = train.X.astype(RUN_DTYPE), test.X.astype(RUN_DTYPE)
-
     net = SplitNet.build(
         train.d,
         list(config.net.hidden_dims),
         list(config.net.activations),
         config.net.cut_index,
         make_rng(init_seed),
-        RUN_DTYPE,
     )
-    optimizer = _make_optimizer(config.optimizer)
+    dtype = net.params.dtype
+    train.X, test.X = train.X.astype(dtype), test.X.astype(dtype)
+    optimizer = Adam(config.optimizer.lr)
     mech_rng = make_rng(mech_seed)
     attack_rng = make_rng(attack_seed)
 

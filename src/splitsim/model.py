@@ -3,9 +3,9 @@ head h (label party), logistic loss, and the split backward pass: one
 pass down h for the label party, one pass down f for the non-label
 party.
 
-Every function computes in the dtype of the net's parameters, float64
-or float32, so a net's forward pass, both backward passes and its
-optimizer state all share one precision.
+Every function computes in the dtype of the net's parameters,
+`RUN_DTYPE` unless a net is built in float64, so a net's forward pass,
+both backward passes and its optimizer state all share one precision.
 
 The cut layer is the boundary between f and h.  Per-example gradients
 of the loss with respect to the cut features (the rows the label party
@@ -18,6 +18,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+
+# The dtype of a run's model: features, parameters, activations, cut and
+# first-layer gradients, the received rows the audit scores and the
+# optimizer's moments.  The mechanisms fit, solve, draw noise and certify
+# in float64 and round only their output rows to it.
+RUN_DTYPE = np.float32
+
+# Adam's decay rates b1, b2 and its denominator's eps
+_BETA1 = 0.9
+_BETA2 = 0.999
+_EPS = 1e-8
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -78,9 +89,8 @@ def _init_layer(spec: LayerSpec, rng: np.random.Generator, dtype) -> Layer:
 class SplitNet:
     """Composition h(f(x)) split at the cut layer.
 
-    f_layers ends at the cut features (dimension cut_dim); h_layers
-    map the cut features to a single logit (last layer is identity,
-    out_dim 1).
+    f_layers ends at the cut features; h_layers map the cut features
+    to a single logit (last layer is identity, out_dim 1).
 
     All parameters live in one contiguous vector, `params`: layer by
     layer, f then h, each layer's W (row-major) followed by its b.  Its
@@ -117,10 +127,6 @@ class SplitNet:
             pos += b.size
 
     @property
-    def cut_dim(self) -> int:
-        return self.f_layers[-1].spec.out_dim
-
-    @property
     def in_dim(self) -> int:
         return self.f_layers[0].spec.in_dim
 
@@ -131,7 +137,7 @@ class SplitNet:
         activations: list[str],
         cut_index: int,
         rng: np.random.Generator,
-        dtype=np.float64,
+        dtype=RUN_DTYPE,
     ) -> "SplitNet":
         """Stack of hidden layers plus a final linear logit; the first
         cut_index hidden layers belong to f, the rest (possibly none)
@@ -268,15 +274,6 @@ def first_layer_gradient_row(state: ForwardState, j: int, cut_row: np.ndarray) -
     return delta[0]
 
 
-class SGD:
-    def __init__(self, lr: float):
-        self.lr = lr
-
-    def update(self, params: np.ndarray, grad: np.ndarray) -> None:
-        """One in-place step of the flat parameter vector."""
-        params -= self.lr * grad
-
-
 class Adam:
     """Adam with bias correction; moment state persists across calls.
 
@@ -288,11 +285,8 @@ class Adam:
     same bits as stepping them one array at a time.
     """
 
-    def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, lr: float):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self._m: np.ndarray | None = None
         self._v: np.ndarray | None = None
@@ -300,7 +294,7 @@ class Adam:
     def update(self, params: np.ndarray, grad: np.ndarray) -> None:
         """One in-place step of the flat parameter vector."""
         self.t += 1
-        b1, b2, lr, eps = self.beta1, self.beta2, self.lr, self.eps
+        b1, b2, lr, eps = _BETA1, _BETA2, self.lr, _EPS
         c1 = 1.0 - b1**self.t
         c2 = 1.0 - b2**self.t
         if self._m is None:

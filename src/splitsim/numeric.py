@@ -2,7 +2,7 @@
 Gaussian sampling.
 
 Covariances and draws are float64 numpy arrays, as is all of the
-mechanisms' arithmetic; a run's model is float32 (`harness.RUN_DTYPE`),
+mechanisms' arithmetic; a run's model is float32 (`model.RUN_DTYPE`),
 and a mechanism rounds only its noisy output rows to it.  Randomness goes
 through SFC64 generators, each seeded by
 `SeedSequence(entropy=seed, spawn_key=(stream,))`.  The seed sequence,

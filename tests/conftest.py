@@ -1,9 +1,11 @@
 """Shared pytest hooks: prints one PASS/FAIL line per acceptance criterion.
 
 Also the environment for tests that start `python -m splitsim` in a
-subprocess.
+subprocess, and the benchmark's workloads, which define the acceptance
+task.
 """
 
+import importlib.util
 import os
 from pathlib import Path
 
@@ -12,6 +14,17 @@ import pytest
 import splitsim
 
 _acceptance_results = []
+
+
+@pytest.fixture(scope="session")
+def workloads():
+    """`perfbench/workloads.py`, the benchmark's workload configs; it
+    imports nothing from splitsim, so it loads on its own."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture

@@ -5,8 +5,8 @@ posterior of the toy 1-d mixture.  These deliberately share no code
 with the implementations they check.
 
 A second section keeps earlier, plainer forms of hot-path functions
-(the np.unique midrank AUC, the out-of-place Adam step and the
-per-array SGD step, the batch statistics with their repeated copies).
+(the np.unique midrank AUC, the out-of-place Adam step, the batch
+statistics with their repeated copies).
 The package's faster forms must equal them bit for bit.  It also keeps
 marvell's earlier solver: a coordinate descent whose golden-section
 line searches evaluate the whole objective at every point.  The
@@ -177,17 +177,18 @@ def masked_cosine_scores(gradients, g_plus):
 
 
 class OutOfPlaceAdam:
-    """Adam with each step written as one out-of-place expression."""
+    """Adam (b1 0.9, b2 0.999, eps 1e-8) with each step written as one
+    out-of-place expression."""
 
-    def __init__(self, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+    def __init__(self, lr):
+        self.lr = lr
         self.t = 0
         self._m = {}
         self._v = {}
 
     def update(self, layers, grads):
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2, eps = 0.9, 0.999, 1e-8
         c1 = 1.0 - b1**self.t
         c2 = 1.0 - b2**self.t
         for idx, (layer, (dW, db)) in enumerate(zip(layers, grads)):
@@ -200,20 +201,8 @@ class OutOfPlaceAdam:
             mb[...] = b1 * mb + (1 - b1) * db
             vW[...] = b2 * vW + (1 - b2) * dW * dW
             vb[...] = b2 * vb + (1 - b2) * db * db
-            layer.W -= self.lr * (mW / c1) / (np.sqrt(vW / c2) + self.eps)
-            layer.b -= self.lr * (mb / c1) / (np.sqrt(vb / c2) + self.eps)
-
-
-class PerArraySGD:
-    """SGD stepping each parameter array on its own."""
-
-    def __init__(self, lr):
-        self.lr = lr
-
-    def update(self, layers, grads):
-        for layer, (dW, db) in zip(layers, grads):
-            layer.W -= self.lr * dW
-            layer.b -= self.lr * db
+            layer.W -= self.lr * (mW / c1) / (np.sqrt(vW / c2) + eps)
+            layer.b -= self.lr * (mb / c1) / (np.sqrt(vb / c2) + eps)
 
 
 def _objective4(l11, l21, l10, l20, d, u, v, dsq):

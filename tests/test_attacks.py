@@ -61,6 +61,11 @@ def test_roc_auc_single_class_errors():
         roc_auc(np.array([1.0, 2.0]), np.array([0, 0]))
 
 
+def test_roc_auc_rejects_unequal_lengths():
+    with pytest.raises(ValueError, match="equal-length vectors"):
+        roc_auc(np.array([0.1, 0.2, 0.3]), np.array([1, 0]))
+
+
 def test_roc_auc_invariant_under_monotone_transform():
     rng = make_rng(1)
     scores = rng.standard_normal(40)

@@ -108,8 +108,13 @@ def test_bad_mechanism_value_exits_2(tmp_path, capsys, mechanism, field):
         ({}, ["--seed", "-1"], "seed"),
         ({"out": 5}, [], "out"),  # the output directory is only --out, never a config key
         ({"optimizer": {"lr": float("nan")}}, [], "lr"),
+        # Adam is the one optimizer: its kind and constants are not config keys
+        ({"optimizer": {"kind": "sgd"}}, [], "unknown optimizer keys: ['kind']"),
+        ({"optimizer": {"beta1": 0.9}}, [], "unknown optimizer keys: ['beta1']"),
+        ({"optimizer": {"beta2": 0.999}}, [], "unknown optimizer keys: ['beta2']"),
+        ({"optimizer": {"eps": 1e-8}}, [], "unknown optimizer keys: ['eps']"),
     ],
-    ids=["seed_negative", "out_int", "lr_nan"],
+    ids=["seed_negative", "out_int", "lr_nan", "optimizer_kind", "beta1", "beta2", "eps"],
 )
 def test_bad_config_value_exits_2(tmp_path, capsys, overrides, argv, field):
     cfg = _write_config(tmp_path / "cfg.json", **overrides)
@@ -117,6 +122,27 @@ def test_bad_config_value_exits_2(tmp_path, capsys, overrides, argv, field):
     err = capsys.readouterr().err
     assert "config error" in err and field in err
     assert not (tmp_path / "o").exists()
+
+
+def test_optimizer_lr_alone_trains(tmp_path):
+    default = _write_config(tmp_path / "default.json")
+    cfg = _write_config(tmp_path / "cfg.json", optimizer={"lr": 0.01})
+    assert main(["run", "--config", str(default), "--out", str(tmp_path / "a")]) == 0
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "b")]) == 0
+    assert (tmp_path / "a/run.csv").read_bytes() != (tmp_path / "b/run.csv").read_bytes()
+
+
+def test_single_class_test_split_reports_na(tmp_path, capsys):
+    # 50 rows at test_frac 0.02 leave one test row, so one class
+    cfg = _write_config(
+        tmp_path / "cfg.json",
+        dataset={"kind": "synthetic", "n": 50, "d_in": 4, "pos_frac": 0.3, "test_frac": 0.02},
+        batch_size=8,
+        iterations=5,
+    )
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    assert "test_auc: NA" in capsys.readouterr().out.splitlines()
+    assert "test_auc,NA" in (tmp_path / "o/summary.csv").read_text().splitlines()
 
 
 @pytest.mark.parametrize(
@@ -139,6 +165,14 @@ def test_csv_without_training_rows_exits_3(tmp_path, capsys):
     cfg = _write_config(tmp_path / "cfg.json", dataset={"kind": "csv", "path": str(data)})
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
     assert "0 training and 1 test rows" in capsys.readouterr().err
+
+
+def test_header_only_csv_exits_3(tmp_path, capsys):
+    data = tmp_path / "empty.csv"
+    data.write_text("label,f1\n")
+    cfg = _write_config(tmp_path / "cfg.json", dataset={"kind": "csv", "path": str(data)})
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    assert "no data rows" in capsys.readouterr().err
 
 
 def test_mid_run_value_error_exits_3(tmp_path, monkeypatch, capsys):
@@ -171,6 +205,22 @@ def test_sweep_command(tmp_path):
     lines = (tmp_path / "sw/tradeoff.csv").read_text().splitlines()
     assert len(lines) == 3
     assert lines[1].split(",")[0] == "iso"
+
+
+def test_sweep_with_every_point_failed_exits_3(tmp_path, monkeypatch, capsys):
+    def failing(config, out_dir):
+        raise ValueError("numeric failure")
+
+    monkeypatch.setattr(harness, "run_to_dir", failing)
+    cfg = _write_config(tmp_path / "cfg.json")
+    rc = main(["sweep", "--config", str(cfg), "--mechanism", "iso",
+               "--grid", "0.5,2", "--out", str(tmp_path / "sw")])
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[:2] == ["iso_0.5: FAILED", "iso_2: FAILED"]
+    assert "every sweep point failed" in captured.err
+    lines = (tmp_path / "sw/tradeoff.csv").read_text().splitlines()
+    assert [line.split(",")[2] for line in lines[1:]] == ["failed", "failed"]
 
 
 def test_sweep_lines_name_points_as_their_directories(tmp_path, capsys):

@@ -1,4 +1,6 @@
 import dataclasses
+import inspect
+import sys
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from oracles import (
     grid_search_objective,
     make_stats,
 )
+from splitsim import marvell
 from splitsim.attacks import leak_auc, split_labels
 from splitsim.marvell import (
     VARIANCE_FLOOR,
@@ -295,6 +298,61 @@ def test_solve_lambdas_no_worse_than_golden_section_reference():
         assert capped_steps <= max_steps
         _assert_feasible(capped, d, p, P, pin_pos)
     assert outcomes == {"P0/d1", "interior", "alpha=0", "gamma=0", "vertex beta=gamma=0"}
+
+
+def _return_line(after: str) -> int:
+    """The line number of `_solve_canonical`'s return statement that
+    follows its source line `after` (stripped)."""
+    src, first = inspect.getsourcelines(marvell._solve_canonical)
+    (i,) = [i for i, line in enumerate(src) if line.strip() == after]
+    assert src[i + 1].strip().startswith("return ")
+    return first + i + 1
+
+
+def _solve_exit(stats, P, settings):
+    """(solution, line of the return that ended `_solve_canonical`)."""
+    code, lines = marvell._solve_canonical.__code__, []
+
+    def local(frame, event, arg):
+        if event == "return":
+            lines.append(frame.f_lineno)
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+    try:
+        sol = solve(stats, P, settings)
+    finally:
+        sys.settrace(previous)
+    return sol, lines[-1]
+
+
+# (d, u, v, dsq, p, P) and the line before the return that ends the
+# solve at an unattainable tol: Armijo's backtracking runs out of
+# halvings, or no Newton step descends into the working set.  Found by
+# solving 200 instances of _random_solver_args(make_rng(0)) at tol
+# 1e-300: 24 ended by the first exit and 8 by the second.
+UNCONVERGED_EXITS = [
+    ((2, 0.006379232092098339, 1.2679679684327655e-12, 0.014319019024945081,
+      0.03285769766493878, 0.014319019024945081), "else:"),
+    ((3, 0.6316526061386217, 1e-12, 0.0014418306269513958,
+      0.7434863026471923, 0.0014418306269513958), "if best is None:"),
+]
+
+
+@pytest.mark.parametrize("case", UNCONVERGED_EXITS, ids=["armijo_exhausted", "no_descent"])
+def test_solve_unconverged_exit_is_feasible(case):
+    # each exit stops before the step cap, says it did not converge and
+    # leaves a feasible point on the power plane
+    (d, u, v, dsq, p, P), after = case
+    stats = make_stats(u=u, v=v, dsq=dsq, p=p, d=d)
+    settings = SolverSettings(tol=1e-300)
+    sol, line = _solve_exit(stats, P, settings)
+    assert line == _return_line(after)
+    assert sol.converged is False and sol.kkt_residual > settings.tol
+    assert 0 < sol.sweeps_used < settings.max_sweeps
+    lam = (sol.lam1_pos, sol.lam2_pos, sol.lam1_neg, sol.lam2_neg)
+    _assert_feasible(lam, float(d), p, P, stats.u < stats.v)
 
 
 def test_solve_rejects_non_finite_inputs():

@@ -3,7 +3,6 @@ import pytest
 
 from oracles import (
     OutOfPlaceAdam,
-    PerArraySGD,
     compute_gradients,
     finite_difference_gradient,
     h_feature_gradients,
@@ -13,7 +12,7 @@ from splitsim.model import (
     Adam,
     Layer,
     LayerSpec,
-    SGD,
+    RUN_DTYPE,
     SplitNet,
     apply_update,
     backprop_nonlabel,
@@ -35,7 +34,8 @@ def _linear_h_net(w, f_dim=None, dtype=np.float64):
 
 
 def _random_net(rng, in_dim=3, hidden=(4, 3), cut=1, acts=("relu", "tanh")):
-    return SplitNet.build(in_dim, list(hidden), list(acts), cut, rng)
+    # float64, so the checks below can hold to 1e-12 and step bit for bit
+    return SplitNet.build(in_dim, list(hidden), list(acts), cut, rng, dtype=np.float64)
 
 
 def _flatten_params(net):
@@ -51,6 +51,14 @@ def _set_params(net, flat):
         pos += n
         l.b[...] = flat[pos : pos + l.b.size]
         pos += l.b.size
+
+
+def test_build_defaults_to_run_dtype():
+    # a run builds its net with no dtype, so the default is the run's float32
+    assert RUN_DTYPE == np.float32
+    net = SplitNet.build(3, [4, 3], ["relu", "tanh"], 1, make_rng(0))
+    assert net.params.dtype == RUN_DTYPE
+    assert all(a.dtype == RUN_DTYPE for l in net.f_layers + net.h_layers for a in (l.W, l.b))
 
 
 def test_forward_zero_net_gives_half_probs():
@@ -122,7 +130,7 @@ def test_cut_gradients_linear_h_at_zero_logit():
 
 def test_cut_gradients_match_finite_differences():
     rng = make_rng(3)
-    net = SplitNet.build(3, [4, 5, 3], ["relu", "tanh", "sigmoid"], 1, rng)
+    net = SplitNet.build(3, [4, 5, 3], ["relu", "tanh", "sigmoid"], 1, rng, dtype=np.float64)
     X = rng.standard_normal((4, 3))
     y = np.array([1, 0, 1, 0])
     state = forward(net, X)
@@ -161,7 +169,7 @@ def test_backprop_nonlabel_zero_received_gives_zero_grads():
     net = _random_net(rng)
     X = rng.standard_normal((8, 3))
     state = forward(net, X)
-    f_grads, first = backprop_nonlabel(net, state, np.zeros((8, net.cut_dim)))
+    f_grads, first = backprop_nonlabel(net, state, np.zeros((8, state.cut_features.shape[1])))
     for dW, db in f_grads:
         assert np.array_equal(dW, np.zeros_like(dW))
         assert np.array_equal(db, np.zeros_like(db))
@@ -184,7 +192,7 @@ def test_backprop_nonlabel_linear_in_received():
 
 def test_param_gradients_match_finite_differences():
     rng = make_rng(7)
-    net = SplitNet.build(3, [4, 3], ["relu", "sigmoid"], 1, rng)
+    net = SplitNet.build(3, [4, 3], ["relu", "sigmoid"], 1, rng, dtype=np.float64)
     X = rng.standard_normal((6, 3))
     y = (rng.random(6) < 0.5).astype(int)
 
@@ -208,7 +216,7 @@ def test_param_gradients_match_finite_differences():
 
 def test_first_layer_gradients_match_finite_differences():
     rng = make_rng(8)
-    net = SplitNet.build(3, [4, 3], ["tanh", "relu"], 2, rng)
+    net = SplitNet.build(3, [4, 3], ["tanh", "relu"], 2, rng, dtype=np.float64)
     X = rng.standard_normal((3, 3))
     y = np.array([1, 0, 1])
     state = forward(net, X)
@@ -274,7 +282,7 @@ def test_first_layer_gradient_row_matches_batch_pass():
         hidden = [int(rng.integers(3, 6)) for _ in range(int(rng.integers(1, 4)))]
         acts = [str(rng.choice(["relu", "tanh", "sigmoid", "identity"])) for _ in hidden]
         for cut in range(1, len(hidden) + 1):
-            net = SplitNet.build(in_dim, hidden, acts, cut, rng)
+            net = SplitNet.build(in_dim, hidden, acts, cut, rng, dtype=np.float64)
             B = int(rng.integers(2, 6))
             state = forward(net, rng.standard_normal((B, in_dim)))
             clean_cut, _ = label_party_gradients(state, rng.integers(0, 2, size=B))
@@ -325,12 +333,6 @@ def test_acute_angle_of_h_gradients_throughout_training():
     assert checked > 1000
 
 
-def test_sgd_single_step():
-    params = np.array([3.0])
-    SGD(lr=1.0).update(params, np.array([1.0]))
-    assert params[0] == pytest.approx(2.0)
-
-
 def test_adam_zero_grads_no_motion():
     rng = make_rng(10)
     net = _random_net(rng)
@@ -362,19 +364,6 @@ def test_adam_bitwise_matches_out_of_place_steps():
     _steps_match_per_array_reference(Adam(lr=0.05), OutOfPlaceAdam(lr=0.05), 15)
 
 
-def test_sgd_bitwise_matches_per_array_steps():
-    _steps_match_per_array_reference(SGD(lr=0.05), PerArraySGD(lr=0.05), 17)
-
-
-def test_sgd_converges_on_quadratic():
-    # loss (w - 2)^2 / 2, lr 0.1, 100 steps
-    params = np.array([10.0])
-    opt = SGD(lr=0.1)
-    for _ in range(100):
-        opt.update(params, params - 2.0)
-    assert abs(params[0] - 2.0) <= 1e-3
-
-
 @pytest.mark.parametrize("kind", ["built", "bare_layers"])
 def test_parameters_are_views_of_one_flat_buffer(kind):
     w = np.array([0.5, -1.0, 2.0])
@@ -404,6 +393,6 @@ def test_apply_update_moves_both_parties():
     state = forward(net, X)
     grads = compute_gradients(net, state, y)
     before = _flatten_params(net).copy()
-    apply_update(net, *grads, SGD(lr=0.5))
+    apply_update(net, *grads, Adam(lr=0.5))
     after = _flatten_params(net)
     assert not np.array_equal(before, after)

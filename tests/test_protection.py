@@ -99,6 +99,15 @@ def test_max_norm_zero_rows_stay_zero():
     assert np.array_equal(out.perturbed[1], np.zeros(2))
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_max_norm_all_zero_batch_is_returned_unchanged(dtype):
+    # every row's norm is the batch maximum, 0, so there is nothing to align
+    g = np.zeros((3, 4), dtype=dtype)
+    out = perturb_max_norm(g, make_rng(12))
+    assert out.perturbed.dtype == dtype and np.array_equal(out.perturbed, g)
+    assert out.noise_power == 0.0 and out.certificate is None
+
+
 def test_marvell_tiny_power_is_near_identity():
     rng = make_rng(12)
     g, labels = _mixed_batch(rng)

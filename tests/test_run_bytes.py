@@ -2,43 +2,35 @@
 
 A performance change is meant to leave every byte of `run.csv` and
 `summary.csv` unchanged.  The configs are taken from
-`perfbench/workloads.py` at seed 7, so the pinned bytes are always the
-benchmark's own workloads.  All three workloads were re-pinned when
-every random stream (data, init, batching, noise, attack oracle) moved
-from the Philox bit generator to SFC64: the streams keep their
-`SeedSequence` keys and every draw keeps its shape and order, but the
-bits behind each draw differ.  The two marvell workloads were re-pinned
-again when marvell's Newton solve replaced its coordinate descent: the
-solve stops on a KKT residual rather than a sweep's objective decrease,
-so the eigenvalues, and with them the noise scales, moved in their last
-bits (about 1e-9 relative).  All three were re-pinned once more when a
-run's model moved from float64 to float32 (`harness.RUN_DTYPE`):
-features, parameters, activations, gradients and Adam's moments round
-to float32, so every loss, leak AUC and noise scale moved, while the
-mechanisms' noise is the same normals drawn in the same order, fitted,
-solved and certified in float64.  Besides a change to this package, such as
-another bit generator behind `numeric.make_rng`, a different BLAS build
-can move the bytes: the matrix products go through numpy's BLAS and may
-round differently.
+`perfbench/workloads.py` (the `workloads` fixture) at seed 7, so the
+pinned bytes are always the benchmark's own workloads.  All three
+workloads were re-pinned when every random stream (data, init,
+batching, noise, attack oracle) moved from the Philox bit generator to
+SFC64: the streams keep their `SeedSequence` keys and every draw keeps
+its shape and order, but the bits behind each draw differ.  The two
+marvell workloads were re-pinned again when marvell's Newton solve
+replaced its coordinate descent: the solve stops on a KKT residual
+rather than a sweep's objective decrease, so the eigenvalues, and with
+them the noise scales, moved in their last bits (about 1e-9 relative).
+All three were re-pinned once more when a run's model moved from
+float64 to float32 (`model.RUN_DTYPE`): features, parameters,
+activations, gradients and Adam's moments round to float32, so every
+loss, leak AUC and noise scale moved, while the mechanisms' noise is
+the same normals drawn in the same order, fitted, solved and certified
+in float64.  Besides a change to this package, such as another bit
+generator behind `numeric.make_rng`, a different BLAS build can move
+the bytes: the matrix products go through numpy's BLAS and may round
+differently.
 """
 
 import hashlib
-import importlib.util
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from splitsim import harness, protection
+from splitsim import harness, model, protection
 from splitsim.harness import config_from_dict, run_to_dir
 from splitsim.numeric import make_rng
-
-# perfbench/workloads.py imports nothing from splitsim, so it loads on its own
-_spec = importlib.util.spec_from_file_location(
-    "perfbench_workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-)
-workloads = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(workloads)
 
 SEED = 7
 SHA256 = {
@@ -66,7 +58,7 @@ def _blas() -> str:
 
 
 @pytest.fixture(scope="module")
-def workload_run(request, tmp_path_factory):
+def workload_run(request, tmp_path_factory, workloads):
     """Run one workload at SEED, once per module, into a fresh directory;
     returns (name, directory, (fallback, solution) per iteration)."""
     name = request.param
@@ -95,7 +87,7 @@ def test_workload_run_bytes_match_pinned_hashes(workload_run):
             f"{workload} seed {SEED}: {name} sha256 {got} differs from the pinned {want} "
             f"(numpy {np.__version__}, BLAS {_blas()}, bit generator "
             f"{type(make_rng(0).bit_generator).__name__}, run dtype "
-            f"{np.dtype(harness.RUN_DTYPE).name}; the pinned bytes were written with "
+            f"{np.dtype(model.RUN_DTYPE).name}; the pinned bytes were written with "
             f"scipy-openblas 0.3.31, SFC64 and float32; another BLAS build may round differently, and "
             f"another bit generator draws other numbers)"
         )
@@ -111,5 +103,5 @@ def test_marvell_workload_solves_converge(workload_run):
     assert all(sol is None for fallback, sol in seen if fallback)
 
 
-def test_every_workload_is_pinned():
+def test_every_workload_is_pinned(workloads):
     assert sorted(SHA256) == sorted(workloads.WORKLOADS)
