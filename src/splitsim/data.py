@@ -115,7 +115,9 @@ def load_csv(path) -> Dataset:
     hi = X.max(axis=0)
     span = hi - lo
     span[span == 0.0] = 1.0
-    X = (X - lo) / span  # a constant column: (lo - lo) / 1 = 0
+    # a constant column is (lo - lo) / 1 = 0; adding +0.0 turns the -0.0 a
+    # `-0` row leaves under a +0.0 minimum into +0.0
+    X = (X - lo) / span + 0.0
     return Dataset(X=X, y=np.array(labels, dtype=np.int64))
 
 

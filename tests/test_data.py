@@ -88,6 +88,15 @@ def test_csv_normalization(tmp_path):
     assert np.all(ds.X[:, 1] == 0.0)  # constant column maps to 0
 
 
+def test_csv_signed_zeros_map_to_positive_zero(tmp_path):
+    # the minimum of a `0`/`-0` column is +0.0, and -0.0 - 0.0 is -0.0
+    path = tmp_path / "zeros.csv"
+    path.write_text("label,f1,f2\n0,0,-0\n1,-0,0\n0,0,1\n")
+    ds = load_csv(path)
+    assert np.array_equal(ds.X, [[0.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
+    assert not np.signbit(ds.X).any()
+
+
 def test_csv_non_binary_label_names_line(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("label,f1\n1,0.5\n2,0.25\n")

@@ -242,7 +242,8 @@ def test_forward_leaves_input_unmodified():
     rng = make_rng(13)
     for acts in (["identity", "relu"], ["relu", "tanh"], ["sigmoid", "identity"]):
         net = SplitNet.build(3, [4, 5], acts, 1, rng)
-        X = rng.standard_normal((6, 3))
+        # X in the net's dtype, so forward takes it without a copy
+        X = rng.standard_normal((6, 3)).astype(net.params.dtype)
         X_before = X.copy()
         state = forward(net, X)
         assert X.tobytes() == X_before.tobytes()
