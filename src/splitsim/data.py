@@ -26,10 +26,6 @@ class Dataset:
     X: np.ndarray  # (n, d) float64 as generated or read; a run casts it to model.RUN_DTYPE
     y: np.ndarray  # (n,) int64 in {0, 1}
 
-    def __post_init__(self):
-        if self.X.ndim != 2 or self.y.ndim != 1 or self.X.shape[0] != self.y.shape[0]:
-            raise ValueError("X must be (n, d) with one label per row")
-
     @property
     def n(self) -> int:
         return self.X.shape[0]

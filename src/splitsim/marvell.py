@@ -99,8 +99,6 @@ def estimate_stats(g: np.ndarray, labels: np.ndarray) -> BatchStats:
     fitted in float64 whatever g's dtype."""
     g = np.asarray(g)
     labels = np.asarray(labels)
-    if g.ndim != 2 or g.shape[0] != labels.shape[0]:
-        raise ValueError("g must be (B, d) with one label per row")
     B, d = g.shape
     pos = labels == 1
     n_pos = int(np.count_nonzero(pos))
@@ -343,8 +341,6 @@ def solve(stats: BatchStats, P: float, settings: SolverSettings = SolverSettings
     if P < 0:
         raise ValueError(f"P must be >= 0, got {P!r}")
     p = float(stats.p)
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"positive fraction must be in (0, 1), got {stats.p!r}")
     u = float(max(stats.u, VARIANCE_FLOOR))
     v = float(max(stats.v, VARIANCE_FLOOR))
     lam, steps, residual = _solve_lambdas(
@@ -402,8 +398,6 @@ def auc_upper_bound(eps: float) -> float:
     0.5 + sqrt(eps)/2 - eps/8 for eps < 4; the bound is vacuous (1.0)
     beyond that.
     """
-    if eps < 0:
-        raise ValueError(f"eps must be >= 0, got {eps!r}")
     if eps >= 4.0:
         return 1.0
     return 0.5 + math.sqrt(eps) / 2.0 - eps / 8.0
@@ -411,8 +405,6 @@ def auc_upper_bound(eps: float) -> float:
 
 def tv_upper_bound(eps: float) -> float:
     """Total-variation bound sqrt(eps)/2, capped at 1."""
-    if eps < 0:
-        raise ValueError(f"eps must be >= 0, got {eps!r}")
     return min(0.5 * math.sqrt(eps), 1.0)
 
 

@@ -62,12 +62,6 @@ class LayerSpec:
     out_dim: int
     activation: str = "relu"
 
-    def __post_init__(self):
-        if self.in_dim < 1 or self.out_dim < 1:
-            raise ValueError(f"layer dims must be >= 1, got {self.in_dim}x{self.out_dim}")
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
-
 
 @dataclass
 class Layer:
@@ -108,12 +102,6 @@ class SplitNet:
     params: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.f_layers or not self.h_layers:
-            raise ValueError("both f and h must be nonempty")
-        if self.f_layers[-1].spec.out_dim != self.h_layers[0].spec.in_dim:
-            raise ValueError("f output dim must equal h input dim")
-        if self.h_layers[-1].spec.out_dim != 1:
-            raise ValueError("h must end in a single logit")
         layers = self.f_layers + self.h_layers
         arrays = [a for layer in layers for a in (layer.W, layer.b)]
         dtype = np.result_type(np.float32, *arrays)
@@ -142,12 +130,6 @@ class SplitNet:
         """Stack of hidden layers plus a final linear logit; the first
         cut_index hidden layers belong to f, the rest (possibly none)
         plus the logit layer belong to h.  The parameters are `dtype`."""
-        if len(hidden_dims) != len(activations):
-            raise ValueError("hidden_dims and activations must have equal length")
-        if not 1 <= cut_index <= len(hidden_dims):
-            raise ValueError(
-                f"cut_index must be in [1, {len(hidden_dims)}], got {cut_index}"
-            )
         dims = [in_dim] + list(hidden_dims)
         specs = [
             LayerSpec(dims[i], dims[i + 1], activations[i])
@@ -257,9 +239,6 @@ def backprop_nonlabel(net: SplitNet, state: ForwardState, received: np.ndarray):
     gradients.
     """
     received = np.asarray(received, dtype=net.params.dtype)
-    B, d = state.cut_features.shape
-    if received.shape != (B, d):
-        raise ValueError(f"received must be {(B, d)}, got {received.shape}")
     return _backward_layers(net.f_layers, state.f_act, state.X, received, to_input=False)
 
 
