@@ -8,8 +8,8 @@
 seed, before its train/test split.
 
 Exit codes: 0 success, 2 config error (bad config file or option),
-3 runtime/numeric error (including any ValueError raised mid-run, and an
-output path that cannot be written).
+3 runtime/numeric error (including any ValueError raised mid-run, a
+non-finite loss, and an output path that cannot be written).
 """
 
 from __future__ import annotations

@@ -73,8 +73,9 @@ def generate_toy_1d(n: int, seed: int = 0) -> Dataset:
 
 
 def load_csv(path) -> Dataset:
-    """Load `label,f1,...,fk` rows of finite features; features are
-    linearly normalized to [0, 1] per column (constant columns map to 0)."""
+    """Load `label,f1,...,fk` rows of finite features whose per-column
+    range is finite; features are linearly normalized to [0, 1] per
+    column (constant columns map to 0)."""
     path = Path(path)
     try:
         fh = open(path, newline="")
@@ -109,6 +110,9 @@ def load_csv(path) -> Dataset:
     X = np.array(rows, dtype=np.float64)
     lo = X.min(axis=0)
     hi = X.max(axis=0)
+    for name, low, high in zip(header[1:], lo.tolist(), hi.tolist()):
+        if not math.isfinite(high - low):  # Python floats overflow to inf silently
+            raise DataError(f"{path}: column {name!r} range {low!r} to {high!r} overflows")
     span = hi - lo
     span[span == 0.0] = 1.0
     # a constant column is (lo - lo) / 1 = 0; adding +0.0 turns the -0.0 a

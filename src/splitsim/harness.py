@@ -200,8 +200,6 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON in {path}: {exc}") from None
-    if not isinstance(raw, dict):
-        raise ConfigError(f"config root must be a JSON object, got {type(raw).__name__}")
     return config_from_dict(raw)
 
 
@@ -289,7 +287,7 @@ def train_run(config: ExperimentConfig) -> RunRecord:
     gradients, the four leak AUCs (norm/cosine at cut/first layer,
     scored on what the non-label party actually receives; each cosine
     oracle is one clean positive row), then parameter updates for both
-    parties.
+    parties.  A non-finite training or test loss raises FloatingPointError.
     """
     data_seed, init_seed, batch_seed, mech_seed, attack_seed = _stream_seeds(config.seed)
 
@@ -317,6 +315,8 @@ def train_run(config: ExperimentConfig) -> RunRecord:
         X_b, y_b = train.X[idx], train.y[idx]
         state = forward(net, X_b)
         train_loss = float(np.add.reduce(logistic_loss(state.logits, y_b)) / y_b.shape[0])
+        if not math.isfinite(train_loss):
+            raise FloatingPointError(f"training loss is {train_loss} at iteration {it}")
 
         clean_cut, h_grads = label_party_gradients(state, y_b)
         outcome = apply_mechanism(config.mechanism, clean_cut, y_b, mech_rng)
@@ -354,6 +354,8 @@ def train_run(config: ExperimentConfig) -> RunRecord:
 
     test_state = forward(net, test.X)
     test_loss = float(np.mean(logistic_loss(test_state.logits, test.y)))
+    if not math.isfinite(test_loss):
+        raise FloatingPointError(f"test loss is {test_loss}")
     try:
         test_auc = roc_auc(test_state.logits, test.y)
     except UndefinedAUCError:

@@ -53,7 +53,6 @@ class BatchStats:
     delta_g: np.ndarray  # pos_mean - neg_mean
     delta_norm_sq: float
     d: int
-    B: int
 
 
 @dataclass(frozen=True)
@@ -80,7 +79,6 @@ class LambdaSolution:
     lam2_pos: float
     lam1_neg: float
     lam2_neg: float
-    objective_value: float
     converged: bool  # kkt_residual <= the solve's tol
     sweeps_used: int  # Newton steps taken
     kkt_residual: float
@@ -126,7 +124,6 @@ def estimate_stats(g: np.ndarray, labels: np.ndarray) -> BatchStats:
         delta_g=delta,
         delta_norm_sq=float(delta @ delta),
         d=d,
-        B=B,
     )
 
 
@@ -347,7 +344,7 @@ def solve(stats: BatchStats, P: float, settings: SolverSettings = SolverSettings
         float(stats.d), u, v, float(stats.delta_norm_sq), p, float(P),
         float(settings.tol), int(settings.max_sweeps), stats.u < stats.v,
     )
-    return LambdaSolution(*lam, objective(lam, stats), residual <= settings.tol, steps, residual)
+    return LambdaSolution(*lam, residual <= settings.tol, steps, residual)
 
 
 def build_covariances(sol: LambdaSolution, stats: BatchStats):

@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from splitsim.marvell import BatchStats
+from splitsim.marvell import BatchStats, objective
 from splitsim.model import _backward_layers, backprop_nonlabel, label_party_gradients
 
 
@@ -41,7 +41,7 @@ def brute_force_auc(scores, labels):
     return total / (len(pos) * len(neg))
 
 
-def make_stats(u, v, dsq, p, d, B=64, rng=None):
+def make_stats(u, v, dsq, p, d, rng=None):
     """BatchStats with a concrete mean gap of squared norm dsq."""
     if rng is None:
         delta = np.zeros(d)
@@ -59,8 +59,12 @@ def make_stats(u, v, dsq, p, d, B=64, rng=None):
         delta_g=delta,
         delta_norm_sq=float(dsq),
         d=d,
-        B=B,
     )
+
+
+def solution_objective(sol, stats):
+    """marvell's objective at a LambdaSolution's four eigenvalues."""
+    return objective((sol.lam1_pos, sol.lam2_pos, sol.lam1_neg, sol.lam2_neg), stats)
 
 
 def grid_search_objective(stats, P, n=100):

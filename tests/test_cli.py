@@ -62,6 +62,13 @@ def test_invalid_json_exits_2(tmp_path, capsys):
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
 
 
+def test_config_root_not_object_exits_2(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text("[1, 2]")
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "must be a JSON object, got list" in capsys.readouterr().err
+
+
 def test_missing_config_exits_2(tmp_path):
     assert main(["run", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 2
 
@@ -113,8 +120,10 @@ def test_bad_mechanism_value_exits_2(tmp_path, capsys, mechanism, field):
         ({"optimizer": {"beta1": 0.9}}, [], "unknown optimizer keys: ['beta1']"),
         ({"optimizer": {"beta2": 0.999}}, [], "unknown optimizer keys: ['beta2']"),
         ({"optimizer": {"eps": 1e-8}}, [], "unknown optimizer keys: ['eps']"),
+        ({"dataset": {"test_frac": 0.0}}, [], "test_frac must be in (0, 1)"),
     ],
-    ids=["seed_negative", "out_int", "lr_nan", "optimizer_kind", "beta1", "beta2", "eps"],
+    ids=["seed_negative", "out_int", "lr_nan", "optimizer_kind", "beta1", "beta2", "eps",
+         "test_frac_0"],
 )
 def test_bad_config_value_exits_2(tmp_path, capsys, overrides, argv, field):
     cfg = _write_config(tmp_path / "cfg.json", **overrides)
@@ -330,3 +339,26 @@ def test_module_entry_point(tmp_path, module_env):
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "out/run.csv").exists()
+
+
+@pytest.mark.parametrize(
+    ("iterations", "message"),
+    [(20, "training loss is nan at iteration 2"), (1, "test loss is nan")],
+    ids=["train_loss", "test_loss"],
+)
+def test_non_finite_loss_exits_3(tmp_path, module_env, iterations, message):
+    # lr 1e30 moves each parameter by about 1e30 in the first Adam step,
+    # so the next forward pass, in training or on the test set, overflows
+    # to a nan loss.  It runs in a child interpreter because this one
+    # turns numpy's overflow warnings into errors.
+    cfg = _write_config(tmp_path / "cfg.json", dataset={"n": 400, "d_in": 8},
+                        net={"hidden_dims": [8, 8]}, optimizer={"lr": 1e30},
+                        iterations=iterations)
+    splitsim = [sys.executable, "-m", "splitsim"]
+    for argv in (["run", "--config", str(cfg), "--out", str(tmp_path / "run")],
+                 ["sweep", "--config", str(cfg), "--mechanism", "none",
+                  "--out", str(tmp_path / "sweep")]):
+        proc = subprocess.run(splitsim + argv, capture_output=True, text=True, env=module_env)
+        assert proc.returncode == 3, proc.stderr
+        assert message in proc.stderr
+    assert "none: FAILED" in proc.stdout  # the sweep marks its point failed

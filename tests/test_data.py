@@ -127,6 +127,15 @@ def test_csv_non_finite_feature(tmp_path, value):
         load_csv(path)
 
 
+def test_csv_overflowing_column_range(tmp_path):
+    # each value is finite, but f2's max - min overflows to inf, which
+    # would normalize the column to nan features
+    path = tmp_path / "wide.csv"
+    path.write_text("label,f1,f2\n0,0.5,1e308\n1,0.25,-1e308\n")
+    with pytest.raises(DataError, match="column 'f2' range -1e\\+308 to 1e\\+308 overflows"):
+        load_csv(path)
+
+
 def test_csv_empty_file(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("")

@@ -11,6 +11,7 @@ from oracles import (
     dense_sum_kl,
     grid_search_objective,
     make_stats,
+    solution_objective,
 )
 from splitsim import marvell
 from splitsim.attacks import leak_auc, split_labels
@@ -48,7 +49,7 @@ def test_estimate_stats_hand_example():
     assert stats.delta_norm_sq == 4.0
     assert stats.v == 0.5
     assert stats.u == 0.5
-    assert stats.d == 2 and stats.B == 4
+    assert stats.d == 2
 
 
 def test_estimate_stats_identical_rows_zero_variance():
@@ -144,7 +145,7 @@ def test_solve_zero_power():
     sol = solve(stats, 0.0)
     assert (sol.lam1_pos, sol.lam2_pos, sol.lam1_neg, sol.lam2_neg) == (0, 0, 0, 0)
     assert sol.converged
-    assert sol.objective_value == pytest.approx(objective((0, 0, 0, 0), stats))
+    assert solution_objective(sol, stats) == pytest.approx(objective((0, 0, 0, 0), stats))
 
 
 def test_solve_symmetric_instance():
@@ -182,7 +183,7 @@ def test_solve_matches_grid_oracle_and_feasible():
         sol = solve(stats, P)
         assert sol.converged
         grid = grid_search_objective(stats, P, n=50)
-        assert sol.objective_value <= grid * (1 + 1e-3)
+        assert solution_objective(sol, stats) <= grid * (1 + 1e-3)
         worst, slack = _feasibility_errors(sol, stats, P)
         assert worst <= 1e-9
         assert slack <= 1e-6 * max(P, 1.0)
@@ -195,7 +196,7 @@ def test_solve_matches_grid_oracle_and_feasible():
 
 def test_solve_objective_monotone_in_power():
     stats = make_stats(u=0.3, v=0.05, dsq=10.0, p=0.1, d=12)
-    objs = [solve(stats, P).objective_value for P in (0.0, 1.0, 5.0, 25.0, 125.0)]
+    objs = [solution_objective(solve(stats, P), stats) for P in (0.0, 1.0, 5.0, 25.0, 125.0)]
     assert all(objs[i + 1] <= objs[i] + 1e-9 for i in range(len(objs) - 1))
 
 
@@ -233,12 +234,12 @@ def test_solve_bitwise_pinned(case):
     P = 0.0 if s == 0.0 else power_budget(s, stats)
     settings = SolverSettings(tol=1e-8, max_sweeps=max_sweeps)
     sol = solve(stats, P, settings)
-    got = (sol.lam1_pos, sol.lam2_pos, sol.lam1_neg, sol.lam2_neg, sol.objective_value)
+    got = (sol.lam1_pos, sol.lam2_pos, sol.lam1_neg, sol.lam2_neg, solution_objective(sol, stats))
     assert tuple(x.hex() for x in got) == bits
     assert sol.converged is converged is (sol.kkt_residual <= settings.tol)
     assert sol.sweeps_used == sweeps
     if golden is not None:  # one golden-section sweep may beat one Newton step
-        assert sol.objective_value <= float.fromhex(golden) * (1 + 1e-10)
+        assert solution_objective(sol, stats) <= float.fromhex(golden) * (1 + 1e-10)
 
 
 def _random_solver_args(rng):
@@ -365,6 +366,14 @@ def test_solve_rejects_non_finite_inputs():
                 solve(dataclasses.replace(stats, **{name: bad}), 1.0)
 
 
+def test_solve_rejects_negative_power():
+    # the Newton solve returns zero noise for any P <= 0, so a negative
+    # budget would otherwise pass silently as no noise
+    stats = make_stats(u=0.3, v=0.7, dsq=12.0, p=0.1, d=48)
+    with pytest.raises(ValueError, match="P must be >= 0"):
+        solve(stats, -1.0)
+
+
 def test_solve_reaches_balanced_orthogonal_noise_at_tiny_variances():
     # with both variances near the floor, the optimum puts exactly v - u
     # of orthogonal noise on the negative class, 1e-13 against along
@@ -374,7 +383,7 @@ def test_solve_reaches_balanced_orthogonal_noise_at_tiny_variances():
                        p=0.97879269692671, d=2)
     sol = solve(stats, power_budget(4.0, stats))
     better = objective((59.777709111304915, 0.0, 66.51553031311, 4.875424202658621e-13), stats)
-    assert sol.objective_value <= better * (1 + 1e-12)
+    assert solution_objective(sol, stats) <= better * (1 + 1e-12)
     assert sol.converged and sol.kkt_residual <= SolverSettings().tol
     assert sum_kl(sol, stats) < 0.2437
 
@@ -422,17 +431,17 @@ def test_objective_not_jointly_convex():
 
 def test_build_covariances():
     stats = make_stats(u=0.1, v=0.2, dsq=9.0, p=0.4, d=3)
-    iso_sol = LambdaSolution(0.7, 0.7, 0.7, 0.7, 0.0, True, 1, 0.0)
+    iso_sol = LambdaSolution(0.7, 0.7, 0.7, 0.7, True, 1, 0.0)
     pos, neg = build_covariances(iso_sol, stats)
     assert pos.along_var == 0.0 and pos.iso_var == 0.7
 
-    rank1 = LambdaSolution(2.0, 0.0, 1.0, 0.0, 0.0, True, 1, 0.0)
+    rank1 = LambdaSolution(2.0, 0.0, 1.0, 0.0, True, 1, 0.0)
     pos, neg = build_covariances(rank1, stats)
     assert pos.along_var == 2.0 and pos.iso_var == 0.0
     assert np.allclose(pos.direction, stats.delta_g / 3.0)
 
     # dense eigenvalue oracle at d=3
-    sol = LambdaSolution(2.5, 0.5, 1.5, 0.25, 0.0, True, 1, 0.0)
+    sol = LambdaSolution(2.5, 0.5, 1.5, 0.25, True, 1, 0.0)
     pos, neg = build_covariances(sol, stats)
     dense = pos.along_var * np.outer(pos.direction, pos.direction) + pos.iso_var * np.eye(3)
     eigs = np.sort(np.linalg.eigvalsh(dense))
@@ -445,14 +454,14 @@ def test_build_covariances():
 
 def test_sum_kl_zero_for_identical_distributions():
     stats = make_stats(u=0.3, v=0.3, dsq=0.0, p=0.5, d=4)
-    sol = LambdaSolution(0.0, 0.0, 0.0, 0.0, 0.0, True, 0, 0.0)
+    sol = LambdaSolution(0.0, 0.0, 0.0, 0.0, True, 0, 0.0)
     assert sum_kl(sol, stats) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_sum_kl_d1_closed_form():
     # N(0,1) vs N(1,1): symmetrized KL = 1, objective 4
     stats = make_stats(u=1.0, v=1.0, dsq=1.0, p=0.5, d=1)
-    sol = LambdaSolution(0.0, 0.0, 0.0, 0.0, 0.0, True, 0, 0.0)
+    sol = LambdaSolution(0.0, 0.0, 0.0, 0.0, True, 0, 0.0)
     assert objective((0, 0, 0, 0), stats) == pytest.approx(4.0)
     assert sum_kl(sol, stats) == pytest.approx(1.0, abs=1e-12)
 
@@ -473,7 +482,7 @@ def test_sum_kl_matches_dense_oracle():
         l10 = float(rng.uniform(0, 3))
         l20 = float(rng.uniform(0, l10)) if l10 > 0 else 0.0
         lams = (l11, l21, l10, l20)
-        sol = LambdaSolution(*lams, 0.0, True, 0, 0.0)
+        sol = LambdaSolution(*lams, True, 0, 0.0)
         direct = sum_kl(sol, stats)
         oracle = dense_sum_kl(lams, stats)
         assert direct == pytest.approx(oracle, abs=1e-9)
