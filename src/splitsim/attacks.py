@@ -13,17 +13,12 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "UndefinedAUCError",
     "split_labels",
     "roc_auc",
     "select_oracle_positive",
     "leak_auc",
     "quantile",
 ]
-
-
-class UndefinedAUCError(ValueError):
-    """Raised when a batch contains only one class, so no AUC exists."""
 
 
 def split_labels(labels: np.ndarray):
@@ -52,14 +47,15 @@ def _mann_whitney(scores: np.ndarray, split) -> float:
     return float(u / (n_pos * n_neg))
 
 
-def roc_auc(scores: np.ndarray, labels: np.ndarray) -> float:
+def roc_auc(scores: np.ndarray, labels: np.ndarray) -> float | None:
     """ROC AUC as the Mann-Whitney statistic with ties counted half.
 
     Equals P(score+ > score-) + 0.5 P(score+ = score-) over all
     positive-negative pairs, i.e. the area under the empirical ROC curve
     with trapezoidal ties.  Invariant under strictly increasing score
     transforms.  NaN sorts above every number and ties with NaN, and
-    -0.0 ties with 0.0.
+    -0.0 ties with 0.0.  None when the labels hold only one class, where
+    no AUC exists.
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
@@ -67,16 +63,14 @@ def roc_auc(scores: np.ndarray, labels: np.ndarray) -> float:
         raise ValueError("scores and labels must be equal-length vectors")
     split = split_labels(labels)
     if split[2] == 0 or split[3] == 0:
-        raise UndefinedAUCError("AUC undefined for a single-class batch")
+        return None
     return _mann_whitney(scores, split)
 
 
 def select_oracle_positive(pos_idx: np.ndarray, rng: np.random.Generator) -> int:
     """A uniformly random entry of `pos_idx`, the batch's positive-class
     row indices; the attacker's oracle is that row of the unperturbed
-    gradients."""
-    if pos_idx.size == 0:
-        raise UndefinedAUCError("no positive example in batch")
+    gradients.  An empty `pos_idx` raises numpy's ValueError."""
     return int(pos_idx[rng.integers(0, pos_idx.size)])
 
 

@@ -23,9 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import data as data_mod
-from .attacks import (
-    UndefinedAUCError, leak_auc, quantile, roc_auc, select_oracle_positive, split_labels
-)
+from .attacks import leak_auc, quantile, roc_auc, select_oracle_positive, split_labels
 from .model import (
     ACTIVATIONS,
     Adam,
@@ -86,22 +84,28 @@ class DatasetConfig:
 
 @dataclass(frozen=True)
 class NetConfig:
+    """The hidden layers and the cut.  `activations` defaults to relu for
+    every hidden layer, and `cut_index` to the depth less one (at least 1)."""
+
     hidden_dims: tuple[int, ...] = (32, 32, 16)
-    activations: tuple[str, ...] = ("relu", "relu", "relu")
-    cut_index: int = 2
+    activations: tuple[str, ...] | None = None
+    cut_index: int | None = None
 
     def __post_init__(self):
-        if len(self.activations) != len(self.hidden_dims):
+        depth = len(self.hidden_dims)
+        if self.activations is None:
+            object.__setattr__(self, "activations", ("relu",) * depth)
+        if self.cut_index is None:
+            object.__setattr__(self, "cut_index", max(1, depth - 1))
+        if len(self.activations) != depth:
             raise ValueError("activations must match hidden_dims in length")
         if any(h < 1 for h in self.hidden_dims):
             raise ValueError(f"hidden_dims must all be >= 1, got {list(self.hidden_dims)}")
         unknown = [a for a in self.activations if a not in ACTIVATIONS]
         if unknown:
             raise ValueError(f"unknown activations {unknown}; expected one of {list(ACTIVATIONS)}")
-        if not 1 <= self.cut_index <= len(self.hidden_dims):
-            raise ValueError(
-                f"cut_index must be in [1, {len(self.hidden_dims)}], got {self.cut_index}"
-            )
+        if not 1 <= self.cut_index <= depth:
+            raise ValueError(f"cut_index must be in [1, {depth}], got {self.cut_index}")
 
 
 @dataclass(frozen=True)
@@ -159,9 +163,8 @@ def _from_dict(cls, d, where: str):
     """The config dataclass `cls` from the JSON object `d`: absent keys take
     their defaults, given values go through `_convert`, and a section (a
     field defaulting to a config dataclass) is parsed from its own object.
-    Net's `activations` and `cut_index` default from the depth of
-    `hidden_dims`.  Every rejection, the dataclasses' own checks included,
-    is a ConfigError.
+    A value converts to the type of its field in a default-built `cls()`.
+    Every rejection, the dataclasses' own checks included, is a ConfigError.
     """
     if not isinstance(d, dict):
         raise ConfigError(f"{where} must be a JSON object, got {type(d).__name__}")
@@ -170,17 +173,14 @@ def _from_dict(cls, d, where: str):
     if unknown:
         raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
     sections = [f for f in fields if dataclasses.is_dataclass(f.default_factory)]
-    defaults = {f.name: f.default for f in fields if f not in sections}
+    base = cls()
+    defaults = {f.name: getattr(base, f.name) for f in fields if f not in sections}
     try:
         kwargs = {k: _convert(v, defaults[k], k) for k, v in d.items() if k in defaults}
     except (TypeError, ValueError, OverflowError) as exc:  # a value of the wrong type
         raise ConfigError(f"bad config value: {exc}") from None
     for f in sections:
         kwargs[f.name] = _from_dict(f.default_factory, d.get(f.name, {}), f.name)
-    if cls is NetConfig:
-        depth = len(kwargs.get("hidden_dims", NetConfig.hidden_dims))
-        kwargs.setdefault("activations", ("relu",) * depth)
-        kwargs.setdefault("cut_index", max(1, depth - 1))
     try:
         return cls(**kwargs)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -356,11 +356,7 @@ def train_run(config: ExperimentConfig) -> RunRecord:
     test_loss = float(np.mean(logistic_loss(test_state.logits, test.y)))
     if not math.isfinite(test_loss):
         raise FloatingPointError(f"test loss is {test_loss}")
-    try:
-        test_auc = roc_auc(test_state.logits, test.y)
-    except UndefinedAUCError:
-        test_auc = None
-
+    test_auc = roc_auc(test_state.logits, test.y)
     return RunRecord(
         rows=rows, test_loss=test_loss, test_auc=test_auc, summary=summarize_rows(rows)
     )

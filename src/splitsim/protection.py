@@ -27,7 +27,8 @@ HYPERPARAMETERS = {"iso": "t", "marvell": "s"}
 
 @dataclass(frozen=True)
 class MechanismConfig:
-    """Mechanism choice plus its privacy hyperparameter, fixed for a run."""
+    """Mechanism choice plus its privacy hyperparameter, fixed for a run.
+    The hyperparameter a kind does not read must keep its default."""
 
     kind: str = "none"
     t: float = 1.0  # iso noise scale
@@ -40,6 +41,10 @@ class MechanismConfig:
             raise ValueError(f"iso t must be finite and >= 0, got {self.t!r}")
         if self.kind == "marvell" and not (math.isfinite(self.s) and self.s > 0):
             raise ValueError(f"marvell s must be finite and > 0, got {self.s!r}")
+        for name in ("t", "s"):
+            value = getattr(self, name)
+            if name != HYPERPARAMETERS.get(self.kind) and value != getattr(MechanismConfig, name):
+                raise ValueError(f"mechanism {self.kind} takes no {name}, got {name}={value!r}")
 
     @property
     def param(self) -> float | None:

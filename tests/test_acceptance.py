@@ -210,6 +210,7 @@ def test_c03_solver_optimality():
         stats = make_stats(u=u, v=v, dsq=dsq, p=p, d=d)
         P = power_budget(s, stats)
         sol = solve(stats, P)
+        assert sol.converged, f"instance {trial}"
 
         grid = grid_search_objective(stats, P, n=100)
         assert solution_objective(sol, stats) <= grid * (1 + 1e-3), f"instance {trial}"

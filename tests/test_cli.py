@@ -49,44 +49,24 @@ def test_seed_override_changes_csv(tmp_path):
     assert (tmp_path / "a/run.csv").read_bytes() != (tmp_path / "b/run.csv").read_bytes()
 
 
-def test_unknown_config_key_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize(
+    ("text", "message"),
+    [
+        ('{"iterations": 5, "bogus": 1}', "unknown config keys: ['bogus']"),
+        ("{not json", "invalid JSON in"),
+        ("[1, 2]", "config must be a JSON object, got list"),
+        (None, "cannot read config"),  # no file at all
+    ],
+    ids=["unknown_key", "invalid_json", "root_not_object", "missing_file"],
+)
+def test_bad_config_file_exits_2(tmp_path, capsys, text, message):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"iterations": 5, "bogus": 1}))
+    if text is not None:
+        path.write_text(text)
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
-    assert "unknown config keys" in capsys.readouterr().err
-
-
-def test_invalid_json_exits_2(tmp_path, capsys):
-    path = tmp_path / "cfg.json"
-    path.write_text("{not json")
-    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
-
-
-def test_config_root_not_object_exits_2(tmp_path, capsys):
-    path = tmp_path / "cfg.json"
-    path.write_text("[1, 2]")
-    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
-    assert "must be a JSON object, got list" in capsys.readouterr().err
-
-
-def test_missing_config_exits_2(tmp_path):
-    assert main(["run", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 2
-
-
-def test_unknown_activation_exits_2(tmp_path, capsys):
-    cfg = _write_config(
-        tmp_path / "cfg.json",
-        net={"hidden_dims": [8, 8, 4], "activations": ["gelu", "relu", "relu"]},
-    )
-    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
-    assert "gelu" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error" in err and message in err
     assert not (tmp_path / "o").exists()
-
-
-def test_zero_hidden_dim_exits_2(tmp_path, capsys):
-    cfg = _write_config(tmp_path / "cfg.json", net={"hidden_dims": [0, 8, 4]})
-    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
-    assert "hidden_dims" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -97,8 +77,13 @@ def test_zero_hidden_dim_exits_2(tmp_path, capsys):
         # the solver's settings are not config keys, so setting one is refused by name
         ({"kind": "marvell", "max_sweeps": 0}, "max_sweeps"),
         ({"kind": "marvell", "tol": -1}, "tol"),
+        # a hyperparameter the mechanism does not read is refused, not ignored
+        ({"kind": "marvell", "t": 16.0}, "mechanism marvell takes no t, got t=16.0"),
+        ({"kind": "iso", "s": 2.0}, "mechanism iso takes no s, got s=2.0"),
+        ({"kind": "max_norm", "t": 2.0}, "mechanism max_norm takes no t, got t=2.0"),
     ],
-    ids=["marvell_s_nan", "iso_t_nan", "max_sweeps_0", "tol_negative"],
+    ids=["marvell_s_nan", "iso_t_nan", "max_sweeps_0", "tol_negative", "marvell_t",
+         "iso_s", "max_norm_t"],
 )
 def test_bad_mechanism_value_exits_2(tmp_path, capsys, mechanism, field):
     # json.dumps writes NaN, which json.load reads back as a float
@@ -121,9 +106,12 @@ def test_bad_mechanism_value_exits_2(tmp_path, capsys, mechanism, field):
         ({"optimizer": {"beta2": 0.999}}, [], "unknown optimizer keys: ['beta2']"),
         ({"optimizer": {"eps": 1e-8}}, [], "unknown optimizer keys: ['eps']"),
         ({"dataset": {"test_frac": 0.0}}, [], "test_frac must be in (0, 1)"),
+        ({"net": {"hidden_dims": [8, 8, 4], "activations": ["gelu", "relu", "relu"]}}, [],
+         "unknown activations ['gelu']"),
+        ({"net": {"hidden_dims": [0, 8, 4]}}, [], "hidden_dims must all be >= 1"),
     ],
     ids=["seed_negative", "out_int", "lr_nan", "optimizer_kind", "beta1", "beta2", "eps",
-         "test_frac_0"],
+         "test_frac_0", "unknown_activation", "zero_hidden_dim"],
 )
 def test_bad_config_value_exits_2(tmp_path, capsys, overrides, argv, field):
     cfg = _write_config(tmp_path / "cfg.json", **overrides)

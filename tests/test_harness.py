@@ -125,6 +125,11 @@ def test_config_rejects_bad_values():
         {"optimizer": {"lr": inf}},
         {"dataset": {"separation": nan}},
         {"dataset": {"noise_scale": -inf}},
+        # a hyperparameter the mechanism does not read
+        {"mechanism": {"kind": "marvell", "t": 16.0}},
+        {"mechanism": {"kind": "iso", "s": 2.0}},
+        {"mechanism": {"kind": "none", "t": 2.0}},
+        {"mechanism": {"kind": "max_norm", "s": 2.0}},
     ]:
         with pytest.raises(ConfigError):
             config_from_dict(bad)
@@ -139,6 +144,8 @@ def test_config_built_in_python_is_checked():
         dataclasses.replace(ExperimentConfig(), iterations=0)
     with pytest.raises(ValueError, match="activations must match hidden_dims"):
         NetConfig(hidden_dims=(8,), activations=("relu", "relu"))
+    # activations and cut_index default from the depth, as in a parsed config
+    assert NetConfig(hidden_dims=(8, 8)) == config_from_dict({"net": {"hidden_dims": [8, 8]}}).net
     with pytest.raises(ValueError, match="csv dataset requires a path"):
         DatasetConfig(kind="csv")
 
@@ -275,8 +282,8 @@ def test_run_model_is_run_dtype(monkeypatch):
         harness.apply_update,
         lambda args, out: np.concatenate([args[0].params, args[3]._m, args[3]._v]),
     )
-    for kind in ("none", "marvell"):
-        train_run(_quick_config(mechanism=MechanismConfig(kind=kind, s=2.0), iterations=10))
+    for mechanism in (MechanismConfig(), MechanismConfig(kind="marvell", s=2.0)):
+        train_run(_quick_config(mechanism=mechanism, iterations=10))
     assert all(len(arrays) >= 10 for arrays in seen.values())
     assert {a.dtype for arrays in seen.values() for a in arrays} == {np.dtype(np.float32)}
 

@@ -1,12 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import (
-    OutOfPlaceAdam,
-    compute_gradients,
-    finite_difference_gradient,
-    h_feature_gradients,
-)
+from oracles import OutOfPlaceAdam, compute_gradients, h_feature_gradients
 from splitsim.model import (
     ACTIVATIONS,
     Adam,
@@ -41,16 +36,6 @@ def _random_net(rng, in_dim=3, hidden=(4, 3), cut=1, acts=("relu", "tanh")):
 def _flatten_params(net):
     layers = net.f_layers + net.h_layers
     return np.concatenate([np.concatenate([l.W.ravel(), l.b]) for l in layers])
-
-
-def _set_params(net, flat):
-    pos = 0
-    for l in net.f_layers + net.h_layers:
-        n = l.W.size
-        l.W[...] = flat[pos : pos + n].reshape(l.W.shape)
-        pos += n
-        l.b[...] = flat[pos : pos + l.b.size]
-        pos += l.b.size
 
 
 def test_build_defaults_to_run_dtype():
@@ -128,28 +113,6 @@ def test_cut_gradients_linear_h_at_zero_logit():
     assert np.allclose(g0[0], +0.5 * w, atol=1e-12)
 
 
-def test_cut_gradients_match_finite_differences():
-    rng = make_rng(3)
-    net = SplitNet.build(3, [4, 5, 3], ["relu", "tanh", "sigmoid"], 1, rng, dtype=np.float64)
-    X = rng.standard_normal((4, 3))
-    y = np.array([1, 0, 1, 0])
-    state = forward(net, X)
-    got = label_party_gradients(state, y)[0]
-
-    for j in range(4):
-        z0 = state.cut_features[j]
-
-        def per_example_loss(z):
-            a = z[None, :]
-            for layer in net.h_layers:
-                a = ACTIVATIONS[layer.spec.activation][0](a @ layer.W + layer.b)
-            return float(logistic_loss(a[0, 0], y[j]))
-
-        fd = finite_difference_gradient(per_example_loss, z0, h=1e-5)
-        rel = np.linalg.norm(got[j] - fd) / max(np.linalg.norm(fd), 1e-12)
-        assert rel <= 1e-4
-
-
 def test_cut_gradient_norm_factorization():
     # ||g_j|| = |prob_j - y_j| * ||grad_z h|| exactly
     rng = make_rng(4)
@@ -188,52 +151,6 @@ def test_backprop_nonlabel_linear_in_received():
         assert np.allclose(dW2, 2.0 * dW1, rtol=0, atol=0)
         assert np.allclose(db2, 2.0 * db1, rtol=0, atol=0)
     assert np.allclose(first_two, 2.0 * first_one, rtol=0, atol=0)
-
-
-def test_param_gradients_match_finite_differences():
-    rng = make_rng(7)
-    net = SplitNet.build(3, [4, 3], ["relu", "sigmoid"], 1, rng, dtype=np.float64)
-    X = rng.standard_normal((6, 3))
-    y = (rng.random(6) < 0.5).astype(int)
-
-    state = forward(net, X)
-    f_grads, h_grads = compute_gradients(net, state, y)
-    got = np.concatenate([np.concatenate([dW.ravel(), db]) for dW, db in f_grads + h_grads])
-
-    base = _flatten_params(net).copy()
-
-    def mean_loss(flat):
-        _set_params(net, flat)
-        st = forward(net, X)
-        out = float(np.mean(logistic_loss(st.logits, y)))
-        return out
-
-    fd = finite_difference_gradient(mean_loss, base, h=1e-5)
-    _set_params(net, base)
-    rel = np.linalg.norm(got - fd) / max(np.linalg.norm(fd), 1e-12)
-    assert rel <= 1e-4
-
-
-def test_first_layer_gradients_match_finite_differences():
-    rng = make_rng(8)
-    net = SplitNet.build(3, [4, 3], ["tanh", "relu"], 2, rng, dtype=np.float64)
-    X = rng.standard_normal((3, 3))
-    y = np.array([1, 0, 1])
-    state = forward(net, X)
-    g = label_party_gradients(state, y)[0]
-    _, first = backprop_nonlabel(net, state, g)
-    a1 = state.f_act[0]
-    for j in range(3):
-
-        def loss_from_first_act(a):
-            out = a[None, :]
-            for layer in net.f_layers[1:] + net.h_layers:
-                out = ACTIVATIONS[layer.spec.activation][0](out @ layer.W + layer.b)
-            return float(logistic_loss(out[0, 0], y[j]))
-
-        fd = finite_difference_gradient(loss_from_first_act, a1[j], h=1e-5)
-        rel = np.linalg.norm(first[j] - fd) / max(np.linalg.norm(fd), 1e-12)
-        assert rel <= 1e-4
 
 
 def test_forward_leaves_input_unmodified():

@@ -78,21 +78,6 @@ def test_max_norm_sigma_formula():
     assert np.all(out.perturbed[:copies, 1] == 0.0)
 
 
-def test_max_norm_expected_norms_match_max():
-    rng = make_rng(9)
-    g = rng.standard_normal((6, 5))
-    g *= (0.4 + 0.6 * rng.random(6))[:, None]  # spread of norms, none tiny
-    max_sq = float((g * g).sum(axis=1).max())
-    trials = 4000
-    acc = np.zeros(6)
-    noise_rng = make_rng(10)
-    for _ in range(trials):
-        out = perturb_max_norm(g, noise_rng)
-        acc += (out.perturbed**2).sum(axis=1)
-    emp = acc / trials
-    assert np.all(np.abs(emp - max_sq) <= 0.1 * max_sq)
-
-
 def test_max_norm_zero_rows_stay_zero():
     g = np.array([[1.0, 1.0], [0.0, 0.0]])
     out = perturb_max_norm(g, make_rng(11))
@@ -193,32 +178,6 @@ def test_marvell_positive_noise_spectrum():
     assert abs(ortho_var - sol.lam2_pos) <= 0.05 * max(sol.lam2_pos, 1e-9) + 1e-9
 
 
-@pytest.mark.parametrize("kind,param", [("none", None), ("iso", 1.0), ("max_norm", None), ("marvell", 2.0)])
-def test_unbiasedness(kind, param):
-    # fixed row, many perturbed copies: componentwise mean within
-    # 4 std / sqrt(N) of the clean row
-    rng = make_rng(23)
-    d = 6
-    g_row = rng.standard_normal(d)
-    copies = 10**5
-    anchor = 2.0 * np.ones(d)  # fixes ||g_max|| and the class gap
-    batch = np.vstack([np.tile(g_row, (copies, 1)), np.tile(anchor, (copies // 4, 1))])
-    labels = np.array([1] * copies + [0] * (copies // 4))
-    if kind == "iso":
-        config = MechanismConfig(kind="iso", t=param)
-    elif kind == "marvell":
-        config = MechanismConfig(kind="marvell", s=param)
-    else:
-        config = MechanismConfig(kind=kind)
-    out = apply_mechanism(config, batch, labels, make_rng(24))
-    copies_pert = out.perturbed[:copies]
-    emp_mean = copies_pert.mean(axis=0)
-    emp_std = copies_pert.std(axis=0)
-    # small absolute term absorbs float accumulation when the noise is zero
-    tol = 4.0 * emp_std / np.sqrt(copies) + 1e-10
-    assert np.all(np.abs(emp_mean - g_row) <= tol)
-
-
 @pytest.mark.parametrize("kind", MECHANISMS)
 @pytest.mark.parametrize("labels", [[1] * 8 + [0] * 24, [0] * 32], ids=["mixed", "one_class"])
 def test_float32_batch_is_the_float64_batch_rounded(kind, labels):
@@ -226,7 +185,7 @@ def test_float32_batch_is_the_float64_batch_rounded(kind, labels):
     # only its output rows: a float32 batch gives the rows of the same
     # batch upcast to float64, rounded to float32, and the same solve and
     # certificate, bit for bit
-    config = MechanismConfig(kind=kind, t=2.0, s=4.0)
+    config = MechanismConfig(kind=kind, **{"iso": {"t": 2.0}, "marvell": {"s": 4.0}}.get(kind, {}))
     labels = np.array(labels)
     g32 = make_rng(27).standard_normal((32, 48)).astype(np.float32)
     g32[labels == 1] += np.float32(0.5)

@@ -3,24 +3,10 @@
 A performance change is meant to leave every byte of `run.csv` and
 `summary.csv` unchanged.  The configs are taken from
 `perfbench/workloads.py` (the `workloads` fixture) at seed 7, so the
-pinned bytes are always the benchmark's own workloads.  All three
-workloads were re-pinned when every random stream (data, init,
-batching, noise, attack oracle) moved from the Philox bit generator to
-SFC64: the streams keep their `SeedSequence` keys and every draw keeps
-its shape and order, but the bits behind each draw differ.  The two
-marvell workloads were re-pinned again when marvell's Newton solve
-replaced its coordinate descent: the solve stops on a KKT residual
-rather than a sweep's objective decrease, so the eigenvalues, and with
-them the noise scales, moved in their last bits (about 1e-9 relative).
-All three were re-pinned once more when a run's model moved from
-float64 to float32 (`model.RUN_DTYPE`): features, parameters,
-activations, gradients and Adam's moments round to float32, so every
-loss, leak AUC and noise scale moved, while the mechanisms' noise is
-the same normals drawn in the same order, fitted, solved and certified
-in float64.  Besides a change to this package, such as another bit
-generator behind `numeric.make_rng`, a different BLAS build can move
-the bytes: the matrix products go through numpy's BLAS and may round
-differently.
+pinned bytes are always the benchmark's own workloads.  Besides a
+change to this package, such as another bit generator behind
+`numeric.make_rng`, a different BLAS build can move the bytes: the
+matrix products go through numpy's BLAS and may round differently.
 """
 
 import hashlib
