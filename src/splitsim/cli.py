@@ -64,8 +64,6 @@ def _cmd_run(args) -> int:
     record = run_to_dir(_seeded_config(args), args.out)
     for name, value in record.summary.items():
         print(f"{name}: {'NA' if value is None else f'{value:.6f}'}")
-    print(f"test_loss: {record.test_loss:.6f}")
-    print(f"test_auc: {'NA' if record.test_auc is None else f'{record.test_auc:.6f}'}")
     print(f"wrote {Path(args.out) / 'run.csv'}")
     return 0
 
@@ -82,7 +80,7 @@ def _cmd_sweep(args) -> int:
         if p.record is None:
             print(f"{name}: FAILED")
             continue
-        test_auc, cos_cut_q95 = p.record.test_auc, p.record.summary["cos_cut_q95"]
+        test_auc, cos_cut_q95 = p.record.summary["test_auc"], p.record.summary["cos_cut_q95"]
         print(
             f"{name}: test_auc="
             f"{'NA' if test_auc is None else f'{test_auc:.4f}'} "

@@ -50,8 +50,19 @@ class ConfigError(Exception):
 # configuration
 
 
+# The DatasetConfig fields each kind reads besides test_frac.
+_DATASET_READS = {
+    "synthetic": ("n", "d_in", "pos_frac", "separation", "noise_scale"),
+    "toy1d": ("n",),
+    "csv": ("path",),
+}
+
+
 @dataclass(frozen=True)
 class DatasetConfig:
+    """The dataset and its test fraction.  A field its kind does not read
+    must keep its default."""
+
     kind: str = "synthetic"
     n: int = 4000
     d_in: int = 20
@@ -62,19 +73,24 @@ class DatasetConfig:
     test_frac: float = 0.2
 
     def __post_init__(self):
-        if self.kind not in ("synthetic", "toy1d", "csv"):
+        reads = _DATASET_READS.get(self.kind)
+        if reads is None:
             raise ValueError(f"unknown dataset kind {self.kind!r}")
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if f.name not in ("kind", "test_frac") + reads and value != f.default:
+                raise ValueError(f"dataset {self.kind} takes no {f.name}, got {f.name}={value!r}")
         if self.kind == "csv" and not self.path:
             raise ValueError("csv dataset requires a path")
         if not 0.0 < self.test_frac < 1.0:
             raise ValueError(f"test_frac must be in (0, 1), got {self.test_frac}")
-        if self.kind == "synthetic" and not 0.0 < self.pos_frac < 1.0:
+        if not 0.0 < self.pos_frac < 1.0:
             raise ValueError(f"pos_frac must be in (0, 1), got {self.pos_frac}")
-        if self.kind in ("synthetic", "toy1d"):
-            if self.n < 1:
-                raise ValueError(f"dataset n must be >= 1, got {self.n}")
+        if self.n < 1:
+            raise ValueError(f"dataset n must be >= 1, got {self.n}")
+        if self.kind != "csv":
             data_mod.split_sizes(self.n, self.test_frac)  # at least one training row
-        if self.kind == "synthetic" and self.d_in < 1:
+        if self.d_in < 1:
             raise ValueError(f"dataset d_in must be >= 1, got {self.d_in}")
         if not math.isfinite(self.separation):
             raise ValueError(f"separation must be finite, got {self.separation!r}")
@@ -228,9 +244,7 @@ RUN_CSV_HEADER = ",".join(("iter",) + _RUN_CSV_VALUES)
 @dataclass
 class RunRecord:
     rows: list[IterationRow]
-    test_loss: float
-    test_auc: float | None
-    summary: dict[str, float | None]
+    summary: dict[str, float | None]  # summary.csv's values, in its row order
 
 
 def summarize_rows(rows: list[IterationRow]) -> dict[str, float | None]:
@@ -357,9 +371,8 @@ def train_run(config: ExperimentConfig) -> RunRecord:
     if not math.isfinite(test_loss):
         raise FloatingPointError(f"test loss is {test_loss}")
     test_auc = roc_auc(test_state.logits, test.y)
-    return RunRecord(
-        rows=rows, test_loss=test_loss, test_auc=test_auc, summary=summarize_rows(rows)
-    )
+    summary = {**summarize_rows(rows), "test_loss": test_loss, "test_auc": test_auc}
+    return RunRecord(rows=rows, summary=summary)
 
 
 # ---------------------------------------------------------------------------
@@ -380,18 +393,13 @@ def write_run_csv(record: RunRecord, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _results(record: RunRecord) -> dict[str, float | None]:
-    """A run's reported values, in summary.csv's row order."""
-    return {**record.summary, "test_loss": record.test_loss, "test_auc": record.test_auc}
-
-
 def _fmt_param(mechanism: MechanismConfig) -> str:
     return "" if mechanism.param is None else _fmt(mechanism.param)
 
 
 def write_summary_csv(record: RunRecord, mechanism: MechanismConfig, path) -> None:
     lines = ["field,value", f"mechanism,{mechanism.kind}", f"param,{_fmt_param(mechanism)}"]
-    lines += [f"{name},{_fmt(value)}" for name, value in _results(record).items()]
+    lines += [f"{name},{_fmt(value)}" for name, value in record.summary.items()]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -456,10 +464,7 @@ def sweep(
     if len(set(values)) < len(values):
         raise ConfigError(f"grid repeats a value: {values}")
     settings = [{}] if name is None else [{name: value} for value in values]
-    try:
-        mechs = [MechanismConfig(kind=kind, **setting) for setting in settings]
-    except ValueError as exc:
-        raise ConfigError(f"bad grid value: {exc}") from None
+    mechs = [_from_dict(MechanismConfig, {"kind": kind, **s}, "mechanism") for s in settings]
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -480,7 +485,7 @@ def sweep(
 def write_tradeoff_csv(points: list[TradeoffPoint], path) -> None:
     lines = [TRADEOFF_CSV_HEADER]
     for p in points:
-        results = {} if p.record is None else _results(p.record)
-        values = [_fmt(results[name]) if results else "" for name in _TRADEOFF_VALUES]
+        values = ["" if p.record is None else _fmt(p.record.summary[name])
+                  for name in _TRADEOFF_VALUES]
         lines.append(",".join([p.mechanism.kind, _fmt_param(p.mechanism), p.status] + values))
     Path(path).write_text("\n".join(lines) + "\n")

@@ -358,8 +358,8 @@ def test_c09_protection_reproduction(unprotected_run, marvell_runs):
     # marvell s=4 on the same task: all four quantiles <= 0.65 with at
     # most 0.10 test-AUC cost
     rec = marvell_runs[4.0]
-    assert rec.test_auc is not None and unprotected_run.test_auc is not None
-    assert abs(rec.test_auc - unprotected_run.test_auc) <= 0.10
+    assert rec.summary["test_auc"] is not None and unprotected_run.summary["test_auc"] is not None
+    assert abs(rec.summary["test_auc"] - unprotected_run.summary["test_auc"]) <= 0.10
     s = rec.summary
     names = ("norm_cut_q95", "cos_cut_q95", "norm_first_q95", "cos_first_q95")
     above = [f"{name} = {s[name]:.3f}" for name in names if s[name] > 0.65]
@@ -372,11 +372,11 @@ def test_c10_tradeoff_dominance(marvell_runs, iso_runs):
     # while marvell s=4 is protective
     for s_val, m in marvell_runs.items():
         for t_val, i in iso_runs.items():
-            if m.test_auc >= i.test_auc:
+            if m.summary["test_auc"] >= i.summary["test_auc"]:
                 assert m.summary["cos_cut_q95"] < i.summary["cos_cut_q95"], (
-                    f"marvell s={s_val} (auc {m.test_auc:.3f}, cos "
+                    f"marvell s={s_val} (auc {m.summary['test_auc']:.3f}, cos "
                     f"{m.summary['cos_cut_q95']:.3f}) not dominated by iso t={t_val} "
-                    f"(auc {i.test_auc:.3f}, cos {i.summary['cos_cut_q95']:.3f})"
+                    f"(auc {i.summary['test_auc']:.3f}, cos {i.summary['cos_cut_q95']:.3f})"
                 )
     assert iso_runs[max(ISO_GRID)].summary["cos_cut_q95"] >= 0.7
     assert marvell_runs[4.0].summary["cos_cut_q95"] <= 0.65, (

@@ -1,7 +1,13 @@
+"""The `splitsim` command line's own job: argument parsing, `--seed`,
+which exit code each error family gets (2 for a config error, 3 for a
+runtime one), what `run` and `sweep` print, and that `gen-data` writes
+the dataset a run splits.  The config and sweep rules themselves are
+tested in test_harness.py, and determinism by criterion c11 and the
+pinned bytes of test_run_bytes.py.
+"""
+
 import csv
 import json
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -29,9 +35,11 @@ def test_run_command(tmp_path, capsys):
     rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert rc == 0
     assert (tmp_path / "out/run.csv").exists()
-    assert (tmp_path / "out/summary.csv").exists()
-    out = capsys.readouterr().out
-    assert "test_auc" in out
+    # one line per summary.csv value, in its order, then the run file
+    summary = (tmp_path / "out/summary.csv").read_text().splitlines()[3:]
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(": ")[0] for line in lines[:-1]] == [v.split(",")[0] for v in summary]
+    assert lines[-1] == f"wrote {tmp_path / 'out' / 'run.csv'}"
 
 
 def test_run_requires_out(tmp_path, capsys):
@@ -50,75 +58,34 @@ def test_seed_override_changes_csv(tmp_path):
 
 
 @pytest.mark.parametrize(
-    ("text", "message"),
+    ("text", "argv", "message"),
     [
-        ('{"iterations": 5, "bogus": 1}', "unknown config keys: ['bogus']"),
-        ("{not json", "invalid JSON in"),
-        ("[1, 2]", "config must be a JSON object, got list"),
-        (None, "cannot read config"),  # no file at all
+        ('{"iterations": 5, "bogus": 1}', ["run"], "unknown config keys: ['bogus']"),
+        ("{not json", ["run"], "invalid JSON in"),
+        ("[1, 2]", ["run"], "config must be a JSON object, got list"),
+        (None, ["run"], "cannot read config"),  # no file at all
+        ('{"dataset": {"kind": "synthetic", "path": "data.csv"}}', ["run"],
+         "dataset synthetic takes no path, got path='data.csv'"),
+        ("{}", ["run", "--seed", "-1"], "seed must be >= 0, got -1"),
+        ('{"dataset": {"separation": NaN}}', ["gen-data"], "separation must be finite"),
+        ("{}", ["sweep", "--mechanism", "iso", "--grid", "1,zap"], "bad --grid value"),
+        ("{}", ["sweep", "--mechanism", "iso", "--grid", "1,-2"],
+         "iso t must be finite and >= 0, got -2.0"),
+        ("{}", ["sweep", "--mechanism", "max_norm", "--grid", "1"], "takes no grid"),
     ],
-    ids=["unknown_key", "invalid_json", "root_not_object", "missing_file"],
+    ids=["unknown_key", "invalid_json", "root_not_object", "missing_file", "dataclass_check",
+         "seed_option", "gen_data", "grid_unparseable", "grid_value", "grid_on_max_norm"],
 )
-def test_bad_config_file_exits_2(tmp_path, capsys, text, message):
-    path = tmp_path / "cfg.json"
+def test_config_error_exits_2(tmp_path, capsys, text, argv, message):
+    # each way a ConfigError reaches main: from the file, the --seed
+    # option, each command and the sweep's grid; none writes any output
+    path, out = tmp_path / "cfg.json", tmp_path / "o"
     if text is not None:
         path.write_text(text)
-    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert main([argv[0], "--config", str(path), *argv[1:], "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and message in err
-    assert not (tmp_path / "o").exists()
-
-
-@pytest.mark.parametrize(
-    ("mechanism", "field"),
-    [
-        ({"kind": "marvell", "s": float("nan")}, "marvell s"),
-        ({"kind": "iso", "t": float("nan")}, "iso t"),
-        # the solver's settings are not config keys, so setting one is refused by name
-        ({"kind": "marvell", "max_sweeps": 0}, "max_sweeps"),
-        ({"kind": "marvell", "tol": -1}, "tol"),
-        # a hyperparameter the mechanism does not read is refused, not ignored
-        ({"kind": "marvell", "t": 16.0}, "mechanism marvell takes no t, got t=16.0"),
-        ({"kind": "iso", "s": 2.0}, "mechanism iso takes no s, got s=2.0"),
-        ({"kind": "max_norm", "t": 2.0}, "mechanism max_norm takes no t, got t=2.0"),
-    ],
-    ids=["marvell_s_nan", "iso_t_nan", "max_sweeps_0", "tol_negative", "marvell_t",
-         "iso_s", "max_norm_t"],
-)
-def test_bad_mechanism_value_exits_2(tmp_path, capsys, mechanism, field):
-    # json.dumps writes NaN, which json.load reads back as a float
-    cfg = _write_config(tmp_path / "cfg.json", mechanism=mechanism)
-    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
-    err = capsys.readouterr().err
-    assert "config error" in err and field in err
-    assert not (tmp_path / "o").exists()
-
-
-@pytest.mark.parametrize(
-    ("overrides", "argv", "field"),
-    [
-        ({}, ["--seed", "-1"], "seed"),
-        ({"out": 5}, [], "out"),  # the output directory is only --out, never a config key
-        ({"optimizer": {"lr": float("nan")}}, [], "lr"),
-        # Adam is the one optimizer: its kind and constants are not config keys
-        ({"optimizer": {"kind": "sgd"}}, [], "unknown optimizer keys: ['kind']"),
-        ({"optimizer": {"beta1": 0.9}}, [], "unknown optimizer keys: ['beta1']"),
-        ({"optimizer": {"beta2": 0.999}}, [], "unknown optimizer keys: ['beta2']"),
-        ({"optimizer": {"eps": 1e-8}}, [], "unknown optimizer keys: ['eps']"),
-        ({"dataset": {"test_frac": 0.0}}, [], "test_frac must be in (0, 1)"),
-        ({"net": {"hidden_dims": [8, 8, 4], "activations": ["gelu", "relu", "relu"]}}, [],
-         "unknown activations ['gelu']"),
-        ({"net": {"hidden_dims": [0, 8, 4]}}, [], "hidden_dims must all be >= 1"),
-    ],
-    ids=["seed_negative", "out_int", "lr_nan", "optimizer_kind", "beta1", "beta2", "eps",
-         "test_frac_0", "unknown_activation", "zero_hidden_dim"],
-)
-def test_bad_config_value_exits_2(tmp_path, capsys, overrides, argv, field):
-    cfg = _write_config(tmp_path / "cfg.json", **overrides)
-    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o"), *argv]) == 2
-    err = capsys.readouterr().err
-    assert "config error" in err and field in err
-    assert not (tmp_path / "o").exists()
+    assert not out.exists()
 
 
 def test_optimizer_lr_alone_trains(tmp_path):
@@ -143,33 +110,19 @@ def test_single_class_test_split_reports_na(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "dataset",
-    [{"n": 1}, {"n": 3, "test_frac": 0.9}, {"kind": "toy1d", "n": 1}],
-    ids=["n1", "n3_test_frac_0.9", "toy1d_n1"],
+    ("rows", "message"),
+    [("label,f1\n1,0.5\n", "0 training and 1 test rows"), ("label,f1\n", "no data rows"),
+     (None, "cannot read dataset")],
+    ids=["one_row", "header_only", "missing_file"],
 )
-def test_empty_training_split_exits_2(tmp_path, capsys, dataset):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"dataset": dataset}))
-    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
-    err = capsys.readouterr().err
-    assert "config error" in err and "0 training" in err
-    assert not (tmp_path / "o").exists()
-
-
-def test_csv_without_training_rows_exits_3(tmp_path, capsys):
-    data = tmp_path / "one.csv"
-    data.write_text("label,f1\n1,0.5\n")
+def test_dataset_file_error_exits_3(tmp_path, capsys, rows, message):
+    # a csv dataset is read only when the run starts, so its faults are runtime errors
+    data = tmp_path / "data.csv"
+    if rows is not None:
+        data.write_text(rows)
     cfg = _write_config(tmp_path / "cfg.json", dataset={"kind": "csv", "path": str(data)})
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
-    assert "0 training and 1 test rows" in capsys.readouterr().err
-
-
-def test_header_only_csv_exits_3(tmp_path, capsys):
-    data = tmp_path / "empty.csv"
-    data.write_text("label,f1\n")
-    cfg = _write_config(tmp_path / "cfg.json", dataset={"kind": "csv", "path": str(data)})
-    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
-    assert "no data rows" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def test_mid_run_value_error_exits_3(tmp_path, monkeypatch, capsys):
@@ -181,27 +134,6 @@ def test_mid_run_value_error_exits_3(tmp_path, monkeypatch, capsys):
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
     err = capsys.readouterr().err
     assert "numeric failure" in err and "config error" not in err
-
-
-def test_missing_dataset_file_exits_3(tmp_path, capsys):
-    cfg = _write_config(
-        tmp_path / "cfg.json",
-        dataset={"kind": "csv", "path": str(tmp_path / "absent.csv")},
-    )
-    rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
-    assert rc == 3
-
-
-def test_sweep_command(tmp_path):
-    cfg = _write_config(tmp_path / "cfg.json", iterations=20)
-    rc = main(
-        ["sweep", "--config", str(cfg), "--mechanism", "iso",
-         "--grid", "0.5,2", "--out", str(tmp_path / "sw")]
-    )
-    assert rc == 0
-    lines = (tmp_path / "sw/tradeoff.csv").read_text().splitlines()
-    assert len(lines) == 3
-    assert lines[1].split(",")[0] == "iso"
 
 
 def test_sweep_with_every_point_failed_exits_3(tmp_path, monkeypatch, capsys):
@@ -226,33 +158,14 @@ def test_sweep_lines_name_points_as_their_directories(tmp_path, capsys):
     rc = main(["sweep", "--config", str(cfg), "--mechanism", "iso",
                "--grid", "0.5000001,0.5000002", "--out", str(tmp_path / "sw")])
     assert rc == 0
-    names = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()[:2]]
+    out = capsys.readouterr().out.splitlines()
+    names = [line.split(":")[0] for line in out[:2]]
     assert names == ["iso_0.5000001", "iso_0.5000002"]
     assert all((tmp_path / "sw" / name / "run.csv").exists() for name in names)
-
-
-def test_sweep_bad_grid_exits_2(tmp_path, capsys):
-    cfg = _write_config(tmp_path / "cfg.json")
-    rc = main(["sweep", "--config", str(cfg), "--mechanism", "iso",
-               "--grid", "1,zap", "--out", str(tmp_path / "sw")])
-    assert rc == 2
-    # a parseable but out-of-range value is rejected before any run
-    rc = main(["sweep", "--config", str(cfg), "--mechanism", "iso",
-               "--grid", "1,-2", "--out", str(tmp_path / "sw2")])
-    assert rc == 2
-    assert not (tmp_path / "sw2").exists()
-    # a mechanism without a hyperparameter takes no grid
-    rc = main(["sweep", "--config", str(cfg), "--mechanism", "max_norm",
-               "--grid", "1", "--out", str(tmp_path / "sw3")])
-    assert rc == 2
-    assert "takes no grid" in capsys.readouterr().err
-    assert not (tmp_path / "sw3").exists()
-    # a value given twice would run the same point twice
-    rc = main(["sweep", "--config", str(cfg), "--mechanism", "iso",
-               "--grid", "1,0.5,1.0", "--out", str(tmp_path / "sw4")])
-    assert rc == 2
-    assert "repeats a value" in capsys.readouterr().err
-    assert not (tmp_path / "sw4").exists()
+    assert out[-1] == f"wrote {tmp_path / 'sw' / 'tradeoff.csv'}"
+    lines = (tmp_path / "sw/tradeoff.csv").read_text().splitlines()
+    assert [line.split(",")[:3] for line in lines[1:]] == [
+        ["iso", "0.5000001", "ok"], ["iso", "0.5000002", "ok"]]
 
 
 def _read_raw_csv(path):
@@ -285,16 +198,6 @@ def test_gen_data_synthetic(tmp_path, monkeypatch):
     assert not np.array_equal(_read_raw_csv(tmp_path / "seed3.csv")[1], X)
 
 
-def test_gen_data_bad_argument_exits_2(tmp_path, capsys):
-    # the config's own rules hold for gen-data; json.dumps writes NaN, which json.load reads
-    cfg = _write_config(tmp_path / "cfg.json", dataset={"separation": float("nan")})
-    out = tmp_path / "data.csv"
-    assert main(["gen-data", "--config", str(cfg), "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert "config error" in err and "separation" in err
-    assert not out.exists()
-
-
 def test_unwritable_output_exits_3(tmp_path, capsys):
     cfg = _write_config(tmp_path / "cfg.json", iterations=2)
     out = tmp_path / "absent_dir" / "data.csv"
@@ -316,37 +219,24 @@ def test_gen_data_toy1d_feeds_run(tmp_path):
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
 
 
-def test_module_entry_point(tmp_path, module_env):
-    cfg = _write_config(tmp_path / "cfg.json", iterations=5)
-    proc = subprocess.run(
-        [sys.executable, "-m", "splitsim", "run", "--config", str(cfg),
-         "--out", str(tmp_path / "out")],
-        capture_output=True,
-        text=True,
-        env=module_env,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert (tmp_path / "out/run.csv").exists()
-
-
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize(
     ("iterations", "message"),
     [(20, "training loss is nan at iteration 2"), (1, "test loss is nan")],
     ids=["train_loss", "test_loss"],
 )
-def test_non_finite_loss_exits_3(tmp_path, module_env, iterations, message):
+def test_non_finite_loss_exits_3(tmp_path, capsys, iterations, message):
     # lr 1e30 moves each parameter by about 1e30 in the first Adam step,
     # so the next forward pass, in training or on the test set, overflows
-    # to a nan loss.  It runs in a child interpreter because this one
-    # turns numpy's overflow warnings into errors.
+    # to a nan loss.  The suite turns warnings into errors, so this test
+    # ignores numpy's overflow warnings, which a plain `splitsim` only prints.
     cfg = _write_config(tmp_path / "cfg.json", dataset={"n": 400, "d_in": 8},
                         net={"hidden_dims": [8, 8]}, optimizer={"lr": 1e30},
                         iterations=iterations)
-    splitsim = [sys.executable, "-m", "splitsim"]
     for argv in (["run", "--config", str(cfg), "--out", str(tmp_path / "run")],
                  ["sweep", "--config", str(cfg), "--mechanism", "none",
                   "--out", str(tmp_path / "sweep")]):
-        proc = subprocess.run(splitsim + argv, capture_output=True, text=True, env=module_env)
-        assert proc.returncode == 3, proc.stderr
-        assert message in proc.stderr
-    assert "none: FAILED" in proc.stdout  # the sweep marks its point failed
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert message in captured.err
+    assert "none: FAILED" in captured.out  # the sweep marks its point failed
