@@ -57,35 +57,60 @@ def test_seed_override_changes_csv(tmp_path):
     assert (tmp_path / "a/run.csv").read_bytes() != (tmp_path / "b/run.csv").read_bytes()
 
 
-@pytest.mark.parametrize(
-    ("text", "argv", "message"),
-    [
-        ('{"iterations": 5, "bogus": 1}', ["run"], "unknown config keys: ['bogus']"),
-        ("{not json", ["run"], "invalid JSON in"),
-        ("[1, 2]", ["run"], "config must be a JSON object, got list"),
-        (None, ["run"], "cannot read config"),  # no file at all
-        ('{"dataset": {"kind": "synthetic", "path": "data.csv"}}', ["run"],
-         "dataset synthetic takes no path, got path='data.csv'"),
-        ("{}", ["run", "--seed", "-1"], "seed must be >= 0, got -1"),
-        ('{"dataset": {"separation": NaN}}', ["gen-data"], "separation must be finite"),
-        ("{}", ["sweep", "--mechanism", "iso", "--grid", "1,zap"], "bad --grid value"),
-        ("{}", ["sweep", "--mechanism", "iso", "--grid", "1,-2"],
-         "iso t must be finite and >= 0, got -2.0"),
-        ("{}", ["sweep", "--mechanism", "max_norm", "--grid", "1"], "takes no grid"),
-    ],
-    ids=["unknown_key", "invalid_json", "root_not_object", "missing_file", "dataclass_check",
-         "seed_option", "gen_data", "grid_unparseable", "grid_value", "grid_on_max_norm"],
-)
-def test_config_error_exits_2(tmp_path, capsys, text, argv, message):
-    # each way a ConfigError reaches main: from the file, the --seed
-    # option, each command and the sweep's grid; none writes any output
-    path, out = tmp_path / "cfg.json", tmp_path / "o"
+def _exits_2(tmp_path, capsys, text, argv, message, out="o"):
+    # a ConfigError exits 2 with its message and writes no output;
+    # text is the config file's content, None for no file at all
+    path, out = tmp_path / "cfg.json", tmp_path / out
     if text is not None:
         path.write_text(text)
     assert main([argv[0], "--config", str(path), *argv[1:], "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and message in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    ("text", "message"),
+    [
+        ('{"iterations": 5, "bogus": 1}', "unknown config keys: ['bogus']"),
+        ("{not json", "invalid JSON in"),
+        ("[1, 2]", "config must be a JSON object, got list"),
+        (None, "cannot read config"),
+    ],
+    ids=["unknown_key", "invalid_json", "root_not_object", "missing_file"],
+)
+def test_bad_config_file_exits_2(tmp_path, capsys, text, message):
+    _exits_2(tmp_path, capsys, text, ["run"], message)
+
+
+@pytest.mark.parametrize(
+    ("text", "argv", "message"),
+    [
+        ("{}", ["run", "--seed", "-1"], "seed must be >= 0, got -1"),
+        ('{"dataset": {"kind": "synthetic", "path": "data.csv"}}', ["run"],
+         "dataset synthetic takes no path, got path='data.csv'"),
+    ],
+    ids=["seed_negative", "unread_dataset_key"],
+)
+def test_bad_config_value_exits_2(tmp_path, capsys, text, argv, message):
+    # the --seed option and one config dataclass check; the rules
+    # themselves are in test_harness.test_config_rejects_bad_values
+    _exits_2(tmp_path, capsys, text, argv, message)
+
+
+def test_gen_data_bad_argument_exits_2(tmp_path, capsys):
+    _exits_2(tmp_path, capsys, '{"dataset": {"separation": NaN}}', ["gen-data"],
+             "separation must be finite", out="data.csv")
+
+
+def test_sweep_bad_grid_exits_2(tmp_path, capsys):
+    for mechanism, grid, message in [
+        ("iso", "1,zap", "bad --grid value"),
+        ("iso", "1,-2", "iso t must be finite and >= 0, got -2.0"),
+        ("max_norm", "1", "takes no grid"),
+    ]:
+        _exits_2(tmp_path, capsys, "{}", ["sweep", "--mechanism", mechanism, "--grid", grid],
+                 message)
 
 
 def test_optimizer_lr_alone_trains(tmp_path):
@@ -109,20 +134,28 @@ def test_single_class_test_split_reports_na(tmp_path, capsys):
     assert "test_auc,NA" in (tmp_path / "o/summary.csv").read_text().splitlines()
 
 
-@pytest.mark.parametrize(
-    ("rows", "message"),
-    [("label,f1\n1,0.5\n", "0 training and 1 test rows"), ("label,f1\n", "no data rows"),
-     (None, "cannot read dataset")],
-    ids=["one_row", "header_only", "missing_file"],
-)
-def test_dataset_file_error_exits_3(tmp_path, capsys, rows, message):
+def _run_on_csv(tmp_path, rows):
     # a csv dataset is read only when the run starts, so its faults are runtime errors
     data = tmp_path / "data.csv"
     if rows is not None:
         data.write_text(rows)
     cfg = _write_config(tmp_path / "cfg.json", dataset={"kind": "csv", "path": str(data)})
-    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
-    assert message in capsys.readouterr().err
+    return main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+
+
+def test_csv_without_training_rows_exits_3(tmp_path, capsys):
+    assert _run_on_csv(tmp_path, "label,f1\n1,0.5\n") == 3
+    assert "0 training and 1 test rows" in capsys.readouterr().err
+
+
+def test_header_only_csv_exits_3(tmp_path, capsys):
+    assert _run_on_csv(tmp_path, "label,f1\n") == 3
+    assert "no data rows" in capsys.readouterr().err
+
+
+def test_missing_dataset_file_exits_3(tmp_path, capsys):
+    assert _run_on_csv(tmp_path, None) == 3
+    assert "cannot read dataset" in capsys.readouterr().err
 
 
 def test_mid_run_value_error_exits_3(tmp_path, monkeypatch, capsys):

@@ -7,6 +7,7 @@ from splitsim.model import (
     Adam,
     Layer,
     LayerSpec,
+    RUN_DTYPE,
     SplitNet,
     apply_update,
     backprop_nonlabel,
@@ -35,6 +36,14 @@ def _random_net(rng, in_dim=3, hidden=(4, 3), cut=1, acts=("relu", "tanh")):
 def _flatten_params(net):
     layers = net.f_layers + net.h_layers
     return np.concatenate([np.concatenate([l.W.ravel(), l.b]) for l in layers])
+
+
+def test_build_defaults_to_run_dtype():
+    # a run builds its net with no dtype, so the default is the run's float32
+    assert RUN_DTYPE == np.float32
+    net = SplitNet.build(3, [4, 3], ["relu", "tanh"], 1, make_rng(0))
+    assert net.params.dtype == RUN_DTYPE
+    assert all(a.dtype == RUN_DTYPE for l in net.f_layers + net.h_layers for a in (l.W, l.b))
 
 
 def test_forward_zero_net_gives_half_probs():
