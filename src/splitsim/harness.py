@@ -152,6 +152,15 @@ class ExperimentConfig:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.dataset.kind != "csv":  # a csv file's rows are counted when a run reads it
+            n_train, _ = data_mod.split_sizes(self.dataset.n, self.dataset.test_frac)
+            _check_batch_size(self.batch_size, n_train)
+
+
+def _check_batch_size(batch_size: int, n_train: int) -> None:
+    """Raise ValueError unless a batch fits in the training set."""
+    if batch_size > n_train:
+        raise ValueError(f"batch_size {batch_size} exceeds the {n_train} training rows")
 
 
 def _convert(value, default, key: str):
@@ -275,16 +284,15 @@ def build_dataset(config: ExperimentConfig) -> data_mod.Dataset:
 
 
 def _batch_indices(n: int, batch_size: int, iterations: int, rng: np.random.Generator):
-    """Plain uniform shuffling per epoch, full batches only."""
-    B = min(batch_size, n)
-    per_epoch = n // B
+    """Plain uniform shuffling per epoch, full batches of `batch_size` <= n only."""
+    per_epoch = n // batch_size
     produced = 0
     while produced < iterations:
         perm = rng.permutation(n)
         for k in range(per_epoch):
             if produced >= iterations:
                 return
-            yield perm[k * B : (k + 1) * B]
+            yield perm[k * batch_size : (k + 1) * batch_size]
             produced += 1
 
 
@@ -308,6 +316,7 @@ def train_run(config: ExperimentConfig) -> RunRecord:
     train, test = data_mod.train_test_split(
         build_dataset(config), config.dataset.test_frac, make_rng(data_seed, 1)
     )
+    _check_batch_size(config.batch_size, train.n)
     net = SplitNet.build(
         train.d,
         list(config.net.hidden_dims),
@@ -341,8 +350,9 @@ def train_run(config: ExperimentConfig) -> RunRecord:
         if split[2] and split[3]:  # both classes present
             pos_idx = np.flatnonzero(split[0])
             for layer, received in (("cut", outcome.perturbed), ("first", pert_first)):
-                # np.linalg.norm's expressions, without its dispatch and conj copy
-                norms = np.sqrt(np.add.reduce(received * received, axis=1))
+                # one dot per row, as the oracle's norm below: each equals
+                # np.linalg.norm(row) bit for bit, with no squared temporary
+                norms = np.sqrt(np.vecdot(received, received))
                 leaks[f"norm_{layer}"] = leak_auc(received, split, norms)
                 j = select_oracle_positive(pos_idx, attack_rng)
                 oracle = clean_cut[j]

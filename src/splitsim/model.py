@@ -46,10 +46,12 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 # no derivative reads the pre-activation, so the forward pass keeps
 # only the activations.  A function may overwrite its argument (relu,
 # tanh and identity do; the forward pass hands each its fresh matmul
-# output).  For relu, a > 0 exactly where z > 0, and the mask multiplies
-# as 1.0/0.0; identity's derivative is None, as delta * 1.0 == delta.
+# output).  For relu, a > 0 exactly where z > 0, and the mask is cast to
+# a's dtype as exact 1.0/0.0: a float-by-float multiply is faster than
+# one that casts a bool operand inside its loop, and gives the same bits.
+# Identity's derivative is None, as delta * 1.0 == delta.
 ACTIVATIONS = {
-    "relu": (lambda z: np.maximum(z, 0.0, out=z), lambda a: a > 0.0),
+    "relu": (lambda z: np.maximum(z, 0.0, out=z), lambda a: (a > 0.0).astype(a.dtype)),
     "sigmoid": (_sigmoid, lambda a: a * (1.0 - a)),
     "tanh": (lambda z: np.tanh(z, out=z), lambda a: 1.0 - a * a),
     "identity": (lambda z: z, None),

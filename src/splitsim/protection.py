@@ -54,6 +54,8 @@ class MechanismConfig:
 
 @dataclass
 class PerturbOutcome:
+    # may be the caller's batch itself (none, and marvell's fallback, when
+    # the batch already has the row dtype); no reader writes to it
     perturbed: np.ndarray
     certificate: marvell.PrivacyCertificate | None = None
     noise_power: float = 0.0
@@ -68,8 +70,9 @@ def _row_dtype(g: np.ndarray) -> np.dtype:
 
 
 def perturb_none(g: np.ndarray) -> PerturbOutcome:
-    """no_noise baseline: identity."""
-    return PerturbOutcome(perturbed=np.array(g, dtype=_row_dtype(g)))
+    """no_noise baseline: identity.  The output is `g` itself when it
+    already has the row dtype, and is never written to."""
+    return PerturbOutcome(perturbed=np.asarray(g, dtype=_row_dtype(g)))
 
 
 def perturb_iso(g: np.ndarray, t: float, rng: np.random.Generator) -> PerturbOutcome:
@@ -139,7 +142,7 @@ def perturb_marvell(
     n_pos = int(np.count_nonzero(pos))
     stats = marvell.estimate_stats(g, labels) if 0 < n_pos < g.shape[0] else None
     if stats is None or stats.delta_norm_sq == 0.0:
-        return PerturbOutcome(perturbed=np.array(g, dtype=dtype), fallback=True)
+        return PerturbOutcome(perturbed=np.asarray(g, dtype=dtype), fallback=True)
 
     P = marvell.power_budget(s, stats)
     sol = marvell.solve(stats, P)

@@ -98,35 +98,39 @@ def test_split_labels():
     assert split_labels(np.zeros(3, dtype=int))[2:] == (0, 3)
 
 
-def _edge_matrices(rng):
-    """Random float64 matrices with zero rows, subnormal rows, rows near
-    the overflow edge and rows holding inf."""
-    tiny = np.finfo(np.float64).smallest_subnormal
+def _edge_matrices(rng, dtype):
+    """Random matrices of `dtype` with zero rows, subnormal rows, rows
+    near the edge where their squares overflow and rows holding inf."""
+    tiny = np.finfo(dtype).smallest_subnormal
+    big = 1e154 if dtype == np.float64 else 1e19  # squared: below the max; doubled: above
     for case in range(60):
         m = rng.standard_normal((int(rng.integers(1, 40)), int(rng.integers(1, 400))))
-        m *= 10.0 ** rng.uniform(-3.0, 3.0)
+        m = (m * 10.0 ** rng.uniform(-3.0, 3.0)).astype(dtype)
         rows = rng.integers(0, m.shape[0], size=4)
         m[rows[0]] = 0.0
         m[rows[1]] = tiny * rng.integers(-1000, 1000, size=m.shape[1])
-        m[rows[2], : 1 + case % 3] = 1e154 * (1 + case % 2)
+        m[rows[2], : 1 + case % 3] = big * (1 + case % 2)
         if case % 2:
             m[rows[3], case % m.shape[1]] = np.inf if case % 4 == 1 else -np.inf
         yield m
 
 
 def test_norm_expressions_bitwise_match_linalg_norm():
-    # train_run's row norms and oracle norm are np.linalg.norm's own
-    # formulas for real input, so they must give its bits exactly
-    with np.errstate(over="ignore"):  # squares past the float64 range are inf
-        for m in _edge_matrices(make_rng(43)):
-            rows = np.sqrt(np.add.reduce(m * m, axis=1))
-            assert rows.tobytes() == np.linalg.norm(m, axis=1).tobytes()
-            for o in m:
-                assert np.sqrt(o.dot(o)).tobytes() == np.linalg.norm(o).tobytes()
+    # train_run's row norms (one dot per row) and oracle norm are
+    # np.linalg.norm's own formula for a real vector, so in either dtype
+    # each must give np.linalg.norm(row)'s bits exactly
+    with np.errstate(over="ignore"):  # squares past the float range are inf
+        for dtype in (np.float32, np.float64):
+            for m in _edge_matrices(make_rng(43), dtype):
+                rows = np.sqrt(np.vecdot(m, m))
+                assert rows.dtype == dtype
+                assert rows.tobytes() == np.array([np.linalg.norm(o) for o in m]).tobytes()
+                for o in m:
+                    assert np.sqrt(o.dot(o)).tobytes() == np.linalg.norm(o).tobytes()
 
 
 def test_train_run_norms_are_linalg_norms(monkeypatch):
-    # what train_run hands leak_auc: np.linalg.norm of the received rows
+    # what train_run hands leak_auc: np.linalg.norm of each received row
     # and of the oracle, bit for bit, and the batch's own label split
     seen = []
 
@@ -142,7 +146,7 @@ def test_train_run_norms_are_linalg_norms(monkeypatch):
     harness.train_run(config)
     assert len(seen) > 20
     for gradients, (pos, neg, n_pos, n_neg), norms, oracle, oracle_norm in seen:
-        assert norms.tobytes() == np.linalg.norm(gradients, axis=1).tobytes()
+        assert norms.tobytes() == np.array([np.linalg.norm(r) for r in gradients]).tobytes()
         assert 0 < n_pos == pos.sum() and 0 < n_neg == neg.sum()
         assert (pos ^ neg).all() and n_pos + n_neg == gradients.shape[0]
         if oracle is not None:

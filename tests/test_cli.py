@@ -148,6 +148,12 @@ def test_csv_without_training_rows_exits_3(tmp_path, capsys):
     assert "0 training and 1 test rows" in capsys.readouterr().err
 
 
+def test_csv_smaller_than_a_batch_exits_3(tmp_path, capsys):
+    # 10 rows leave 8 for training, fewer than the batch of 32
+    assert _run_on_csv(tmp_path, "label,f1\n" + "1,0.5\n0,0.25\n" * 5) == 3
+    assert "batch_size 32 exceeds the 8 training rows" in capsys.readouterr().err
+
+
 def test_header_only_csv_exits_3(tmp_path, capsys):
     assert _run_on_csv(tmp_path, "label,f1\n") == 3
     assert "no data rows" in capsys.readouterr().err

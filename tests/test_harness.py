@@ -150,6 +150,8 @@ def test_config_rejects_bad_values():
         ({"dataset": {"kind": "csv", "path": "x.csv", "n": 10}},
          "dataset csv takes no n, got n=10"),
         ({"dataset": {"kind": "toy1d", "d_in": 5}}, "dataset toy1d takes no d_in, got d_in=5"),
+        # a batch larger than the training set is refused, not clamped
+        ({"dataset": {"n": 100}, "batch_size": 81}, "batch_size 81 exceeds the 80 training rows"),
     ]:
         with pytest.raises(ConfigError, match=re.escape(message)):
             config_from_dict(bad)

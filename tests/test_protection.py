@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from splitsim import protection
+from splitsim.attacks import leak_auc, split_labels
 from splitsim.marvell import estimate_stats, power_budget, solve
+from splitsim.model import SplitNet, backprop_nonlabel, forward, label_party_gradients
 from splitsim.numeric import make_rng
 from splitsim.protection import (
     MECHANISMS,
@@ -28,6 +30,33 @@ def test_none_is_identity():
     assert np.array_equal(out.perturbed, g)
     assert out.noise_power == 0.0
     assert out.certificate is None
+
+
+def test_unperturbed_batch_is_passed_through_and_never_written():
+    # none and marvell's fallback hand on the batch itself when it already
+    # has the row dtype, so the non-label pass and the audit that read it
+    # must leave its bytes alone
+    rng = make_rng(5)
+    for dtype in (np.float32, np.float64):
+        g = rng.standard_normal((6, 3)).astype(dtype)
+        assert perturb_none(g).perturbed is g
+        assert perturb_marvell(g, np.ones(6), 1.0, make_rng(6)).perturbed is g
+    out = perturb_none(g.astype(np.float16)).perturbed
+    assert out.dtype == np.float64
+    # an identity activation at the cut hands the received rows on unmultiplied
+    for cut_activation in ("relu", "identity"):
+        net = SplitNet.build(4, [8, 6, 3], ["relu", cut_activation, "relu"], 2, make_rng(7))
+        X, y = rng.standard_normal((10, 4)), np.array([1, 0] * 5)
+        state = forward(net, X)
+        received = perturb_none(label_party_gradients(state, y)[0]).perturbed
+        before = received.tobytes()
+        _, first = backprop_nonlabel(net, state, received)
+        split = split_labels(y)
+        for rows in (received, first):
+            norms = np.sqrt(np.vecdot(rows, rows))
+            leak_auc(rows, split, norms)
+            leak_auc(rows, split, norms, rows[0], np.sqrt(rows[0].dot(rows[0])))
+        assert received.tobytes() == before
 
 
 def test_iso_zero_scale_is_identity():
