@@ -92,28 +92,42 @@ class PrivacyCertificate:
     bound_valid: bool  # sum_kl < 4, i.e. the AUC bound is non-vacuous
 
 
-def estimate_stats(g: np.ndarray, labels: np.ndarray) -> BatchStats:
+def class_rows(g: np.ndarray, pos: np.ndarray, neg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """g's rows under the positive mask and under its complement, each
+    upcast once to a float64 array of its own: boolean indexing copies,
+    and the upcast of a float32 copy is a second one, so a caller may
+    write to both without touching g."""
+    return g[pos].astype(np.float64, copy=False), g[neg].astype(np.float64, copy=False)
+
+
+def estimate_stats(
+    g: np.ndarray, labels: np.ndarray, rows: tuple[np.ndarray, np.ndarray] | None = None
+) -> BatchStats:
     """Spherical-Gaussian MLE of both classes from one gradient batch,
-    fitted in float64 whatever g's dtype."""
+    fitted in float64 whatever g's dtype.
+
+    `rows` is `class_rows(g, pos, ~pos)` with pos = labels == 1, when
+    the caller has split the batch already; the fit then reads those
+    blocks in place of g and labels, and leaves them unchanged (they are
+    not squared in place), so the caller can add its noise to them.
+    """
     g = np.asarray(g)
-    labels = np.asarray(labels)
     B, d = g.shape
-    pos = labels == 1
-    n_pos = int(np.count_nonzero(pos))
-    n_neg = B - n_pos
+    if rows is None:
+        pos = np.asarray(labels) == 1
+        rows = class_rows(g, pos, ~pos)
+    g_pos, g_neg = rows
+    n_pos, n_neg = g_pos.shape[0], g_neg.shape[0]
     if n_pos == 0 or n_neg == 0:
         raise ValueError("both classes must be present")
-    # boolean indexing copies, so both are ours to overwrite
-    g_pos = g[pos].astype(np.float64, copy=False)
-    g_neg = g[~pos].astype(np.float64, copy=False)
     pos_mean = np.add.reduce(g_pos, axis=0) / n_pos  # ndarray.mean's sum and division
     neg_mean = np.add.reduce(g_neg, axis=0) / n_neg
-    g_pos -= pos_mean
-    g_pos *= g_pos
-    g_neg -= neg_mean
-    g_neg *= g_neg
-    v = float(np.add.reduce(g_pos, axis=None) / (d * n_pos))
-    u = float(np.add.reduce(g_neg, axis=None) / (d * n_neg))
+    dev = g_pos - pos_mean
+    dev *= dev
+    v = float(np.add.reduce(dev, axis=None) / (d * n_pos))
+    dev = g_neg - neg_mean
+    dev *= dev
+    u = float(np.add.reduce(dev, axis=None) / (d * n_neg))
     delta = pos_mean - neg_mean
     return BatchStats(
         p=n_pos / B,
@@ -204,8 +218,10 @@ def _solve_canonical(m, a, b, D, pa, pb, P, tol, max_steps):
     k = pb / pa
     top = P / pb  # beta + m gamma at alpha = 0
     gap = a - b  # the gamma at which the orthogonal term is least
-    # the gradient of each face's slack: gamma, beta - gamma and alpha
-    normal = {_G0: (0.0, 1.0), _GB: (1.0, -1.0), _A0: (-k, -k * m)}
+    # each face's bit and the gradient (n_b, n_g) of its slack: gamma,
+    # beta - gamma and alpha
+    faces = ((_G0, 0.0, 1.0), (_GB, 1.0, -1.0), (_A0, -k, -k * m))
+    moves = faces + ((0, 0.0, 0.0),)  # a step's face to keep, or none
     fixed = _G0 if m == 0.0 else 0  # at d = 1 gamma has no weight and no term
     # start inside the triangle: gamma at the orthogonal term's least
     # value, capped below half the budget and below beta, and beta at
@@ -232,7 +248,7 @@ def _solve_canonical(m, a, b, D, pa, pb, P, tol, max_steps):
         Hbb = 2.0 * eb * ib * ib - 2.0 * k * hab + k * k * haa
         Hbg = k * m * (k * haa - hab)
         Hgg = m * (2.0 * a * ig * ig * ig + k * k * m * haa)
-        faces = ((_G0, gamma, qg), (_GB, beta - gamma, qb), (_A0, slack_a, qa))
+        slacks = (gamma, beta - gamma, slack_a)
 
         # the residual scales each gradient component by the sum of its
         # terms' magnitudes, the most that rounding lets it resolve, and
@@ -240,24 +256,25 @@ def _solve_canonical(m, a, b, D, pa, pb, P, tol, max_steps):
         ka = k * (ib + ea * ia)
         rb = 1.0 / (ia + eb * ib + ka)
         rg = 1.0 / (m * (1.0 / a + a * ig * ig + ka)) if m else 1.0
-        active = []
-        for face, slack, q in faces:
-            if work & face:
-                nb, ng = normal[face]
-                norm = math.hypot(nb * rb, ng * rg)
-                active.append((nb * rb / norm, ng * rg / norm, slack / q))
-        residual = _kkt_residual(gB * rb, gG * rg, active)
+        if work:
+            active = []
+            for (face, nb, ng), slack, q in zip(faces, slacks, (qg, qb, qa)):
+                if work & face:
+                    norm = math.hypot(nb * rb, ng * rg)
+                    active.append((nb * rb / norm, ng * rg / norm, slack / q))
+            residual = _kkt_residual(gB * rb, gG * rg, active)
+        else:  # no face is active: the residual is |G|
+            residual = math.hypot(gB * rb, gG * rg)
         if residual <= tol or steps == max_steps:
             return alpha, beta, gamma, steps, residual
 
         # a step moves in one face of the working set or in none, and
         # keeps the fixed face
         best, gp = None, 0.0
-        for keep in (_G0, _GB, _A0, 0):
+        for keep, tg, tb in moves:
             if keep & work != keep or keep & fixed != fixed:
                 continue
             if keep:  # Newton along the face
-                tg, tb = normal[keep]
                 tb = -tb
                 s = -(gB * tb + gG * tg) / (Hbb * tb * tb + 2.0 * Hbg * tb * tg + Hgg * tg * tg)
                 sb, sg = s * tb, s * tg
@@ -268,21 +285,24 @@ def _solve_canonical(m, a, b, D, pa, pb, P, tol, max_steps):
                 c2 = 0.5 * (gB / jb - gG / jg) / max(abs(1.0 - rho), _EIG_FLOOR)
                 sb, sg = -(c1 + c2) / jb, -(c1 - c2) / jg
             descent = gB * sb + gG * sg
-            inward = all(
-                normal[face][0] * sb + normal[face][1] * sg > 0.0
-                for face in (_G0, _GB, _A0)
-                if work & face and not keep & face
-            )
-            if descent < gp and inward:
-                best, gp = (keep, sb, sg), descent
+            if not descent < gp:
+                continue
+            drop = work & ~keep  # the step must leave each of these faces inward
+            for face, nb, ng in faces:
+                if drop & face and not nb * sb + ng * sg > 0.0:
+                    break
+            else:  # no face is left outward
+                best, best_sb, best_sg, gp = keep, sb, sg, descent
         if best is None:
             return alpha, beta, gamma, steps, residual
-        keep, sb, sg = best
+        keep, sb, sg = best, best_sb, best_sg
 
         t, block = 1.0, 0  # cut at the first face the step would cross
-        for face, slack, _ in faces:
-            rate = normal[face][0] * sb + normal[face][1] * sg
-            if not keep & face and rate < 0.0:
+        for (face, nb, ng), slack in zip(faces, slacks):
+            if keep & face:
+                continue
+            rate = nb * sb + ng * sg
+            if rate < 0.0:
                 reach = (slack if slack > 0.0 else 0.0) / -rate
                 if reach <= t:
                     t, block = reach, face

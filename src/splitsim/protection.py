@@ -135,12 +135,16 @@ def perturb_marvell(
     if not (math.isfinite(s) and s > 0):
         raise ValueError(f"s must be finite and > 0, got {s!r}")
     dtype = _row_dtype(g)
-    g = np.asarray(g)  # fitted in float64 by estimate_stats
+    g = np.asarray(g)
     pos = np.asarray(labels) == 1
     if g.ndim != 2 or pos.shape != g.shape[:1]:
         raise ValueError("g must be (B, d) with one label per row")
+    # the batch's one mask and count decide the fallback; the fit reads
+    # each class's rows as one float64 block of its own
     n_pos = int(np.count_nonzero(pos))
-    stats = marvell.estimate_stats(g, labels) if 0 < n_pos < g.shape[0] else None
+    neg = ~pos
+    rows = marvell.class_rows(g, pos, neg) if 0 < n_pos < g.shape[0] else None
+    stats = None if rows is None else marvell.estimate_stats(g, labels, rows)
     if stats is None or stats.delta_norm_sq == 0.0:
         return PerturbOutcome(perturbed=np.asarray(g, dtype=dtype), fallback=True)
 
@@ -149,14 +153,13 @@ def perturb_marvell(
     pos_cov, neg_cov = marvell.build_covariances(sol, stats)
     cert = marvell.make_certificate(sol, stats)
 
-    # each class's fresh float64 noise block takes its rows of g, upcast
-    # exactly (x + y == y + x bit for bit), and is scattered once into
-    # the output, which rounds it
+    # each class's noise is added to the float64 block the fit read (the
+    # exact upcast of its rows; x + y == y + x bit for bit), and the block
+    # is scattered once into the output, which rounds it
     perturbed = np.empty(g.shape, dtype=dtype)
-    for mask, cov, n in ((pos, pos_cov, n_pos), (~pos, neg_cov, g.shape[0] - n_pos)):
-        noise = sample_structured_gaussian_batch(cov, rng, n)
-        noise += g[mask]
-        perturbed[mask] = noise
+    for mask, cov, block in ((pos, pos_cov, rows[0]), (neg, neg_cov, rows[1])):
+        block += sample_structured_gaussian_batch(cov, rng, block.shape[0])
+        perturbed[mask] = block
     return PerturbOutcome(
         perturbed=perturbed,
         certificate=cert,

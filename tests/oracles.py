@@ -6,7 +6,8 @@ with the implementations they check.
 
 A second section keeps earlier, plainer forms of hot-path functions
 (the np.unique midrank AUC, the out-of-place Adam step, the batch
-statistics with their repeated copies).
+statistics with their repeated copies, marvell's assembly with a fresh
+gather of each class's rows for its noise).
 The package's faster forms must equal them bit for bit.  It also keeps
 marvell's earlier solver: a coordinate descent whose golden-section
 line searches evaluate the whole objective at every point.  The
@@ -21,7 +22,9 @@ import math
 
 import numpy as np
 
+from splitsim import marvell
 from splitsim.marvell import BatchStats, objective
+from splitsim.numeric import sample_structured_gaussian_batch
 from splitsim.model import _backward_layers, backprop_nonlabel, label_party_gradients
 
 
@@ -356,6 +359,24 @@ def copying_stats(g, labels):
     v = float(((g[pos] - pos_mean) ** 2).sum() / (d * n_pos))
     u = float(((g[~pos] - neg_mean) ** 2).sum() / (d * n_neg))
     return pos_mean, neg_mean, v, u
+
+
+def gathering_marvell(g, labels, s, rng):
+    """(perturbed, certificate, noise_power, solution) of a mixed batch:
+    fit from the labels, solve, then each class's fresh float64 noise
+    block takes its rows gathered from g again (`noise += g[mask]`, a
+    mixed-dtype add on a float32 batch) and is scattered into the output
+    in the batch's row dtype."""
+    stats = marvell.estimate_stats(g, labels)
+    sol = marvell.solve(stats, marvell.power_budget(s, stats))
+    pos_cov, neg_cov = marvell.build_covariances(sol, stats)
+    pos = np.asarray(labels) == 1
+    perturbed = np.empty(g.shape, dtype=np.float32 if g.dtype == np.float32 else np.float64)
+    for mask, cov in ((pos, pos_cov), (~pos, neg_cov)):
+        noise = sample_structured_gaussian_batch(cov, rng, int(mask.sum()))
+        noise += g[mask]
+        perturbed[mask] = noise
+    return perturbed, marvell.make_certificate(sol, stats), marvell.noise_power(sol, stats), sol
 
 
 # ---------------------------------------------------------------------------

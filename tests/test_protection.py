@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import gathering_marvell
 from splitsim import protection
 from splitsim.attacks import leak_auc, split_labels
 from splitsim.marvell import estimate_stats, power_budget, solve
@@ -205,6 +206,51 @@ def test_marvell_positive_noise_spectrum():
     ortho = noise - along[:, None] * direction[None, :]
     ortho_var = (ortho**2).sum() / (copies * (d - 1))
     assert abs(ortho_var - sol.lam2_pos) <= 0.05 * max(sol.lam2_pos, 1e-9) + 1e-9
+
+
+def _zero_rule_case(name):
+    """(g, labels, s, which orthogonal eigenvalues are zero) for a mixed
+    batch that takes one branch of the zero rule or a boundary shape."""
+    rng = make_rng(40)
+    if name == "B2":  # one row per class: both variances floor, the negative is pinned
+        return rng.standard_normal((2, 8)), np.array([1, 0]), 1.0, (True, True)
+    if name == "no_iso_block":  # identical rows per class: neither class draws an iso block
+        labels = np.array([1] * 4 + [0] * 12)
+        return np.where(labels[:, None] == 1, 1.5, -0.5) * np.ones((16, 8)), labels, 4.0, (True, True)
+    d = 1 if name == "d1" else 8
+    labels = np.array([1] * 4 + [0] * 12)
+    scale = {"pos_pinned": (2.0, 0.5), "neg_pinned": (0.5, 2.0), "d1": (1.0, 1.0)}[name]
+    g = rng.standard_normal((16, d)) * np.where(labels == 1, *scale)[:, None]
+    g[labels == 1] += 1.0
+    zero = {"pos_pinned": (True, False), "neg_pinned": (False, True), "d1": (True, True)}[name]
+    return g, labels, 4.0, zero
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("name", ["pos_pinned", "neg_pinned", "no_iso_block", "d1", "B2"])
+def test_marvell_matches_the_gathering_assembly(name, dtype):
+    # the noise is added to the float64 class blocks the fit read, not to
+    # a second gather of g's rows: the same bits on every zero-rule branch
+    g, labels, s, zero = _zero_rule_case(name)
+    g = g.astype(dtype)
+    rng, ref_rng = make_rng(41), make_rng(41)
+    out = perturb_marvell(g, labels, s, rng)
+    perturbed, cert, power, sol = gathering_marvell(g, labels, s, ref_rng)
+    assert (out.solution.lam2_pos == 0.0, out.solution.lam2_neg == 0.0) == zero
+    assert out.perturbed.dtype == perturbed.dtype and out.perturbed.tobytes() == perturbed.tobytes()
+    assert (out.solution, out.certificate, out.noise_power) == (sol, cert, power)
+    assert repr(rng.bit_generator.state) == repr(ref_rng.bit_generator.state)  # the same draws
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_marvell_never_writes_its_batch(dtype):
+    # train_run reads the clean batch again after the mechanism, as the
+    # cosine audit's oracle
+    g, labels = _mixed_batch(make_rng(42))
+    g = g.astype(dtype)
+    before = g.tobytes()
+    assert not perturb_marvell(g, labels, 4.0, make_rng(43)).fallback
+    assert g.tobytes() == before
 
 
 @pytest.mark.parametrize("kind", MECHANISMS)
