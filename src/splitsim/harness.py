@@ -304,12 +304,14 @@ def _stream_seeds(seed: int) -> list[int]:
 def train_run(config: ExperimentConfig) -> RunRecord:
     """One full training run with per-iteration privacy measurement.
 
-    Each iteration: forward, clean per-example cut gradients, mechanism
-    perturbation, one non-label backward pass on the perturbed
-    gradients, the four leak AUCs (norm/cosine at cut/first layer,
-    scored on what the non-label party actually receives; each cosine
-    oracle is one clean positive row), then parameter updates for both
-    parties.  A non-finite training or test loss raises FloatingPointError.
+    Each iteration: forward, clean per-example cut gradients, one split
+    of the batch's labels, mechanism perturbation, one non-label
+    backward pass on the perturbed gradients, the four leak AUCs
+    (norm/cosine at cut/first layer, scored on what the non-label party
+    actually receives; each cosine oracle is one clean positive row),
+    then parameter updates for both parties.  The mechanism and the AUCs
+    read the same split.  A non-finite training or test loss raises
+    FloatingPointError.
     """
     data_seed, init_seed, batch_seed, mech_seed, attack_seed = _stream_seeds(config.seed)
 
@@ -342,10 +344,10 @@ def train_run(config: ExperimentConfig) -> RunRecord:
             raise FloatingPointError(f"training loss is {train_loss} at iteration {it}")
 
         clean_cut, h_grads = label_party_gradients(state, y_b)
-        outcome = apply_mechanism(config.mechanism, clean_cut, y_b, mech_rng)
+        split = split_labels(y_b)
+        outcome = apply_mechanism(config.mechanism, clean_cut, split, mech_rng)
         f_grads, pert_first = backprop_nonlabel(net, state, outcome.perturbed)
 
-        split = split_labels(y_b)
         leaks = dict.fromkeys(LEAK_SERIES)
         if split[2] and split[3]:  # both classes present
             pos_idx = np.flatnonzero(split[0])

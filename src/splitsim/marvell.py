@@ -107,9 +107,10 @@ def estimate_stats(
     fitted in float64 whatever g's dtype.
 
     `rows` is `class_rows(g, pos, ~pos)` with pos = labels == 1, when
-    the caller has split the batch already; the fit then reads those
-    blocks in place of g and labels, and leaves them unchanged (they are
-    not squared in place), so the caller can add its noise to them.
+    the caller has split the batch already, and `labels` may then be
+    that split's positive mask; the fit reads those blocks in place of g
+    and labels, and leaves them unchanged (they are not squared in
+    place), so the caller can add its noise to them.
     """
     g = np.asarray(g)
     B, d = g.shape
@@ -372,6 +373,8 @@ def build_covariances(sol: LambdaSolution, stats: BatchStats):
 
     Each is (lam1 - lam2) along the unit class-mean difference plus
     lam2 times the identity; the dense d x d matrix is never formed.
+    Both share one unit direction array and clip their variances at 0:
+    a `StructuredCovariance`'s invariants are formed here and nowhere else.
     """
     norm = math.sqrt(stats.delta_norm_sq)
     if norm == 0.0:

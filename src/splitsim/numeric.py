@@ -1,17 +1,17 @@
 """Shared numeric primitives: seeded RNG streams and structured
 Gaussian sampling.
 
-Covariances and draws are float64 numpy arrays, as is all of the
-mechanisms' arithmetic; a run's model is float32 (`model.RUN_DTYPE`),
-and a mechanism rounds only its noisy output rows to it.  Randomness goes
-through SFC64 generators, each seeded by
-`SeedSequence(entropy=seed, spawn_key=(stream,))`.  The seed sequence,
-not the bit generator, is what makes a (seed, stream) pair always
-reproduce the same draw sequence and keeps generators with different
-keys independent; a run gives each of its streams (data, init,
-batching, noise, attack oracle) its own seed.  SFC64 is there for
-speed alone: it fills a large standard-normal draw about 30% faster
-than Philox.
+Covariances (plain records that `marvell.build_covariances` forms) and
+draws are float64, as is all of the mechanisms' arithmetic; a run's
+model is float32 (`model.RUN_DTYPE`), and a mechanism rounds only its
+noisy output rows to it.  Randomness goes through SFC64 generators,
+each seeded by `SeedSequence(entropy=seed, spawn_key=(stream,))`.  The
+seed sequence, not the bit generator, is what makes a (seed, stream)
+pair always reproduce the same draw sequence and keeps generators with
+different keys independent; a run gives each of its streams (data,
+init, batching, noise, attack oracle) its own seed.  SFC64 is there
+for speed alone: it fills a large standard-normal draw about 30%
+faster than Philox.
 """
 
 from __future__ import annotations
@@ -26,8 +26,6 @@ __all__ = [
     "StructuredCovariance",
     "sample_structured_gaussian_batch",
 ]
-
-_UNIT_NORM_TOL = 1e-12
 
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -46,28 +44,14 @@ class StructuredCovariance:
     """Rank-one-plus-isotropic covariance in factored form.
 
     Represents along_var * direction direction^T + iso_var * I without
-    ever materializing the dense d x d matrix.  `direction` must be a
-    unit vector.
+    ever materializing the dense d x d matrix.  `direction` is a float64
+    unit vector and both variances are >= 0, as the one producer,
+    `marvell.build_covariances`, forms them; nothing here checks them.
     """
 
     direction: np.ndarray
     along_var: float
     iso_var: float
-
-    def __post_init__(self):
-        direction = np.asarray(self.direction, dtype=np.float64)
-        object.__setattr__(self, "direction", direction)
-        nrm = math.sqrt(direction.dot(direction))  # np.linalg.norm's formula
-        if abs(nrm - 1.0) > _UNIT_NORM_TOL:
-            raise ValueError(f"direction must be a unit vector, got norm {nrm!r}")
-        if self.along_var < 0.0:
-            raise ValueError(f"along_var must be >= 0, got {self.along_var!r}")
-        if self.iso_var < 0.0:
-            raise ValueError(f"iso_var must be >= 0, got {self.iso_var!r}")
-
-    @property
-    def dim(self) -> int:
-        return self.direction.shape[0]
 
 
 def sample_structured_gaussian_batch(
@@ -87,7 +71,7 @@ def sample_structured_gaussian_batch(
     rank_one = z0[:, None] * cov.direction
     if cov.iso_var == 0.0:
         return rank_one
-    z = rng.standard_normal((n, cov.dim))
+    z = rng.standard_normal((n, cov.direction.shape[0]))
     z *= math.sqrt(cov.iso_var)
     z += rank_one
     return z

@@ -5,9 +5,10 @@ All mechanisms are unbiased (E[perturbed | clean] = clean) so the
 non-label party's parameter gradients stay unbiased.
 
 A mechanism fits, solves, draws its noise and certifies in float64,
-whatever the batch's dtype, and rounds only its output rows to the
-batch's dtype (float32, or float64 for anything else): a float32 batch
-gets the same noise, solve and certificate as the same batch in float64.
+whatever the batch's dtype (float32 or float64), and rounds only its
+output rows to the batch's dtype: a float32 batch gets the same noise,
+solve and certificate as the same batch in float64.  A mechanism that
+leaves the batch unperturbed returns the caller's batch itself.
 """
 
 from __future__ import annotations
@@ -54,8 +55,8 @@ class MechanismConfig:
 
 @dataclass
 class PerturbOutcome:
-    # may be the caller's batch itself (none, and marvell's fallback, when
-    # the batch already has the row dtype); no reader writes to it
+    # the caller's batch itself on every unperturbed exit; no reader
+    # writes to it
     perturbed: np.ndarray
     certificate: marvell.PrivacyCertificate | None = None
     noise_power: float = 0.0
@@ -63,16 +64,9 @@ class PerturbOutcome:
     solution: marvell.LambdaSolution | None = None  # marvell's solve; None off that path
 
 
-def _row_dtype(g: np.ndarray) -> np.dtype:
-    """The dtype of a mechanism's output rows: float32 for a float32
-    batch, float64 for any other."""
-    return np.dtype(np.float32 if np.asarray(g).dtype == np.float32 else np.float64)
-
-
 def perturb_none(g: np.ndarray) -> PerturbOutcome:
-    """no_noise baseline: identity.  The output is `g` itself when it
-    already has the row dtype, and is never written to."""
-    return PerturbOutcome(perturbed=np.asarray(g, dtype=_row_dtype(g)))
+    """no_noise baseline: identity."""
+    return PerturbOutcome(perturbed=g)
 
 
 def perturb_iso(g: np.ndarray, t: float, rng: np.random.Generator) -> PerturbOutcome:
@@ -83,16 +77,15 @@ def perturb_iso(g: np.ndarray, t: float, rng: np.random.Generator) -> PerturbOut
     """
     if not (math.isfinite(t) and t >= 0):
         raise ValueError(f"t must be finite and >= 0, got {t!r}")
-    dtype = _row_dtype(g)
-    g = np.asarray(g, dtype=np.float64)
+    g64 = g.astype(np.float64, copy=False)
     B, d = g.shape
-    max_sq = float((g * g).sum(axis=1).max())
+    max_sq = float((g64 * g64).sum(axis=1).max())
     var = t / d * max_sq
     if var == 0.0:
-        return PerturbOutcome(perturbed=g.astype(dtype))
+        return PerturbOutcome(perturbed=g)
     noise = np.sqrt(var) * rng.standard_normal((B, d))
-    noise += g
-    return PerturbOutcome(perturbed=noise.astype(dtype, copy=False), noise_power=t * max_sq)
+    noise += g64
+    return PerturbOutcome(perturbed=noise.astype(g.dtype, copy=False), noise_power=t * max_sq)
 
 
 def perturb_max_norm(g: np.ndarray, rng: np.random.Generator) -> PerturbOutcome:
@@ -103,29 +96,26 @@ def perturb_max_norm(g: np.ndarray, rng: np.random.Generator) -> PerturbOutcome:
     maximum; this realizes exactly the rank-1 covariance
     sigma_j^2 g_j g_j^T in O(d) per row.
     """
-    dtype = _row_dtype(g)
-    g = np.asarray(g, dtype=np.float64)
-    B, _ = g.shape
-    sq = (g * g).sum(axis=1)
+    g64 = g.astype(np.float64, copy=False)
+    sq = (g64 * g64).sum(axis=1)
     max_sq = float(sq.max())
     if max_sq == 0.0:
-        return PerturbOutcome(perturbed=g.astype(dtype))
-    sigma = np.zeros(B)
+        return PerturbOutcome(perturbed=g)
+    sigma = np.zeros(g.shape[0])
     nz = sq > 0.0
     sigma[nz] = np.sqrt(max_sq / sq[nz] - 1.0)
-    z = rng.standard_normal(B)
-    perturbed = g * (1.0 + sigma * z)[:, None]
+    z = rng.standard_normal(g.shape[0])
+    perturbed = g64 * (1.0 + sigma * z)[:, None]
     # batch-average trace of the per-row noise covariances
     power = float((sigma**2 * sq).mean())
-    return PerturbOutcome(perturbed=perturbed.astype(dtype, copy=False), noise_power=power)
+    return PerturbOutcome(perturbed=perturbed.astype(g.dtype, copy=False), noise_power=power)
 
 
-def perturb_marvell(
-    g: np.ndarray, labels: np.ndarray, s: float, rng: np.random.Generator
-) -> PerturbOutcome:
+def perturb_marvell(g: np.ndarray, split, s: float, rng: np.random.Generator) -> PerturbOutcome:
     """Optimized class-dependent Gaussian perturbation.
 
-    Fits batch statistics, solves the eigenvalue problem at power
+    `split` is the batch's `attacks.split_labels` split.  Fits batch
+    statistics, solves the eigenvalue problem at power
     P = s ||delta_g||^2, and perturbs each class with its optimal
     covariance.  A single-class batch (or a zero class-mean gap) is
     passed through unperturbed and flagged as a fallback.  That is not
@@ -134,19 +124,17 @@ def perturb_marvell(
     """
     if not (math.isfinite(s) and s > 0):
         raise ValueError(f"s must be finite and > 0, got {s!r}")
-    dtype = _row_dtype(g)
-    g = np.asarray(g)
-    pos = np.asarray(labels) == 1
+    pos, neg, n_pos, n_neg = split
     if g.ndim != 2 or pos.shape != g.shape[:1]:
         raise ValueError("g must be (B, d) with one label per row")
-    # the batch's one mask and count decide the fallback; the fit reads
-    # each class's rows as one float64 block of its own
-    n_pos = int(np.count_nonzero(pos))
-    neg = ~pos
-    rows = marvell.class_rows(g, pos, neg) if 0 < n_pos < g.shape[0] else None
-    stats = None if rows is None else marvell.estimate_stats(g, labels, rows)
-    if stats is None or stats.delta_norm_sq == 0.0:
-        return PerturbOutcome(perturbed=np.asarray(g, dtype=dtype), fallback=True)
+    # the split's counts decide the fallback; the fit reads each class's
+    # rows as one float64 block of its own
+    if not (n_pos and n_neg):
+        return PerturbOutcome(perturbed=g, fallback=True)
+    rows = marvell.class_rows(g, pos, neg)
+    stats = marvell.estimate_stats(g, pos, rows)
+    if stats.delta_norm_sq == 0.0:
+        return PerturbOutcome(perturbed=g, fallback=True)
 
     P = marvell.power_budget(s, stats)
     sol = marvell.solve(stats, P)
@@ -156,7 +144,7 @@ def perturb_marvell(
     # each class's noise is added to the float64 block the fit read (the
     # exact upcast of its rows; x + y == y + x bit for bit), and the block
     # is scattered once into the output, which rounds it
-    perturbed = np.empty(g.shape, dtype=dtype)
+    perturbed = np.empty(g.shape, dtype=g.dtype)
     for mask, cov, block in ((pos, pos_cov, rows[0]), (neg, neg_cov, rows[1])):
         block += sample_structured_gaussian_batch(cov, rng, block.shape[0])
         perturbed[mask] = block
@@ -169,12 +157,14 @@ def perturb_marvell(
 
 
 def apply_mechanism(
-    config: MechanismConfig, g: np.ndarray, labels: np.ndarray, rng: np.random.Generator
+    config: MechanismConfig, g: np.ndarray, split, rng: np.random.Generator
 ) -> PerturbOutcome:
+    """`config`'s mechanism on batch `g`; `split` is the batch's
+    `attacks.split_labels` split, which only marvell reads."""
     if config.kind == "none":
         return perturb_none(g)
     if config.kind == "iso":
         return perturb_iso(g, config.t, rng)
     if config.kind == "max_norm":
         return perturb_max_norm(g, rng)
-    return perturb_marvell(g, labels, config.s, rng)
+    return perturb_marvell(g, split, config.s, rng)

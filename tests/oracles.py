@@ -366,12 +366,12 @@ def gathering_marvell(g, labels, s, rng):
     fit from the labels, solve, then each class's fresh float64 noise
     block takes its rows gathered from g again (`noise += g[mask]`, a
     mixed-dtype add on a float32 batch) and is scattered into the output
-    in the batch's row dtype."""
+    in the batch's dtype."""
     stats = marvell.estimate_stats(g, labels)
     sol = marvell.solve(stats, marvell.power_budget(s, stats))
     pos_cov, neg_cov = marvell.build_covariances(sol, stats)
     pos = np.asarray(labels) == 1
-    perturbed = np.empty(g.shape, dtype=np.float32 if g.dtype == np.float32 else np.float64)
+    perturbed = np.empty(g.shape, dtype=g.dtype)
     for mask, cov in ((pos, pos_cov), (~pos, neg_cov)):
         noise = sample_structured_gaussian_batch(cov, rng, int(mask.sum()))
         noise += g[mask]

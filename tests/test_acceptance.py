@@ -315,7 +315,7 @@ def test_c06_unbiasedness():
         "none": perturb_none(batch),
         "iso": perturb_iso(batch, 1.0, make_rng(107)),
         "max_norm": perturb_max_norm(batch, make_rng(108)),
-        "marvell": perturb_marvell(batch, labels, 2.0, make_rng(109)),
+        "marvell": perturb_marvell(batch, split_labels(labels), 2.0, make_rng(109)),
     }
     for name, out in outcomes.items():
         pert = out.perturbed[:copies]

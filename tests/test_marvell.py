@@ -1,5 +1,6 @@
 import dataclasses
 import inspect
+import itertools
 import sys
 
 import numpy as np
@@ -231,6 +232,10 @@ def test_solve_lambdas_no_worse_than_golden_section_reference():
     # every solve converges, proves it with its KKT residual, is feasible,
     # and reaches the golden-section reference's objective or better;
     # under a step cap it stays feasible.  Every outcome occurs.
+    # This calls _solve_lambdas, not solve, because solve pins the class
+    # with u < v: through solve, 5000 instances of these arguments never
+    # reached "vertex beta=gamma=0", so only a random pin side tests the
+    # two-face code.
     rng = make_rng(23)
     outcomes = set()
     for _ in range(1200):
@@ -395,6 +400,17 @@ def test_build_covariances():
     dense = pos.along_var * np.outer(pos.direction, pos.direction) + pos.iso_var * np.eye(3)
     eigs = np.sort(np.linalg.eigvalsh(dense))
     assert np.allclose(eigs, [0.5, 0.5, 2.5], atol=1e-12)
+
+    # the covariances' invariants are formed here and checked nowhere
+    # else: one shared unit direction and variances >= 0, also where
+    # lam2 exceeds lam1, and on a mean gap off the axes
+    inverted = LambdaSolution(0.5, 1.5, 0.25, 0.75, True, 1, 0.0)
+    skewed = make_stats(u=0.1, v=0.2, dsq=9.0, p=0.4, d=3, rng=make_rng(30))
+    for s, st in itertools.product((iso_sol, rank1, sol, inverted), (stats, skewed)):
+        pos, neg = build_covariances(s, st)
+        assert pos.direction is neg.direction
+        assert abs(np.linalg.norm(pos.direction) - 1.0) <= 1e-12
+        assert min(pos.along_var, pos.iso_var, neg.along_var, neg.iso_var) >= 0.0
 
     degenerate = make_stats(u=0.1, v=0.2, dsq=0.0, p=0.4, d=3)
     with pytest.raises(ValueError):

@@ -85,15 +85,6 @@ def test_structured_mean_norm_bound():
     assert np.linalg.norm(draws.mean(axis=0)) <= bound
 
 
-def test_structured_validation():
-    with pytest.raises(ValueError):
-        StructuredCovariance(direction=np.array([1.0, 1.0]), along_var=1.0, iso_var=1.0)
-    with pytest.raises(ValueError):
-        StructuredCovariance(direction=np.array([1.0, 0.0]), along_var=-1.0, iso_var=0.0)
-    with pytest.raises(ValueError):
-        StructuredCovariance(direction=np.array([1.0, 0.0]), along_var=0.0, iso_var=-0.5)
-
-
 def test_finite_difference_quadratic():
     x = np.array([1.0, 2.0])
     grad = finite_difference_gradient(lambda v: 0.5 * float(v @ v), x, h=1e-5)

@@ -33,17 +33,33 @@ def test_none_is_identity():
     assert out.certificate is None
 
 
+def _unperturbed_exits(dtype):
+    """(name, outcome thunk, batch) for every exit that leaves its batch
+    unperturbed, each on a fresh batch of `dtype`."""
+    g = make_rng(5).standard_normal((6, 3)).astype(dtype)
+    flat = np.tile(np.array([1.0, 2.0], dtype=dtype), (4, 1))  # no class-mean gap
+    zero = np.zeros((3, 4), dtype=dtype)
+    one_class, mixed = split_labels(np.ones(6)), split_labels(np.array([1, 1, 0, 0]))
+    return [
+        ("none", lambda rng: perturb_none(g), g),
+        ("marvell single-class", lambda rng: perturb_marvell(g, one_class, 1.0, rng), g),
+        ("marvell zero-gap", lambda rng: perturb_marvell(flat, mixed, 1.0, rng), flat),
+        ("iso t=0", lambda rng: perturb_iso(g, 0.0, rng), g),
+        ("iso all-zero", lambda rng: perturb_iso(zero, 2.0, rng), zero),
+        ("max_norm all-zero", lambda rng: perturb_max_norm(zero, rng), zero),
+    ]
+
+
 def test_unperturbed_batch_is_passed_through_and_never_written():
-    # none and marvell's fallback hand on the batch itself when it already
-    # has the row dtype, so the non-label pass and the audit that read it
-    # must leave its bytes alone
-    rng = make_rng(5)
+    # every unperturbed exit hands on the caller's batch itself and draws
+    # nothing, so the non-label pass and the audit that read it must
+    # leave its bytes alone
     for dtype in (np.float32, np.float64):
-        g = rng.standard_normal((6, 3)).astype(dtype)
-        assert perturb_none(g).perturbed is g
-        assert perturb_marvell(g, np.ones(6), 1.0, make_rng(6)).perturbed is g
-    out = perturb_none(g.astype(np.float16)).perturbed
-    assert out.dtype == np.float64
+        for name, perturb, g in _unperturbed_exits(dtype):
+            rng, twin = make_rng(6), make_rng(6)
+            assert perturb(rng).perturbed is g, (name, dtype)
+            assert repr(rng.bit_generator.state) == repr(twin.bit_generator.state), (name, dtype)
+    rng = make_rng(5)
     # an identity activation at the cut hands the received rows on unmultiplied
     for cut_activation in ("relu", "identity"):
         net = SplitNet.build(4, [8, 6, 3], ["relu", cut_activation, "relu"], 2, make_rng(7))
@@ -126,7 +142,7 @@ def test_max_norm_all_zero_batch_is_returned_unchanged(dtype):
 def test_marvell_tiny_power_is_near_identity():
     rng = make_rng(12)
     g, labels = _mixed_batch(rng)
-    out = perturb_marvell(g, labels, 1e-15, make_rng(13))
+    out = perturb_marvell(g, split_labels(labels), 1e-15, make_rng(13))
     assert not out.fallback
     assert np.allclose(out.perturbed, g, atol=1e-5)
 
@@ -136,7 +152,7 @@ def test_marvell_sum_kl_monotone_in_s():
     g, labels = _mixed_batch(rng, B=64, d=8, pos=16)
     kls = []
     for s in (0.1, 1.0, 4.0, 16.0):
-        out = perturb_marvell(g, labels, s, make_rng(15))
+        out = perturb_marvell(g, split_labels(labels), s, make_rng(15))
         kls.append(out.certificate.sum_kl)
     assert all(kls[i + 1] <= kls[i] + 1e-9 for i in range(len(kls) - 1))
 
@@ -146,19 +162,19 @@ def test_marvell_single_class_fallback(monkeypatch):
     monkeypatch.setattr(protection.marvell, "estimate_stats", None)
     g = make_rng(16).standard_normal((4, 3))
     for labels in ([1, 1, 1, 1], [0, 0, 0, 0]):
-        out = perturb_marvell(g, np.array(labels), 1.0, make_rng(17))
+        out = perturb_marvell(g, split_labels(np.array(labels)), 1.0, make_rng(17))
         assert out.fallback
         assert np.array_equal(out.perturbed, g)
         assert out.certificate is None
         assert out.solution is None
     with pytest.raises(ValueError, match="one label per row"):
-        perturb_marvell(g, np.array([0, 0]), 1.0, make_rng(17))
+        perturb_marvell(g, split_labels(np.array([0, 0])), 1.0, make_rng(17))
 
 
 def test_marvell_outcome_carries_its_solve():
     rng = make_rng(20)
     g, labels = _mixed_batch(rng, B=32, d=6, pos=8)
-    out = perturb_marvell(g, labels, 2.0, make_rng(21))
+    out = perturb_marvell(g, split_labels(labels), 2.0, make_rng(21))
     stats = estimate_stats(g, labels)
     assert out.solution == solve(stats, power_budget(2.0, stats))
     assert out.solution.converged
@@ -169,7 +185,7 @@ def test_marvell_outcome_carries_its_solve():
 
 def test_marvell_zero_gap_fallback():
     g = np.tile(np.array([1.0, 2.0]), (4, 1))
-    out = perturb_marvell(g, np.array([1, 1, 0, 0]), 1.0, make_rng(18))
+    out = perturb_marvell(g, split_labels(np.array([1, 1, 0, 0])), 1.0, make_rng(18))
     assert out.fallback
     assert np.array_equal(out.perturbed, g)
     assert out.solution is None
@@ -179,7 +195,7 @@ def test_marvell_power_within_budget():
     rng = make_rng(19)
     g, labels = _mixed_batch(rng, B=32, d=6, pos=8)
     s = 4.0
-    out = perturb_marvell(g, labels, s, make_rng(20))
+    out = perturb_marvell(g, split_labels(labels), s, make_rng(20))
     stats = estimate_stats(g, labels)
     P = power_budget(s, stats)
     assert out.noise_power <= P * (1 + 1e-6)
@@ -195,7 +211,7 @@ def test_marvell_positive_noise_spectrum():
     copies = 10**5
     g = np.vstack([np.tile(base_pos, (copies, 1)), np.tile(base_neg, (copies // 2, 1))])
     labels = np.array([1] * copies + [0] * (copies // 2))
-    out = perturb_marvell(g, labels, 4.0, make_rng(22))
+    out = perturb_marvell(g, split_labels(labels), 4.0, make_rng(22))
     assert not out.fallback
     stats = estimate_stats(g, labels)
     sol = solve(stats, power_budget(4.0, stats))
@@ -234,7 +250,7 @@ def test_marvell_matches_the_gathering_assembly(name, dtype):
     g, labels, s, zero = _zero_rule_case(name)
     g = g.astype(dtype)
     rng, ref_rng = make_rng(41), make_rng(41)
-    out = perturb_marvell(g, labels, s, rng)
+    out = perturb_marvell(g, split_labels(labels), s, rng)
     perturbed, cert, power, sol = gathering_marvell(g, labels, s, ref_rng)
     assert (out.solution.lam2_pos == 0.0, out.solution.lam2_neg == 0.0) == zero
     assert out.perturbed.dtype == perturbed.dtype and out.perturbed.tobytes() == perturbed.tobytes()
@@ -249,7 +265,7 @@ def test_marvell_never_writes_its_batch(dtype):
     g, labels = _mixed_batch(make_rng(42))
     g = g.astype(dtype)
     before = g.tobytes()
-    assert not perturb_marvell(g, labels, 4.0, make_rng(43)).fallback
+    assert not perturb_marvell(g, split_labels(labels), 4.0, make_rng(43)).fallback
     assert g.tobytes() == before
 
 
@@ -264,8 +280,8 @@ def test_float32_batch_is_the_float64_batch_rounded(kind, labels):
     labels = np.array(labels)
     g32 = make_rng(27).standard_normal((32, 48)).astype(np.float32)
     g32[labels == 1] += np.float32(0.5)
-    out32 = apply_mechanism(config, g32, labels, make_rng(28))
-    out64 = apply_mechanism(config, g32.astype(np.float64), labels, make_rng(28))
+    out32 = apply_mechanism(config, g32, split_labels(labels), make_rng(28))
+    out64 = apply_mechanism(config, g32.astype(np.float64), split_labels(labels), make_rng(28))
     assert out32.perturbed.dtype == np.float32 and out64.perturbed.dtype == np.float64
     assert out32.perturbed.tobytes() == out64.perturbed.astype(np.float32).tobytes()
     assert out32.solution == out64.solution and out32.certificate == out64.certificate
@@ -290,7 +306,7 @@ def test_mechanism_config_validation():
         with pytest.raises(ValueError):
             perturb_iso(g, bad, make_rng(25))
         with pytest.raises(ValueError):  # even where the batch would fall back
-            perturb_marvell(g, np.ones(4, dtype=np.int64), bad, make_rng(26))
+            perturb_marvell(g, split_labels(np.ones(4, dtype=np.int64)), bad, make_rng(26))
     assert MechanismConfig(kind="iso", t=2.0).param == 2.0
     assert MechanismConfig(kind="marvell", s=3.0).param == 3.0
     assert MechanismConfig(kind="none").param is None
