@@ -7,7 +7,9 @@ Runs the checkout's ``perfbench/run.py`` on every workload in
 then with ``--trace 1`` (the per-layer split), one run at a time.  The
 file holds, per run, the final JSON line perfbench prints, its
 fingerprint line (python, numpy, BLAS, cores), its unscaled timings and
-its host-slowdown line, plus the commit and the seed.  ``n`` is one
+its host-slowdown line, plus the commit, whether ``src/`` or
+``perfbench/`` differ from it (null when git cannot tell, as in a
+``--root`` that is not a git checkout) and the seed.  ``n`` is one
 more than the highest BENCH file present.  ``--root`` benchmarks
 another checkout, such as a clone of the parent commit; the file is
 still written beside this script.
@@ -24,9 +26,10 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 
 
-def _git(root: Path, *args: str) -> str:
+def _git(root: Path, *args: str) -> str | None:
+    """git's output in `root`, or None when git cannot tell (no repository)."""
     proc = subprocess.run(["git", *args], capture_output=True, text=True, cwd=root)
-    return proc.stdout.strip() if proc.returncode == 0 else "unknown"
+    return proc.stdout.strip() if proc.returncode == 0 else None
 
 
 def _next_path() -> Path:
@@ -85,9 +88,10 @@ def main(argv=None) -> int:
         for workload in workloads:
             print(f"{workload} --trace {trace} ...", file=sys.stderr, flush=True)
             runs.append(run_perfbench(root, workload, args.seed, args.seconds, trace))
+    status = _git(root, "status", "--porcelain", "--", "src", "perfbench")
     record = {
-        "commit": _git(root, "rev-parse", "HEAD"),
-        "uncommitted_changes": bool(_git(root, "status", "--porcelain", "--", "src", "perfbench")),
+        "commit": _git(root, "rev-parse", "HEAD") or "unknown",
+        "uncommitted_changes": None if status is None else bool(status),
         "seed": args.seed,
         "runs": runs,
     }

@@ -257,12 +257,12 @@ class RunRecord:
 
 
 def summarize_rows(rows: list[IterationRow]) -> dict[str, float | None]:
-    """95%-quantile of each leak-AUC series over measured iterations only."""
+    """Each leak-AUC series' 95%-quantile over measured iterations, and the least train loss."""
     out: dict[str, float | None] = {}
     for name in LEAK_SERIES:
         values = [getattr(r, name) for r in rows if getattr(r, name) is not None]
         out[f"{name}_q95"] = quantile(values, SUMMARY_QUANTILE) if values else None
-    out["train_loss_min"] = min(r.train_loss for r in rows) if rows else None
+    out["train_loss_min"] = min(r.train_loss for r in rows)
     return out
 
 

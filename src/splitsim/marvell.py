@@ -46,11 +46,9 @@ class BatchStats:
     """MLE-fitted class-conditional spherical Gaussian parameters."""
 
     p: float  # positive fraction of the batch
-    pos_mean: np.ndarray
-    neg_mean: np.ndarray
     v: float  # positive-class per-coordinate variance
     u: float  # negative-class per-coordinate variance
-    delta_g: np.ndarray  # pos_mean - neg_mean
+    delta_g: np.ndarray  # positive-class mean minus negative-class mean
     delta_norm_sq: float
     d: int
 
@@ -89,7 +87,6 @@ class PrivacyCertificate:
     sum_kl: float
     auc_bound: float
     tv_bound: float
-    bound_valid: bool  # sum_kl < 4, i.e. the AUC bound is non-vacuous
 
 
 def class_rows(g: np.ndarray, pos: np.ndarray, neg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -107,10 +104,9 @@ def estimate_stats(
     fitted in float64 whatever g's dtype.
 
     `rows` is `class_rows(g, pos, ~pos)` with pos = labels == 1, when
-    the caller has split the batch already, and `labels` may then be
-    that split's positive mask; the fit reads those blocks in place of g
-    and labels, and leaves them unchanged (they are not squared in
-    place), so the caller can add its noise to them.
+    the caller has split the batch already; the fit then reads only
+    g.shape and the two blocks, never `labels`, and leaves the blocks
+    unchanged (not squared in place), so the caller can add its noise.
     """
     g = np.asarray(g)
     B, d = g.shape
@@ -121,19 +117,17 @@ def estimate_stats(
     n_pos, n_neg = g_pos.shape[0], g_neg.shape[0]
     if n_pos == 0 or n_neg == 0:
         raise ValueError("both classes must be present")
-    pos_mean = np.add.reduce(g_pos, axis=0) / n_pos  # ndarray.mean's sum and division
-    neg_mean = np.add.reduce(g_neg, axis=0) / n_neg
-    dev = g_pos - pos_mean
+    mu_pos = np.add.reduce(g_pos, axis=0) / n_pos  # ndarray.mean's sum and division
+    mu_neg = np.add.reduce(g_neg, axis=0) / n_neg
+    dev = g_pos - mu_pos
     dev *= dev
     v = float(np.add.reduce(dev, axis=None) / (d * n_pos))
-    dev = g_neg - neg_mean
+    dev = g_neg - mu_neg
     dev *= dev
     u = float(np.add.reduce(dev, axis=None) / (d * n_neg))
-    delta = pos_mean - neg_mean
+    delta = mu_pos - mu_neg
     return BatchStats(
         p=n_pos / B,
-        pos_mean=pos_mean,
-        neg_mean=neg_mean,
         v=v,
         u=u,
         delta_g=delta,
@@ -334,16 +328,6 @@ def _solve_canonical(m, a, b, D, pa, pb, P, tol, max_steps):
         steps += 1
 
 
-def _solve_lambdas(d, u, v, dsq, p, P, tol, max_steps, pin_pos):
-    """(lam, steps, residual) with lam[1] pinned at zero when pin_pos,
-    else lam[3]: the pinned class is _solve_canonical's class A."""
-    if pin_pos:
-        alpha, beta, gamma, steps, res = _solve_canonical(d - 1.0, v, u, dsq, p, 1.0 - p, P, tol, max_steps)
-        return (alpha, 0.0, beta, gamma), steps, res
-    alpha, beta, gamma, steps, res = _solve_canonical(d - 1.0, u, v, dsq, 1.0 - p, p, P, tol, max_steps)
-    return (beta, gamma, alpha, 0.0), steps, res
-
-
 def solve(stats: BatchStats, P: float, settings: SolverSettings = SolverSettings()) -> LambdaSolution:
     """Minimize the objective over the power hyperplane.
 
@@ -358,13 +342,15 @@ def solve(stats: BatchStats, P: float, settings: SolverSettings = SolverSettings
             raise ValueError(f"{name} must be finite, got {x!r}")
     if P < 0:
         raise ValueError(f"P must be >= 0, got {P!r}")
-    p = float(stats.p)
-    u = float(max(stats.u, VARIANCE_FLOOR))
-    v = float(max(stats.v, VARIANCE_FLOOR))
-    lam, steps, residual = _solve_lambdas(
-        float(stats.d), u, v, float(stats.delta_norm_sq), p, float(P),
-        float(settings.tol), int(settings.max_sweeps), stats.u < stats.v,
-    )
+    m, p, dsq, P = float(stats.d) - 1.0, float(stats.p), float(stats.delta_norm_sq), float(P)
+    u, v = float(max(stats.u, VARIANCE_FLOOR)), float(max(stats.v, VARIANCE_FLOOR))
+    tol, max_steps = float(settings.tol), int(settings.max_sweeps)
+    if stats.u < stats.v:  # the positive class's orthogonal eigenvalue is pinned
+        alpha, beta, gamma, steps, residual = _solve_canonical(m, v, u, dsq, p, 1.0 - p, P, tol, max_steps)
+        lam = (alpha, 0.0, beta, gamma)
+    else:
+        alpha, beta, gamma, steps, residual = _solve_canonical(m, u, v, dsq, 1.0 - p, p, P, tol, max_steps)
+        lam = (beta, gamma, alpha, 0.0)
     return LambdaSolution(*lam, residual <= settings.tol, steps, residual)
 
 
@@ -435,5 +421,4 @@ def make_certificate(sol: LambdaSolution, stats: BatchStats) -> PrivacyCertifica
         sum_kl=eps,
         auc_bound=auc_upper_bound(eps),
         tv_bound=tv_upper_bound(eps),
-        bound_valid=eps < 4.0,
     )

@@ -52,11 +52,8 @@ def make_stats(u, v, dsq, p, d, rng=None):
     else:
         raw = rng.standard_normal(d)
         delta = raw / np.linalg.norm(raw) * np.sqrt(dsq)
-    neg_mean = np.zeros(d)
     return BatchStats(
         p=p,
-        pos_mean=neg_mean + delta,
-        neg_mean=neg_mean,
         v=v,
         u=u,
         delta_g=delta,
@@ -112,7 +109,8 @@ def grid_search_objective(stats, P, n=100):
 
 def dense_sum_kl(lams, stats):
     """Symmetrized KL between the two perturbed Gaussians with dense
-    d x d covariances (slogdet/solve based)."""
+    d x d covariances (slogdet/solve based), the positive class centred
+    at delta_g and the negative class at 0."""
     l11, l21, l10, l20 = lams
     d = stats.d
     dsq = stats.delta_norm_sq
@@ -121,7 +119,7 @@ def dense_sum_kl(lams, stats):
     sigma0 = (l10 - l20) / dsq * outer + l20 * np.eye(d)
     c1 = sigma1 + max(stats.v, 1e-12) * np.eye(d)
     c0 = sigma0 + max(stats.u, 1e-12) * np.eye(d)
-    diff = stats.pos_mean - stats.neg_mean
+    pos_mean, neg_mean = stats.delta_g, np.zeros(d)
 
     def kl(m_from, c_from, m_to, c_to):
         sol = np.linalg.solve(c_to, c_from)
@@ -130,7 +128,7 @@ def dense_sum_kl(lams, stats):
         _, ld_from = np.linalg.slogdet(c_from)
         return 0.5 * (np.trace(sol) + quad - d + ld_to - ld_from)
 
-    return float(kl(stats.pos_mean, c1, stats.neg_mean, c0) + kl(stats.neg_mean, c0, stats.pos_mean, c1))
+    return float(kl(pos_mean, c1, neg_mean, c0) + kl(neg_mean, c0, pos_mean, c1))
 
 
 def finite_difference_gradient(fn, x, h=1e-5):

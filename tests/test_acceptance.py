@@ -275,7 +275,7 @@ def test_c05_theorem1_empirical():
         s = float(rng.choice([2.0, 4.0, 8.0]))
         sol = solve(stats, power_budget(s, stats))
         cert = make_certificate(sol, stats)
-        if not cert.bound_valid:
+        if not cert.sum_kl < 4.0:  # the AUC bound is vacuous
             continue
         checked += 1
         pos_cov, neg_cov = build_covariances(sol, stats)
@@ -287,12 +287,12 @@ def test_c05_theorem1_empirical():
         )
         g = np.vstack(
             [
-                stats.pos_mean + sample_structured_gaussian_batch(pos_total, rng, n_samples),
-                stats.neg_mean + sample_structured_gaussian_batch(neg_total, rng, n_samples),
+                stats.delta_g + sample_structured_gaussian_batch(pos_total, rng, n_samples),
+                sample_structured_gaussian_batch(neg_total, rng, n_samples),
             ]
         )
         labels = np.array([1] * n_samples + [0] * n_samples)
-        g_plus = stats.pos_mean + np.sqrt(stats.v) * rng.standard_normal(d)
+        g_plus = stats.delta_g + np.sqrt(stats.v) * rng.standard_normal(d)
         split, norms = split_labels(labels), np.linalg.norm(g, axis=1)
         assert leak_auc(g, split, norms) <= cert.auc_bound + 0.03
         assert leak_auc(g, split, norms, g_plus, np.linalg.norm(g_plus)) <= cert.auc_bound + 0.03
