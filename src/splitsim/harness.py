@@ -343,10 +343,10 @@ def train_run(config: ExperimentConfig) -> RunRecord:
         if not math.isfinite(train_loss):
             raise FloatingPointError(f"training loss is {train_loss} at iteration {it}")
 
-        clean_cut, h_grads = label_party_gradients(state, y_b)
+        clean_cut, _ = label_party_gradients(state, y_b)
         split = split_labels(y_b)
         outcome = apply_mechanism(config.mechanism, clean_cut, split, mech_rng)
-        f_grads, pert_first = backprop_nonlabel(net, state, outcome.perturbed)
+        _, pert_first = backprop_nonlabel(net, state, outcome.perturbed)
 
         leaks = dict.fromkeys(LEAK_SERIES)
         if split[2] and split[3]:  # both classes present
@@ -364,7 +364,7 @@ def train_run(config: ExperimentConfig) -> RunRecord:
                 if oracle_norm > 0:
                     leaks[f"cos_{layer}"] = leak_auc(received, split, norms, oracle, oracle_norm)
 
-        apply_update(net, f_grads, h_grads, optimizer)
+        apply_update(net, optimizer)
 
         cert = outcome.certificate
         rows.append(

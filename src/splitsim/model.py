@@ -70,6 +70,8 @@ class Layer:
     spec: LayerSpec
     W: np.ndarray  # (in_dim, out_dim)
     b: np.ndarray  # (out_dim,)
+    dW: np.ndarray = field(default=None, init=False, repr=False)  # views of the net's grad
+    db: np.ndarray = field(default=None, init=False, repr=False)
 
 
 def _init_layer(spec: LayerSpec, rng: np.random.Generator, dtype) -> Layer:
@@ -96,25 +98,33 @@ class SplitNet:
     so an optimizer steps every parameter at once and writes through
     `layer.W[...]` reach `params`.  Rebinding `layer.W` or `layer.b`
     would detach it from `params`, so a layer belongs to one net: a
-    second net built from it takes it over.
+    second net built from it takes it over.  `grad` holds the gradients
+    likewise, as each layer's `dW` and `db`: each party's backward pass
+    overwrites its slice, `f_grad` or `h_grad`.
     """
 
     f_layers: list[Layer]
     h_layers: list[Layer]
     params: np.ndarray = field(init=False, repr=False, compare=False)
+    grad: np.ndarray = field(init=False, repr=False, compare=False)
+    f_grad: np.ndarray = field(init=False, repr=False, compare=False)
+    h_grad: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         layers = self.f_layers + self.h_layers
         arrays = [a for layer in layers for a in (layer.W, layer.b)]
-        dtype = np.result_type(np.float32, *arrays)
-        self.params = np.concatenate(arrays, axis=None, dtype=dtype)
-        pos = 0
+        self.params = np.empty(sum(a.size for a in arrays), np.result_type(np.float32, *arrays))
+        self.grad = np.zeros_like(self.params)
+        buffers, pos = (self.params, self.grad), 0
         for layer in layers:
             W, b = layer.W, layer.b
-            layer.W = self.params[pos : pos + W.size].reshape(W.shape)
+            layer.W, layer.dW = (v[pos : pos + W.size].reshape(W.shape) for v in buffers)
             pos += W.size
-            layer.b = self.params[pos : pos + b.size].reshape(b.shape)
+            layer.b, layer.db = (v[pos : pos + b.size] for v in buffers)
             pos += b.size
+            layer.W[...], layer.b[...] = W, b
+            if layer is self.f_layers[-1]:
+                self.f_grad, self.h_grad = self.grad[:pos], self.grad[pos:]
 
     @property
     def in_dim(self) -> int:
@@ -159,8 +169,7 @@ class ForwardState:
 
 
 def _forward_layers(layers: list[Layer], x: np.ndarray) -> list[np.ndarray]:
-    acts = []
-    a = x
+    acts, a = [], x
     for layer in layers:
         z = a @ layer.W
         z += layer.b
@@ -178,8 +187,7 @@ def forward(net: SplitNet, X: np.ndarray) -> ForwardState:
     f_act = _forward_layers(net.f_layers, X)
     h_act = _forward_layers(net.h_layers, f_act[-1])
     logits = h_act[-1][:, 0]
-    probs = _sigmoid(logits)
-    return ForwardState(net, X, f_act, h_act, logits, probs)
+    return ForwardState(net, X, f_act, h_act, logits, _sigmoid(logits))
 
 
 def logistic_loss(logit, y):
@@ -193,42 +201,40 @@ def logistic_loss(logit, y):
     return float(out) if out.ndim == 0 else out
 
 
-def _backward_layers(layers, acts, input_act, delta, to_input=True, param_grads=True):
+def _backward_layers(layers, acts, input_act, delta, grad=None, to_input=True):
     """Propagate upstream gradient `delta` (w.r.t. the final activation)
-    back through `layers`; returns (param_grads, delta), where delta
-    is taken at the input of `layers` or, with to_input=False, at the
-    output of `layers[0]`.
+    back through `layers`; returns delta, per example, at the input of
+    `layers` or, with to_input=False, at the output of `layers[0]`.
 
-    Parameter gradients are batch means, divided in place; with
-    param_grads=False they are not formed (None per layer).  `delta`
-    stays per-example throughout.
+    `grad` is the slice of the net's `grad` that holds the layers' `dW`
+    and `db` views: each layer's parameter gradient is written into its
+    views, then the slice is divided by B once, to batch means.  With
+    grad=None no parameter gradient is formed and no `grad` is written.
     """
-    B, grads = delta.shape[0], [None] * len(layers)
     for k in range(len(layers) - 1, -1, -1):
         layer = layers[k]
         deriv = ACTIVATIONS[layer.spec.activation][1]
         dz = delta if deriv is None else delta * deriv(acts[k])
-        if param_grads:
-            prev_act = acts[k - 1] if k > 0 else input_act
-            grads[k] = (prev_act.T @ dz, np.add.reduce(dz, axis=0))
-            for g in grads[k]:
-                g /= B
+        if grad is not None:
+            np.matmul(acts[k - 1].T if k > 0 else input_act.T, dz, out=layer.dW)
+            np.add.reduce(dz, axis=0, out=layer.db)
         if k > 0 or to_input:
             delta = dz @ layer.W.T
-    return grads, delta
+    if grad is not None:
+        grad /= delta.shape[0]
+    return delta
 
 
 def label_party_gradients(state: ForwardState, y: np.ndarray):
-    """(per-example cut gradients, batch-mean h parameter gradients).
+    """(per-example cut gradients, h's batch-mean (dW, db) views of `net.grad`).
 
     Row j of the cut gradients is the gradient of example j's own loss
     w.r.t. its cut features: (prob_j - y_j) * grad_z h(z)|_{z = f(X_j)}.
     """
+    net = state.net
     upstream = (state.probs - np.asarray(y, dtype=state.probs.dtype))[:, None]
-    h_param_grads, delta = _backward_layers(
-        state.net.h_layers, state.h_act, state.cut_features, upstream
-    )
-    return delta, h_param_grads
+    delta = _backward_layers(net.h_layers, state.h_act, state.cut_features, upstream, net.h_grad)
+    return delta, [(layer.dW, layer.db) for layer in net.h_layers]
 
 
 def backprop_nonlabel(net: SplitNet, state: ForwardState, received: np.ndarray):
@@ -236,23 +242,23 @@ def backprop_nonlabel(net: SplitNet, state: ForwardState, received: np.ndarray):
     gradient matrix, in one pass down f.
 
     Returns (batch-mean f parameter gradients, per-example gradients at
-    the first hidden layer's activation).  Everything is linear in
-    `received`, so unbiased received gradients give unbiased parameter
-    gradients.
+    the first hidden layer's activation), the former as f's (dW, db)
+    views of `net.grad`.  Everything is linear in `received`, so
+    unbiased received gradients give unbiased parameter gradients.
     """
     received = np.asarray(received, dtype=net.params.dtype)
-    return _backward_layers(net.f_layers, state.f_act, state.X, received, to_input=False)
+    delta = _backward_layers(net.f_layers, state.f_act, state.X, received, net.f_grad, False)
+    return [(layer.dW, layer.db) for layer in net.f_layers], delta
 
 
 def first_layer_gradient_row(state: ForwardState, j: int, cut_row: np.ndarray) -> np.ndarray:
     """Example j's gradient at the first hidden layer's activation, given
     its cut-layer gradient row: row j of backprop_nonlabel's first-layer
     gradients, computed by the same pass on row j alone, which forms no
-    parameter gradients."""
+    parameter gradients and leaves `net.grad` as it is."""
     acts = [a[j : j + 1] for a in state.f_act[1:]]
     delta = np.asarray(cut_row, dtype=state.net.params.dtype)[None, :]
-    _, delta = _backward_layers(state.net.f_layers[1:], acts, None, delta, param_grads=False)
-    return delta[0]
+    return _backward_layers(state.net.f_layers[1:], acts, None, delta)[0]
 
 
 class Adam:
@@ -276,11 +282,9 @@ class Adam:
         """One in-place step of the flat parameter vector."""
         self.t += 1
         b1, b2, lr, eps = _BETA1, _BETA2, self.lr, _EPS
-        c1 = 1.0 - b1**self.t
-        c2 = 1.0 - b2**self.t
+        c1, c2 = 1.0 - b1**self.t, 1.0 - b2**self.t
         if self._m is None:
-            self._m = np.zeros_like(params)
-            self._v = np.zeros_like(params)
+            self._m, self._v = np.zeros_like(params), np.zeros_like(params)
         m, v = self._m, self._v
         m *= b1
         m += (1 - b1) * grad
@@ -297,12 +301,8 @@ class Adam:
         params -= step
 
 
-def apply_update(net: SplitNet, f_param_grads: list, h_param_grads: list, optimizer) -> None:
-    """In-place parameter update of both parties.
-
-    The (dW, db) pairs of f then h are gathered into one vector in the
-    order of `net.params`, and the optimizer steps `net.params` with it.
-    """
-    pairs = f_param_grads + h_param_grads
-    grad = np.concatenate([g for pair in pairs for g in pair], axis=None)
-    optimizer.update(net.params, grad)
+def apply_update(net: SplitNet, optimizer) -> None:
+    """In-place parameter update of both parties: the optimizer steps
+    `net.params` with `net.grad`, which this iteration's two backward
+    passes wrote."""
+    optimizer.update(net.params, net.grad)

@@ -5,9 +5,10 @@ posterior of the toy 1-d mixture.  These deliberately share no code
 with the implementations they check.
 
 A second section keeps earlier, plainer forms of hot-path functions
-(the np.unique midrank AUC, the out-of-place Adam step, the batch
-statistics with their repeated copies, marvell's assembly with a fresh
-gather of each class's rows for its noise).
+(the np.unique midrank AUC, the out-of-place Adam step, the per-layer
+parameter gradients, the batch statistics with their repeated copies,
+marvell's assembly with a fresh gather of each class's rows for its
+noise).
 The package's faster forms must equal them bit for bit.  It also keeps
 marvell's earlier solver: a coordinate descent whose golden-section
 line searches evaluate the whole objective at every point.  The
@@ -25,7 +26,12 @@ import numpy as np
 from splitsim import marvell
 from splitsim.marvell import BatchStats, objective
 from splitsim.numeric import sample_structured_gaussian_batch
-from splitsim.model import _backward_layers, backprop_nonlabel, label_party_gradients
+from splitsim.model import (
+    ACTIVATIONS,
+    _backward_layers,
+    backprop_nonlabel,
+    label_party_gradients,
+)
 
 
 def brute_force_auc(scores, labels):
@@ -210,6 +216,27 @@ class OutOfPlaceAdam:
             layer.b -= self.lr * (mb / c1) / (np.sqrt(vb / c2) + eps)
 
 
+def per_layer_gradients(net, state, y):
+    """[(dW, db)] per layer, f then h, of one clean split backward pass,
+    each formed as an array of its own (`prev.T @ dz` and the row sum of
+    dz) and then divided by B in place."""
+    B = state.X.shape[0]
+    delta = (state.probs - np.asarray(y, dtype=state.probs.dtype))[:, None]
+    layers = net.f_layers + net.h_layers
+    inputs = [state.X] + state.f_act + state.h_act[:-1]
+    outputs = state.f_act + state.h_act
+    grads = []
+    for layer, prev, act in reversed(list(zip(layers, inputs, outputs))):
+        deriv = ACTIVATIONS[layer.spec.activation][1]
+        dz = delta if deriv is None else delta * deriv(act)
+        pair = (prev.T @ dz, np.add.reduce(dz, axis=0))
+        for g in pair:
+            g /= B
+        grads.insert(0, pair)
+        delta = dz @ layer.W.T
+    return grads
+
+
 def _objective4(l11, l21, l10, l20, d, u, v, dsq):
     """marvell's ratio objective with floored variances u, v."""
     return (
@@ -382,15 +409,15 @@ def gathering_marvell(g, labels, s, rng):
 
 
 def compute_gradients(net, state, y):
-    """(f, h) batch-mean parameter gradients of one clean split backward
-    pass, in the form apply_update takes them."""
-    cut, h_grads = label_party_gradients(state, y)
-    f_grads, _ = backprop_nonlabel(net, state, cut)
-    return f_grads, h_grads
+    """A copy of `net.grad` after one clean split backward pass: the
+    batch-mean parameter gradients of both parties in `net.params`
+    order, which no later pass overwrites."""
+    cut, _ = label_party_gradients(state, y)
+    backprop_nonlabel(net, state, cut)
+    return net.grad.copy()
 
 
 def h_feature_gradients(net, state):
     """Rows grad_z h(z)|_{z=f(X_j)} (upstream 1 per example)."""
     ones = np.ones((state.logits.shape[0], 1))
-    _, delta = _backward_layers(net.h_layers, state.h_act, state.cut_features, ones)
-    return delta
+    return _backward_layers(net.h_layers, state.h_act, state.cut_features, ones)

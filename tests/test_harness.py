@@ -282,7 +282,7 @@ def test_run_model_is_run_dtype(monkeypatch):
     spy(  # the net's parameters and, after the step, Adam's two moments
         "params_adam",
         harness.apply_update,
-        lambda args, out: np.concatenate([args[0].params, args[3]._m, args[3]._v]),
+        lambda args, out: np.concatenate([args[0].params, args[1]._m, args[1]._v]),
     )
     for mechanism in (MechanismConfig(), MechanismConfig(kind="marvell", s=2.0)):
         train_run(_quick_config(mechanism=mechanism, iterations=10))

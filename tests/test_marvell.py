@@ -284,16 +284,29 @@ def _return_line(after: str) -> int:
 
 
 def _solve_exit(stats, P, settings):
-    """(solution, line of the return that ended `_solve_canonical`)."""
+    """(solution, line of the return that ended `_solve_canonical`).
+
+    The tracers installed for the solve chain the process's own tracer,
+    if one is set (a line-coverage tool's): it keeps receiving every
+    event, `_solve_canonical`'s included."""
     code, lines = marvell._solve_canonical.__code__, []
-
-    def local(frame, event, arg):
-        if event == "return":
-            lines.append(frame.f_lineno)
-        return local
-
     previous = sys.gettrace()
-    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+
+    def local(chained):
+        def trace(frame, event, arg):
+            nonlocal chained
+            if event == "return":
+                lines.append(frame.f_lineno)
+            if chained is not None:
+                chained = chained(frame, event, arg)
+            return trace
+        return trace
+
+    def on_call(frame, event, arg):
+        chained = None if previous is None else previous(frame, event, arg)
+        return local(chained) if frame.f_code is code else chained
+
+    sys.settrace(on_call)
     try:
         sol = solve(stats, P, settings)
     finally:

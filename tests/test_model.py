@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import OutOfPlaceAdam, compute_gradients, h_feature_gradients
+from oracles import OutOfPlaceAdam, compute_gradients, h_feature_gradients, per_layer_gradients
 from splitsim.model import (
     ACTIVATIONS,
     Adam,
@@ -146,6 +146,7 @@ def test_backprop_nonlabel_linear_in_received():
     state = forward(net, X)
     g = label_party_gradients(state, (rng.random(8) < 0.5).astype(int))[0]
     one, first_one = backprop_nonlabel(net, state, g)
+    one = [(dW.copy(), db.copy()) for dW, db in one]  # the next pass overwrites them
     two, first_two = backprop_nonlabel(net, state, 2.0 * g)
     for (dW1, db1), (dW2, db2) in zip(one, two):
         assert np.allclose(dW2, 2.0 * dW1, rtol=0, atol=0)
@@ -205,8 +206,10 @@ def test_first_layer_gradient_row_matches_batch_pass():
             state = forward(net, rng.standard_normal((B, in_dim)))
             clean_cut, _ = label_party_gradients(state, rng.integers(0, 2, size=B))
             _, first = backprop_nonlabel(net, state, clean_cut)
+            grad = net.grad.tobytes()
             for j in range(B):
                 row = first_layer_gradient_row(state, j, clean_cut[j])
+                assert net.grad.tobytes() == grad  # the oracle row forms no gradient
                 rel = np.linalg.norm(row - first[j]) / max(np.linalg.norm(first[j]), 1e-12)
                 assert rel <= 1e-12
             checked_single += cut == 1
@@ -242,12 +245,12 @@ def test_acute_angle_of_h_gradients_throughout_training():
         idx = rng.choice(ds.n, size=64, replace=False)
         X, y = ds.X[idx], ds.y[idx]
         state = forward(net, X)
-        grads = compute_gradients(net, state, y)
+        compute_gradients(net, state, y)
         if it >= 20 and it % 20 == 0:
             cos = _pairwise_cosines(h_feature_gradients(net, state))
             assert np.all(cos > 0.0)
             checked += cos.size
-        apply_update(net, *grads, opt)
+        apply_update(net, opt)
     assert checked > 1000
 
 
@@ -263,17 +266,20 @@ def test_adam_zero_grads_no_motion():
 
 def _steps_match_per_array_reference(flat_opt, reference_opt, seed):
     """25 apply_update steps with `flat_opt` against `reference_opt`
-    stepping a twin net one parameter array at a time, compared by bytes."""
+    stepping a twin net one parameter array at a time, compared by bytes;
+    each step's random gradients are written into net_a's gradient views."""
     net_a = _random_net(make_rng(seed))
     net_b = _random_net(make_rng(seed))
-    n_f = len(net_a.f_layers)
     grad_rng = make_rng(seed + 1)
     for _ in range(25):
         grads = [
             (grad_rng.standard_normal(l.W.shape), grad_rng.standard_normal(l.b.shape))
             for l in net_a.f_layers + net_a.h_layers
         ]
-        apply_update(net_a, grads[:n_f], grads[n_f:], flat_opt)
+        for l, (dW, db) in zip(net_a.f_layers + net_a.h_layers, grads):
+            l.dW[...] = dW
+            l.db[...] = db
+        apply_update(net_a, flat_opt)
         reference_opt.update(net_b.f_layers + net_b.h_layers, grads)
         assert _flatten_params(net_a).tobytes() == _flatten_params(net_b).tobytes()
 
@@ -303,14 +309,57 @@ def test_parameters_are_views_of_one_flat_buffer(kind):
     assert layers[0].W[0, 0] == 11.0
 
 
+@pytest.mark.parametrize("kind", ["built", "bare_layers"])
+def test_gradients_are_views_of_one_flat_buffer(kind):
+    net = _random_net(make_rng(18)) if kind == "built" else _linear_h_net([0.5, -1.0, 2.0])
+    layers = net.f_layers + net.h_layers
+    assert net.grad.flags.c_contiguous
+    assert net.grad.dtype == net.params.dtype and net.grad.shape == net.params.shape
+    assert not np.shares_memory(net.grad, net.params)
+    # each layer's (dW, db) is the slice of `grad` that its (W, b) is of `params`
+    pos = 0
+    for l in layers:
+        for p, g in ((l.W, l.dW), (l.b, l.db)):
+            assert g.shape == p.shape and np.shares_memory(g, net.grad)
+            g[...] = np.arange(pos, pos + g.size).reshape(g.shape)
+            pos += g.size
+    assert pos == net.grad.size and np.array_equal(net.grad, np.arange(pos))
+    n_f = sum(l.W.size + l.b.size for l in net.f_layers)
+    assert np.array_equal(net.f_grad, np.arange(n_f)) and np.shares_memory(net.f_grad, net.grad)
+    assert np.array_equal(net.h_grad, np.arange(n_f, pos)) and np.shares_memory(net.h_grad, net.grad)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("hidden", [(64, 384, 16), (32, 32, 16)], ids=["acceptance", "readme"])
+def test_gradients_bitwise_match_per_layer_reference(hidden, dtype):
+    # both passes write into `net.grad` and divide each party's slice
+    # once; the same products and the same division give the same bits
+    # as forming each layer's arrays and dividing each on its own.  B is
+    # not a power of two, so a multiply by 1/B would round differently.
+    from splitsim.data import generate_synthetic
+
+    ds = generate_synthetic(100, 20, 0.1, 2.0, 1.0, seed=19)
+    net = SplitNet.build(20, list(hidden), ["relu"] * 3, 2, make_rng(20), dtype)
+    state = forward(net, ds.X)
+    cut, h_grads = label_party_gradients(state, ds.y)
+    f_grads, _ = backprop_nonlabel(net, state, cut)
+    want = per_layer_gradients(net, state, ds.y)
+    assert len(f_grads + h_grads) == len(want)
+    for (dW, db), (ref_dW, ref_db) in zip(f_grads + h_grads, want):
+        assert dW.dtype == dtype and dW.tobytes() == ref_dW.tobytes()
+        assert db.dtype == dtype and db.tobytes() == ref_db.tobytes()
+    flat = np.concatenate([a for pair in want for a in pair], axis=None)
+    assert net.grad.tobytes() == flat.tobytes()
+
+
 def test_apply_update_moves_both_parties():
     rng = make_rng(11)
     net = _random_net(rng)
     X = rng.standard_normal((8, 3))
     y = (rng.random(8) < 0.5).astype(int)
     state = forward(net, X)
-    grads = compute_gradients(net, state, y)
+    compute_gradients(net, state, y)
     before = _flatten_params(net).copy()
-    apply_update(net, *grads, Adam(lr=0.5))
+    apply_update(net, Adam(lr=0.5))
     after = _flatten_params(net)
     assert not np.array_equal(before, after)

@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from oracles import gathering_marvell
+from oracles import copying_stats, gathering_marvell
 from splitsim import protection
 from splitsim.attacks import leak_auc, split_labels
 from splitsim.marvell import estimate_stats, power_budget, solve
 from splitsim.model import SplitNet, backprop_nonlabel, forward, label_party_gradients
 from splitsim.numeric import make_rng
 from splitsim.protection import (
+    HYPERPARAMETERS,
     MECHANISMS,
     MechanismConfig,
     apply_mechanism,
@@ -310,3 +314,60 @@ def test_mechanism_config_validation():
     assert MechanismConfig(kind="iso", t=2.0).param == 2.0
     assert MechanismConfig(kind="marvell", s=3.0).param == 3.0
     assert MechanismConfig(kind="none").param is None
+
+
+# ---------------------------------------------------------------------------
+# degenerate batches: every mechanism, property-tested
+
+
+# one of the batches a small or unlucky draw can give a mechanism
+_DEGENERATE = ("zero_rows", "single_positive", "single_class", "d=1", "B=1")
+# the hyperparameter values each kind is tried at (t=0 is iso's unperturbed exit)
+_PARAMS = {"none": [None], "max_norm": [None], "iso": [0.0, 0.25, 4.0], "marvell": [0.25, 1.0, 4.0]}
+
+
+@st.composite
+def _degenerate_batches(draw):
+    """(case, g, labels): a float32 or float64 batch of one degenerate case."""
+    case = draw(st.sampled_from(_DEGENERATE))
+    B = 1 if case == "B=1" else draw(st.integers(2, 12))
+    d = 1 if case == "d=1" else draw(st.integers(1, 6))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    g = draw(hnp.arrays(dtype, (B, d), elements=st.floats(-4.0, 4.0, width=32)))
+    if case == "zero_rows":  # some rows, or all of them, exactly zero
+        g[draw(hnp.arrays(bool, B))] = 0.0
+    if case == "single_positive":
+        labels = np.zeros(B, dtype=np.int64)
+        labels[draw(st.integers(0, B - 1))] = 1
+    elif case == "single_class":
+        labels = np.full(B, draw(st.integers(0, 1)), dtype=np.int64)
+    else:
+        labels = draw(hnp.arrays(np.int64, B, elements=st.integers(0, 1)))
+    return case, g, labels
+
+
+@pytest.mark.parametrize("kind", MECHANISMS)
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(batch=_degenerate_batches(), data=st.data())
+def test_degenerate_batches(kind, batch, data):
+    # no exception, shape, dtype and finiteness kept, `fallback` exactly
+    # where protection's docstrings put it, and the caller's batch itself
+    # on every unperturbed exit
+    case, g, labels = batch
+    param = data.draw(st.sampled_from(_PARAMS[kind]), label="param")
+    config = MechanismConfig(kind, **({} if param is None else {HYPERPARAMETERS[kind]: param}))
+    split = split_labels(labels)
+    before = g.tobytes()
+    out = apply_mechanism(config, g, split, make_rng(0))
+    assert out.perturbed.shape == g.shape and out.perturbed.dtype == g.dtype
+    assert np.all(np.isfinite(out.perturbed))
+    assert g.tobytes() == before
+    if kind == "marvell":  # a single class, or class means that are equal
+        unperturbed = not (split[2] and split[3]) or np.array_equal(*copying_stats(g, labels)[:2])
+        assert out.fallback == unperturbed, case
+    else:
+        assert not out.fallback
+        unperturbed = kind == "none" or not g.any() or param == 0.0
+    assert (out.perturbed is g) == unperturbed, case
+    if unperturbed:
+        assert out.noise_power == 0.0 and out.certificate is None and out.solution is None
