@@ -18,8 +18,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .stream import NormalStream
 
 __all__ = [
     "make_rng",
@@ -55,9 +59,10 @@ class StructuredCovariance:
 
 
 def sample_structured_gaussian_batch(
-    cov: StructuredCovariance, rng: np.random.Generator, n: int
+    cov: StructuredCovariance, rng: np.random.Generator | NormalStream, n: int
 ) -> np.ndarray:
-    """n independent draws, stacked as an (n, d) matrix.
+    """n independent draws, stacked as an (n, d) matrix, from `rng`'s
+    standard normals (a generator or a NormalStream).
 
     Draw order is fixed (all along-direction scalars first, then the
     isotropic block) so batches are reproducible.  With iso_var == 0

@@ -9,6 +9,10 @@ whatever the batch's dtype (float32 or float64), and rounds only its
 output rows to the batch's dtype: a float32 batch gets the same noise,
 solve and certificate as the same batch in float64.  A mechanism that
 leaves the batch unperturbed returns the caller's batch itself.
+
+Each mechanism draws its noise with `rng.standard_normal` alone, so
+`rng` may be a generator or a `stream.NormalStream` over one: both give
+the same values.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ import numpy as np
 
 from . import marvell
 from .numeric import sample_structured_gaussian_batch
+from .stream import NormalStream
 
 MECHANISMS = ("none", "iso", "max_norm", "marvell")
 # The MechanismConfig field that holds each mechanism's privacy hyperparameter.
@@ -69,11 +74,14 @@ def perturb_none(g: np.ndarray) -> PerturbOutcome:
     return PerturbOutcome(perturbed=g)
 
 
-def perturb_iso(g: np.ndarray, t: float, rng: np.random.Generator) -> PerturbOutcome:
+def perturb_iso(
+    g: np.ndarray, t: float, rng: np.random.Generator | NormalStream
+) -> PerturbOutcome:
     """Isotropic Gaussian baseline.
 
     Every row gets independent N(0, (t/d) ||g_max||^2 I) noise, where
-    g_max is the largest-norm row of this batch.
+    g_max is the largest-norm row of this batch; `rng` is a generator or
+    a NormalStream.
     """
     if not (math.isfinite(t) and t >= 0):
         raise ValueError(f"t must be finite and >= 0, got {t!r}")
@@ -88,13 +96,14 @@ def perturb_iso(g: np.ndarray, t: float, rng: np.random.Generator) -> PerturbOut
     return PerturbOutcome(perturbed=noise.astype(g.dtype, copy=False), noise_power=t * max_sq)
 
 
-def perturb_max_norm(g: np.ndarray, rng: np.random.Generator) -> PerturbOutcome:
+def perturb_max_norm(g: np.ndarray, rng: np.random.Generator | NormalStream) -> PerturbOutcome:
     """Norm-alignment heuristic.
 
     Row j becomes g_j (1 + sigma_j z_j) with sigma_j chosen so the
     expected squared norm of every perturbed row equals the batch
     maximum; this realizes exactly the rank-1 covariance
-    sigma_j^2 g_j g_j^T in O(d) per row.
+    sigma_j^2 g_j g_j^T in O(d) per row.  `rng` (a generator or a
+    NormalStream) draws the B scalars z_j.
     """
     g64 = g.astype(np.float64, copy=False)
     sq = (g64 * g64).sum(axis=1)
@@ -111,10 +120,13 @@ def perturb_max_norm(g: np.ndarray, rng: np.random.Generator) -> PerturbOutcome:
     return PerturbOutcome(perturbed=perturbed.astype(g.dtype, copy=False), noise_power=power)
 
 
-def perturb_marvell(g: np.ndarray, split, s: float, rng: np.random.Generator) -> PerturbOutcome:
+def perturb_marvell(
+    g: np.ndarray, split, s: float, rng: np.random.Generator | NormalStream
+) -> PerturbOutcome:
     """Optimized class-dependent Gaussian perturbation.
 
-    `split` is the batch's `attacks.split_labels` split.  Fits batch
+    `split` is the batch's `attacks.split_labels` split, and `rng` a
+    generator or a NormalStream that draws the noise.  Fits batch
     statistics, solves the eigenvalue problem at power
     P = s ||delta_g||^2, and perturbs each class with its optimal
     covariance.  A single-class batch (or a zero class-mean gap) is
@@ -157,10 +169,11 @@ def perturb_marvell(g: np.ndarray, split, s: float, rng: np.random.Generator) ->
 
 
 def apply_mechanism(
-    config: MechanismConfig, g: np.ndarray, split, rng: np.random.Generator
+    config: MechanismConfig, g: np.ndarray, split, rng: np.random.Generator | NormalStream
 ) -> PerturbOutcome:
     """`config`'s mechanism on batch `g`; `split` is the batch's
-    `attacks.split_labels` split, which only marvell reads."""
+    `attacks.split_labels` split, which only marvell reads, and `rng` a
+    generator or a NormalStream that draws the noise."""
     if config.kind == "none":
         return perturb_none(g)
     if config.kind == "iso":

@@ -1,8 +1,8 @@
 """Shared pytest hooks: prints one PASS/FAIL line per acceptance criterion.
 
 Also the environment for tests that start `python -m splitsim` in a
-subprocess, and the benchmark's workloads, which define the acceptance
-task.
+subprocess, the benchmark's workloads, which define the acceptance
+task, and a check that no test leaves a child process behind.
 """
 
 import importlib.util
@@ -25,6 +25,19 @@ def workloads():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fails a test that leaves a child process behind, such as a
+    NormalStream helper that was never reaped."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:  # no child at all
+        return
+    state = f"exited child {pid}, now reaped" if pid else "running child process"
+    pytest.fail(f"the test left a {state} behind")
 
 
 @pytest.fixture

@@ -1,10 +1,11 @@
 import dataclasses
+import os
 import re
 
 import numpy as np
 import pytest
 
-from splitsim import harness
+from splitsim import harness, model
 from splitsim.attacks import quantile
 from splitsim.harness import (
     ConfigError,
@@ -288,6 +289,83 @@ def test_run_model_is_run_dtype(monkeypatch):
         train_run(_quick_config(mechanism=mechanism, iterations=10))
     assert all(len(arrays) >= 10 for arrays in seen.values())
     assert {a.dtype for arrays in seen.values() for a in arrays} == {np.dtype(np.float32)}
+
+
+# ---------------------------------------------------------------------------
+# the noise helper process
+
+
+@pytest.mark.parametrize(
+    "workload, mechanism, forks",
+    [
+        ("accept_none", None, False),
+        ("accept_none", {"kind": "max_norm"}, False),
+        ("small_marvell", None, False),  # a 16x32 cut batch holds less than one block
+        ("accept_none", {"kind": "iso", "t": 1.0}, True),
+        ("accept_marvell", None, True),
+    ],
+)
+def test_noise_helper_forked_only_for_large_noise(monkeypatch, workloads, workload, mechanism,
+                                                   forks):
+    forked = []
+    fork = os.fork
+
+    def spy():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", spy)
+    cfg = {**workloads.config_dict(workload, 7), "iterations": 3}
+    if mechanism is not None:
+        cfg["mechanism"] = mechanism
+    train_run(config_from_dict(cfg))
+    assert len(forked) == forks
+
+
+def _large_noise_config(**overrides):
+    # a 128x256 cut batch holds one NormalStream block
+    return _quick_config(net=NetConfig(hidden_dims=(256, 8)), batch_size=128,
+                         mechanism=MechanismConfig(kind="marvell", s=1.0), **overrides)
+
+
+def _spy_helpers(monkeypatch) -> list[int]:
+    pids = []
+
+    class Spy(harness.NormalStream):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            pids.append(self.pid)
+
+    monkeypatch.setattr(harness, "NormalStream", Spy)
+    return pids
+
+
+def test_noise_helper_reaped_after_a_run(monkeypatch):
+    pids = _spy_helpers(monkeypatch)
+    train_run(_large_noise_config(iterations=5))
+    assert len(pids) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(pids[0], os.WNOHANG)
+
+
+def test_noise_helper_reaped_after_a_run_raises(monkeypatch):
+    pids = _spy_helpers(monkeypatch)
+    steps = []
+
+    def failing_update(net, optimizer):
+        steps.append(None)
+        if len(steps) == 3:
+            raise RuntimeError("update failed")
+        model.apply_update(net, optimizer)
+
+    monkeypatch.setattr(harness, "apply_update", failing_update)
+    with pytest.raises(RuntimeError, match="update failed"):
+        train_run(_large_noise_config(iterations=5))
+    assert len(pids) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(pids[0], os.WNOHANG)
 
 
 def test_toy1d_run_works():

@@ -10,6 +10,8 @@ matrix products go through numpy's BLAS and may round differently.
 """
 
 import hashlib
+import os
+import signal
 
 import numpy as np
 import pytest
@@ -91,3 +93,22 @@ def test_marvell_workload_solves_converge(workload_run):
 
 def test_every_workload_is_pinned(workloads):
     assert sorted(SHA256) == sorted(workloads.WORKLOADS)
+
+
+def test_accept_marvell_bytes_hold_with_its_noise_helper_stopped(tmp_path, workloads,
+                                                                 monkeypatch):
+    # the helper that draws the noise ahead is stopped for the whole run,
+    # so the run draws every block itself, and writes the same bytes
+    streams = []
+
+    class Stopped(harness.NormalStream):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            os.kill(self.pid, signal.SIGSTOP)
+            streams.append(self)
+
+    monkeypatch.setattr(harness, "NormalStream", Stopped)
+    run_to_dir(config_from_dict(workloads.config_dict("accept_marvell", SEED)), tmp_path)
+    assert len(streams) == 1 and streams[0].helper_blocks == 0
+    for name, want in SHA256["accept_marvell"].items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == want, name
