@@ -366,9 +366,9 @@ def train_run(config: ExperimentConfig) -> RunRecord:
             if not math.isfinite(train_loss):
                 raise FloatingPointError(f"training loss is {train_loss} at iteration {it}")
 
-            clean_cut, _ = label_party_gradients(state, y_b)
+            clean_cut, _, factor = label_party_gradients(state, y_b)
             split = split_labels(y_b)
-            outcome = apply_mechanism(config.mechanism, clean_cut, split, noise)
+            outcome = apply_mechanism(config.mechanism, clean_cut, split, noise, factor)
             _, pert_first = backprop_nonlabel(net, state, outcome.perturbed)
 
             leaks = dict.fromkeys(LEAK_SERIES)

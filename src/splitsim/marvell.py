@@ -89,51 +89,53 @@ class PrivacyCertificate:
     tv_bound: float
 
 
-def class_rows(g: np.ndarray, pos: np.ndarray, neg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """g's rows under the positive mask and under its complement, each
-    upcast once to a float64 array of its own: boolean indexing copies,
-    and the upcast of a float32 copy is a second one, so a caller may
-    write to both without touching g."""
-    return g[pos].astype(np.float64, copy=False), g[neg].astype(np.float64, copy=False)
-
-
-def estimate_stats(
-    g: np.ndarray, labels: np.ndarray, rows: tuple[np.ndarray, np.ndarray] | None = None
-) -> BatchStats:
+def estimate_stats(g: np.ndarray, labels: np.ndarray, factor=None) -> BatchStats:
     """Spherical-Gaussian MLE of both classes from one gradient batch,
-    fitted in float64 whatever g's dtype.
+    fitted in float64 whatever g's dtype; `labels` are the batch's 0/1
+    labels or its positive mask.
 
-    `rows` is `class_rows(g, pos, ~pos)` with pos = labels == 1, when
-    the caller has split the batch already; the fit then reads only
-    g.shape and the two blocks, never `labels`, and leaves the blocks
-    unchanged (not squared in place), so the caller can add its noise.
+    `factor` is the batch's (coords, basis) with g = coords @ basis, as
+    `model.label_party_gradients` gives it: coords is B x k, basis k x d.
+    Where the factor holds fewer values than g (B k + k d < B d), the
+    fit reads it: the class means in k dimensions, each class's spread
+    as sum over its rows of (a - m) K (a - m)^T with K = basis basis^T,
+    and delta_g = (m_pos - m_neg) @ basis.  Otherwise it reads g's rows.
     """
     g = np.asarray(g)
     B, d = g.shape
-    if rows is None:
-        pos = np.asarray(labels) == 1
-        rows = class_rows(g, pos, ~pos)
-    g_pos, g_neg = rows
-    n_pos, n_neg = g_pos.shape[0], g_neg.shape[0]
-    if n_pos == 0 or n_neg == 0:
-        raise ValueError("both classes must be present")
-    mu_pos = np.add.reduce(g_pos, axis=0) / n_pos  # ndarray.mean's sum and division
-    mu_neg = np.add.reduce(g_neg, axis=0) / n_neg
-    dev = g_pos - mu_pos
-    dev *= dev
-    v = float(np.add.reduce(dev, axis=None) / (d * n_pos))
-    dev = g_neg - mu_neg
-    dev *= dev
-    u = float(np.add.reduce(dev, axis=None) / (d * n_neg))
+    pos = np.asarray(labels, dtype=bool)
+    rows, K = g, None
+    if factor is not None and factor[0].shape[1] * (B + d) < B * d:
+        rows, basis = factor[0], factor[1].astype(np.float64)
+        K = basis @ basis.T
+    g_pos = rows[pos]
+    mu_pos, v = _class_fit(g_pos, K, d)
+    mu_neg, u = _class_fit(rows[~pos], K, d)
     delta = mu_pos - mu_neg
+    if K is not None:
+        delta = delta @ basis
     return BatchStats(
-        p=n_pos / B,
+        p=g_pos.shape[0] / B,
         v=v,
         u=u,
         delta_g=delta,
         delta_norm_sq=float(delta @ delta),
         d=d,
     )
+
+
+def _class_fit(rows: np.ndarray, K: np.ndarray | None, d: int) -> tuple[np.ndarray, float]:
+    """(mean, per-coordinate variance) of one class, in float64, from its
+    rows of g or, given the basis's Gram matrix K, from their coordinates."""
+    n = rows.shape[0]
+    if n == 0:
+        raise ValueError("both classes must be present")
+    # ndarray.mean's sum and division; the float64 sum and the float64
+    # mean's subtraction upcast float32 rows exactly, with no copy of them
+    mu = np.add.reduce(rows, axis=0, dtype=np.float64) / n
+    dev = rows - mu
+    dev *= dev if K is None else dev @ K
+    return mu, float(np.add.reduce(dev, axis=None) / (d * n))
 
 
 def power_budget(s: float, stats: BatchStats) -> float:

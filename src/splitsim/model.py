@@ -21,8 +21,8 @@ import numpy as np
 
 # The dtype of a run's model: features, parameters, activations, cut and
 # first-layer gradients, the received rows the audit scores and the
-# optimizer's moments.  The mechanisms fit, solve, draw noise and certify
-# in float64 and round only their output rows to it.
+# optimizer's moments.  The mechanisms fit, solve and certify in float64,
+# and draw and add their noise in float32.
 RUN_DTYPE = np.float32
 
 # Adam's decay rates b1, b2 and its denominator's eps
@@ -203,14 +203,17 @@ def logistic_loss(logit, y):
 
 def _backward_layers(layers, acts, input_act, delta, grad=None, to_input=True):
     """Propagate upstream gradient `delta` (w.r.t. the final activation)
-    back through `layers`; returns delta, per example, at the input of
-    `layers` or, with to_input=False, at the output of `layers[0]`.
+    back through `layers`; returns (delta, dz), per example: delta at
+    the input of `layers` or, with to_input=False, at the output of
+    `layers[0]`, and dz at `layers[0]`'s pre-activation (delta itself
+    when `layers` is empty).
 
     `grad` is the slice of the net's `grad` that holds the layers' `dW`
     and `db` views: each layer's parameter gradient is written into its
     views, then the slice is divided by B once, to batch means.  With
     grad=None no parameter gradient is formed and no `grad` is written.
     """
+    dz = delta
     for k in range(len(layers) - 1, -1, -1):
         layer = layers[k]
         deriv = ACTIVATIONS[layer.spec.activation][1]
@@ -222,19 +225,25 @@ def _backward_layers(layers, acts, input_act, delta, grad=None, to_input=True):
             delta = dz @ layer.W.T
     if grad is not None:
         grad /= delta.shape[0]
-    return delta
+    return delta, dz
 
 
 def label_party_gradients(state: ForwardState, y: np.ndarray):
-    """(per-example cut gradients, h's batch-mean (dW, db) views of `net.grad`).
+    """(per-example cut gradients, h's batch-mean (dW, db) views of
+    `net.grad`, the cut gradients' factor (coords, basis)).
 
     Row j of the cut gradients is the gradient of example j's own loss
     w.r.t. its cut features: (prob_j - y_j) * grad_z h(z)|_{z = f(X_j)}.
+    The cut gradients are formed as coords @ basis: coords (B x k) is
+    the gradient at h's first layer's pre-activation, and basis (k x d)
+    that layer's W.T.
     """
     net = state.net
     upstream = (state.probs - np.asarray(y, dtype=state.probs.dtype))[:, None]
-    delta = _backward_layers(net.h_layers, state.h_act, state.cut_features, upstream, net.h_grad)
-    return delta, [(layer.dW, layer.db) for layer in net.h_layers]
+    cut, coords = _backward_layers(
+        net.h_layers, state.h_act, state.cut_features, upstream, net.h_grad
+    )
+    return cut, [(layer.dW, layer.db) for layer in net.h_layers], (coords, net.h_layers[0].W.T)
 
 
 def backprop_nonlabel(net: SplitNet, state: ForwardState, received: np.ndarray):
@@ -247,7 +256,7 @@ def backprop_nonlabel(net: SplitNet, state: ForwardState, received: np.ndarray):
     unbiased received gradients give unbiased parameter gradients.
     """
     received = np.asarray(received, dtype=net.params.dtype)
-    delta = _backward_layers(net.f_layers, state.f_act, state.X, received, net.f_grad, False)
+    delta, _ = _backward_layers(net.f_layers, state.f_act, state.X, received, net.f_grad, False)
     return [(layer.dW, layer.db) for layer in net.f_layers], delta
 
 
@@ -258,7 +267,7 @@ def first_layer_gradient_row(state: ForwardState, j: int, cut_row: np.ndarray) -
     parameter gradients and leaves `net.grad` as it is."""
     acts = [a[j : j + 1] for a in state.f_act[1:]]
     delta = np.asarray(cut_row, dtype=state.net.params.dtype)[None, :]
-    return _backward_layers(state.net.f_layers[1:], acts, None, delta)[0]
+    return _backward_layers(state.net.f_layers[1:], acts, None, delta)[0][0]
 
 
 class Adam:

@@ -1,10 +1,10 @@
 """Shared numeric primitives: seeded RNG streams and structured
 Gaussian sampling.
 
-Covariances (plain records that `marvell.build_covariances` forms) and
-draws are float64, as is all of the mechanisms' arithmetic; a run's
-model is float32 (`model.RUN_DTYPE`), and a mechanism rounds only its
-noisy output rows to it.  Randomness goes through SFC64 generators,
+Covariances (plain records that `marvell.build_covariances` forms) are
+float64, as are the mechanisms' fits, solves and certificates; their
+noise is drawn, formed and added in float32, the dtype of a run's model
+(`model.RUN_DTYPE`).  Randomness goes through SFC64 generators,
 each seeded by `SeedSequence(entropy=seed, spawn_key=(stream,))`.  The
 seed sequence, not the bit generator, is what makes a (seed, stream)
 pair always reproduce the same draw sequence and keeps generators with
@@ -61,22 +61,26 @@ class StructuredCovariance:
 def sample_structured_gaussian_batch(
     cov: StructuredCovariance, rng: np.random.Generator | NormalStream, n: int
 ) -> np.ndarray:
-    """n independent draws, stacked as an (n, d) matrix, from `rng`'s
-    standard normals (a generator or a NormalStream).
+    """n independent draws, stacked as a float32 (n, d) matrix
+    c Z + s dir^T, from `rng`'s float32 standard normals (a generator or
+    a NormalStream); the product s dir^T rounds the float64 direction to
+    float32 first.
 
-    Draw order is fixed (all along-direction scalars first, then the
-    isotropic block) so batches are reproducible.  With iso_var == 0
-    there is no isotropic block: only the n scalars are drawn and the
-    rank-one term is returned.  Otherwise the isotropic draw is scaled
-    and shifted in place; the rank-one term is the only other (n, d)
-    array built.
+    One call draws the n along-direction scalars and then the isotropic
+    block, in that fixed order, so batches are reproducible.  With
+    iso_var == 0 there is no isotropic block: only the n scalars are
+    drawn and the rank-one term is returned.  Otherwise the isotropic
+    block is scaled and shifted in place; the rank-one term is the only
+    other (n, d) array built.
     """
-    z0 = rng.standard_normal(n)
+    d = cov.direction.shape[0]
+    draws = rng.standard_normal(n if cov.iso_var == 0.0 else n * (d + 1), dtype=np.float32)
+    z0 = draws[:n]
     z0 *= math.sqrt(cov.along_var)
-    rank_one = z0[:, None] * cov.direction
+    rank_one = np.multiply(z0[:, None], cov.direction, dtype=np.float32)
     if cov.iso_var == 0.0:
         return rank_one
-    z = rng.standard_normal((n, cov.direction.shape[0]))
+    z = draws[n:].reshape(n, d)
     z *= math.sqrt(cov.iso_var)
     z += rank_one
     return z

@@ -4,15 +4,18 @@ gradient batch before communicating it: none, iso, max_norm, marvell.
 All mechanisms are unbiased (E[perturbed | clean] = clean) so the
 non-label party's parameter gradients stay unbiased.
 
-A mechanism fits, solves, draws its noise and certifies in float64,
-whatever the batch's dtype (float32 or float64), and rounds only its
-output rows to the batch's dtype: a float32 batch gets the same noise,
-solve and certificate as the same batch in float64.  A mechanism that
+A mechanism fits, solves and certifies in float64, whatever the
+batch's dtype (float32 or float64), and draws its noise in float32:
+iso and marvell add the same float32 noise to either dtype's rows
+(upcast for a float64 batch), and max_norm scales each row in float64
+by its float32 draw.  The sum of two float32 values rounds to the same
+float32 whether it is formed in float32 or in float64, so a float32
+batch's output rows are its float64 twin's, rounded.  A mechanism that
 leaves the batch unperturbed returns the caller's batch itself.
 
-Each mechanism draws its noise with `rng.standard_normal` alone, so
-`rng` may be a generator or a `stream.NormalStream` over one: both give
-the same values.
+Each mechanism draws its noise with `rng.standard_normal(size,
+dtype=np.float32)` alone, so `rng` may be a generator or a
+`stream.NormalStream` over one: both give the same values.
 """
 
 from __future__ import annotations
@@ -91,9 +94,9 @@ def perturb_iso(
     var = t / d * max_sq
     if var == 0.0:
         return PerturbOutcome(perturbed=g)
-    noise = np.sqrt(var) * rng.standard_normal((B, d))
-    noise += g64
-    return PerturbOutcome(perturbed=noise.astype(g.dtype, copy=False), noise_power=t * max_sq)
+    noise = rng.standard_normal((B, d), dtype=np.float32)
+    noise *= math.sqrt(var)
+    return PerturbOutcome(perturbed=g + noise, noise_power=t * max_sq)
 
 
 def perturb_max_norm(g: np.ndarray, rng: np.random.Generator | NormalStream) -> PerturbOutcome:
@@ -113,7 +116,7 @@ def perturb_max_norm(g: np.ndarray, rng: np.random.Generator | NormalStream) -> 
     sigma = np.zeros(g.shape[0])
     nz = sq > 0.0
     sigma[nz] = np.sqrt(max_sq / sq[nz] - 1.0)
-    z = rng.standard_normal(g.shape[0])
+    z = rng.standard_normal(g.shape[0], dtype=np.float32)
     perturbed = g64 * (1.0 + sigma * z)[:, None]
     # batch-average trace of the per-row noise covariances
     power = float((sigma**2 * sq).mean())
@@ -121,15 +124,16 @@ def perturb_max_norm(g: np.ndarray, rng: np.random.Generator | NormalStream) -> 
 
 
 def perturb_marvell(
-    g: np.ndarray, split, s: float, rng: np.random.Generator | NormalStream
+    g: np.ndarray, split, s: float, rng: np.random.Generator | NormalStream, factor=None
 ) -> PerturbOutcome:
     """Optimized class-dependent Gaussian perturbation.
 
-    `split` is the batch's `attacks.split_labels` split, and `rng` a
-    generator or a NormalStream that draws the noise.  Fits batch
-    statistics, solves the eigenvalue problem at power
-    P = s ||delta_g||^2, and perturbs each class with its optimal
-    covariance.  A single-class batch (or a zero class-mean gap) is
+    `split` is the batch's `attacks.split_labels` split, `rng` a
+    generator or a NormalStream that draws the noise, and `factor` None
+    or g's (coords, basis) factor, which `marvell.estimate_stats` may
+    fit from instead of g's rows.  Fits batch statistics, solves the
+    eigenvalue problem at power P = s ||delta_g||^2, and perturbs each
+    class with its optimal covariance.  A single-class batch (or a zero class-mean gap) is
     passed through unperturbed and flagged as a fallback.  That is not
     rare at small batch sizes: a B=16 batch at a 10% positive rate
     holds one class about a fifth of the time.
@@ -139,12 +143,10 @@ def perturb_marvell(
     pos, neg, n_pos, n_neg = split
     if g.ndim != 2 or pos.shape != g.shape[:1]:
         raise ValueError("g must be (B, d) with one label per row")
-    # the split's counts decide the fallback; the fit reads each class's
-    # rows as one float64 block of its own
+    # the split's counts decide the fallback
     if not (n_pos and n_neg):
         return PerturbOutcome(perturbed=g, fallback=True)
-    rows = marvell.class_rows(g, pos, neg)
-    stats = marvell.estimate_stats(g, pos, rows)
+    stats = marvell.estimate_stats(g, pos, factor)
     if stats.delta_norm_sq == 0.0:
         return PerturbOutcome(perturbed=g, fallback=True)
 
@@ -153,13 +155,13 @@ def perturb_marvell(
     pos_cov, neg_cov = marvell.build_covariances(sol, stats)
     cert = marvell.make_certificate(sol, stats)
 
-    # each class's noise is added to the float64 block the fit read (the
-    # exact upcast of its rows; x + y == y + x bit for bit), and the block
-    # is scattered once into the output, which rounds it
+    # each class's float32 noise is scattered into the output, upcast on
+    # a float64 batch, and the batch is added in place: no class's rows
+    # are gathered
     perturbed = np.empty(g.shape, dtype=g.dtype)
-    for mask, cov, block in ((pos, pos_cov, rows[0]), (neg, neg_cov, rows[1])):
-        block += sample_structured_gaussian_batch(cov, rng, block.shape[0])
-        perturbed[mask] = block
+    for mask, cov, n in ((pos, pos_cov, n_pos), (neg, neg_cov, n_neg)):
+        perturbed[mask] = sample_structured_gaussian_batch(cov, rng, n)
+    perturbed += g
     return PerturbOutcome(
         perturbed=perturbed,
         certificate=cert,
@@ -169,10 +171,15 @@ def perturb_marvell(
 
 
 def apply_mechanism(
-    config: MechanismConfig, g: np.ndarray, split, rng: np.random.Generator | NormalStream
+    config: MechanismConfig,
+    g: np.ndarray,
+    split,
+    rng: np.random.Generator | NormalStream,
+    factor=None,
 ) -> PerturbOutcome:
     """`config`'s mechanism on batch `g`; `split` is the batch's
-    `attacks.split_labels` split, which only marvell reads, and `rng` a
+    `attacks.split_labels` split and `factor` g's (coords, basis)
+    factor or None, both of which only marvell reads, and `rng` a
     generator or a NormalStream that draws the noise."""
     if config.kind == "none":
         return perturb_none(g)
@@ -180,4 +187,4 @@ def apply_mechanism(
         return perturb_iso(g, config.t, rng)
     if config.kind == "max_norm":
         return perturb_max_norm(g, rng)
-    return perturb_marvell(g, split, config.s, rng)
+    return perturb_marvell(g, split, config.s, rng, factor)

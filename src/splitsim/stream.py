@@ -1,13 +1,18 @@
-"""`NormalStream`: a generator's standard normals, drawn ahead in a
-forked helper process.
+"""`NormalStream`: a generator's float32 standard normals, drawn ahead
+in a forked helper process.
 
-numpy's standard-normal sequence does not depend on how it is cut into
-calls, so the helper fills fixed blocks of it without knowing any
+numpy's float32 standard-normal sequence does not depend on how it is
+cut into calls (a normal takes a varying number of 32-bit halves of the
+generator's 64-bit outputs, and the state carries a spare half across
+calls), so the helper fills fixed blocks of it without knowing any
 draw's shape, and the values a caller gets are the generator's own,
-bit for bit.  The module stands apart from `numeric` because a run's
-set-up imports `numeric` in every fresh interpreter (and compiles it
-there when no bytecode is cached); this module's code and imports
-would add to that time.
+bit for bit.  The mechanisms fit, solve and certify in float64, but
+draw and add their noise in float32: with the draw off the parent,
+what a run pays for its noise is the bytes it copies out of the ring
+and adds, and float32 halves them.  The module stands apart from
+`numeric` because a run's set-up imports `numeric` in every fresh
+interpreter (and compiles it there when no bytecode is cached); this
+module's code and imports would add to that time.
 """
 
 from __future__ import annotations
@@ -45,19 +50,20 @@ def _write_state(bit_generator, words: np.ndarray) -> None:
 
 
 class NormalStream:
-    """`rng`'s standard normals, drawn ahead in a forked helper process.
+    """`rng`'s float32 standard normals, drawn ahead in a forked helper
+    process.
 
-    The helper fills a ring of shared blocks of BLOCK float64 values
-    each with `rng.standard_normal(out=block)`, in sequence order, and
-    records the generator's state after each block.
-    `standard_normal(size)` returns the next values of `rng`'s own
-    sequence, copied from the ring; a run's bytes are the same as with
-    `rng` itself.  A block the helper has not finished is waited for at
-    most 0.5 ms, once per stall; after that the caller draws it itself,
-    from the state at its start and straight into the arrays it returns,
-    and the helper skips ahead past it.  A slow or stopped helper thus
-    costs about what an in-process draw does, and never changes a
-    value.
+    The helper fills a ring of shared blocks of BLOCK float32 values
+    each with `rng.standard_normal(out=block, dtype=np.float32)`, in
+    sequence order, and records the generator's state after each block.
+    `standard_normal(size, dtype=np.float32)` returns the next values of
+    `rng`'s own float32 sequence, copied from the ring; a run's bytes
+    are the same as with `rng` itself.  A block the helper has not
+    finished is waited for at most 0.5 ms, once per stall; after that
+    the caller draws it itself, from the state at its start and straight
+    into the arrays it returns, and the helper skips ahead past it.  A
+    slow or stopped helper thus costs about what an in-process draw
+    does, and never changes a value.
 
     The stream takes `rng` over: draw from it only through the stream,
     whose state it leaves unspecified.  `close()` (or leaving a `with`
@@ -67,15 +73,15 @@ class NormalStream:
     supplied.
     """
 
-    BLOCK = 1 << 15  # normals per block: four blocks are 1 MB
+    BLOCK = 1 << 16  # normals per block: four blocks are 1 MB
 
     def __init__(self, rng: np.random.Generator):
         if not isinstance(rng.bit_generator, np.random.SFC64):
             raise TypeError("NormalStream needs an SFC64 generator, as numeric.make_rng builds")
         self._rng = rng
-        n_ring = _SLOTS * self.BLOCK * 8
+        n_ring = _SLOTS * self.BLOCK * 4
         self._mm = mmap.mmap(-1, n_ring + _SLOTS * _STATE_WORDS * 8, flags=mmap.MAP_SHARED)
-        self._ring = np.frombuffer(self._mm, np.float64, _SLOTS * self.BLOCK).reshape(
+        self._ring = np.frombuffer(self._mm, np.float32, _SLOTS * self.BLOCK).reshape(
             _SLOTS, self.BLOCK
         )
         self._states = np.frombuffer(
@@ -116,10 +122,13 @@ class NormalStream:
         os.set_blocking(self._ctrl, False)
         os.set_blocking(self._done, False)
 
-    def standard_normal(self, size) -> np.ndarray:
-        """The next values of the sequence as a new float64 array of shape
-        `size` (an int or a tuple), as `rng.standard_normal(size)`."""
-        out = np.empty(size)
+    def standard_normal(self, size, dtype) -> np.ndarray:
+        """The next values of the sequence as a new float32 array of shape
+        `size` (an int or a tuple), as `rng.standard_normal(size, dtype)`;
+        `dtype` must be float32, the one dtype the stream draws."""
+        if np.dtype(dtype) != np.float32:
+            raise ValueError(f"a NormalStream draws float32 only, not {np.dtype(dtype)}")
+        out = np.empty(size, np.float32)
         flat = out.reshape(-1)
         done = 0
         while done < flat.size:
@@ -128,7 +137,7 @@ class NormalStream:
             take = min(self.BLOCK - self._pos, flat.size - done)
             dest = flat[done : done + take]
             if self._current is None:
-                self._rng.standard_normal(out=dest)
+                self._rng.standard_normal(out=dest, dtype=np.float32)
             else:
                 dest[...] = self._current[self._pos : self._pos + take]
             self._pos += take
@@ -231,7 +240,7 @@ def _fill(rng, ring, states, ctrl: int, ready: int) -> None:
         if k >= frontier + n_slots:
             continue
         slot = k % n_slots
-        rng.standard_normal(out=ring[slot])
+        rng.standard_normal(out=ring[slot], dtype=np.float32)
         _read_state(rng.bit_generator, states[slot])
         try:
             os.write(ready, k.to_bytes(_INDEX, "little"))

@@ -386,22 +386,20 @@ def copying_stats(g, labels):
     return pos_mean, neg_mean, v, u
 
 
-def gathering_marvell(g, labels, s, rng):
+def gathering_marvell(g, labels, s, rng, factor=None):
     """(perturbed, certificate, noise_power, solution) of a mixed batch:
-    fit from the labels, solve, then each class's fresh float64 noise
-    block takes its rows gathered from g again (`noise += g[mask]`, a
-    mixed-dtype add on a float32 batch) and is scattered into the output
-    in the batch's dtype."""
-    stats = marvell.estimate_stats(g, labels)
+    fit from the labels (and g's factor, if given), solve, then add each
+    class's noise block to its rows of a float64 copy of g and round the
+    sums once to the batch's dtype."""
+    stats = marvell.estimate_stats(g, labels, factor)
     sol = marvell.solve(stats, marvell.power_budget(s, stats))
     pos_cov, neg_cov = marvell.build_covariances(sol, stats)
     pos = np.asarray(labels) == 1
-    perturbed = np.empty(g.shape, dtype=g.dtype)
+    perturbed = g.astype(np.float64)
     for mask, cov in ((pos, pos_cov), (~pos, neg_cov)):
-        noise = sample_structured_gaussian_batch(cov, rng, int(mask.sum()))
-        noise += g[mask]
-        perturbed[mask] = noise
-    return perturbed, marvell.make_certificate(sol, stats), marvell.noise_power(sol, stats), sol
+        perturbed[mask] += sample_structured_gaussian_batch(cov, rng, int(mask.sum()))
+    return (perturbed.astype(g.dtype), marvell.make_certificate(sol, stats),
+            marvell.noise_power(sol, stats), sol)
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +410,7 @@ def compute_gradients(net, state, y):
     """A copy of `net.grad` after one clean split backward pass: the
     batch-mean parameter gradients of both parties in `net.params`
     order, which no later pass overwrites."""
-    cut, _ = label_party_gradients(state, y)
+    cut, _, _ = label_party_gradients(state, y)
     backprop_nonlabel(net, state, cut)
     return net.grad.copy()
 
@@ -420,4 +418,4 @@ def compute_gradients(net, state, y):
 def h_feature_gradients(net, state):
     """Rows grad_z h(z)|_{z=f(X_j)} (upstream 1 per example)."""
     ones = np.ones((state.logits.shape[0], 1))
-    return _backward_layers(net.h_layers, state.h_act, state.cut_features, ones)
+    return _backward_layers(net.h_layers, state.h_act, state.cut_features, ones)[0]

@@ -324,9 +324,19 @@ def test_noise_helper_forked_only_for_large_noise(monkeypatch, workloads, worklo
     assert len(forked) == forks
 
 
+def test_draws_ahead_only_where_a_cut_batch_holds_a_block(workloads):
+    # at the ring's block of 2^16 float32 normals: accept_marvell's 256x384
+    # cut batch holds one and a half, small_marvell's 16x32 a 128th, and
+    # accept_none draws no noise
+    draws = {name: harness._draws_ahead(config_from_dict(workloads.config_dict(name, 7)))
+             for name in workloads.WORKLOADS}
+    assert harness.NormalStream.BLOCK == 1 << 16
+    assert draws == {"accept_none": False, "accept_marvell": True, "small_marvell": False}
+
+
 def _large_noise_config(**overrides):
-    # a 128x256 cut batch holds one NormalStream block
-    return _quick_config(net=NetConfig(hidden_dims=(256, 8)), batch_size=128,
+    # a 128x512 cut batch holds one NormalStream block
+    return _quick_config(net=NetConfig(hidden_dims=(512, 8)), batch_size=128,
                          mechanism=MechanismConfig(kind="marvell", s=1.0), **overrides)
 
 

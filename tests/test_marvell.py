@@ -23,6 +23,7 @@ from splitsim.marvell import (
     sum_kl,
     tv_upper_bound,
 )
+from splitsim.model import SplitNet, forward, label_party_gradients
 from splitsim.numeric import make_rng
 
 
@@ -65,6 +66,63 @@ def test_estimate_stats_bitwise_matches_copying_reference():
             pos_mean, neg_mean, v, u = copying_stats(g, labels)
             assert stats.delta_g.tobytes() == (pos_mean - neg_mean).tobytes()
             assert (stats.v.hex(), stats.u.hex()) == (v.hex(), u.hex())
+
+
+def _factored_batches():
+    """(name, float32 cut rows, labels, factor) of random float32 nets at
+    every cut, each activation, k < d and k >= d, and small_marvell's
+    shapes (B 16, 32-32-16 cut at 32, k 16)."""
+    rng = make_rng(31)
+    shapes = [(64, 20, (24, 48, 8), cut) for cut in (1, 2, 3)] + [(16, 20, (32, 32, 16), 2)]
+    for activation in ("relu", "tanh", "sigmoid", "identity"):
+        for B, in_dim, hidden, cut in shapes:
+            net = SplitNet.build(in_dim, list(hidden), [activation] * len(hidden), cut, rng)
+            state = forward(net, rng.standard_normal((B, in_dim)))
+            labels = (rng.random(B) < 0.3).astype(np.int64)
+            labels[:2] = 1, 0
+            cut_rows, _, factor = label_party_gradients(state, labels)
+            yield f"{activation}-{hidden}-cut{cut}-B{B}", cut_rows, labels, factor
+
+
+def _bits(stats):
+    return dataclasses.astuple(dataclasses.replace(stats, delta_g=stats.delta_g.tobytes()))
+
+
+def test_estimate_stats_from_the_factor():
+    # where the factor holds fewer values than the cut rows, the fit reads
+    # it and equals the fit of its float64 product to 1e-12; it equals the
+    # fit of the float32 rows to within their rounding; elsewhere it is
+    # the rows' own fit, bit for bit
+    seen = set()
+    for name, cut_rows, labels, factor in _factored_batches():
+        (B, d), k = cut_rows.shape, factor[0].shape[1]
+        factored = k * (B + d) < B * d
+        seen.add((factored, k >= d, k == 1))
+        stats = estimate_stats(cut_rows, labels, factor)
+        unread = estimate_stats(np.full_like(cut_rows, np.nan), labels, factor)
+        assert np.isfinite(unread.v) == factored, name  # the fit reads the rows iff not factored
+        if not factored:
+            assert _bits(stats) == _bits(estimate_stats(cut_rows, labels)), name
+            continue
+        product = factor[0].astype(np.float64) @ factor[1].astype(np.float64)
+        exact = estimate_stats(product, labels)
+        for got, want in ((stats.v, exact.v), (stats.u, exact.u),
+                          (stats.delta_norm_sq, exact.delta_norm_sq)):
+            assert abs(got - want) <= 1e-12 * want, name
+        gap = np.linalg.norm(stats.delta_g - exact.delta_g)
+        assert gap <= 1e-12 * np.linalg.norm(exact.delta_g), name
+        # each float32 row is within E of its product, so each class mean
+        # is too, every deviation within 2E and the variance within
+        # 2 sqrt(v) 2E + (2E)^2 (Cauchy-Schwarz)
+        E = float(np.max(np.abs(cut_rows - product)))
+        rows = estimate_stats(cut_rows, labels)
+        assert np.max(np.abs(rows.delta_g - stats.delta_g)) <= 2 * E * (1 + 1e-9), name
+        for got, want in ((rows.v, stats.v), (rows.u, stats.u)):
+            assert abs(got - want) <= (4 * E * np.sqrt(want) + 4 * E * E) * (1 + 1e-9), name
+    # the rows path at k >= d and at small_marvell's shapes, the factor
+    # with k < d, and h as the logit layer alone (k = 1)
+    assert seen == {(False, True, False), (False, False, False), (True, False, False),
+                    (True, False, True)}
 
 
 def test_estimate_stats_sampling_consistency():

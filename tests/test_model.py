@@ -180,7 +180,7 @@ def test_float32_gradients_match_float64_twin(hidden):
     for dtype in (np.float64, np.float32):
         net = SplitNet.build(20, list(hidden), ["relu"] * 3, 2, make_rng(20), dtype)
         state = forward(net, ds.X)
-        cut, h_grads = label_party_gradients(state, ds.y)
+        cut, h_grads, _ = label_party_gradients(state, ds.y)
         f_grads, first = backprop_nonlabel(net, state, cut)
         grads = [cut, first] + [g for pair in f_grads + h_grads for g in pair]
         assert net.params.dtype == dtype and all(g.dtype == dtype for g in grads)
@@ -204,7 +204,7 @@ def test_first_layer_gradient_row_matches_batch_pass():
             net = SplitNet.build(in_dim, hidden, acts, cut, rng, dtype=np.float64)
             B = int(rng.integers(2, 6))
             state = forward(net, rng.standard_normal((B, in_dim)))
-            clean_cut, _ = label_party_gradients(state, rng.integers(0, 2, size=B))
+            clean_cut, _, _ = label_party_gradients(state, rng.integers(0, 2, size=B))
             _, first = backprop_nonlabel(net, state, clean_cut)
             grad = net.grad.tobytes()
             for j in range(B):
@@ -341,7 +341,7 @@ def test_gradients_bitwise_match_per_layer_reference(hidden, dtype):
     ds = generate_synthetic(100, 20, 0.1, 2.0, 1.0, seed=19)
     net = SplitNet.build(20, list(hidden), ["relu"] * 3, 2, make_rng(20), dtype)
     state = forward(net, ds.X)
-    cut, h_grads = label_party_gradients(state, ds.y)
+    cut, h_grads, _ = label_party_gradients(state, ds.y)
     f_grads, _ = backprop_nonlabel(net, state, cut)
     want = per_layer_gradients(net, state, ds.y)
     assert len(f_grads + h_grads) == len(want)

@@ -60,9 +60,12 @@ def test_structured_rank_one_draws_only_its_scalars():
     cov = StructuredCovariance(direction=u, along_var=2.0, iso_var=0.0)
     rng, twin = make_rng(6), make_rng(6)
     out = sample_structured_gaussian_batch(cov, rng, 7)
-    z0 = twin.standard_normal(7)
-    assert np.array_equal(out, np.outer(np.sqrt(2.0) * z0, u))
-    assert np.array_equal(rng.standard_normal(5), twin.standard_normal(5))
+    z0 = twin.standard_normal(7, dtype=np.float32)
+    z0 *= np.sqrt(2.0)  # in float32, as the sampler scales its draws
+    assert out.dtype == np.float32
+    assert out.tobytes() == np.outer(z0, u.astype(np.float32)).tobytes()
+    assert np.array_equal(rng.standard_normal(5, dtype=np.float32),
+                          twin.standard_normal(5, dtype=np.float32))
 
 
 def test_structured_empirical_covariance():

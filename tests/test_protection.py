@@ -249,8 +249,9 @@ def _zero_rule_case(name):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("name", ["pos_pinned", "neg_pinned", "no_iso_block", "d1", "B2"])
 def test_marvell_matches_the_gathering_assembly(name, dtype):
-    # the noise is added to the float64 class blocks the fit read, not to
-    # a second gather of g's rows: the same bits on every zero-rule branch
+    # the float32 noise is added to the class's rows in the batch's dtype:
+    # on a float32 batch, the same bits as the float64 sum rounded once,
+    # on every zero-rule branch
     g, labels, s, zero = _zero_rule_case(name)
     g = g.astype(dtype)
     rng, ref_rng = make_rng(41), make_rng(41)
@@ -260,6 +261,21 @@ def test_marvell_matches_the_gathering_assembly(name, dtype):
     assert out.perturbed.dtype == perturbed.dtype and out.perturbed.tobytes() == perturbed.tobytes()
     assert (out.solution, out.certificate, out.noise_power) == (sol, cert, power)
     assert repr(rng.bit_generator.state) == repr(ref_rng.bit_generator.state)  # the same draws
+
+
+def test_marvell_fits_the_factor_it_is_given():
+    # a 64x48 cut batch of rank 8: the fit reads the factor, and the
+    # noise goes on g's rows as without one
+    net = SplitNet.build(6, [48, 8], ["relu", "tanh"], 1, make_rng(44))
+    rng = make_rng(45)
+    labels = (rng.random(64) < 0.3).astype(np.int64)
+    labels[:2] = 1, 0
+    g, _, factor = label_party_gradients(forward(net, rng.standard_normal((64, 6))), labels)
+    out = perturb_marvell(g, split_labels(labels), 4.0, make_rng(46), factor)
+    perturbed, cert, power, sol = gathering_marvell(g, labels, 4.0, make_rng(46), factor)
+    assert out.perturbed.tobytes() == perturbed.tobytes()
+    assert (out.solution, out.certificate, out.noise_power) == (sol, cert, power)
+    assert sol != solve(estimate_stats(g, labels), power_budget(4.0, estimate_stats(g, labels)))
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -276,10 +292,10 @@ def test_marvell_never_writes_its_batch(dtype):
 @pytest.mark.parametrize("kind", MECHANISMS)
 @pytest.mark.parametrize("labels", [[1] * 8 + [0] * 24, [0] * 32], ids=["mixed", "one_class"])
 def test_float32_batch_is_the_float64_batch_rounded(kind, labels):
-    # a mechanism fits, solves, draws and certifies in float64 and rounds
-    # only its output rows: a float32 batch gives the rows of the same
-    # batch upcast to float64, rounded to float32, and the same solve and
-    # certificate, bit for bit
+    # a mechanism fits, solves and certifies in float64 and draws the same
+    # float32 noise for either dtype: a float32 batch gives the rows of the
+    # same batch upcast to float64, rounded to float32, and the same solve
+    # and certificate, bit for bit
     config = MechanismConfig(kind=kind, **{"iso": {"t": 2.0}, "marvell": {"s": 4.0}}.get(kind, {}))
     labels = np.array(labels)
     g32 = make_rng(27).standard_normal((32, 48)).astype(np.float32)
