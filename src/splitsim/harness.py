@@ -9,9 +9,11 @@ included).  Five independent RNG streams are derived from the seed
 oracle draws happen only on mixed batches, so they take a stream of
 their own: drawn from the noise stream, they would shift every later
 batch's noise by a count that depends on the batch composition.
-Where a run's noise is large (`_draws_ahead`), a `NormalStream` helper
-process draws the noise stream ahead; its values are the stream's own,
-so the run's bytes do not change.
+
+The label party's clean cut gradients stay factored, g = coords @ basis
+(`model.label_party_gradients`): the mechanism forms the one B x d
+matrix the non-label party receives, and each cosine oracle is one
+clean row, coords[j] @ basis.
 """
 
 from __future__ import annotations
@@ -19,9 +21,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import os
 import sys
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -42,7 +42,6 @@ from .model import (
 )
 from .numeric import make_rng
 from .protection import HYPERPARAMETERS, MechanismConfig, apply_mechanism
-from .stream import NormalStream
 
 LEAK_SERIES = ("norm_cut", "cos_cut", "norm_first", "cos_first")
 SUMMARY_QUANTILE = 0.95
@@ -307,20 +306,6 @@ def _stream_seeds(seed: int) -> list[int]:
     return [int(x) for x in state]
 
 
-def _draws_ahead(config: ExperimentConfig) -> bool:
-    """Whether a run of `config` draws its noise through a NormalStream:
-    its mechanism draws per-coordinate noise, a batch's cut matrix holds
-    at least one of the stream's blocks, and the platform can fork.
-    Smaller noise does not pay for the helper: small_marvell's 16x32
-    batches ran about 3% slower with one."""
-    cut_width = config.net.hidden_dims[config.net.cut_index - 1]
-    return (
-        config.mechanism.kind in ("iso", "marvell")
-        and config.batch_size * cut_width >= NormalStream.BLOCK
-        and hasattr(os, "fork")
-    )
-
-
 def train_run(config: ExperimentConfig) -> RunRecord:
     """One full training run with per-iteration privacy measurement.
 
@@ -331,8 +316,7 @@ def train_run(config: ExperimentConfig) -> RunRecord:
     actually receives; each cosine oracle is one clean positive row),
     then parameter updates for both parties.  The mechanism and the AUCs
     read the same split.  A non-finite training or test loss raises
-    FloatingPointError.  A NormalStream helper, where `_draws_ahead`
-    starts one, is killed and reaped when the loop ends or raises.
+    FloatingPointError.
     """
     data_seed, init_seed, batch_seed, mech_seed, attack_seed = _stream_seeds(config.seed)
 
@@ -352,56 +336,53 @@ def train_run(config: ExperimentConfig) -> RunRecord:
     optimizer = Adam(config.optimizer.lr)
     mech_rng = make_rng(mech_seed)
     attack_rng = make_rng(attack_seed)
-    noise_source = NormalStream(mech_rng) if _draws_ahead(config) else nullcontext(mech_rng)
 
     rows: list[IterationRow] = []
-    with noise_source as noise:
-        for it, idx in enumerate(
-            _batch_indices(train.n, config.batch_size, config.iterations, make_rng(batch_seed)),
-            start=1,
-        ):
-            X_b, y_b = train.X[idx], train.y[idx]
-            state = forward(net, X_b)
-            train_loss = float(np.add.reduce(logistic_loss(state.logits, y_b)) / y_b.shape[0])
-            if not math.isfinite(train_loss):
-                raise FloatingPointError(f"training loss is {train_loss} at iteration {it}")
+    for it, idx in enumerate(
+        _batch_indices(train.n, config.batch_size, config.iterations, make_rng(batch_seed)),
+        start=1,
+    ):
+        X_b, y_b = train.X[idx], train.y[idx]
+        state = forward(net, X_b)
+        train_loss = float(np.add.reduce(logistic_loss(state.logits, y_b)) / y_b.shape[0])
+        if not math.isfinite(train_loss):
+            raise FloatingPointError(f"training loss is {train_loss} at iteration {it}")
 
-            clean_cut, _, factor = label_party_gradients(state, y_b)
-            split = split_labels(y_b)
-            outcome = apply_mechanism(config.mechanism, clean_cut, split, noise, factor)
-            _, pert_first = backprop_nonlabel(net, state, outcome.perturbed)
+        factor, _ = label_party_gradients(state, y_b)
+        split = split_labels(y_b)
+        outcome = apply_mechanism(config.mechanism, factor, split, mech_rng)
+        _, pert_first = backprop_nonlabel(net, state, outcome.perturbed)
 
-            leaks = dict.fromkeys(LEAK_SERIES)
-            if split[2] and split[3]:  # both classes present
-                pos_idx = np.flatnonzero(split[0])
-                for layer, received in (("cut", outcome.perturbed), ("first", pert_first)):
-                    # one dot per row, as the oracle's norm below: each equals
-                    # np.linalg.norm(row) bit for bit, with no squared temporary
-                    norms = np.sqrt(np.vecdot(received, received))
-                    leaks[f"norm_{layer}"] = leak_auc(received, split, norms)
-                    j = select_oracle_positive(pos_idx, attack_rng)
-                    oracle = clean_cut[j]
-                    if layer == "first":
-                        oracle = first_layer_gradient_row(state, j, oracle)
-                    oracle_norm = np.sqrt(oracle.dot(oracle))
-                    if oracle_norm > 0:
-                        leaks[f"cos_{layer}"] = leak_auc(
-                            received, split, norms, oracle, oracle_norm
-                        )
+        leaks = dict.fromkeys(LEAK_SERIES)
+        if split[2] and split[3]:  # both classes present
+            pos_idx = np.flatnonzero(split[0])
+            coords, basis = factor
+            for layer, received in (("cut", outcome.perturbed), ("first", pert_first)):
+                # one dot per row, as the oracle's norm below: each equals
+                # np.linalg.norm(row) bit for bit, with no squared temporary
+                norms = np.sqrt(np.vecdot(received, received))
+                leaks[f"norm_{layer}"] = leak_auc(received, split, norms)
+                j = select_oracle_positive(pos_idx, attack_rng)
+                oracle = coords[j] @ basis
+                if layer == "first":
+                    oracle = first_layer_gradient_row(state, j, oracle)
+                oracle_norm = np.sqrt(oracle.dot(oracle))
+                if oracle_norm > 0:
+                    leaks[f"cos_{layer}"] = leak_auc(received, split, norms, oracle, oracle_norm)
 
-            apply_update(net, optimizer)
+        apply_update(net, optimizer)
 
-            cert = outcome.certificate
-            rows.append(
-                IterationRow(
-                    iteration=it,
-                    train_loss=train_loss,
-                    **leaks,
-                    sum_kl=cert.sum_kl if cert is not None else None,
-                    auc_bound=cert.auc_bound if cert is not None else None,
-                    noise_power=outcome.noise_power,
-                )
+        cert = outcome.certificate
+        rows.append(
+            IterationRow(
+                iteration=it,
+                train_loss=train_loss,
+                **leaks,
+                sum_kl=cert.sum_kl if cert is not None else None,
+                auc_bound=cert.auc_bound if cert is not None else None,
+                noise_power=outcome.noise_power,
             )
+        )
 
     test_state = forward(net, test.X)
     test_loss = float(np.mean(logistic_loss(test_state.logits, test.y)))

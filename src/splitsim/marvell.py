@@ -1,6 +1,8 @@
 """Optimal noise-covariance machinery for the marvell mechanism.
 
-Given a batch of per-example cut-layer gradients with labels, fit
+Given a batch of per-example cut-layer gradients with labels (as
+`protection.perturb_marvell` gives them: their orthonormal coordinates
+in the r-dim row space of the label party's factor), fit
 class-conditional spherical Gaussians, solve the 4-variable eigenvalue
 problem that minimizes the symmetrized KL divergence between the two
 perturbed class distributions under a noise power budget, and turn the
@@ -50,7 +52,7 @@ class BatchStats:
     u: float  # negative-class per-coordinate variance
     delta_g: np.ndarray  # positive-class mean minus negative-class mean
     delta_norm_sq: float
-    d: int
+    d: int  # dimension of the fitted rows: marvell's r = min(k, d)
 
 
 @dataclass(frozen=True)
@@ -89,53 +91,36 @@ class PrivacyCertificate:
     tv_bound: float
 
 
-def estimate_stats(g: np.ndarray, labels: np.ndarray, factor=None) -> BatchStats:
-    """Spherical-Gaussian MLE of both classes from one gradient batch,
-    fitted in float64 whatever g's dtype; `labels` are the batch's 0/1
-    labels or its positive mask.
+def estimate_stats(rows: np.ndarray, labels: np.ndarray) -> BatchStats:
+    """Spherical-Gaussian MLE of both classes from one batch of rows,
+    fitted in float64 whatever the rows' dtype, in rows.shape[1]
+    dimensions; `labels` are the batch's 0/1 labels or its positive mask.
 
-    `factor` is the batch's (coords, basis) with g = coords @ basis, as
-    `model.label_party_gradients` gives it: coords is B x k, basis k x d.
-    Where the factor holds fewer values than g (B k + k d < B d), the
-    fit reads it: the class means in k dimensions, each class's spread
-    as sum over its rows of (a - m) K (a - m)^T with K = basis basis^T,
-    and delta_g = (m_pos - m_neg) @ basis.  Otherwise it reads g's rows.
+    Marvell passes the rows' orthonormal coordinates in the cut
+    gradients' row space (`protection.row_space`), so that the fit
+    and everything after it run in r = min(k, d) dimensions.
     """
-    g = np.asarray(g)
-    B, d = g.shape
+    rows = np.asarray(rows)
+    B, d = rows.shape
     pos = np.asarray(labels, dtype=bool)
-    rows, K = g, None
-    if factor is not None and factor[0].shape[1] * (B + d) < B * d:
-        rows, basis = factor[0], factor[1].astype(np.float64)
-        K = basis @ basis.T
-    g_pos = rows[pos]
-    mu_pos, v = _class_fit(g_pos, K, d)
-    mu_neg, u = _class_fit(rows[~pos], K, d)
+    fits = []
+    for mask in (pos, ~pos):
+        # the class's rows, gathered into a float64 copy, then ndarray.mean's
+        # sum and division, and the deviations squared and summed in place
+        x = rows[mask].astype(np.float64, copy=False)
+        n = x.shape[0]
+        if n == 0:
+            raise ValueError("both classes must be present")
+        mu = np.add.reduce(x, axis=0)
+        mu /= n
+        x -= mu
+        x *= x
+        fits.append((n, mu, float(np.add.reduce(x, axis=None)) / (d * n)))
+    (n_pos, mu_pos, v), (_, mu_neg, u) = fits
     delta = mu_pos - mu_neg
-    if K is not None:
-        delta = delta @ basis
     return BatchStats(
-        p=g_pos.shape[0] / B,
-        v=v,
-        u=u,
-        delta_g=delta,
-        delta_norm_sq=float(delta @ delta),
-        d=d,
+        p=n_pos / B, v=v, u=u, delta_g=delta, delta_norm_sq=float(delta.dot(delta)), d=d
     )
-
-
-def _class_fit(rows: np.ndarray, K: np.ndarray | None, d: int) -> tuple[np.ndarray, float]:
-    """(mean, per-coordinate variance) of one class, in float64, from its
-    rows of g or, given the basis's Gram matrix K, from their coordinates."""
-    n = rows.shape[0]
-    if n == 0:
-        raise ValueError("both classes must be present")
-    # ndarray.mean's sum and division; the float64 sum and the float64
-    # mean's subtraction upcast float32 rows exactly, with no copy of them
-    mu = np.add.reduce(rows, axis=0, dtype=np.float64) / n
-    dev = rows - mu
-    dev *= dev if K is None else dev @ K
-    return mu, float(np.add.reduce(dev, axis=None) / (d * n))
 
 
 def power_budget(s: float, stats: BatchStats) -> float:

@@ -229,21 +229,23 @@ def _backward_layers(layers, acts, input_act, delta, grad=None, to_input=True):
 
 
 def label_party_gradients(state: ForwardState, y: np.ndarray):
-    """(per-example cut gradients, h's batch-mean (dW, db) views of
-    `net.grad`, the cut gradients' factor (coords, basis)).
+    """(the per-example cut gradients' factor (coords, basis), h's
+    batch-mean (dW, db) views of `net.grad`).
 
     Row j of the cut gradients is the gradient of example j's own loss
     w.r.t. its cut features: (prob_j - y_j) * grad_z h(z)|_{z = f(X_j)}.
-    The cut gradients are formed as coords @ basis: coords (B x k) is
-    the gradient at h's first layer's pre-activation, and basis (k x d)
-    that layer's W.T.
+    It is row j of coords @ basis: coords (B x k) is the gradient at h's
+    first layer's pre-activation, and basis (k x d) that layer's W.T.
+    The B x d product is left to the mechanism
+    (`protection.apply_mechanism`), which forms the matrix the
+    non-label party receives.
     """
     net = state.net
     upstream = (state.probs - np.asarray(y, dtype=state.probs.dtype))[:, None]
-    cut, coords = _backward_layers(
-        net.h_layers, state.h_act, state.cut_features, upstream, net.h_grad
+    _, coords = _backward_layers(
+        net.h_layers, state.h_act, state.cut_features, upstream, net.h_grad, False
     )
-    return cut, [(layer.dW, layer.db) for layer in net.h_layers], (coords, net.h_layers[0].W.T)
+    return (coords, net.h_layers[0].W.T), [(layer.dW, layer.db) for layer in net.h_layers]
 
 
 def backprop_nonlabel(net: SplitNet, state: ForwardState, received: np.ndarray):

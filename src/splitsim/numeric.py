@@ -3,8 +3,10 @@ Gaussian sampling.
 
 Covariances (plain records that `marvell.build_covariances` forms) are
 float64, as are the mechanisms' fits, solves and certificates; their
-noise is drawn, formed and added in float32, the dtype of a run's model
-(`model.RUN_DTYPE`).  Randomness goes through SFC64 generators,
+noise is drawn and formed in float32, the dtype of a run's model
+(`model.RUN_DTYPE`), in as many dimensions as its covariance has:
+marvell's lives in the r-dim row space of the cut gradients
+(`protection.row_space`).  Randomness goes through SFC64 generators,
 each seeded by `SeedSequence(entropy=seed, spawn_key=(stream,))`.  The
 seed sequence, not the bit generator, is what makes a (seed, stream)
 pair always reproduce the same draw sequence and keeps generators with
@@ -18,12 +20,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from .stream import NormalStream
 
 __all__ = [
     "make_rng",
@@ -59,12 +57,13 @@ class StructuredCovariance:
 
 
 def sample_structured_gaussian_batch(
-    cov: StructuredCovariance, rng: np.random.Generator | NormalStream, n: int
+    cov: StructuredCovariance, rng: np.random.Generator, n: int
 ) -> np.ndarray:
     """n independent draws, stacked as a float32 (n, d) matrix
-    c Z + s dir^T, from `rng`'s float32 standard normals (a generator or
-    a NormalStream); the product s dir^T rounds the float64 direction to
-    float32 first.
+    c Z + s dir^T, from `rng`'s float32 standard normals; the product
+    s dir^T rounds the float64 direction to float32 first.  d is the
+    covariance's own dimension: marvell's r-dim row space, or the cut
+    width where that space is all of it.
 
     One call draws the n along-direction scalars and then the isotropic
     block, in that fixed order, so batches are reproducible.  With

@@ -4,18 +4,27 @@ gradient batch before communicating it: none, iso, max_norm, marvell.
 All mechanisms are unbiased (E[perturbed | clean] = clean) so the
 non-label party's parameter gradients stay unbiased.
 
-A mechanism fits, solves and certifies in float64, whatever the
-batch's dtype (float32 or float64), and draws its noise in float32:
-iso and marvell add the same float32 noise to either dtype's rows
-(upcast for a float64 batch), and max_norm scales each row in float64
-by its float32 draw.  The sum of two float32 values rounds to the same
-float32 whether it is formed in float32 or in float64, so a float32
-batch's output rows are its float64 twin's, rounded.  A mechanism that
-leaves the batch unperturbed returns the caller's batch itself.
+The label party holds the batch's cut gradients as their factor
+g = coords @ basis (`model.label_party_gradients`), and
+`apply_mechanism` forms the one B x d matrix the non-label party
+receives.  none, iso and max_norm form g and work on its rows.  Every
+row of g lies in the row space of basis, whose dimension is
+r = min(k, d), and marvell works there: it fits, solves and certifies
+on the rows' orthonormal coordinates in that space (`row_space`),
+draws its noise in those r dimensions, maps it back to coords and forms
+(coords + noise) @ basis.  At k >= d the row space is all of R^d, and
+marvell works on g's rows as they are.
 
-Each mechanism draws its noise with `rng.standard_normal(size,
-dtype=np.float32)` alone, so `rng` may be a generator or a
-`stream.NormalStream` over one: both give the same values.
+A mechanism fits, solves and certifies in float64, whatever the
+batch's dtype (float32 or float64), and draws its noise in float32,
+with `rng.standard_normal(size, dtype=np.float32)`.  iso, and marvell
+at k >= d, add the same float32 noise to either dtype's rows (upcast
+for a float64 batch), and max_norm scales each row in float64 by its
+float32 draw.  The sum of two float32 values rounds to the same float32
+whether it is formed in float32 or in float64, so there a float32
+batch's output rows are its float64 twin's, rounded.  Marvell at k < d
+maps and adds its noise and forms the product in the batch's dtype.  A
+mechanism that leaves g unperturbed returns g itself.
 """
 
 from __future__ import annotations
@@ -27,7 +36,6 @@ import numpy as np
 
 from . import marvell
 from .numeric import sample_structured_gaussian_batch
-from .stream import NormalStream
 
 MECHANISMS = ("none", "iso", "max_norm", "marvell")
 # The MechanismConfig field that holds each mechanism's privacy hyperparameter.
@@ -63,8 +71,9 @@ class MechanismConfig:
 
 @dataclass
 class PerturbOutcome:
-    # the caller's batch itself on every unperturbed exit; no reader
-    # writes to it
+    # g itself on every unperturbed exit: the batch a perturb_* function
+    # was given, or the g that apply_mechanism or marvell's fallback
+    # formed; no reader writes to it
     perturbed: np.ndarray
     certificate: marvell.PrivacyCertificate | None = None
     noise_power: float = 0.0
@@ -77,14 +86,11 @@ def perturb_none(g: np.ndarray) -> PerturbOutcome:
     return PerturbOutcome(perturbed=g)
 
 
-def perturb_iso(
-    g: np.ndarray, t: float, rng: np.random.Generator | NormalStream
-) -> PerturbOutcome:
+def perturb_iso(g: np.ndarray, t: float, rng: np.random.Generator) -> PerturbOutcome:
     """Isotropic Gaussian baseline.
 
     Every row gets independent N(0, (t/d) ||g_max||^2 I) noise, where
-    g_max is the largest-norm row of this batch; `rng` is a generator or
-    a NormalStream.
+    g_max is the largest-norm row of this batch.
     """
     if not (math.isfinite(t) and t >= 0):
         raise ValueError(f"t must be finite and >= 0, got {t!r}")
@@ -99,14 +105,13 @@ def perturb_iso(
     return PerturbOutcome(perturbed=g + noise, noise_power=t * max_sq)
 
 
-def perturb_max_norm(g: np.ndarray, rng: np.random.Generator | NormalStream) -> PerturbOutcome:
+def perturb_max_norm(g: np.ndarray, rng: np.random.Generator) -> PerturbOutcome:
     """Norm-alignment heuristic.
 
     Row j becomes g_j (1 + sigma_j z_j) with sigma_j chosen so the
     expected squared norm of every perturbed row equals the batch
     maximum; this realizes exactly the rank-1 covariance
-    sigma_j^2 g_j g_j^T in O(d) per row.  `rng` (a generator or a
-    NormalStream) draws the B scalars z_j.
+    sigma_j^2 g_j g_j^T in O(d) per row.  `rng` draws the B scalars z_j.
     """
     g64 = g.astype(np.float64, copy=False)
     sq = (g64 * g64).sum(axis=1)
@@ -123,45 +128,78 @@ def perturb_max_norm(g: np.ndarray, rng: np.random.Generator | NormalStream) -> 
     return PerturbOutcome(perturbed=perturbed.astype(g.dtype, copy=False), noise_power=power)
 
 
-def perturb_marvell(
-    g: np.ndarray, split, s: float, rng: np.random.Generator | NormalStream, factor=None
-) -> PerturbOutcome:
-    """Optimized class-dependent Gaussian perturbation.
+def row_space(coords: np.ndarray, basis: np.ndarray):
+    """(rows, back) for the batch g = coords @ basis, where basis is
+    k x d: rows holds g's rows in an orthonormal frame of basis's
+    r-dim row space, r = min(k, d), and back maps a row of that frame
+    to coords, in coords' dtype, or is None where the frame is the
+    identity.
 
-    `split` is the batch's `attacks.split_labels` split, `rng` a
-    generator or a NormalStream that draws the noise, and `factor` None
-    or g's (coords, basis) factor, which `marvell.estimate_stats` may
-    fit from instead of g's rows.  Fits batch statistics, solves the
-    eigenvalue problem at power P = s ||delta_g||^2, and perturbs each
-    class with its optimal covariance.  A single-class batch (or a zero class-mean gap) is
-    passed through unperturbed and flagged as a fallback.  That is not
-    rare at small batch sizes: a B=16 batch at a 10% positive rate
-    holds one class about a fifth of the time.
+    At k >= d the row space is all of R^d: rows is g itself, in the
+    batch's dtype.  At k < d, with L the Cholesky factor of the Gram
+    matrix K = basis basis^T (K = L L^T, in float64), rows = coords @ L
+    (B x k, float64) and back = L^-1: the rows of L^-1 basis are
+    orthonormal, and g = rows (L^-1 basis).  A singular K, as from
+    dependent rows of basis, has no such frame and raises ValueError.
+    """
+    k, d = basis.shape
+    if k >= d:
+        return coords @ basis, None
+    b = basis.astype(np.float64)
+    try:
+        L = np.linalg.cholesky(b @ b.T)
+    except np.linalg.LinAlgError:
+        raise ValueError(
+            "the cut gradients' basis has linearly dependent rows (a singular Gram "
+            "matrix), so marvell has no orthonormal frame for their row space"
+        ) from None
+    return coords @ L, np.linalg.inv(L).astype(coords.dtype, copy=False)
+
+
+def perturb_marvell(factor, split, s: float, rng: np.random.Generator) -> PerturbOutcome:
+    """Optimized class-dependent Gaussian perturbation of the batch
+    g = coords @ basis, given as its factor (coords, basis).
+
+    `split` is the batch's `attacks.split_labels` split and `rng` draws
+    the noise.  Fits batch statistics on the rows' coordinates in the
+    r-dim row space (`row_space`), solves the eigenvalue problem at
+    power P = s ||delta_g||^2, and perturbs each class with its optimal
+    covariance there.  A single-class batch (or a zero class-mean gap)
+    is passed through unperturbed, as g, and flagged as a fallback.
+    That is not rare at small batch sizes: a B=16 batch at a 10%
+    positive rate holds one class about a fifth of the time.
     """
     if not (math.isfinite(s) and s > 0):
         raise ValueError(f"s must be finite and > 0, got {s!r}")
+    coords, basis = factor
     pos, neg, n_pos, n_neg = split
-    if g.ndim != 2 or pos.shape != g.shape[:1]:
-        raise ValueError("g must be (B, d) with one label per row")
+    if coords.ndim != 2 or pos.shape != coords.shape[:1]:
+        raise ValueError("coords must be (B, k) with one label per row")
     # the split's counts decide the fallback
     if not (n_pos and n_neg):
-        return PerturbOutcome(perturbed=g, fallback=True)
-    stats = marvell.estimate_stats(g, pos, factor)
+        return PerturbOutcome(perturbed=coords @ basis, fallback=True)
+    rows, back = row_space(coords, basis)
+    stats = marvell.estimate_stats(rows, pos)
     if stats.delta_norm_sq == 0.0:
-        return PerturbOutcome(perturbed=g, fallback=True)
+        return PerturbOutcome(perturbed=rows if back is None else coords @ basis, fallback=True)
 
     P = marvell.power_budget(s, stats)
     sol = marvell.solve(stats, P)
     pos_cov, neg_cov = marvell.build_covariances(sol, stats)
     cert = marvell.make_certificate(sol, stats)
 
-    # each class's float32 noise is scattered into the output, upcast on
-    # a float64 batch, and the batch is added in place: no class's rows
-    # are gathered
-    perturbed = np.empty(g.shape, dtype=g.dtype)
+    # each class's float32 noise is scattered into one block, upcast on a
+    # float64 batch: no class's rows are gathered
+    noise = np.empty((coords.shape[0], stats.d), dtype=coords.dtype)
     for mask, cov, n in ((pos, pos_cov, n_pos), (neg, neg_cov, n_neg)):
-        perturbed[mask] = sample_structured_gaussian_batch(cov, rng, n)
-    perturbed += g
+        noise[mask] = sample_structured_gaussian_batch(cov, rng, n)
+    if back is None:  # the frame is g's own
+        noise += rows
+        perturbed = noise
+    else:  # to coords, then the one B x d product
+        w = noise @ back
+        w += coords
+        perturbed = w @ basis
     return PerturbOutcome(
         perturbed=perturbed,
         certificate=cert,
@@ -170,21 +208,19 @@ def perturb_marvell(
     )
 
 
-def apply_mechanism(
-    config: MechanismConfig,
-    g: np.ndarray,
-    split,
-    rng: np.random.Generator | NormalStream,
-    factor=None,
-) -> PerturbOutcome:
-    """`config`'s mechanism on batch `g`; `split` is the batch's
-    `attacks.split_labels` split and `factor` g's (coords, basis)
-    factor or None, both of which only marvell reads, and `rng` a
-    generator or a NormalStream that draws the noise."""
-    if config.kind == "none":
-        return perturb_none(g)
+def apply_mechanism(config: MechanismConfig, factor, split, rng: np.random.Generator) -> PerturbOutcome:
+    """`config`'s mechanism on the batch whose cut gradients are
+    g = coords @ basis, given as factor = (coords, basis).  The outcome's
+    `perturbed` is the B x d matrix the non-label party receives, the
+    batch's one B x d product.  `split` is the batch's
+    `attacks.split_labels` split, which only marvell reads, and `rng`
+    draws the noise."""
+    if config.kind == "marvell":
+        return perturb_marvell(factor, split, config.s, rng)
+    coords, basis = factor
+    g = coords @ basis
     if config.kind == "iso":
         return perturb_iso(g, config.t, rng)
     if config.kind == "max_norm":
         return perturb_max_norm(g, rng)
-    return perturb_marvell(g, split, config.s, rng, factor)
+    return perturb_none(g)

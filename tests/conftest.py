@@ -30,7 +30,8 @@ def workloads():
 @pytest.fixture(autouse=True)
 def no_child_left():
     """Fails a test that leaves a child process behind, such as a
-    NormalStream helper that was never reaped."""
+    `python -m splitsim` child interpreter (c11 starts them) that was
+    never waited for."""
     yield
     try:
         pid, _ = os.waitpid(-1, os.WNOHANG)

@@ -8,8 +8,9 @@ A second section keeps earlier, plainer forms of hot-path functions
 (the np.unique midrank AUC, the out-of-place Adam step, the per-layer
 parameter gradients, the batch statistics with their repeated copies,
 marvell's assembly with a fresh gather of each class's rows for its
-noise).
-The package's faster forms must equal them bit for bit.  It also keeps
+noise, in a QR frame of the row space where the package takes a
+Cholesky one).  The package's faster forms must equal them bit for bit,
+and marvell's row-space assembly to its rounding.  It also keeps
 marvell's earlier solver: a coordinate descent whose golden-section
 line searches evaluate the whole objective at every point.  The
 package's Newton solve must reach its objective or better.
@@ -386,19 +387,37 @@ def copying_stats(g, labels):
     return pos_mean, neg_mean, v, u
 
 
-def gathering_marvell(g, labels, s, rng, factor=None):
-    """(perturbed, certificate, noise_power, solution) of a mixed batch:
-    fit from the labels (and g's factor, if given), solve, then add each
-    class's noise block to its rows of a float64 copy of g and round the
-    sums once to the batch's dtype."""
-    stats = marvell.estimate_stats(g, labels, factor)
+def gathering_marvell(factor, labels, s, rng):
+    """(perturbed, certificate, noise_power, solution) of a mixed batch
+    g = coords @ basis, given as factor = (coords, basis), basis k x d.
+
+    At k >= d: fit g's rows, solve, then add each class's noise block to
+    its rows of a float64 copy of g and round the sums once to the
+    batch's dtype.  At k < d: fit the rows' coordinates in an
+    orthonormal frame Q (d x k) of basis's row space, taken from a QR of
+    basis^T with R's diagonal made positive, so that Q^T = L^-1 basis for
+    L the Cholesky factor of basis basis^T; then add each class's noise
+    block in d dimensions, as block @ Q^T, to its rows of the float64
+    product coords @ basis, and round once."""
+    coords, basis = factor
+    k, d = basis.shape
+    pos = np.asarray(labels) == 1
+    if k >= d:
+        rows = g = coords @ basis
+    else:
+        Q, R = np.linalg.qr(basis.T.astype(np.float64))
+        signs = np.sign(np.diag(R))
+        Q, R = Q * signs, R * signs[:, None]
+        rows = coords.astype(np.float64) @ R.T
+        g = coords.astype(np.float64) @ basis.astype(np.float64)
+    stats = marvell.estimate_stats(rows, labels)
     sol = marvell.solve(stats, marvell.power_budget(s, stats))
     pos_cov, neg_cov = marvell.build_covariances(sol, stats)
-    pos = np.asarray(labels) == 1
     perturbed = g.astype(np.float64)
     for mask, cov in ((pos, pos_cov), (~pos, neg_cov)):
-        perturbed[mask] += sample_structured_gaussian_batch(cov, rng, int(mask.sum()))
-    return (perturbed.astype(g.dtype), marvell.make_certificate(sol, stats),
+        block = sample_structured_gaussian_batch(cov, rng, int(mask.sum()))
+        perturbed[mask] += block if k >= d else block @ Q.T
+    return (perturbed.astype(coords.dtype), marvell.make_certificate(sol, stats),
             marvell.noise_power(sol, stats), sol)
 
 
@@ -406,12 +425,19 @@ def gathering_marvell(g, labels, s, rng, factor=None):
 # test-only gradient helpers (built from the package's backward passes)
 
 
+def cut_gradients(state, y):
+    """The clean per-example cut gradients, coords @ basis from the
+    label party's factor: the product `protection.apply_mechanism`
+    forms for an unperturbed batch."""
+    (coords, basis), _ = label_party_gradients(state, y)
+    return coords @ basis
+
+
 def compute_gradients(net, state, y):
     """A copy of `net.grad` after one clean split backward pass: the
     batch-mean parameter gradients of both parties in `net.params`
     order, which no later pass overwrites."""
-    cut, _, _ = label_party_gradients(state, y)
-    backprop_nonlabel(net, state, cut)
+    backprop_nonlabel(net, state, cut_gradients(state, y))
     return net.grad.copy()
 
 

@@ -18,6 +18,7 @@ import pytest
 from oracles import (
     brute_force_auc,
     compute_gradients,
+    cut_gradients,
     dense_sum_kl,
     finite_difference_gradient,
     grid_search_objective,
@@ -40,7 +41,6 @@ from splitsim.model import (
     SplitNet,
     backprop_nonlabel,
     forward,
-    label_party_gradients,
     logistic_loss,
 )
 from splitsim.numeric import StructuredCovariance, make_rng, sample_structured_gaussian_batch
@@ -166,7 +166,7 @@ def test_c02_gradient_correctness():
         assert rel <= 1e-4, f"param gradients off by {rel} on net {trial}"
 
         # per-example cut-feature gradients
-        got_cut = label_party_gradients(state, y)[0]
+        got_cut = cut_gradients(state, y)
         j = int(rng.integers(0, B))
 
         def h_loss(z):
@@ -299,21 +299,25 @@ def test_c05_theorem1_empirical():
 
 def test_c06_unbiasedness():
     # each mechanism, fixed row g, 1e5 perturbed copies: componentwise
-    # mean within 4 std/sqrt(N) of g
+    # mean within 4 std/sqrt(N) of g.  The batch is given as a factor
+    # coords @ basis with k = 3 < d = 6, as a cut batch is, so marvell
+    # draws its noise in the 3-dim row space and maps it back
     start = time.time()
     rng = make_rng(106)
-    d = 6
-    g_row = rng.standard_normal(d)
+    k, d = 3, 6
+    basis = rng.standard_normal((k, d))
     copies = 10**5
-    anchor = 2.0 * np.ones(d)
-    batch = np.vstack([np.tile(g_row, (copies, 1)), np.tile(anchor, (copies // 4, 1))])
+    coords = np.vstack([np.tile(rng.standard_normal(k), (copies, 1)),
+                        np.tile(2.0 * np.ones(k), (copies // 4, 1))])
+    batch = coords @ basis
+    g_row = batch[0]
     labels = np.array([1] * copies + [0] * (copies // 4))
 
     outcomes = {
         "none": perturb_none(batch),
         "iso": perturb_iso(batch, 1.0, make_rng(107)),
         "max_norm": perturb_max_norm(batch, make_rng(108)),
-        "marvell": perturb_marvell(batch, split_labels(labels), 2.0, make_rng(109)),
+        "marvell": perturb_marvell((coords, basis), split_labels(labels), 2.0, make_rng(109)),
     }
     for name, out in outcomes.items():
         pert = out.perturbed[:copies]

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from oracles import masked_cosine_scores, midrank_auc
+from oracles import cut_gradients, masked_cosine_scores, midrank_auc
 from splitsim import attacks, harness
 from splitsim.attacks import leak_auc, quantile, roc_auc, select_oracle_positive, split_labels
-from splitsim.model import Layer, LayerSpec, SplitNet, forward, label_party_gradients
+from splitsim.model import Layer, LayerSpec, SplitNet, forward
 from splitsim.numeric import make_rng
 
 
@@ -284,7 +284,7 @@ def test_leak_auc_cosine_exact_with_linear_h(monkeypatch):
     X = rng.standard_normal((32, d))
     y = np.array([1] * 8 + [0] * 24)
     state = forward(net, X)
-    g = label_party_gradients(state, y)[0]
+    g = cut_gradients(state, y)
     g_plus = g[select_oracle_positive(_positives(y), make_rng(8))]
     scores = _scores(monkeypatch, g, g_plus)
     assert np.all(scores[y == 1] == pytest.approx(1.0))

@@ -1,11 +1,10 @@
 import dataclasses
-import os
 import re
 
 import numpy as np
 import pytest
 
-from splitsim import harness, model
+from splitsim import harness
 from splitsim.attacks import quantile
 from splitsim.harness import (
     ConfigError,
@@ -267,7 +266,7 @@ def test_marvell_run_records_certificates():
 def test_run_model_is_run_dtype(monkeypatch):
     # a silent float64 upcast anywhere on the model's path (say, probs - y
     # with a float64 y) would still pass every other test, at half speed
-    seen = {"cut": [], "received": [], "first": [], "oracle_first": [], "params_adam": []}
+    seen = {"coords": [], "received": [], "first": [], "oracle_first": [], "params_adam": []}
 
     def spy(name, fn, pick):
         def wrapper(*args):
@@ -276,7 +275,7 @@ def test_run_model_is_run_dtype(monkeypatch):
             return result
         monkeypatch.setattr(harness, fn.__name__, wrapper)
 
-    spy("cut", harness.label_party_gradients, lambda args, out: out[0])
+    spy("coords", harness.label_party_gradients, lambda args, out: out[0][0])
     spy("received", harness.apply_mechanism, lambda args, out: out.perturbed)
     spy("first", harness.backprop_nonlabel, lambda args, out: out[1])
     spy("oracle_first", harness.first_layer_gradient_row, lambda args, out: out)
@@ -289,93 +288,6 @@ def test_run_model_is_run_dtype(monkeypatch):
         train_run(_quick_config(mechanism=mechanism, iterations=10))
     assert all(len(arrays) >= 10 for arrays in seen.values())
     assert {a.dtype for arrays in seen.values() for a in arrays} == {np.dtype(np.float32)}
-
-
-# ---------------------------------------------------------------------------
-# the noise helper process
-
-
-@pytest.mark.parametrize(
-    "workload, mechanism, forks",
-    [
-        ("accept_none", None, False),
-        ("accept_none", {"kind": "max_norm"}, False),
-        ("small_marvell", None, False),  # a 16x32 cut batch holds less than one block
-        ("accept_none", {"kind": "iso", "t": 1.0}, True),
-        ("accept_marvell", None, True),
-    ],
-)
-def test_noise_helper_forked_only_for_large_noise(monkeypatch, workloads, workload, mechanism,
-                                                   forks):
-    forked = []
-    fork = os.fork
-
-    def spy():
-        pid = fork()
-        if pid:
-            forked.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", spy)
-    cfg = {**workloads.config_dict(workload, 7), "iterations": 3}
-    if mechanism is not None:
-        cfg["mechanism"] = mechanism
-    train_run(config_from_dict(cfg))
-    assert len(forked) == forks
-
-
-def test_draws_ahead_only_where_a_cut_batch_holds_a_block(workloads):
-    # at the ring's block of 2^16 float32 normals: accept_marvell's 256x384
-    # cut batch holds one and a half, small_marvell's 16x32 a 128th, and
-    # accept_none draws no noise
-    draws = {name: harness._draws_ahead(config_from_dict(workloads.config_dict(name, 7)))
-             for name in workloads.WORKLOADS}
-    assert harness.NormalStream.BLOCK == 1 << 16
-    assert draws == {"accept_none": False, "accept_marvell": True, "small_marvell": False}
-
-
-def _large_noise_config(**overrides):
-    # a 128x512 cut batch holds one NormalStream block
-    return _quick_config(net=NetConfig(hidden_dims=(512, 8)), batch_size=128,
-                         mechanism=MechanismConfig(kind="marvell", s=1.0), **overrides)
-
-
-def _spy_helpers(monkeypatch) -> list[int]:
-    pids = []
-
-    class Spy(harness.NormalStream):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            pids.append(self.pid)
-
-    monkeypatch.setattr(harness, "NormalStream", Spy)
-    return pids
-
-
-def test_noise_helper_reaped_after_a_run(monkeypatch):
-    pids = _spy_helpers(monkeypatch)
-    train_run(_large_noise_config(iterations=5))
-    assert len(pids) == 1
-    with pytest.raises(ChildProcessError):
-        os.waitpid(pids[0], os.WNOHANG)
-
-
-def test_noise_helper_reaped_after_a_run_raises(monkeypatch):
-    pids = _spy_helpers(monkeypatch)
-    steps = []
-
-    def failing_update(net, optimizer):
-        steps.append(None)
-        if len(steps) == 3:
-            raise RuntimeError("update failed")
-        model.apply_update(net, optimizer)
-
-    monkeypatch.setattr(harness, "apply_update", failing_update)
-    with pytest.raises(RuntimeError, match="update failed"):
-        train_run(_large_noise_config(iterations=5))
-    assert len(pids) == 1
-    with pytest.raises(ChildProcessError):
-        os.waitpid(pids[0], os.WNOHANG)
 
 
 def test_toy1d_run_works():

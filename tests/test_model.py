@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from oracles import OutOfPlaceAdam, compute_gradients, h_feature_gradients, per_layer_gradients
+from oracles import (
+    OutOfPlaceAdam,
+    compute_gradients,
+    cut_gradients,
+    h_feature_gradients,
+    per_layer_gradients,
+)
 from splitsim.model import (
     ACTIVATIONS,
     Adam,
@@ -107,8 +113,8 @@ def test_cut_gradients_linear_h_at_zero_logit():
     X = np.array([[2.0, 0.5]])  # orthogonal to w -> logit 0
     state = forward(net, X)
     assert state.logits[0] == pytest.approx(0.0)
-    g1 = label_party_gradients(state, np.array([1]))[0]
-    g0 = label_party_gradients(state, np.array([0]))[0]
+    g1 = cut_gradients(state, np.array([1]))
+    g0 = cut_gradients(state, np.array([0]))
     assert np.allclose(g1[0], -0.5 * w, atol=1e-12)
     assert np.allclose(g0[0], +0.5 * w, atol=1e-12)
 
@@ -120,7 +126,7 @@ def test_cut_gradient_norm_factorization():
     X = rng.standard_normal((16, 5))
     y = (rng.random(16) < 0.5).astype(int)
     state = forward(net, X)
-    g = label_party_gradients(state, y)[0]
+    g = cut_gradients(state, y)
     hg = h_feature_gradients(net, state)
     lhs = np.linalg.norm(g, axis=1)
     rhs = np.abs(state.probs - y) * np.linalg.norm(hg, axis=1)
@@ -144,7 +150,7 @@ def test_backprop_nonlabel_linear_in_received():
     net = _random_net(rng, hidden=(4, 3), cut=2, acts=("relu", "tanh"))
     X = rng.standard_normal((8, 3))
     state = forward(net, X)
-    g = label_party_gradients(state, (rng.random(8) < 0.5).astype(int))[0]
+    g = cut_gradients(state, (rng.random(8) < 0.5).astype(int))
     one, first_one = backprop_nonlabel(net, state, g)
     one = [(dW.copy(), db.copy()) for dW, db in one]  # the next pass overwrites them
     two, first_two = backprop_nonlabel(net, state, 2.0 * g)
@@ -180,7 +186,8 @@ def test_float32_gradients_match_float64_twin(hidden):
     for dtype in (np.float64, np.float32):
         net = SplitNet.build(20, list(hidden), ["relu"] * 3, 2, make_rng(20), dtype)
         state = forward(net, ds.X)
-        cut, h_grads, _ = label_party_gradients(state, ds.y)
+        (coords, basis), h_grads = label_party_gradients(state, ds.y)
+        cut = coords @ basis
         f_grads, first = backprop_nonlabel(net, state, cut)
         grads = [cut, first] + [g for pair in f_grads + h_grads for g in pair]
         assert net.params.dtype == dtype and all(g.dtype == dtype for g in grads)
@@ -204,7 +211,7 @@ def test_first_layer_gradient_row_matches_batch_pass():
             net = SplitNet.build(in_dim, hidden, acts, cut, rng, dtype=np.float64)
             B = int(rng.integers(2, 6))
             state = forward(net, rng.standard_normal((B, in_dim)))
-            clean_cut, _, _ = label_party_gradients(state, rng.integers(0, 2, size=B))
+            clean_cut = cut_gradients(state, rng.integers(0, 2, size=B))
             _, first = backprop_nonlabel(net, state, clean_cut)
             grad = net.grad.tobytes()
             for j in range(B):
@@ -341,8 +348,8 @@ def test_gradients_bitwise_match_per_layer_reference(hidden, dtype):
     ds = generate_synthetic(100, 20, 0.1, 2.0, 1.0, seed=19)
     net = SplitNet.build(20, list(hidden), ["relu"] * 3, 2, make_rng(20), dtype)
     state = forward(net, ds.X)
-    cut, h_grads, _ = label_party_gradients(state, ds.y)
-    f_grads, _ = backprop_nonlabel(net, state, cut)
+    (coords, basis), h_grads = label_party_gradients(state, ds.y)
+    f_grads, _ = backprop_nonlabel(net, state, coords @ basis)
     want = per_layer_gradients(net, state, ds.y)
     assert len(f_grads + h_grads) == len(want)
     for (dW, db), (ref_dW, ref_db) in zip(f_grads + h_grads, want):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from oracles import copying_stats, gathering_marvell
+from oracles import copying_stats, cut_gradients, gathering_marvell
 from splitsim import protection
 from splitsim.attacks import leak_auc, split_labels
 from splitsim.marvell import estimate_stats, power_budget, solve
@@ -19,7 +19,14 @@ from splitsim.protection import (
     perturb_marvell,
     perturb_max_norm,
     perturb_none,
+    row_space,
 )
+
+
+def _rows(g):
+    """g as the factor (g, I): a basis with k = d, so that marvell works
+    on g's own rows."""
+    return g, np.eye(g.shape[1], dtype=g.dtype)
 
 
 def _mixed_batch(rng, B=16, d=8, pos=4):
@@ -39,15 +46,16 @@ def test_none_is_identity():
 
 def _unperturbed_exits(dtype):
     """(name, outcome thunk, batch) for every exit that leaves its batch
-    unperturbed, each on a fresh batch of `dtype`."""
+    unperturbed, each on a fresh batch of `dtype`; marvell's exits are
+    given the batch as the factor (g, I) and return the g they form."""
     g = make_rng(5).standard_normal((6, 3)).astype(dtype)
     flat = np.tile(np.array([1.0, 2.0], dtype=dtype), (4, 1))  # no class-mean gap
     zero = np.zeros((3, 4), dtype=dtype)
     one_class, mixed = split_labels(np.ones(6)), split_labels(np.array([1, 1, 0, 0]))
     return [
         ("none", lambda rng: perturb_none(g), g),
-        ("marvell single-class", lambda rng: perturb_marvell(g, one_class, 1.0, rng), g),
-        ("marvell zero-gap", lambda rng: perturb_marvell(flat, mixed, 1.0, rng), flat),
+        ("marvell single-class", lambda rng: perturb_marvell(_rows(g), one_class, 1.0, rng), g),
+        ("marvell zero-gap", lambda rng: perturb_marvell(_rows(flat), mixed, 1.0, rng), flat),
         ("iso t=0", lambda rng: perturb_iso(g, 0.0, rng), g),
         ("iso all-zero", lambda rng: perturb_iso(zero, 2.0, rng), zero),
         ("max_norm all-zero", lambda rng: perturb_max_norm(zero, rng), zero),
@@ -61,7 +69,11 @@ def test_unperturbed_batch_is_passed_through_and_never_written():
     for dtype in (np.float32, np.float64):
         for name, perturb, g in _unperturbed_exits(dtype):
             rng, twin = make_rng(6), make_rng(6)
-            assert perturb(rng).perturbed is g, (name, dtype)
+            out = perturb(rng).perturbed
+            if name.startswith("marvell"):
+                assert out.dtype == g.dtype and out.tobytes() == g.tobytes(), (name, dtype)
+            else:
+                assert out is g, (name, dtype)
             assert repr(rng.bit_generator.state) == repr(twin.bit_generator.state), (name, dtype)
     rng = make_rng(5)
     # an identity activation at the cut hands the received rows on unmultiplied
@@ -69,7 +81,7 @@ def test_unperturbed_batch_is_passed_through_and_never_written():
         net = SplitNet.build(4, [8, 6, 3], ["relu", cut_activation, "relu"], 2, make_rng(7))
         X, y = rng.standard_normal((10, 4)), np.array([1, 0] * 5)
         state = forward(net, X)
-        received = perturb_none(label_party_gradients(state, y)[0]).perturbed
+        received = perturb_none(cut_gradients(state, y)).perturbed
         before = received.tobytes()
         _, first = backprop_nonlabel(net, state, received)
         split = split_labels(y)
@@ -146,7 +158,7 @@ def test_max_norm_all_zero_batch_is_returned_unchanged(dtype):
 def test_marvell_tiny_power_is_near_identity():
     rng = make_rng(12)
     g, labels = _mixed_batch(rng)
-    out = perturb_marvell(g, split_labels(labels), 1e-15, make_rng(13))
+    out = perturb_marvell(_rows(g), split_labels(labels), 1e-15, make_rng(13))
     assert not out.fallback
     assert np.allclose(out.perturbed, g, atol=1e-5)
 
@@ -156,7 +168,7 @@ def test_marvell_sum_kl_monotone_in_s():
     g, labels = _mixed_batch(rng, B=64, d=8, pos=16)
     kls = []
     for s in (0.1, 1.0, 4.0, 16.0):
-        out = perturb_marvell(g, split_labels(labels), s, make_rng(15))
+        out = perturb_marvell(_rows(g), split_labels(labels), s, make_rng(15))
         kls.append(out.certificate.sum_kl)
     assert all(kls[i + 1] <= kls[i] + 1e-9 for i in range(len(kls) - 1))
 
@@ -166,19 +178,19 @@ def test_marvell_single_class_fallback(monkeypatch):
     monkeypatch.setattr(protection.marvell, "estimate_stats", None)
     g = make_rng(16).standard_normal((4, 3))
     for labels in ([1, 1, 1, 1], [0, 0, 0, 0]):
-        out = perturb_marvell(g, split_labels(np.array(labels)), 1.0, make_rng(17))
+        out = perturb_marvell(_rows(g), split_labels(np.array(labels)), 1.0, make_rng(17))
         assert out.fallback
         assert np.array_equal(out.perturbed, g)
         assert out.certificate is None
         assert out.solution is None
     with pytest.raises(ValueError, match="one label per row"):
-        perturb_marvell(g, split_labels(np.array([0, 0])), 1.0, make_rng(17))
+        perturb_marvell(_rows(g), split_labels(np.array([0, 0])), 1.0, make_rng(17))
 
 
 def test_marvell_outcome_carries_its_solve():
     rng = make_rng(20)
     g, labels = _mixed_batch(rng, B=32, d=6, pos=8)
-    out = perturb_marvell(g, split_labels(labels), 2.0, make_rng(21))
+    out = perturb_marvell(_rows(g), split_labels(labels), 2.0, make_rng(21))
     stats = estimate_stats(g, labels)
     assert out.solution == solve(stats, power_budget(2.0, stats))
     assert out.solution.converged
@@ -189,7 +201,7 @@ def test_marvell_outcome_carries_its_solve():
 
 def test_marvell_zero_gap_fallback():
     g = np.tile(np.array([1.0, 2.0]), (4, 1))
-    out = perturb_marvell(g, split_labels(np.array([1, 1, 0, 0])), 1.0, make_rng(18))
+    out = perturb_marvell(_rows(g), split_labels(np.array([1, 1, 0, 0])), 1.0, make_rng(18))
     assert out.fallback
     assert np.array_equal(out.perturbed, g)
     assert out.solution is None
@@ -199,7 +211,7 @@ def test_marvell_power_within_budget():
     rng = make_rng(19)
     g, labels = _mixed_batch(rng, B=32, d=6, pos=8)
     s = 4.0
-    out = perturb_marvell(g, split_labels(labels), s, make_rng(20))
+    out = perturb_marvell(_rows(g), split_labels(labels), s, make_rng(20))
     stats = estimate_stats(g, labels)
     P = power_budget(s, stats)
     assert out.noise_power <= P * (1 + 1e-6)
@@ -215,7 +227,7 @@ def test_marvell_positive_noise_spectrum():
     copies = 10**5
     g = np.vstack([np.tile(base_pos, (copies, 1)), np.tile(base_neg, (copies // 2, 1))])
     labels = np.array([1] * copies + [0] * (copies // 2))
-    out = perturb_marvell(g, split_labels(labels), 4.0, make_rng(22))
+    out = perturb_marvell(_rows(g), split_labels(labels), 4.0, make_rng(22))
     assert not out.fallback
     stats = estimate_stats(g, labels)
     sol = solve(stats, power_budget(4.0, stats))
@@ -255,27 +267,90 @@ def test_marvell_matches_the_gathering_assembly(name, dtype):
     g, labels, s, zero = _zero_rule_case(name)
     g = g.astype(dtype)
     rng, ref_rng = make_rng(41), make_rng(41)
-    out = perturb_marvell(g, split_labels(labels), s, rng)
-    perturbed, cert, power, sol = gathering_marvell(g, labels, s, ref_rng)
+    out = perturb_marvell(_rows(g), split_labels(labels), s, rng)
+    perturbed, cert, power, sol = gathering_marvell(_rows(g), labels, s, ref_rng)
     assert (out.solution.lam2_pos == 0.0, out.solution.lam2_neg == 0.0) == zero
     assert out.perturbed.dtype == perturbed.dtype and out.perturbed.tobytes() == perturbed.tobytes()
     assert (out.solution, out.certificate, out.noise_power) == (sol, cert, power)
     assert repr(rng.bit_generator.state) == repr(ref_rng.bit_generator.state)  # the same draws
 
 
-def test_marvell_fits_the_factor_it_is_given():
-    # a 64x48 cut batch of rank 8: the fit reads the factor, and the
-    # noise goes on g's rows as without one
-    net = SplitNet.build(6, [48, 8], ["relu", "tanh"], 1, make_rng(44))
-    rng = make_rng(45)
-    labels = (rng.random(64) < 0.3).astype(np.int64)
+def _row_space_residual(rows, basis):
+    """Each row's norm outside the row space of basis, in float64."""
+    Q, _ = np.linalg.qr(basis.T.astype(np.float64))
+    rows = rows.astype(np.float64)
+    return np.linalg.norm(rows - (rows @ Q) @ Q.T, axis=1)
+
+
+def _cut_factor(hidden, activations, cut, B, seed):
+    """(factor, labels) of a mixed batch of a random float32 net."""
+    rng = make_rng(seed)
+    net = SplitNet.build(6, list(hidden), list(activations), cut, rng)
+    labels = (rng.random(B) < 0.3).astype(np.int64)
     labels[:2] = 1, 0
-    g, _, factor = label_party_gradients(forward(net, rng.standard_normal((64, 6))), labels)
-    out = perturb_marvell(g, split_labels(labels), 4.0, make_rng(46), factor)
-    perturbed, cert, power, sol = gathering_marvell(g, labels, 4.0, make_rng(46), factor)
-    assert out.perturbed.tobytes() == perturbed.tobytes()
-    assert (out.solution, out.certificate, out.noise_power) == (sol, cert, power)
-    assert sol != solve(estimate_stats(g, labels), power_budget(4.0, estimate_stats(g, labels)))
+    factor, _ = label_party_gradients(forward(net, rng.standard_normal((B, 6))), labels)
+    return factor, labels
+
+
+def test_marvell_fits_the_factor_it_is_given():
+    # a 64x48 cut batch of rank 8 (k = 8 < d = 48): marvell fits, solves
+    # and draws in the 8-dim row space.  An oracle that takes a QR frame
+    # of that space in place of the Cholesky one, and the same draws,
+    # gives the same solve to rounding and the same rows to float32
+    # rounding
+    (coords, basis), labels = _cut_factor((48, 8), ("relu", "tanh"), 1, 64, 44)
+    out = perturb_marvell((coords, basis), split_labels(labels), 4.0, make_rng(46))
+    perturbed, cert, power, sol = gathering_marvell((coords, basis), labels, 4.0, make_rng(46))
+    assert out.perturbed.dtype == np.float32 and out.perturbed.shape == (64, 48)
+    got = (out.solution.lam1_pos, out.solution.lam2_pos, out.solution.lam1_neg, out.solution.lam2_neg)
+    want = (sol.lam1_pos, sol.lam2_pos, sol.lam1_neg, sol.lam2_neg)
+    assert np.allclose(got, want, rtol=1e-9, atol=1e-12 * max(want))
+    assert out.certificate.sum_kl == pytest.approx(cert.sum_kl, rel=1e-9)
+    assert out.noise_power == pytest.approx(power, rel=1e-9)
+    scale = np.abs(perturbed).max()
+    assert np.max(np.abs(out.perturbed - perturbed)) <= 1e-5 * scale
+    assert out.solution.converged and out.noise_power > 0
+
+
+_SHAPES = {  # the relation of k to d: (hidden dims, cut index)
+    "k<d": ((48, 8), 1),
+    "k=1": ((16, 24), 2),  # h is the logit layer alone
+    "k=d": ((24, 24, 8), 1),
+    "k>d": ((8, 40), 1),
+}
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh", "identity"])
+@pytest.mark.parametrize("shape", sorted(_SHAPES))
+def test_marvell_rows_stay_in_the_row_space(activation, shape):
+    # the received rows are (coords + w) @ basis: no component outside the
+    # row space of basis beyond float32 rounding (at k >= d that space is
+    # all of R^d)
+    hidden, cut = _SHAPES[shape]
+    (coords, basis), labels = _cut_factor(hidden, [activation] * len(hidden), cut, 64, 47)
+    k, d = basis.shape
+    assert {"k<d": 1 < k < d, "k=1": k == 1, "k=d": k == d, "k>d": k > d}[shape]
+    out = perturb_marvell((coords, basis), split_labels(labels), 4.0, make_rng(48))
+    assert not out.fallback and out.noise_power > 0
+    clean = coords.astype(np.float64) @ basis.astype(np.float64)
+    assert np.abs(out.perturbed - clean).max() > 1e-3 * np.abs(clean).max()  # noise was added
+    residual = _row_space_residual(out.perturbed, basis)
+    assert residual.max() <= 1e-5 * np.linalg.norm(out.perturbed, axis=1).max()
+
+
+def test_marvell_singular_basis_raises():
+    # a zero column of h's first W is a zero row of basis, so the Gram
+    # matrix K = basis basis^T is singular: marvell raises instead of
+    # passing the batch through; a single-class batch needs no frame
+    (coords, basis), labels = _cut_factor((48, 8), ("relu", "relu"), 1, 64, 49)
+    basis = basis.copy()
+    basis[3] = 0.0
+    with pytest.raises(ValueError, match="linearly dependent"):
+        perturb_marvell((coords, basis), split_labels(labels), 4.0, make_rng(50))
+    with pytest.raises(ValueError, match="linearly dependent"):
+        row_space(coords, basis)
+    one_class = perturb_marvell((coords, basis), split_labels(np.ones(64)), 4.0, make_rng(50))
+    assert one_class.fallback
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -285,7 +360,7 @@ def test_marvell_never_writes_its_batch(dtype):
     g, labels = _mixed_batch(make_rng(42))
     g = g.astype(dtype)
     before = g.tobytes()
-    assert not perturb_marvell(g, split_labels(labels), 4.0, make_rng(43)).fallback
+    assert not perturb_marvell(_rows(g), split_labels(labels), 4.0, make_rng(43)).fallback
     assert g.tobytes() == before
 
 
@@ -295,13 +370,14 @@ def test_float32_batch_is_the_float64_batch_rounded(kind, labels):
     # a mechanism fits, solves and certifies in float64 and draws the same
     # float32 noise for either dtype: a float32 batch gives the rows of the
     # same batch upcast to float64, rounded to float32, and the same solve
-    # and certificate, bit for bit
+    # and certificate, bit for bit, where the noise goes on g's own rows
+    # (the identity basis: marvell's frame at k >= d)
     config = MechanismConfig(kind=kind, **{"iso": {"t": 2.0}, "marvell": {"s": 4.0}}.get(kind, {}))
     labels = np.array(labels)
     g32 = make_rng(27).standard_normal((32, 48)).astype(np.float32)
     g32[labels == 1] += np.float32(0.5)
-    out32 = apply_mechanism(config, g32, split_labels(labels), make_rng(28))
-    out64 = apply_mechanism(config, g32.astype(np.float64), split_labels(labels), make_rng(28))
+    out32 = apply_mechanism(config, _rows(g32), split_labels(labels), make_rng(28))
+    out64 = apply_mechanism(config, _rows(g32.astype(np.float64)), split_labels(labels), make_rng(28))
     assert out32.perturbed.dtype == np.float32 and out64.perturbed.dtype == np.float64
     assert out32.perturbed.tobytes() == out64.perturbed.astype(np.float32).tobytes()
     assert out32.solution == out64.solution and out32.certificate == out64.certificate
@@ -326,7 +402,7 @@ def test_mechanism_config_validation():
         with pytest.raises(ValueError):
             perturb_iso(g, bad, make_rng(25))
         with pytest.raises(ValueError):  # even where the batch would fall back
-            perturb_marvell(g, split_labels(np.ones(4, dtype=np.int64)), bad, make_rng(26))
+            perturb_marvell(_rows(g), split_labels(np.ones(4, dtype=np.int64)), bad, make_rng(26))
     assert MechanismConfig(kind="iso", t=2.0).param == 2.0
     assert MechanismConfig(kind="marvell", s=3.0).param == 3.0
     assert MechanismConfig(kind="none").param is None
@@ -344,14 +420,19 @@ _PARAMS = {"none": [None], "max_norm": [None], "iso": [0.0, 0.25, 4.0], "marvell
 
 @st.composite
 def _degenerate_batches(draw):
-    """(case, g, labels): a float32 or float64 batch of one degenerate case."""
+    """(case, factor, labels): a float32 or float64 batch of one
+    degenerate case, as its factor (coords, basis): coords itself with
+    the identity basis, or, where d > 1, B x k coords of a random k x d
+    basis with k < d."""
     case = draw(st.sampled_from(_DEGENERATE))
     B = 1 if case == "B=1" else draw(st.integers(2, 12))
     d = 1 if case == "d=1" else draw(st.integers(1, 6))
+    k = draw(st.integers(1, d - 1)) if d > 1 and draw(st.booleans()) else d
     dtype = draw(st.sampled_from([np.float32, np.float64]))
-    g = draw(hnp.arrays(dtype, (B, d), elements=st.floats(-4.0, 4.0, width=32)))
+    coords = draw(hnp.arrays(dtype, (B, k), elements=st.floats(-4.0, 4.0, width=32)))
+    basis = np.eye(d, dtype=dtype) if k == d else make_rng(k).standard_normal((k, d)).astype(dtype)
     if case == "zero_rows":  # some rows, or all of them, exactly zero
-        g[draw(hnp.arrays(bool, B))] = 0.0
+        coords[draw(hnp.arrays(bool, B))] = 0.0
     if case == "single_positive":
         labels = np.zeros(B, dtype=np.int64)
         labels[draw(st.integers(0, B - 1))] = 1
@@ -359,7 +440,7 @@ def _degenerate_batches(draw):
         labels = np.full(B, draw(st.integers(0, 1)), dtype=np.int64)
     else:
         labels = draw(hnp.arrays(np.int64, B, elements=st.integers(0, 1)))
-    return case, g, labels
+    return case, (coords, basis), labels
 
 
 @pytest.mark.parametrize("kind", MECHANISMS)
@@ -367,23 +448,27 @@ def _degenerate_batches(draw):
 @given(batch=_degenerate_batches(), data=st.data())
 def test_degenerate_batches(kind, batch, data):
     # no exception, shape, dtype and finiteness kept, `fallback` exactly
-    # where protection's docstrings put it, and the caller's batch itself
-    # on every unperturbed exit
-    case, g, labels = batch
+    # where protection's docstrings put it, the factor never written, and
+    # the clean g = coords @ basis on every unperturbed exit
+    case, (coords, basis), labels = batch
     param = data.draw(st.sampled_from(_PARAMS[kind]), label="param")
     config = MechanismConfig(kind, **({} if param is None else {HYPERPARAMETERS[kind]: param}))
     split = split_labels(labels)
-    before = g.tobytes()
-    out = apply_mechanism(config, g, split, make_rng(0))
+    before = coords.tobytes()
+    g = coords @ basis
+    out = apply_mechanism(config, (coords, basis), split, make_rng(0))
     assert out.perturbed.shape == g.shape and out.perturbed.dtype == g.dtype
     assert np.all(np.isfinite(out.perturbed))
-    assert g.tobytes() == before
+    assert coords.tobytes() == before
     if kind == "marvell":  # a single class, or class means that are equal
-        unperturbed = not (split[2] and split[3]) or np.array_equal(*copying_stats(g, labels)[:2])
+        rows = row_space(coords, basis)[0] if split[2] and split[3] else None
+        unperturbed = rows is None or np.array_equal(*copying_stats(rows, labels)[:2])
         assert out.fallback == unperturbed, case
     else:
         assert not out.fallback
         unperturbed = kind == "none" or not g.any() or param == 0.0
-    assert (out.perturbed is g) == unperturbed, case
     if unperturbed:
+        assert out.perturbed.tobytes() == g.tobytes(), case
         assert out.noise_power == 0.0 and out.certificate is None and out.solution is None
+    elif kind != "max_norm":  # max_norm adds no power where every row has the largest norm
+        assert out.noise_power > 0.0, case
