@@ -2,7 +2,7 @@
 
 Given a batch of per-example cut-layer gradients with labels (as
 `protection.perturb_marvell` gives them: their orthonormal coordinates
-in the r-dim row space of the label party's factor), fit
+in the frame `protection.row_space` picks), fit
 class-conditional spherical Gaussians, solve the 4-variable eigenvalue
 problem that minimizes the symmetrized KL divergence between the two
 perturbed class distributions under a noise power budget, and turn the
@@ -52,7 +52,7 @@ class BatchStats:
     u: float  # negative-class per-coordinate variance
     delta_g: np.ndarray  # positive-class mean minus negative-class mean
     delta_norm_sq: float
-    d: int  # dimension of the fitted rows: marvell's r = min(k, d)
+    d: int  # dimension of the fitted rows: that of marvell's frame
 
 
 @dataclass(frozen=True)
@@ -96,9 +96,10 @@ def estimate_stats(rows: np.ndarray, labels: np.ndarray) -> BatchStats:
     fitted in float64 whatever the rows' dtype, in rows.shape[1]
     dimensions; `labels` are the batch's 0/1 labels or its positive mask.
 
-    Marvell passes the rows' orthonormal coordinates in the cut
-    gradients' row space (`protection.row_space`), so that the fit
-    and everything after it run in r = min(k, d) dimensions.
+    Marvell passes the rows' orthonormal coordinates in the frame
+    `protection.row_space` picks, so that where the cut gradients' row
+    space is small the fit and everything after it run in its k
+    dimensions.
     """
     rows = np.asarray(rows)
     B, d = rows.shape

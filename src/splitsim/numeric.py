@@ -5,8 +5,7 @@ Covariances (plain records that `marvell.build_covariances` forms) are
 float64, as are the mechanisms' fits, solves and certificates; their
 noise is drawn and formed in float32, the dtype of a run's model
 (`model.RUN_DTYPE`), in as many dimensions as its covariance has:
-marvell's lives in the r-dim row space of the cut gradients
-(`protection.row_space`).  Randomness goes through SFC64 generators,
+marvell's in those of the frame `protection.row_space` picks.  Randomness goes through SFC64 generators,
 each seeded by `SeedSequence(entropy=seed, spawn_key=(stream,))`.  The
 seed sequence, not the bit generator, is what makes a (seed, stream)
 pair always reproduce the same draw sequence and keeps generators with
@@ -62,8 +61,7 @@ def sample_structured_gaussian_batch(
     """n independent draws, stacked as a float32 (n, d) matrix
     c Z + s dir^T, from `rng`'s float32 standard normals; the product
     s dir^T rounds the float64 direction to float32 first.  d is the
-    covariance's own dimension: marvell's r-dim row space, or the cut
-    width where that space is all of it.
+    covariance's own dimension: that of marvell's frame.
 
     One call draws the n along-direction scalars and then the isotropic
     block, in that fixed order, so batches are reproducible.  With

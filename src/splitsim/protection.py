@@ -8,22 +8,23 @@ The label party holds the batch's cut gradients as their factor
 g = coords @ basis (`model.label_party_gradients`), and
 `apply_mechanism` forms the one B x d matrix the non-label party
 receives.  none, iso and max_norm form g and work on its rows.  Every
-row of g lies in the row space of basis, whose dimension is
-r = min(k, d), and marvell works there: it fits, solves and certifies
-on the rows' orthonormal coordinates in that space (`row_space`),
-draws its noise in those r dimensions, maps it back to coords and forms
-(coords + noise) @ basis.  At k >= d the row space is all of R^d, and
-marvell works on g's rows as they are.
+row of g lies in the row space of basis, and where the factor holds
+fewer values than g (B k + k d < B d) marvell works there: it fits,
+solves and certifies on the rows' orthonormal coordinates in that
+k-dim space (`row_space`), draws its noise in those k dimensions, maps
+it back to coords and forms (coords + noise) @ basis.  Elsewhere it
+works on g's rows as they are, in d dimensions.
 
 A mechanism fits, solves and certifies in float64, whatever the
 batch's dtype (float32 or float64), and draws its noise in float32,
 with `rng.standard_normal(size, dtype=np.float32)`.  iso, and marvell
-at k >= d, add the same float32 noise to either dtype's rows (upcast
+on g's own rows, add the same float32 noise to either dtype's rows (upcast
 for a float64 batch), and max_norm scales each row in float64 by its
 float32 draw.  The sum of two float32 values rounds to the same float32
 whether it is formed in float32 or in float64, so there a float32
-batch's output rows are its float64 twin's, rounded.  Marvell at k < d
-maps and adds its noise and forms the product in the batch's dtype.  A
+batch's output rows are its float64 twin's, rounded.  Marvell in the
+row space maps and adds its noise and forms the product in the batch's
+dtype.  A
 mechanism that leaves g unperturbed returns g itself.
 """
 
@@ -129,21 +130,26 @@ def perturb_max_norm(g: np.ndarray, rng: np.random.Generator) -> PerturbOutcome:
 
 
 def row_space(coords: np.ndarray, basis: np.ndarray):
-    """(rows, back) for the batch g = coords @ basis, where basis is
-    k x d: rows holds g's rows in an orthonormal frame of basis's
-    r-dim row space, r = min(k, d), and back maps a row of that frame
-    to coords, in coords' dtype, or is None where the frame is the
-    identity.
+    """(rows, back) for the batch g = coords @ basis, where coords is
+    B x k and basis k x d: rows holds g's rows in the orthonormal frame
+    marvell fits and draws in, and back maps a row of that frame to
+    coords, in coords' dtype, or is None where the frame is R^d's own.
 
-    At k >= d the row space is all of R^d: rows is g itself, in the
-    batch's dtype.  At k < d, with L the Cholesky factor of the Gram
-    matrix K = basis basis^T (K = L L^T, in float64), rows = coords @ L
-    (B x k, float64) and back = L^-1: the rows of L^-1 basis are
-    orthonormal, and g = rows (L^-1 basis).  A singular K, as from
-    dependent rows of basis, has no such frame and raises ValueError.
+    Where the factor holds fewer values than g (B k + k d < B d, so
+    k < d), the frame spans basis's k-dim row space, which holds every
+    row of g.  With L the Cholesky factor of the Gram matrix
+    K = basis basis^T (K = L L^T, in float64), rows = coords @ L (B x k,
+    float64) and back = L^-1: the rows of L^-1 basis are orthonormal,
+    and g = rows (L^-1 basis).  A singular K, as from dependent rows of
+    basis, has no such frame and raises ValueError.  Elsewhere rows is
+    g itself, in the batch's dtype: at k >= d the row space is all of
+    R^d, and a batch no larger than its factor (small_marvell's 16x32
+    batches at k = 16) would pay the factorization and the inverse, a
+    fixed cost, for a draw it barely shrinks.
     """
+    B = coords.shape[0]
     k, d = basis.shape
-    if k >= d:
+    if k * (B + d) >= B * d:
         return coords @ basis, None
     b = basis.astype(np.float64)
     try:
@@ -162,7 +168,7 @@ def perturb_marvell(factor, split, s: float, rng: np.random.Generator) -> Pertur
 
     `split` is the batch's `attacks.split_labels` split and `rng` draws
     the noise.  Fits batch statistics on the rows' coordinates in the
-    r-dim row space (`row_space`), solves the eigenvalue problem at
+    frame `row_space` picks, solves the eigenvalue problem at
     power P = s ||delta_g||^2, and perturbs each class with its optimal
     covariance there.  A single-class batch (or a zero class-mean gap)
     is passed through unperturbed, as g, and flagged as a fallback.
@@ -208,7 +214,9 @@ def perturb_marvell(factor, split, s: float, rng: np.random.Generator) -> Pertur
     )
 
 
-def apply_mechanism(config: MechanismConfig, factor, split, rng: np.random.Generator) -> PerturbOutcome:
+def apply_mechanism(
+    config: MechanismConfig, factor, split, rng: np.random.Generator
+) -> PerturbOutcome:
     """`config`'s mechanism on the batch whose cut gradients are
     g = coords @ basis, given as factor = (coords, basis).  The outcome's
     `perturbed` is the B x d matrix the non-label party receives, the

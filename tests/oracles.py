@@ -391,18 +391,20 @@ def gathering_marvell(factor, labels, s, rng):
     """(perturbed, certificate, noise_power, solution) of a mixed batch
     g = coords @ basis, given as factor = (coords, basis), basis k x d.
 
-    At k >= d: fit g's rows, solve, then add each class's noise block to
+    Where the factor holds fewer values than g (B k + k d < B d): fit the
+    rows' coordinates in an orthonormal frame Q (d x k) of basis's row
+    space, taken from a QR of basis^T with R's diagonal made positive,
+    so that Q^T = L^-1 basis for L the Cholesky factor of basis basis^T;
+    then add each class's noise block in d dimensions, as block @ Q^T,
+    to its rows of the float64 product coords @ basis, and round once.
+    Elsewhere: fit g's rows, solve, then add each class's noise block to
     its rows of a float64 copy of g and round the sums once to the
-    batch's dtype.  At k < d: fit the rows' coordinates in an
-    orthonormal frame Q (d x k) of basis's row space, taken from a QR of
-    basis^T with R's diagonal made positive, so that Q^T = L^-1 basis for
-    L the Cholesky factor of basis basis^T; then add each class's noise
-    block in d dimensions, as block @ Q^T, to its rows of the float64
-    product coords @ basis, and round once."""
+    batch's dtype."""
     coords, basis = factor
-    k, d = basis.shape
+    B, (k, d) = coords.shape[0], basis.shape
     pos = np.asarray(labels) == 1
-    if k >= d:
+    in_row_space = k * (B + d) < B * d
+    if not in_row_space:
         rows = g = coords @ basis
     else:
         Q, R = np.linalg.qr(basis.T.astype(np.float64))
@@ -416,7 +418,7 @@ def gathering_marvell(factor, labels, s, rng):
     perturbed = g.astype(np.float64)
     for mask, cov in ((pos, pos_cov), (~pos, neg_cov)):
         block = sample_structured_gaussian_batch(cov, rng, int(mask.sum()))
-        perturbed[mask] += block if k >= d else block @ Q.T
+        perturbed[mask] += block @ Q.T if in_row_space else block
     return (perturbed.astype(coords.dtype), marvell.make_certificate(sol, stats),
             marvell.noise_power(sol, stats), sol)
 

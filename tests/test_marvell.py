@@ -91,33 +91,37 @@ def _bits(stats):
 
 
 def test_estimate_stats_from_the_factor():
-    # marvell fits the rows' coordinates in the r = min(k, d)-dim row space
-    # of basis.  At k < d that fit has the class-mean gap of the d-dim fit
-    # of the float64 product coords @ basis, to 1e-12, and the same total
-    # spread, r v = d v_d and r u = d u_d; mapped back to R^d, its gap is
-    # the d-dim one.  At k >= d it is the fit of the float32 rows coords @ basis,
-    # bit for bit.
+    # where the factor holds fewer values than the batch (B k + k d < B d),
+    # marvell fits the rows' coordinates in the k-dim row space of basis:
+    # that fit has the class-mean gap of the d-dim fit of the float64
+    # product coords @ basis, to 1e-12, and the same total spread,
+    # k v = d v_d and k u = d u_d; mapped back to R^d, its gap is the d-dim
+    # one.  Elsewhere (k >= d, and small_marvell's 16x32 batches at k = 16)
+    # it is the fit of the float32 rows coords @ basis, bit for bit.
     seen = set()
     for name, labels, (coords, basis) in _factored_batches():
-        (k, d), r = basis.shape, min(basis.shape)
-        seen.add((k > d, k == d, 1 < k < d, k == 1))
+        B, (k, d) = coords.shape[0], basis.shape
+        in_row_space = k * (B + d) < B * d
+        seen.add((k > d, k == d, 1 < k < d, k == 1, in_row_space))
         rows, back = row_space(coords, basis)
         stats = estimate_stats(rows, labels)
-        assert stats.d == r and (back is None) == (k >= d), name
-        if k >= d:
+        assert (back is None) != in_row_space and stats.d == (k if in_row_space else d), name
+        if not in_row_space:
             assert _bits(stats) == _bits(estimate_stats(coords @ basis, labels)), name
             continue
         basis64 = basis.astype(np.float64)
         exact = estimate_stats(coords.astype(np.float64) @ basis64, labels)
         for got, want in ((stats.delta_norm_sq, exact.delta_norm_sq),
-                          (r * stats.v, d * exact.v), (r * stats.u, d * exact.u)):
+                          (k * stats.v, d * exact.v), (k * stats.u, d * exact.u)):
             assert abs(got - want) <= 1e-12 * want, name
         # the frame's rows L^-1 basis, with L the Cholesky factor of basis basis^T
         frame = np.linalg.solve(np.linalg.cholesky(basis64 @ basis64.T), basis64)
         gap = np.linalg.norm(stats.delta_g @ frame - exact.delta_g)
         assert gap <= 1e-12 * np.linalg.norm(exact.delta_g), name
-    assert seen == {(True, False, False, False), (False, True, False, False),
-                    (False, False, True, False), (False, False, False, True)}
+    # k > d, k = d, k < d in the row space and not (small_marvell), k = 1
+    assert seen == {(True, False, False, False, False), (False, True, False, False, False),
+                    (False, False, True, False, True), (False, False, True, False, False),
+                    (False, False, False, True, True)}
 
 
 def test_estimate_stats_sampling_consistency():

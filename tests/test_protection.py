@@ -302,8 +302,7 @@ def test_marvell_fits_the_factor_it_is_given():
     out = perturb_marvell((coords, basis), split_labels(labels), 4.0, make_rng(46))
     perturbed, cert, power, sol = gathering_marvell((coords, basis), labels, 4.0, make_rng(46))
     assert out.perturbed.dtype == np.float32 and out.perturbed.shape == (64, 48)
-    got = (out.solution.lam1_pos, out.solution.lam2_pos, out.solution.lam1_neg, out.solution.lam2_neg)
-    want = (sol.lam1_pos, sol.lam2_pos, sol.lam1_neg, sol.lam2_neg)
+    got, want = ([x.lam1_pos, x.lam2_pos, x.lam1_neg, x.lam2_neg] for x in (out.solution, sol))
     assert np.allclose(got, want, rtol=1e-9, atol=1e-12 * max(want))
     assert out.certificate.sum_kl == pytest.approx(cert.sum_kl, rel=1e-9)
     assert out.noise_power == pytest.approx(power, rel=1e-9)
@@ -377,7 +376,8 @@ def test_float32_batch_is_the_float64_batch_rounded(kind, labels):
     g32 = make_rng(27).standard_normal((32, 48)).astype(np.float32)
     g32[labels == 1] += np.float32(0.5)
     out32 = apply_mechanism(config, _rows(g32), split_labels(labels), make_rng(28))
-    out64 = apply_mechanism(config, _rows(g32.astype(np.float64)), split_labels(labels), make_rng(28))
+    g64 = g32.astype(np.float64)
+    out64 = apply_mechanism(config, _rows(g64), split_labels(labels), make_rng(28))
     assert out32.perturbed.dtype == np.float32 and out64.perturbed.dtype == np.float64
     assert out32.perturbed.tobytes() == out64.perturbed.astype(np.float32).tobytes()
     assert out32.solution == out64.solution and out32.certificate == out64.certificate

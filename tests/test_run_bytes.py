@@ -8,13 +8,15 @@ change to this package, such as another bit generator behind
 `numeric.make_rng`, a different BLAS build can move the bytes: the
 matrix products go through numpy's BLAS and may round differently.
 
-The two marvell workloads were re-pinned when marvell moved into the
-row space of the cut gradients: it fits, solves and draws in the
-r = min(k, d) = 16 dimensions of the label party's factor
-coords @ basis instead of the cut width, so its certificate, its noise
-and the received matrix (coords + noise) @ basis all changed.
-accept_none draws no noise and kept its bytes, with its cosine oracle
-row now formed as coords[j] @ basis.
+accept_marvell was re-pinned when marvell moved into the row space of
+the cut gradients: where the label party's factor coords @ basis holds
+fewer values than the batch, as accept_marvell's does (k = 16, d = 384),
+marvell fits, solves and draws in those k dimensions instead of the cut
+width, so its certificate, its noise and the received matrix
+(coords + noise) @ basis all changed.  small_marvell's 16x32 batches
+(k = 16) are no larger than their factor, so marvell still works on
+their rows, and it kept its bytes, as did accept_none, which draws no
+noise; both now form their cosine oracle row as coords[j] @ basis.
 """
 
 import hashlib
@@ -37,8 +39,8 @@ SHA256 = {
         "summary.csv": "2b772e0170661b95c6e6185f050f80a6c24b356aa850b8a623f65efbcced0b20",
     },
     "small_marvell": {
-        "run.csv": "f324b4c6c8050f3f13aa1907a664596fbd22d193956f266081dadfac0f866e9a",
-        "summary.csv": "a0f6edfff30680b7acd611648b82d59c94220abeb5a1eae5190bce37a6de0ac1",
+        "run.csv": "837d30030ae0d91139cc6191f4782b74d5297d50b9e989d5986a71c5a92e560f",
+        "summary.csv": "8b4904c4c8b5b9f68429fdf539366aef7cb44fcb7dfafd33aaa6aa572eaa1444",
     },
 }
 
