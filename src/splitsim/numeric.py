@@ -5,8 +5,9 @@ Covariances (plain records that `marvell.build_covariances` forms) are
 float64, as are the mechanisms' fits, solves and certificates; their
 noise is drawn and formed in float32, the dtype of a run's model
 (`model.RUN_DTYPE`), in as many dimensions as its covariance has:
-marvell's in those of the frame `protection.row_space` picks.  Randomness goes through SFC64 generators,
-each seeded by `SeedSequence(entropy=seed, spawn_key=(stream,))`.  The
+marvell's in those of the frame `protection.row_space` picks.
+Randomness goes through SFC64 generators, each seeded by
+`SeedSequence(entropy=seed, spawn_key=(stream,))`.  The
 seed sequence, not the bit generator, is what makes a (seed, stream)
 pair always reproduce the same draw sequence and keeps generators with
 different keys independent; a run gives each of its streams (data,

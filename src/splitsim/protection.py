@@ -18,14 +18,13 @@ works on g's rows as they are, in d dimensions.
 A mechanism fits, solves and certifies in float64, whatever the
 batch's dtype (float32 or float64), and draws its noise in float32,
 with `rng.standard_normal(size, dtype=np.float32)`.  iso, and marvell
-on g's own rows, add the same float32 noise to either dtype's rows (upcast
-for a float64 batch), and max_norm scales each row in float64 by its
-float32 draw.  The sum of two float32 values rounds to the same float32
-whether it is formed in float32 or in float64, so there a float32
-batch's output rows are its float64 twin's, rounded.  Marvell in the
-row space maps and adds its noise and forms the product in the batch's
-dtype.  A
-mechanism that leaves g unperturbed returns g itself.
+on g's own rows, add the same float32 noise to either dtype's rows
+(upcast for a float64 batch), and max_norm scales each row in float64
+by its float32 draw.  The sum of two float32 values rounds to the same
+float32 whether it is formed in float32 or in float64, so there a
+float32 batch's output rows are its float64 twin's, rounded.  Marvell
+in the row space maps and adds its noise and forms the product in the
+batch's dtype.  A mechanism that leaves g unperturbed returns g itself.
 """
 
 from __future__ import annotations
