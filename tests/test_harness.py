@@ -1,10 +1,12 @@
 import dataclasses
+import os
 import re
+import threading
 
 import numpy as np
 import pytest
 
-from splitsim import harness
+from splitsim import harness, model
 from splitsim.attacks import quantile
 from splitsim.harness import (
     ConfigError,
@@ -288,6 +290,95 @@ def test_run_model_is_run_dtype(monkeypatch):
         train_run(_quick_config(mechanism=mechanism, iterations=10))
     assert all(len(arrays) >= 10 for arrays in seen.values())
     assert {a.dtype for arrays in seen.values() for a in arrays} == {np.dtype(np.float32)}
+
+
+# ---------------------------------------------------------------------------
+# a run starts no process
+
+
+def _spy_forks(monkeypatch) -> list[int]:
+    forked = []
+    fork = os.fork
+
+    def spy():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", spy)
+    return forked
+
+
+@pytest.mark.parametrize(
+    "workload, mechanism, large_noise",
+    [
+        ("accept_none", None, False),
+        ("accept_none", {"kind": "max_norm"}, False),
+        ("small_marvell", None, False),  # a 16x32 cut batch
+        ("accept_none", {"kind": "iso", "t": 1.0}, True),
+        ("accept_marvell", None, True),
+    ],
+)
+def test_noise_helper_forked_only_for_large_noise(monkeypatch, workloads, workload, mechanism,
+                                                   large_noise):
+    # a run draws all its noise in process: none forks a helper, not even
+    # the two whose Gaussian noise perturbs 256x384 cut batches (2^16
+    # values or more), iso's in the cut width and marvell's in the cut
+    # gradients' row space
+    forked = _spy_forks(monkeypatch)
+    perturbed = []
+    apply = harness.apply_mechanism
+
+    def spy(config, *args):
+        outcome = apply(config, *args)
+        perturbed.append((config.kind, outcome.perturbed.size))
+        return outcome
+
+    monkeypatch.setattr(harness, "apply_mechanism", spy)
+    cfg = {**workloads.config_dict(workload, 7), "iterations": 3}
+    if mechanism is not None:
+        cfg["mechanism"] = mechanism
+    train_run(config_from_dict(cfg))
+    assert forked == []
+    large = {kind in ("iso", "marvell") and size >= 1 << 16 for kind, size in perturbed}
+    assert large == {large_noise}
+
+
+def _large_noise_config(**overrides):
+    # marvell on 128x512 cut batches
+    return _quick_config(net=NetConfig(hidden_dims=(512, 8)), batch_size=128,
+                         mechanism=MechanismConfig(kind="marvell", s=1.0), **overrides)
+
+
+def test_noise_helper_reaped_after_a_run(monkeypatch):
+    # a run leaves no child process and no thread behind
+    forked = _spy_forks(monkeypatch)
+    threads = threading.active_count()
+    train_run(_large_noise_config(iterations=5))
+    assert forked == [] and threading.active_count() == threads
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_noise_helper_reaped_after_a_run_raises(monkeypatch):
+    # nor does a run that raises
+    forked = _spy_forks(monkeypatch)
+    threads = threading.active_count()
+    steps = []
+
+    def failing_update(net, optimizer):
+        steps.append(None)
+        if len(steps) == 3:
+            raise RuntimeError("update failed")
+        model.apply_update(net, optimizer)
+
+    monkeypatch.setattr(harness, "apply_update", failing_update)
+    with pytest.raises(RuntimeError, match="update failed"):
+        train_run(_large_noise_config(iterations=5))
+    assert forked == [] and threading.active_count() == threads
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_toy1d_run_works():
