@@ -4,8 +4,9 @@ An attack maps each per-example gradient row to a real score: its norm,
 or its cosine with an oracle clean positive row.  The leak AUC is the
 ROC AUC of those scores against the hidden labels, evaluated per batch.
 0.5 means the attack learns nothing, 1.0 means the labels are fully
-recovered.  A batch's labels are split once (`split_labels`), the split
-is passed to each of its leak AUCs, and every AUC is one Mann-Whitney core.
+recovered.  A batch's labels are split once (`split_labels`), one
+`leak_auc` call scores each received matrix by both attacks against
+that split, and every AUC is one Mann-Whitney core.
 """
 
 from __future__ import annotations
@@ -74,28 +75,23 @@ def select_oracle_positive(pos_idx: np.ndarray, rng: np.random.Generator) -> int
     return int(pos_idx[rng.integers(0, pos_idx.size)])
 
 
-def leak_auc(
-    gradients: np.ndarray, split, norms: np.ndarray, oracle=None, oracle_norm: float | None = None
-) -> float:
-    """ROC AUC of one attack's scores on a (possibly perturbed) gradient
-    batch, against a two-class `split_labels` split.  `norms` are the
-    rows' L2 norms, computed once per received matrix.  Without an
-    oracle the scores are the norms (norm attack); with one, a clean
-    positive row of L2 norm `oracle_norm`, they are the rows' cosines
-    with it (direction attack), and a zero-norm row scores 0
-    (uninformative) rather than erroring out.
+def leak_auc(received: np.ndarray, split, oracle: np.ndarray):
+    """(norm AUC, cosine AUC) of the two attacks on one received gradient
+    batch, against a two-class `split_labels` split.  The norm attack
+    scores each row by its L2 norm, one dot product per row, which equals
+    np.linalg.norm(row) bit for bit; the cosine attack scores it by its
+    cosine with `oracle`, a clean positive row, and a zero-norm row
+    scores 0 (uninformative) rather than erroring out.  A zero oracle has
+    no direction, so its cosine AUC is None.
     """
-    if oracle is None:
-        return _mann_whitney(norms, split)
-    if oracle_norm == 0.0:
-        raise ValueError("oracle gradient must be nonzero")
-    nz = norms > 0.0
-    if nz.all():
-        scores = (gradients @ oracle) / (norms * oracle_norm)
-    else:
-        scores = np.zeros(gradients.shape[0], dtype=np.result_type(gradients, oracle))
-        scores[nz] = (gradients[nz] @ oracle) / (norms[nz] * oracle_norm)
-    return _mann_whitney(scores, split)
+    norms = np.sqrt(np.vecdot(received, received))
+    norm_auc = _mann_whitney(norms, split)
+    oracle_norm = np.sqrt(oracle.dot(oracle))
+    if not oracle_norm > 0.0:
+        return norm_auc, None
+    dots = received @ oracle
+    scores = np.divide(dots, norms * oracle_norm, out=np.zeros_like(dots), where=norms > 0.0)
+    return norm_auc, _mann_whitney(scores, split)
 
 
 def quantile(series, q: float) -> float:

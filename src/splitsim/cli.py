@@ -9,7 +9,8 @@ seed, before its train/test split.
 
 Exit codes: 0 success, 2 config error (bad config file or option),
 3 runtime/numeric error (including any ValueError raised mid-run, a
-non-finite loss, and an output path that cannot be written).
+non-finite loss, an output path that cannot be written, and a
+MemoryError, as from a dataset too large to draw).
 """
 
 from __future__ import annotations
@@ -111,7 +112,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (data_mod.DataError, ValueError, ArithmeticError, RuntimeError, OSError) as exc:
+    except (
+        data_mod.DataError, ValueError, ArithmeticError, RuntimeError, OSError, MemoryError
+    ) as exc:
         # configs are fully validated at parse time, so these arise mid-run
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -114,6 +114,8 @@ class NetConfig:
 
     def __post_init__(self):
         depth = len(self.hidden_dims)
+        if depth == 0:
+            raise ValueError("hidden_dims must name at least one hidden layer, got []")
         if self.activations is None:
             object.__setattr__(self, "activations", ("relu",) * depth)
         if self.cut_index is None:
@@ -312,11 +314,11 @@ def train_run(config: ExperimentConfig) -> RunRecord:
     Each iteration: forward, clean per-example cut gradients, one split
     of the batch's labels, mechanism perturbation, one non-label
     backward pass on the perturbed gradients, the four leak AUCs
-    (norm/cosine at cut/first layer, scored on what the non-label party
-    actually receives; each cosine oracle is one clean positive row),
-    then parameter updates for both parties.  The mechanism and the AUCs
-    read the same split.  A non-finite training or test loss raises
-    FloatingPointError.
+    (norm/cosine at cut/first layer, one `leak_auc` call per matrix the
+    non-label party actually receives; each cosine oracle is one clean
+    positive row), then parameter updates for both parties.  The
+    mechanism and the AUCs read the same split.  A non-finite training
+    or test loss raises FloatingPointError.
     """
     data_seed, init_seed, batch_seed, mech_seed, attack_seed = _stream_seeds(config.seed)
 
@@ -348,27 +350,21 @@ def train_run(config: ExperimentConfig) -> RunRecord:
         if not math.isfinite(train_loss):
             raise FloatingPointError(f"training loss is {train_loss} at iteration {it}")
 
-        factor, _ = label_party_gradients(state, y_b)
+        factor = label_party_gradients(state, y_b)
         split = split_labels(y_b)
         outcome = apply_mechanism(config.mechanism, factor, split, mech_rng)
-        _, pert_first = backprop_nonlabel(net, state, outcome.perturbed)
+        pert_first = backprop_nonlabel(net, state, outcome.perturbed)
 
         leaks = dict.fromkeys(LEAK_SERIES)
         if split[2] and split[3]:  # both classes present
             pos_idx = np.flatnonzero(split[0])
             coords, basis = factor
             for layer, received in (("cut", outcome.perturbed), ("first", pert_first)):
-                # one dot per row, as the oracle's norm below: each equals
-                # np.linalg.norm(row) bit for bit, with no squared temporary
-                norms = np.sqrt(np.vecdot(received, received))
-                leaks[f"norm_{layer}"] = leak_auc(received, split, norms)
                 j = select_oracle_positive(pos_idx, attack_rng)
                 oracle = coords[j] @ basis
                 if layer == "first":
                     oracle = first_layer_gradient_row(state, j, oracle)
-                oracle_norm = np.sqrt(oracle.dot(oracle))
-                if oracle_norm > 0:
-                    leaks[f"cos_{layer}"] = leak_auc(received, split, norms, oracle, oracle_norm)
+                leaks[f"norm_{layer}"], leaks[f"cos_{layer}"] = leak_auc(received, split, oracle)
 
         apply_update(net, optimizer)
 

@@ -229,8 +229,8 @@ def _backward_layers(layers, acts, input_act, delta, grad=None, to_input=True):
 
 
 def label_party_gradients(state: ForwardState, y: np.ndarray):
-    """(the per-example cut gradients' factor (coords, basis), h's
-    batch-mean (dW, db) views of `net.grad`).
+    """The per-example cut gradients' factor (coords, basis).  The pass
+    also writes h's batch-mean parameter gradients into `net.h_grad`.
 
     Row j of the cut gradients is the gradient of example j's own loss
     w.r.t. its cut features: (prob_j - y_j) * grad_z h(z)|_{z = f(X_j)}.
@@ -245,21 +245,20 @@ def label_party_gradients(state: ForwardState, y: np.ndarray):
     _, coords = _backward_layers(
         net.h_layers, state.h_act, state.cut_features, upstream, net.h_grad, False
     )
-    return (coords, net.h_layers[0].W.T), [(layer.dW, layer.db) for layer in net.h_layers]
+    return coords, net.h_layers[0].W.T
 
 
 def backprop_nonlabel(net: SplitNet, state: ForwardState, received: np.ndarray):
     """Continue backprop from the (possibly perturbed) received cut-layer
     gradient matrix, in one pass down f.
 
-    Returns (batch-mean f parameter gradients, per-example gradients at
-    the first hidden layer's activation), the former as f's (dW, db)
-    views of `net.grad`.  Everything is linear in `received`, so
-    unbiased received gradients give unbiased parameter gradients.
+    Returns the per-example gradients at the first hidden layer's
+    activation, and writes f's batch-mean parameter gradients into
+    `net.f_grad`.  Everything is linear in `received`, so unbiased
+    received gradients give unbiased parameter gradients.
     """
     received = np.asarray(received, dtype=net.params.dtype)
-    delta, _ = _backward_layers(net.f_layers, state.f_act, state.X, received, net.f_grad, False)
-    return [(layer.dW, layer.db) for layer in net.f_layers], delta
+    return _backward_layers(net.f_layers, state.f_act, state.X, received, net.f_grad, False)[0]
 
 
 def first_layer_gradient_row(state: ForwardState, j: int, cut_row: np.ndarray) -> np.ndarray:

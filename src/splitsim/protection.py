@@ -78,7 +78,6 @@ class PerturbOutcome:
     certificate: marvell.PrivacyCertificate | None = None
     noise_power: float = 0.0
     fallback: bool = False  # marvell passed through (single-class / zero-gap batch)
-    solution: marvell.LambdaSolution | None = None  # marvell's solve; None off that path
 
 
 def perturb_none(g: np.ndarray) -> PerturbOutcome:
@@ -206,10 +205,7 @@ def perturb_marvell(factor, split, s: float, rng: np.random.Generator) -> Pertur
         w += coords
         perturbed = w @ basis
     return PerturbOutcome(
-        perturbed=perturbed,
-        certificate=cert,
-        noise_power=marvell.noise_power(sol, stats),
-        solution=sol,
+        perturbed=perturbed, certificate=cert, noise_power=marvell.noise_power(sol, stats)
     )
 
 

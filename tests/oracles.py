@@ -178,13 +178,14 @@ def midrank_auc(scores, labels):
 
 
 def masked_cosine_scores(gradients, g_plus):
-    """Cosine to g_plus of every nonzero row, from a copy of those rows;
+    """Cosine to g_plus of every nonzero row, from a copy of those rows of
+    the whole batch's product with g_plus, over each row's np.linalg.norm;
     zero rows score 0."""
     np_ = np.linalg.norm(g_plus)
-    norms = np.linalg.norm(gradients, axis=1)
-    out = np.zeros(gradients.shape[0])
+    norms = np.array([np.linalg.norm(row) for row in gradients])
+    out = np.zeros(gradients.shape[0], dtype=np.result_type(gradients, g_plus))
     nz = norms > 0.0
-    out[nz] = (gradients[nz] @ g_plus) / (norms[nz] * np_)
+    out[nz] = (gradients @ g_plus)[nz] / (norms[nz] * np_)
     return out
 
 
@@ -431,7 +432,7 @@ def cut_gradients(state, y):
     """The clean per-example cut gradients, coords @ basis from the
     label party's factor: the product `protection.apply_mechanism`
     forms for an unperturbed batch."""
-    (coords, basis), _ = label_party_gradients(state, y)
+    coords, basis = label_party_gradients(state, y)
     return coords @ basis
 
 

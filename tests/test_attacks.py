@@ -84,10 +84,16 @@ def test_roc_auc_bitwise_matches_midrank():
 
 
 def test_leak_auc_bitwise_matches_midrank():
-    # the norm attack ranks the norms it is given with roc_auc's core
-    for scores, labels in _auc_cases(make_rng(42), 400):
-        auc = leak_auc(np.empty((scores.shape[0], 0)), split_labels(labels), scores)
-        assert auc.hex() == midrank_auc(scores, labels).hex()
+    # both attacks rank their scores with roc_auc's core: the one-column
+    # rows s have the norms |s| and, with the oracle 1, the cosines s / |s|
+    # (NaN where |s| is inf), and a zero or NaN row scores 0
+    with np.errstate(invalid="ignore"):  # inf / inf
+        for scores, labels in _auc_cases(make_rng(42), 400):
+            norms = np.abs(scores)
+            norm_auc, cos_auc = leak_auc(scores[:, None], split_labels(labels), np.ones(1))
+            assert norm_auc.hex() == midrank_auc(norms, labels).hex()
+            cosines = np.where(norms > 0.0, scores / norms, 0.0)
+            assert cos_auc.hex() == midrank_auc(cosines, labels).hex()
 
 
 def test_split_labels():
@@ -116,7 +122,7 @@ def _edge_matrices(rng, dtype):
 
 
 def test_norm_expressions_bitwise_match_linalg_norm():
-    # train_run's row norms (one dot per row) and oracle norm are
+    # leak_auc's row norms (one dot per row) and oracle norm are
     # np.linalg.norm's own formula for a real vector, so in either dtype
     # each must give np.linalg.norm(row)'s bits exactly
     with np.errstate(over="ignore"):  # squares past the float range are inf
@@ -130,27 +136,40 @@ def test_norm_expressions_bitwise_match_linalg_norm():
 
 
 def test_train_run_norms_are_linalg_norms(monkeypatch):
-    # what train_run hands leak_auc: np.linalg.norm of each received row
-    # and of the oracle, bit for bit, and the batch's own label split
-    seen = []
+    # what a run's leak_auc calls rank, against the batch's own label
+    # split: np.linalg.norm of each received row, and each row's dot
+    # product with the oracle over its and the oracle's np.linalg.norm,
+    # bit for bit, 0 on a zero row
+    calls, ranked = [], []
 
-    def spy(gradients, split, norms, oracle=None, oracle_norm=None):
-        seen.append((gradients, split, norms, oracle, oracle_norm))
-        return 0.5
+    def spy(received, split, oracle):
+        calls.append((received, split, oracle))
+        return leak_auc(received, split, oracle)
 
     monkeypatch.setattr(harness, "leak_auc", spy)
+    monkeypatch.setattr(attacks, "_mann_whitney", lambda *args: ranked.append(args) or 0.5)
     config = harness.config_from_dict(
         {"dataset": {"n": 400}, "batch_size": 16, "iterations": 30,
          "mechanism": {"kind": "marvell", "s": 1.0}}
     )
     harness.train_run(config)
-    assert len(seen) > 20
-    for gradients, (pos, neg, n_pos, n_neg), norms, oracle, oracle_norm in seen:
-        assert norms.tobytes() == np.array([np.linalg.norm(r) for r in gradients]).tobytes()
+    assert len(calls) > 10
+    ranked = iter(ranked)
+    for received, split, oracle in calls:
+        pos, neg, n_pos, n_neg = split
         assert 0 < n_pos == pos.sum() and 0 < n_neg == neg.sum()
-        assert (pos ^ neg).all() and n_pos + n_neg == gradients.shape[0]
-        if oracle is not None:
-            assert oracle.dtype.type(oracle_norm).tobytes() == np.linalg.norm(oracle).tobytes()
+        assert (pos ^ neg).all() and n_pos + n_neg == received.shape[0]
+        norms, norm_split = next(ranked)
+        want = np.array([np.linalg.norm(r) for r in received])
+        assert norms.tobytes() == want.tobytes() and norm_split is split
+        oracle_norm = np.linalg.norm(oracle)
+        if oracle_norm > 0:
+            cosines, cos_split = next(ranked)
+            nz, dots = want > 0, received @ oracle
+            want = np.zeros_like(dots)
+            want[nz] = dots[nz] / (norms[nz] * oracle_norm)
+            assert cosines.tobytes() == want.tobytes() and cos_split is split
+    assert len(list(ranked)) == 1  # the test AUC
 
 
 def test_roc_auc_nan_and_signed_zero_ties():
@@ -162,57 +181,53 @@ def test_roc_auc_nan_and_signed_zero_ties():
 
 def test_leak_auc_ranks_float32_as_float64(monkeypatch):
     # a run's received rows are float32, so leak_auc ranks float32 scores;
-    # float32 -> float64 is exact and keeps every order and tie (NaN, and
-    # -0.0 with 0.0), so the AUC is the same bits as roc_auc's
+    # float32 -> float64 is exact and keeps every order and tie (NaN norms
+    # and the scores of tied and zero rows), so the AUCs are the same bits
+    # as roc_auc's
     rng = make_rng(15)
     oracle = np.array([1.0, 2.0, -1.0], dtype=np.float32)
     for _ in range(200):
         n = int(rng.integers(2, 60))
         labels = rng.integers(0, 2, size=n)
         labels[:2] = (0, 1)
-        split = split_labels(labels)
-        scores = rng.integers(-3, 4, size=n).astype(np.float32) / np.float32(7.0)
-        scores[rng.random(n) < 0.2] = -0.0
-        scores[rng.random(n) < 0.1] = np.nan
         rows = rng.integers(-2, 3, size=(n, 3)).astype(np.float32)  # tied and zero rows
-        assert leak_auc(rows, split, scores) == roc_auc(scores.astype(np.float64), labels)
-        cosines = _scores(monkeypatch, rows, oracle)
-        assert cosines.dtype == np.float32
-        norms = np.linalg.norm(rows, axis=1)
-        got = leak_auc(rows, split, norms, oracle, np.linalg.norm(oracle))
-        assert got == roc_auc(cosines.astype(np.float64), labels)
+        rows[rng.random(n) < 0.1, 0] = np.nan
+        norms, cosines = _scores(monkeypatch, rows, oracle)
+        assert norms.dtype == cosines.dtype == np.float32
+        got = leak_auc(rows, split_labels(labels), oracle)
+        assert got == tuple(roc_auc(s.astype(np.float64), labels) for s in (norms, cosines))
 
 
-def _scores(monkeypatch, gradients, oracle=None):
-    """The scores leak_auc ranks: what it hands the AUC core for `gradients`."""
+def _scores(monkeypatch, gradients, oracle):
+    """The scores leak_auc ranks for `gradients`, as it hands them to the
+    AUC core: the norms, then the cosines unless the oracle is zero."""
     seen = []
     monkeypatch.setattr(attacks, "_mann_whitney", lambda scores, split: seen.append(scores) or 0.5)
-    split = split_labels(np.arange(gradients.shape[0]) % 2)
-    oracle_norm = None if oracle is None else np.linalg.norm(oracle)
-    leak_auc(gradients, split, np.linalg.norm(gradients, axis=1), oracle, oracle_norm)
+    leak_auc(gradients, split_labels(np.arange(gradients.shape[0]) % 2), oracle)
     monkeypatch.undo()
-    return seen[0]
+    return seen
 
 
 def test_norm_score(monkeypatch):
     g = np.array([[3.0, 4.0, 0.0], [0.0, 0.0, 0.0], [1.0, -2.0, 0.5]])
-    scores = _scores(monkeypatch, g)
+    scores = _scores(monkeypatch, g, g[0])[0]
     assert scores[0] == pytest.approx(5.0)
     assert scores[1] == 0.0
-    assert _scores(monkeypatch, 2.0 * g)[2] == pytest.approx(2.0 * scores[2])
+    assert _scores(monkeypatch, 2.0 * g, g[0])[0][2] == pytest.approx(2.0 * scores[2])
 
 
 def test_cosine_score(monkeypatch):
     g = np.array([1.0, 2.0, -1.0])
     rows = np.vstack([g, -g, np.zeros(3)])
-    scores = _scores(monkeypatch, rows, g)
+    scores = _scores(monkeypatch, rows, g)[1]
     assert scores[0] == pytest.approx(1.0)
     assert scores[1] == pytest.approx(-1.0)
     assert scores[2] == 0.0  # zero row: uninformative, not an error
     e1 = np.array([[1.0, 0.0], [0.0, 0.0]])
-    assert _scores(monkeypatch, e1, np.array([0.0, 2.0]))[0] == pytest.approx(0.0)
-    with pytest.raises(ValueError, match="oracle gradient must be nonzero"):
-        leak_auc(e1, split_labels(np.array([1, 0])), np.linalg.norm(e1, axis=1), np.zeros(2), 0.0)
+    assert _scores(monkeypatch, e1, np.array([0.0, 2.0]))[1][0] == pytest.approx(0.0)
+    # a zero oracle has no direction: the norm attack alone is scored
+    assert len(_scores(monkeypatch, e1, np.zeros(2))) == 1
+    assert leak_auc(e1, split_labels(np.array([1, 0])), np.zeros(2)) == (1.0, None)
 
 
 def _positives(labels):
@@ -243,14 +258,17 @@ def test_select_oracle_positive_draws_as_choice():
 
 
 def test_cosine_scores_bitwise_match_masked_copy(monkeypatch):
-    rng = make_rng(14)
-    g_plus = rng.standard_normal(384)
-    for zero_rows in ((), (0, 17, 255)):
-        g = rng.standard_normal((256, 384))
-        g[list(zero_rows)] = 0.0
-        scores = _scores(monkeypatch, g, g_plus)
-        assert scores.tobytes() == masked_cosine_scores(g, g_plus).tobytes()
-        assert np.all(scores[list(zero_rows)] == 0.0)
+    # every row's dot product is taken from the whole batch's product: a
+    # float32 product over the nonzero rows alone differs in one row here
+    for dtype in (np.float64, np.float32):
+        rng = make_rng(14)
+        g_plus = rng.standard_normal(384).astype(dtype)
+        for zero_rows in ((), (0, 17, 255)):
+            g = rng.standard_normal((256, 384)).astype(dtype)
+            g[list(zero_rows)] = 0.0
+            scores = _scores(monkeypatch, g, g_plus)[1]
+            assert scores.tobytes() == masked_cosine_scores(g, g_plus).tobytes()
+            assert np.all(scores[list(zero_rows)] == 0.0)
 
 
 def test_leak_auc_separated_norms():
@@ -260,7 +278,7 @@ def test_leak_auc_separated_norms():
     neg = 0.1 * rng.standard_normal((10, d))
     g = np.vstack([pos, neg])
     labels = np.array([1] * 6 + [0] * 10)
-    assert leak_auc(g, split_labels(labels), np.linalg.norm(g, axis=1)) == 1.0
+    assert leak_auc(g, split_labels(labels), g[0])[0] == 1.0
 
 
 def test_leak_auc_permutation_null():
@@ -268,8 +286,8 @@ def test_leak_auc_permutation_null():
     n = 10**4
     g = rng.standard_normal((n, 4))
     labels = rng.integers(0, 2, size=n)
-    auc = leak_auc(g, split_labels(labels), np.linalg.norm(g, axis=1))
-    assert abs(auc - 0.5) <= 0.02
+    for auc in leak_auc(g, split_labels(labels), g[0]):
+        assert abs(auc - 0.5) <= 0.02
 
 
 def test_leak_auc_cosine_exact_with_linear_h(monkeypatch):
@@ -286,11 +304,25 @@ def test_leak_auc_cosine_exact_with_linear_h(monkeypatch):
     state = forward(net, X)
     g = cut_gradients(state, y)
     g_plus = g[select_oracle_positive(_positives(y), make_rng(8))]
-    scores = _scores(monkeypatch, g, g_plus)
+    scores = _scores(monkeypatch, g, g_plus)[1]
     assert np.all(scores[y == 1] == pytest.approx(1.0))
     assert np.all(scores[y == 0] == pytest.approx(-1.0))
-    norms = np.linalg.norm(g, axis=1)
-    assert leak_auc(g, split_labels(y), norms, g_plus, np.linalg.norm(g_plus)) == 1.0
+    assert leak_auc(g, split_labels(y), g_plus)[1] == 1.0
+
+
+def test_no_leak_q95_floor():
+    # the estimator floor under c09: with no leak at all (scores drawn
+    # independently of the labels), a B=256 batch at a 10% positive rate
+    # still gives a per-batch AUC spread wide enough that the q95 of 200
+    # batches sits near 0.600 -- the floor no mechanism can go below --
+    # yet every run stays under c09's 0.65
+    q95s = []
+    for seed in range(50):
+        rng = make_rng(seed)
+        aucs = [roc_auc(rng.standard_normal(256), rng.random(256) < 0.1) for _ in range(200)]
+        q95s.append(quantile(aucs, 0.95))
+    assert np.mean(q95s) == pytest.approx(0.600, abs=0.01)
+    assert max(q95s) < 0.65
 
 
 def test_quantile():

@@ -175,6 +175,19 @@ def test_mid_run_value_error_exits_3(tmp_path, monkeypatch, capsys):
     assert "numeric failure" in err and "config error" not in err
 
 
+def test_mid_run_memory_error_exits_3(tmp_path, monkeypatch, capsys):
+    # as numpy raises at the first draw of a dataset too large to hold;
+    # the raise is simulated, never provoked by allocating
+    def too_large(*args, **kwargs):
+        raise MemoryError("Unable to allocate 1.45 PiB for an array")
+
+    monkeypatch.setattr(harness.data_mod, "generate_synthetic", too_large)
+    cfg = _write_config(tmp_path / "cfg.json")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert "Unable to allocate" in err and "config error" not in err
+
+
 def test_sweep_with_every_point_failed_exits_3(tmp_path, monkeypatch, capsys):
     def failing(config, out_dir):
         raise ValueError("numeric failure")

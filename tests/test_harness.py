@@ -136,6 +136,7 @@ def test_config_rejects_bad_values():
         ({"dataset": {"kind": "toy1d", "n": 1}}, "leaves 0 training"),
         ({"net": {"hidden_dims": [8], "activations": ["gelu"]}}, "unknown activations ['gelu']"),
         ({"net": {"hidden_dims": [8, 0]}}, "hidden_dims must all be >= 1, got [8, 0]"),
+        ({"net": {"hidden_dims": []}}, "hidden_dims must name at least one hidden layer, got []"),
         ({"optimizer": {"lr": nan}}, "lr must be finite and > 0, got nan"),
         # Adam is the one optimizer: its kind and constants are not config keys
         ({"optimizer": {"kind": "sgd"}}, "unknown optimizer keys: ['kind']"),
@@ -277,9 +278,9 @@ def test_run_model_is_run_dtype(monkeypatch):
             return result
         monkeypatch.setattr(harness, fn.__name__, wrapper)
 
-    spy("coords", harness.label_party_gradients, lambda args, out: out[0][0])
+    spy("coords", harness.label_party_gradients, lambda args, out: out[0])
     spy("received", harness.apply_mechanism, lambda args, out: out.perturbed)
-    spy("first", harness.backprop_nonlabel, lambda args, out: out[1])
+    spy("first", harness.backprop_nonlabel, lambda args, out: out)
     spy("oracle_first", harness.first_layer_gradient_row, lambda args, out: out)
     spy(  # the net's parameters and, after the step, Adam's two moments
         "params_adam",
@@ -290,6 +291,46 @@ def test_run_model_is_run_dtype(monkeypatch):
         train_run(_quick_config(mechanism=mechanism, iterations=10))
     assert all(len(arrays) >= 10 for arrays in seen.values())
     assert {a.dtype for arrays in seen.values() for a in arrays} == {np.dtype(np.float32)}
+
+
+def test_one_call_per_job(monkeypatch):
+    # each iteration: one label-party pass, one mechanism call, one
+    # non-label pass and one update; on a mixed batch, one leak_auc call
+    # per received matrix and one first-layer oracle row, and on a
+    # single-class batch (common at B=16) no audit at all
+    calls = []
+    jobs = ("label_party_gradients", "apply_mechanism", "backprop_nonlabel",
+            "leak_auc", "first_layer_gradient_row", "apply_update")
+    for name in jobs:
+        def wrapper(*args, _fn=getattr(harness, name), _name=name):
+            result = _fn(*args)
+            calls.append((_name, args, result))
+            return result
+        monkeypatch.setattr(harness, name, wrapper)
+    mechanism = MechanismConfig(kind="marvell", s=1.0)
+    train_run(_quick_config(mechanism=mechanism, batch_size=16, iterations=60,
+                            dataset=DatasetConfig(n=1200, d_in=10)))
+    iterations = [[]]
+    for call in calls:
+        iterations[-1].append(call)
+        if call[0] == "apply_update":
+            iterations.append([])
+    assert iterations.pop() == [] and len(iterations) == 60
+    mixed_seen = set()
+    for it in iterations:
+        _, (_, _, split, _), outcome = it[1]  # apply_mechanism's call
+        first = it[2][2]  # backprop_nonlabel's result
+        mixed = bool(split[2] and split[3])
+        mixed_seen.add(mixed)
+        audit = ["leak_auc", "first_layer_gradient_row", "leak_auc"] if mixed else []
+        assert [name for name, _, _ in it] == (
+            ["label_party_gradients", "apply_mechanism", "backprop_nonlabel"] + audit
+            + ["apply_update"]
+        )
+        # leak_auc scores the cut's received matrix, then the first layer's
+        scored = [id(args[0]) for name, args, _ in it if name == "leak_auc"]
+        assert scored == ([id(outcome.perturbed), id(first)] if mixed else [])
+    assert mixed_seen == {True, False}
 
 
 # ---------------------------------------------------------------------------

@@ -82,7 +82,7 @@ def _factored_batches():
             state = forward(net, rng.standard_normal((B, in_dim)))
             labels = (rng.random(B) < 0.3).astype(np.int64)
             labels[:2] = 1, 0
-            factor, _ = label_party_gradients(state, labels)
+            factor = label_party_gradients(state, labels)
             yield f"{activation}-{hidden}-cut{cut}-B{B}", labels, factor
 
 

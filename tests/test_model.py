@@ -39,6 +39,11 @@ def _random_net(rng, in_dim=3, hidden=(4, 3), cut=1, acts=("relu", "tanh")):
     return SplitNet.build(in_dim, list(hidden), list(acts), cut, rng, dtype=np.float64)
 
 
+def _layer_grads(layers):
+    """Each layer's (dW, db): the views of `net.grad` a backward pass writes."""
+    return [(layer.dW, layer.db) for layer in layers]
+
+
 def _flatten_params(net):
     layers = net.f_layers + net.h_layers
     return np.concatenate([np.concatenate([l.W.ravel(), l.b]) for l in layers])
@@ -138,8 +143,8 @@ def test_backprop_nonlabel_zero_received_gives_zero_grads():
     net = _random_net(rng)
     X = rng.standard_normal((8, 3))
     state = forward(net, X)
-    f_grads, first = backprop_nonlabel(net, state, np.zeros((8, state.cut_features.shape[1])))
-    for dW, db in f_grads:
+    first = backprop_nonlabel(net, state, np.zeros((8, state.cut_features.shape[1])))
+    for dW, db in _layer_grads(net.f_layers):
         assert np.array_equal(dW, np.zeros_like(dW))
         assert np.array_equal(db, np.zeros_like(db))
     assert np.array_equal(first, np.zeros_like(first))
@@ -151,10 +156,11 @@ def test_backprop_nonlabel_linear_in_received():
     X = rng.standard_normal((8, 3))
     state = forward(net, X)
     g = cut_gradients(state, (rng.random(8) < 0.5).astype(int))
-    one, first_one = backprop_nonlabel(net, state, g)
-    one = [(dW.copy(), db.copy()) for dW, db in one]  # the next pass overwrites them
-    two, first_two = backprop_nonlabel(net, state, 2.0 * g)
-    for (dW1, db1), (dW2, db2) in zip(one, two):
+    first_one = backprop_nonlabel(net, state, g)
+    # the next pass overwrites the views
+    one = [(dW.copy(), db.copy()) for dW, db in _layer_grads(net.f_layers)]
+    first_two = backprop_nonlabel(net, state, 2.0 * g)
+    for (dW1, db1), (dW2, db2) in zip(one, _layer_grads(net.f_layers)):
         assert np.allclose(dW2, 2.0 * dW1, rtol=0, atol=0)
         assert np.allclose(db2, 2.0 * db1, rtol=0, atol=0)
     assert np.allclose(first_two, 2.0 * first_one, rtol=0, atol=0)
@@ -186,10 +192,11 @@ def test_float32_gradients_match_float64_twin(hidden):
     for dtype in (np.float64, np.float32):
         net = SplitNet.build(20, list(hidden), ["relu"] * 3, 2, make_rng(20), dtype)
         state = forward(net, ds.X)
-        (coords, basis), h_grads = label_party_gradients(state, ds.y)
+        coords, basis = label_party_gradients(state, ds.y)
         cut = coords @ basis
-        f_grads, first = backprop_nonlabel(net, state, cut)
-        grads = [cut, first] + [g for pair in f_grads + h_grads for g in pair]
+        first = backprop_nonlabel(net, state, cut)
+        layers = net.f_layers + net.h_layers
+        grads = [cut, first] + [g.copy() for pair in _layer_grads(layers) for g in pair]
         assert net.params.dtype == dtype and all(g.dtype == dtype for g in grads)
         rows = [first_layer_gradient_row(state, j, cut[j]) for j in (0, 255)]
         assert all(r.dtype == dtype for r in rows)
@@ -212,7 +219,7 @@ def test_first_layer_gradient_row_matches_batch_pass():
             B = int(rng.integers(2, 6))
             state = forward(net, rng.standard_normal((B, in_dim)))
             clean_cut = cut_gradients(state, rng.integers(0, 2, size=B))
-            _, first = backprop_nonlabel(net, state, clean_cut)
+            first = backprop_nonlabel(net, state, clean_cut)
             grad = net.grad.tobytes()
             for j in range(B):
                 row = first_layer_gradient_row(state, j, clean_cut[j])
@@ -348,11 +355,12 @@ def test_gradients_bitwise_match_per_layer_reference(hidden, dtype):
     ds = generate_synthetic(100, 20, 0.1, 2.0, 1.0, seed=19)
     net = SplitNet.build(20, list(hidden), ["relu"] * 3, 2, make_rng(20), dtype)
     state = forward(net, ds.X)
-    (coords, basis), h_grads = label_party_gradients(state, ds.y)
-    f_grads, _ = backprop_nonlabel(net, state, coords @ basis)
+    coords, basis = label_party_gradients(state, ds.y)
+    backprop_nonlabel(net, state, coords @ basis)
     want = per_layer_gradients(net, state, ds.y)
-    assert len(f_grads + h_grads) == len(want)
-    for (dW, db), (ref_dW, ref_db) in zip(f_grads + h_grads, want):
+    got = _layer_grads(net.f_layers + net.h_layers)
+    assert len(got) == len(want)
+    for (dW, db), (ref_dW, ref_db) in zip(got, want):
         assert dW.dtype == dtype and dW.tobytes() == ref_dW.tobytes()
         assert db.dtype == dtype and db.tobytes() == ref_db.tobytes()
     flat = np.concatenate([a for pair in want for a in pair], axis=None)

@@ -7,7 +7,7 @@ from hypothesis.extra import numpy as hnp
 from oracles import copying_stats, cut_gradients, gathering_marvell
 from splitsim import protection
 from splitsim.attacks import leak_auc, split_labels
-from splitsim.marvell import estimate_stats, power_budget, solve
+from splitsim.marvell import estimate_stats, make_certificate, noise_power, power_budget, solve
 from splitsim.model import SplitNet, backprop_nonlabel, forward, label_party_gradients
 from splitsim.numeric import make_rng
 from splitsim.protection import (
@@ -27,6 +27,19 @@ def _rows(g):
     """g as the factor (g, I): a basis with k = d, so that marvell works
     on g's own rows."""
     return g, np.eye(g.shape[1], dtype=g.dtype)
+
+
+def _record_solves(monkeypatch):
+    """The list that each `marvell.solve` call of the mechanisms appends
+    its solution to."""
+    solves = []
+
+    def recording(*args):
+        solves.append(solve(*args))
+        return solves[-1]
+
+    monkeypatch.setattr(protection.marvell, "solve", recording)
+    return solves
 
 
 def _mixed_batch(rng, B=16, d=8, pos=4):
@@ -83,12 +96,9 @@ def test_unperturbed_batch_is_passed_through_and_never_written():
         state = forward(net, X)
         received = perturb_none(cut_gradients(state, y)).perturbed
         before = received.tobytes()
-        _, first = backprop_nonlabel(net, state, received)
-        split = split_labels(y)
+        first = backprop_nonlabel(net, state, received)
         for rows in (received, first):
-            norms = np.sqrt(np.vecdot(rows, rows))
-            leak_auc(rows, split, norms)
-            leak_auc(rows, split, norms, rows[0], np.sqrt(rows[0].dot(rows[0])))
+            leak_auc(rows, split_labels(y), rows[0])
         assert received.tobytes() == before
 
 
@@ -181,22 +191,26 @@ def test_marvell_single_class_fallback(monkeypatch):
         out = perturb_marvell(_rows(g), split_labels(np.array(labels)), 1.0, make_rng(17))
         assert out.fallback
         assert np.array_equal(out.perturbed, g)
-        assert out.certificate is None
-        assert out.solution is None
+        assert out.certificate is None and out.noise_power == 0.0
     with pytest.raises(ValueError, match="one label per row"):
         perturb_marvell(_rows(g), split_labels(np.array([0, 0])), 1.0, make_rng(17))
 
 
-def test_marvell_outcome_carries_its_solve():
+def test_marvell_outcome_carries_its_solve(monkeypatch):
+    # one converged solve per mixed batch, whose certificate and noise
+    # power the outcome carries; no other mechanism solves
+    solves = _record_solves(monkeypatch)
     rng = make_rng(20)
     g, labels = _mixed_batch(rng, B=32, d=6, pos=8)
     out = perturb_marvell(_rows(g), split_labels(labels), 2.0, make_rng(21))
     stats = estimate_stats(g, labels)
-    assert out.solution == solve(stats, power_budget(2.0, stats))
-    assert out.solution.converged
-    assert perturb_iso(g, 1.0, make_rng(22)).solution is None
-    assert perturb_max_norm(g, make_rng(23)).solution is None
-    assert perturb_none(g).solution is None
+    sol = solve(stats, power_budget(2.0, stats))
+    assert solves == [sol] and sol.converged
+    assert out.certificate == make_certificate(sol, stats)
+    assert out.noise_power == noise_power(sol, stats)
+    for other in (perturb_iso(g, 1.0, make_rng(22)), perturb_max_norm(g, make_rng(23))):
+        assert other.certificate is None
+    assert perturb_none(g).certificate is None and len(solves) == 1
 
 
 def test_marvell_zero_gap_fallback():
@@ -204,7 +218,7 @@ def test_marvell_zero_gap_fallback():
     out = perturb_marvell(_rows(g), split_labels(np.array([1, 1, 0, 0])), 1.0, make_rng(18))
     assert out.fallback
     assert np.array_equal(out.perturbed, g)
-    assert out.solution is None
+    assert out.certificate is None
 
 
 def test_marvell_power_within_budget():
@@ -260,18 +274,20 @@ def _zero_rule_case(name):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("name", ["pos_pinned", "neg_pinned", "no_iso_block", "d1", "B2"])
-def test_marvell_matches_the_gathering_assembly(name, dtype):
+def test_marvell_matches_the_gathering_assembly(name, dtype, monkeypatch):
     # the float32 noise is added to the class's rows in the batch's dtype:
     # on a float32 batch, the same bits as the float64 sum rounded once,
     # on every zero-rule branch
     g, labels, s, zero = _zero_rule_case(name)
     g = g.astype(dtype)
     rng, ref_rng = make_rng(41), make_rng(41)
+    solves = _record_solves(monkeypatch)
     out = perturb_marvell(_rows(g), split_labels(labels), s, rng)
+    monkeypatch.undo()
     perturbed, cert, power, sol = gathering_marvell(_rows(g), labels, s, ref_rng)
-    assert (out.solution.lam2_pos == 0.0, out.solution.lam2_neg == 0.0) == zero
+    assert (sol.lam2_pos == 0.0, sol.lam2_neg == 0.0) == zero
     assert out.perturbed.dtype == perturbed.dtype and out.perturbed.tobytes() == perturbed.tobytes()
-    assert (out.solution, out.certificate, out.noise_power) == (sol, cert, power)
+    assert (solves, out.certificate, out.noise_power) == ([sol], cert, power)
     assert repr(rng.bit_generator.state) == repr(ref_rng.bit_generator.state)  # the same draws
 
 
@@ -288,27 +304,30 @@ def _cut_factor(hidden, activations, cut, B, seed):
     net = SplitNet.build(6, list(hidden), list(activations), cut, rng)
     labels = (rng.random(B) < 0.3).astype(np.int64)
     labels[:2] = 1, 0
-    factor, _ = label_party_gradients(forward(net, rng.standard_normal((B, 6))), labels)
+    factor = label_party_gradients(forward(net, rng.standard_normal((B, 6))), labels)
     return factor, labels
 
 
-def test_marvell_fits_the_factor_it_is_given():
+def test_marvell_fits_the_factor_it_is_given(monkeypatch):
     # a 64x48 cut batch of rank 8 (k = 8 < d = 48): marvell fits, solves
     # and draws in the 8-dim row space.  An oracle that takes a QR frame
     # of that space in place of the Cholesky one, and the same draws,
     # gives the same solve to rounding and the same rows to float32
     # rounding
     (coords, basis), labels = _cut_factor((48, 8), ("relu", "tanh"), 1, 64, 44)
+    solves = _record_solves(monkeypatch)
     out = perturb_marvell((coords, basis), split_labels(labels), 4.0, make_rng(46))
+    monkeypatch.undo()
     perturbed, cert, power, sol = gathering_marvell((coords, basis), labels, 4.0, make_rng(46))
     assert out.perturbed.dtype == np.float32 and out.perturbed.shape == (64, 48)
-    got, want = ([x.lam1_pos, x.lam2_pos, x.lam1_neg, x.lam2_neg] for x in (out.solution, sol))
+    [got_sol] = solves
+    got, want = ([x.lam1_pos, x.lam2_pos, x.lam1_neg, x.lam2_neg] for x in (got_sol, sol))
     assert np.allclose(got, want, rtol=1e-9, atol=1e-12 * max(want))
     assert out.certificate.sum_kl == pytest.approx(cert.sum_kl, rel=1e-9)
     assert out.noise_power == pytest.approx(power, rel=1e-9)
     scale = np.abs(perturbed).max()
     assert np.max(np.abs(out.perturbed - perturbed)) <= 1e-5 * scale
-    assert out.solution.converged and out.noise_power > 0
+    assert got_sol.converged and out.noise_power > 0
 
 
 _SHAPES = {  # the relation of k to d: (hidden dims, cut index)
@@ -365,7 +384,7 @@ def test_marvell_never_writes_its_batch(dtype):
 
 @pytest.mark.parametrize("kind", MECHANISMS)
 @pytest.mark.parametrize("labels", [[1] * 8 + [0] * 24, [0] * 32], ids=["mixed", "one_class"])
-def test_float32_batch_is_the_float64_batch_rounded(kind, labels):
+def test_float32_batch_is_the_float64_batch_rounded(kind, labels, monkeypatch):
     # a mechanism fits, solves and certifies in float64 and draws the same
     # float32 noise for either dtype: a float32 batch gives the rows of the
     # same batch upcast to float64, rounded to float32, and the same solve
@@ -375,14 +394,15 @@ def test_float32_batch_is_the_float64_batch_rounded(kind, labels):
     labels = np.array(labels)
     g32 = make_rng(27).standard_normal((32, 48)).astype(np.float32)
     g32[labels == 1] += np.float32(0.5)
+    solves = _record_solves(monkeypatch)
     out32 = apply_mechanism(config, _rows(g32), split_labels(labels), make_rng(28))
     g64 = g32.astype(np.float64)
     out64 = apply_mechanism(config, _rows(g64), split_labels(labels), make_rng(28))
     assert out32.perturbed.dtype == np.float32 and out64.perturbed.dtype == np.float64
     assert out32.perturbed.tobytes() == out64.perturbed.astype(np.float32).tobytes()
-    assert out32.solution == out64.solution and out32.certificate == out64.certificate
+    assert solves[:1] == solves[1:] and out32.certificate == out64.certificate
     assert out32.noise_power == out64.noise_power and out32.fallback == out64.fallback
-    assert (out32.solution is not None) == (kind == "marvell" and labels.any())
+    assert len(solves) == 2 * (kind == "marvell" and labels.any())
 
 
 def test_mechanism_config_validation():
@@ -469,6 +489,6 @@ def test_degenerate_batches(kind, batch, data):
         unperturbed = kind == "none" or not g.any() or param == 0.0
     if unperturbed:
         assert out.perturbed.tobytes() == g.tobytes(), case
-        assert out.noise_power == 0.0 and out.certificate is None and out.solution is None
+        assert out.noise_power == 0.0 and out.certificate is None
     elif kind != "max_norm":  # max_norm adds no power where every row has the largest norm
         assert out.noise_power > 0.0, case

@@ -26,6 +26,7 @@ import pytest
 
 from splitsim import harness, model, protection
 from splitsim.harness import config_from_dict, run_to_dir
+from splitsim.marvell import solve
 from splitsim.numeric import make_rng
 
 SEED = 7
@@ -56,21 +57,27 @@ def _blas() -> str:
 @pytest.fixture(scope="module")
 def workload_run(request, tmp_path_factory, workloads):
     """Run one workload at SEED, once per module, into a fresh directory;
-    returns (name, directory, (fallback, solution) per iteration)."""
+    returns (name, directory, (fallback, the solves marvell made) per
+    iteration)."""
     name = request.param
     out = tmp_path_factory.mktemp(name)
-    seen = []
+    seen, solves = [], []
+
+    def recording_solve(*args):
+        solves.append(solve(*args))
+        return solves[-1]
 
     def recording(*args):
+        first = len(solves)
         outcome = protection.apply_mechanism(*args)
-        seen.append((outcome.fallback, outcome.solution))
+        seen.append((outcome.fallback, solves[first:]))
         return outcome
 
-    harness.apply_mechanism = recording
+    harness.apply_mechanism, protection.marvell.solve = recording, recording_solve
     try:
         run_to_dir(config_from_dict(workloads.config_dict(name, SEED)), out)
     finally:
-        harness.apply_mechanism = protection.apply_mechanism
+        harness.apply_mechanism, protection.marvell.solve = protection.apply_mechanism, solve
     return name, out, seen
 
 
@@ -91,12 +98,12 @@ def test_workload_run_bytes_match_pinned_hashes(workload_run):
 
 @pytest.mark.parametrize("workload_run", ["accept_marvell", "small_marvell"], indirect=True)
 def test_marvell_workload_solves_converge(workload_run):
-    # every batch marvell solved carries its converged solution; a
-    # fallback batch carries none
+    # every batch marvell perturbed made one solve, and it converged; a
+    # fallback batch made none
     _, _, seen = workload_run
-    solved = [sol for fallback, sol in seen if not fallback]
-    assert solved and all(sol is not None and sol.converged for sol in solved)
-    assert all(sol is None for fallback, sol in seen if fallback)
+    solved = [sols for fallback, sols in seen if not fallback]
+    assert solved and all(len(sols) == 1 and sols[0].converged for sols in solved)
+    assert all(sols == [] for fallback, sols in seen if fallback)
 
 
 def test_every_workload_is_pinned(workloads):
