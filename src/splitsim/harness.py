@@ -1,7 +1,8 @@
 """Experiment orchestration: config parsing, the split-training loop
-with per-iteration leak-AUC evaluation at the cut and first layers,
-hyperparameter sweeps, and CSV reporting.  Each config dataclass checks
-its own values when it is built, in Python or by `config_from_dict`.
+with per-iteration leak-AUC evaluation at the cut and first layers
+(ranked a block of batches at a time), hyperparameter sweeps, and CSV
+reporting.  Each config dataclass checks its own values when it is
+built, in Python or by `config_from_dict`.
 
 Determinism contract: a run is a pure function of its config (seed
 included).  Five independent RNG streams are derived from the seed
@@ -28,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import data as data_mod
-from .attacks import leak_auc, quantile, roc_auc, select_oracle_positive, split_labels
+from .attacks import ScoreParts, leak_auc, quantile, roc_auc, select_oracle_positive, split_labels
 from .model import (
     ACTIVATIONS,
     Adam,
@@ -45,6 +46,9 @@ from .protection import HYPERPARAMETERS, MechanismConfig, apply_mechanism
 
 LEAK_SERIES = ("norm_cut", "cos_cut", "norm_first", "cos_first")
 SUMMARY_QUANTILE = 0.95
+# The received rows one audit block holds per layer; a block holds this
+# many rows' worth of whole batches, and at least one batch.
+AUDIT_ROWS = 8192
 
 
 class ConfigError(Exception):
@@ -313,12 +317,16 @@ def train_run(config: ExperimentConfig) -> RunRecord:
 
     Each iteration: forward, clean per-example cut gradients, one split
     of the batch's labels, mechanism perturbation, one non-label
-    backward pass on the perturbed gradients, the four leak AUCs
-    (norm/cosine at cut/first layer, one `leak_auc` call per matrix the
-    non-label party actually receives; each cosine oracle is one clean
-    positive row), then parameter updates for both parties.  The
-    mechanism and the AUCs read the same split.  A non-finite training
-    or test loss raises FloatingPointError.
+    backward pass on the perturbed gradients, the leak audit's score
+    parts, then parameter updates for both parties.  The mechanism and
+    the audit read the same split.  On a mixed batch, each matrix the
+    non-label party actually receives (cut and first layer) adds its
+    score parts against one clean positive oracle row to its layer's
+    `ScoreParts` block.  When the blocks fill, and after the last
+    iteration, one `leak_auc` call per layer ranks its block, and the
+    four AUCs (norm/cosine at cut/first layer) go into the rows of the
+    block's batches; single-class batches keep None.  A non-finite
+    training or test loss raises FloatingPointError.
     """
     data_seed, init_seed, batch_seed, mech_seed, attack_seed = _stream_seeds(config.seed)
 
@@ -338,6 +346,9 @@ def train_run(config: ExperimentConfig) -> RunRecord:
     optimizer = Adam(config.optimizer.lr)
     mech_rng = make_rng(mech_seed)
     attack_rng = make_rng(attack_seed)
+    block = max(1, AUDIT_ROWS // config.batch_size)
+    audit = {layer: ScoreParts(block, config.batch_size, dtype) for layer in ("cut", "first")}
+    audited: list[IterationRow] = []  # the rows of the batches in the blocks
 
     rows: list[IterationRow] = []
     for it, idx in enumerate(
@@ -355,8 +366,8 @@ def train_run(config: ExperimentConfig) -> RunRecord:
         outcome = apply_mechanism(config.mechanism, factor, split, mech_rng)
         pert_first = backprop_nonlabel(net, state, outcome.perturbed)
 
-        leaks = dict.fromkeys(LEAK_SERIES)
-        if split[2] and split[3]:  # both classes present
+        mixed = bool(split[2] and split[3])  # both classes present
+        if mixed:
             pos_idx = np.flatnonzero(split[0])
             coords, basis = factor
             for layer, received in (("cut", outcome.perturbed), ("first", pert_first)):
@@ -364,7 +375,7 @@ def train_run(config: ExperimentConfig) -> RunRecord:
                 oracle = coords[j] @ basis
                 if layer == "first":
                     oracle = first_layer_gradient_row(state, j, oracle)
-                leaks[f"norm_{layer}"], leaks[f"cos_{layer}"] = leak_auc(received, split, oracle)
+                full = audit[layer].add(received, oracle, split[0])
 
         apply_update(net, optimizer)
 
@@ -373,12 +384,18 @@ def train_run(config: ExperimentConfig) -> RunRecord:
             IterationRow(
                 iteration=it,
                 train_loss=train_loss,
-                **leaks,
+                **dict.fromkeys(LEAK_SERIES),
                 sum_kl=cert.sum_kl if cert is not None else None,
                 auc_bound=cert.auc_bound if cert is not None else None,
                 noise_power=outcome.noise_power,
             )
         )
+        if mixed:
+            audited.append(rows[-1])
+            if full:
+                _rank_audit(audit, audited)
+    if audited:
+        _rank_audit(audit, audited)
 
     test_state = forward(net, test.X)
     test_loss = float(np.mean(logistic_loss(test_state.logits, test.y)))
@@ -387,6 +404,18 @@ def train_run(config: ExperimentConfig) -> RunRecord:
     test_auc = roc_auc(test_state.logits, test.y)
     summary = {**summarize_rows(rows), "test_loss": test_loss, "test_auc": test_auc}
     return RunRecord(rows=rows, summary=summary)
+
+
+def _rank_audit(audit: dict[str, ScoreParts], audited: list[IterationRow]) -> None:
+    """Rank each layer's block in one `leak_auc` call, write the AUCs into
+    the rows of its batches, and empty the blocks."""
+    for layer, parts in audit.items():
+        norm_aucs, cos_aucs = leak_auc(*parts.filled())
+        for row, norm_auc, cos_auc in zip(audited, norm_aucs, cos_aucs, strict=True):
+            setattr(row, f"norm_{layer}", norm_auc)
+            setattr(row, f"cos_{layer}", cos_auc)
+        parts.clear()
+    audited.clear()
 
 
 # ---------------------------------------------------------------------------

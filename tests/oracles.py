@@ -5,7 +5,8 @@ posterior of the toy 1-d mixture.  These deliberately share no code
 with the implementations they check.
 
 A second section keeps earlier, plainer forms of hot-path functions
-(the np.unique midrank AUC, the out-of-place Adam step, the per-layer
+(the np.unique midrank AUC, the per-matrix leak audit that ranked each
+received matrix as it came, the out-of-place Adam step, the per-layer
 parameter gradients, the batch statistics with their repeated copies,
 marvell's assembly with a fresh gather of each class's rows for its
 noise, in a QR frame of the row space where the package takes a
@@ -15,9 +16,10 @@ marvell's earlier solver: a coordinate descent whose golden-section
 line searches evaluate the whole objective at every point.  The
 package's Newton solve must reach its objective or better.
 
-The last section holds gradient helpers that tests use but the package
-does not.  They are built from the package's own backward passes, so
-they are conveniences, not independent oracles.
+The last section holds gradient and audit helpers that tests use but
+the package does not.  They are built from the package's own backward
+passes and block audit, so they are conveniences, not independent
+oracles.
 """
 
 import math
@@ -25,6 +27,7 @@ import math
 import numpy as np
 
 from splitsim import marvell
+from splitsim.attacks import ScoreParts, leak_auc
 from splitsim.marvell import BatchStats, objective
 from splitsim.numeric import sample_structured_gaussian_batch
 from splitsim.model import (
@@ -175,6 +178,23 @@ def midrank_auc(scores, labels):
     ranks = midranks[inverse]
     u = ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))
+
+
+def per_matrix_leak_auc(received, split, oracle):
+    """(norm AUC, cosine AUC) of one received matrix against its batch's
+    two-class `split_labels` split, ranked on its own by `midrank_auc`:
+    the rows' norms np.sqrt(np.vecdot(R, R)), and their cosines with the
+    oracle row, one product and one divide that leaves zero-norm rows at
+    0.  A zero oracle has no direction, so its cosine AUC is None."""
+    pos = split[0]
+    norms = np.sqrt(np.vecdot(received, received))
+    norm_auc = midrank_auc(norms, pos)
+    oracle_norm = np.sqrt(oracle.dot(oracle))
+    if not oracle_norm > 0.0:
+        return norm_auc, None
+    dots = received @ oracle
+    scores = np.divide(dots, norms * oracle_norm, out=np.zeros_like(dots), where=norms > 0.0)
+    return norm_auc, midrank_auc(scores, pos)
 
 
 def masked_cosine_scores(gradients, g_plus):
@@ -425,7 +445,16 @@ def gathering_marvell(factor, labels, s, rng):
 
 
 # ---------------------------------------------------------------------------
-# test-only gradient helpers (built from the package's backward passes)
+# test-only gradient and audit helpers (built from the package's own passes)
+
+
+def audit_matrix(received, labels, oracle):
+    """(norm AUC, cosine AUC) of one received matrix by the package's
+    block audit: a `ScoreParts` block of one batch, one `leak_auc` call."""
+    parts = ScoreParts(1, received.shape[0], received.dtype)
+    parts.add(received, oracle, np.asarray(labels) == 1)
+    norm_aucs, cos_aucs = leak_auc(*parts.filled())
+    return norm_aucs[0], cos_aucs[0]
 
 
 def cut_gradients(state, y):

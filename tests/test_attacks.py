@@ -1,9 +1,24 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from oracles import cut_gradients, masked_cosine_scores, midrank_auc
+from oracles import (
+    audit_matrix,
+    cut_gradients,
+    masked_cosine_scores,
+    midrank_auc,
+    per_matrix_leak_auc,
+)
 from splitsim import attacks, harness
-from splitsim.attacks import leak_auc, quantile, roc_auc, select_oracle_positive, split_labels
+from splitsim.attacks import (
+    ScoreParts,
+    leak_auc,
+    quantile,
+    roc_auc,
+    select_oracle_positive,
+    split_labels,
+)
 from splitsim.model import Layer, LayerSpec, SplitNet, forward
 from splitsim.numeric import make_rng
 
@@ -48,39 +63,65 @@ def test_roc_auc_complement_symmetries():
     assert roc_auc(scores, 1 - labels) == pytest.approx(1.0 - base, abs=1e-12)
 
 
+_SPECIALS = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+
+
+def _auc_row(rng, case, n):
+    """Seeded scores and labels of length n with both classes present, of
+    kind case % 4: continuous scores, heavy ties, only special values
+    (+-0.0, +-inf, NaN), and a mix; case % 10 == 0 has a single positive
+    and case % 10 == 5 a single negative."""
+    kind = case % 4
+    if kind == 0:
+        scores = rng.standard_normal(n)
+    elif kind == 1:
+        scores = rng.integers(-3, 4, size=n).astype(np.float64)
+    elif kind == 2:
+        scores = rng.choice(_SPECIALS, size=n)
+    else:
+        ties = rng.integers(-2, 3, size=n).astype(np.float64)
+        scores = np.where(rng.random(n) < 0.3, rng.choice(_SPECIALS, size=n), ties)
+    if case % 10 == 0:
+        labels = np.zeros(n, dtype=np.int64)
+        labels[rng.integers(0, n)] = 1
+    elif case % 10 == 5:
+        labels = np.ones(n, dtype=np.int64)
+        labels[rng.integers(0, n)] = 0
+    else:
+        labels = (rng.random(n) < rng.uniform(0.05, 0.95)).astype(np.int64)
+        labels[0], labels[-1] = 1, 0
+    return scores, labels
+
+
 def _auc_cases(rng, count):
-    """Seeded (scores, labels) with both classes present: continuous
-    scores, heavy ties, only special values (+-0.0, +-inf, NaN), and a
-    mix; every tenth case has a single positive, and every tenth from
-    the fifth on a single negative."""
-    specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+    """`count` seeded `_auc_row` cases of 2 to 119 scores, every 25th of
+    up to 1000."""
     for case in range(count):
-        n = int(rng.integers(2, 1001 if case % 25 == 0 else 120))
-        kind = case % 4
-        if kind == 0:
-            scores = rng.standard_normal(n)
-        elif kind == 1:
-            scores = rng.integers(-3, 4, size=n).astype(np.float64)
-        elif kind == 2:
-            scores = rng.choice(specials, size=n)
-        else:
-            ties = rng.integers(-2, 3, size=n).astype(np.float64)
-            scores = np.where(rng.random(n) < 0.3, rng.choice(specials, size=n), ties)
-        if case % 10 == 0:
-            labels = np.zeros(n, dtype=np.int64)
-            labels[rng.integers(0, n)] = 1
-        elif case % 10 == 5:
-            labels = np.ones(n, dtype=np.int64)
-            labels[rng.integers(0, n)] = 0
-        else:
-            labels = (rng.random(n) < rng.uniform(0.05, 0.95)).astype(np.int64)
-            labels[0], labels[-1] = 1, 0
-        yield scores, labels
+        yield _auc_row(rng, case, int(rng.integers(2, 1001 if case % 25 == 0 else 120)))
 
 
 def test_roc_auc_bitwise_matches_midrank():
     for scores, labels in _auc_cases(make_rng(41), 400):
         assert roc_auc(scores, labels).hex() == midrank_auc(scores, labels).hex()
+
+
+def test_mann_whitney_stacks_bitwise_match_midrank():
+    # the block core ranks a whole stack of rows at once: rows of one
+    # length whose class counts differ, some with a single positive or
+    # negative, holding ties, NaN of either sign, +-0.0 and +-inf, in
+    # both dtypes
+    rng = make_rng(44)
+    for stack in range(60):
+        n = int(rng.integers(2, 300 if stack % 10 == 0 else 40))
+        rows = [_auc_row(rng, case, n) for case in range(int(rng.integers(1, 30)))]
+        scores = np.array([r[0] for r in rows])
+        np.negative(scores, out=scores, where=np.isnan(scores) & (rng.random(scores.shape) < 0.5))
+        pos = np.array([r[1] for r in rows]) == 1
+        for dtype in (np.float32, np.float64):
+            got = attacks._mann_whitney(scores.astype(dtype), pos)
+            assert got.dtype == np.float64 and got.shape == (len(rows),)
+            for auc, row, labels in zip(got, scores.astype(dtype), pos):
+                assert auc.hex() == midrank_auc(row, labels).hex()
 
 
 def test_leak_auc_bitwise_matches_midrank():
@@ -90,7 +131,7 @@ def test_leak_auc_bitwise_matches_midrank():
     with np.errstate(invalid="ignore"):  # inf / inf
         for scores, labels in _auc_cases(make_rng(42), 400):
             norms = np.abs(scores)
-            norm_auc, cos_auc = leak_auc(scores[:, None], split_labels(labels), np.ones(1))
+            norm_auc, cos_auc = audit_matrix(scores[:, None], labels, np.ones(1))
             assert norm_auc.hex() == midrank_auc(norms, labels).hex()
             cosines = np.where(norms > 0.0, scores / norms, 0.0)
             assert cos_auc.hex() == midrank_auc(cosines, labels).hex()
@@ -136,40 +177,54 @@ def test_norm_expressions_bitwise_match_linalg_norm():
 
 
 def test_train_run_norms_are_linalg_norms(monkeypatch):
-    # what a run's leak_auc calls rank, against the batch's own label
-    # split: np.linalg.norm of each received row, and each row's dot
-    # product with the oracle over its and the oracle's np.linalg.norm,
-    # bit for bit, 0 on a zero row
-    calls, ranked = [], []
+    # what a run's block rankings rank, against each batch's own label
+    # split: per block and layer, np.linalg.norm of each received row,
+    # then each row's dot product with its oracle over its and the
+    # oracle's np.linalg.norm, bit for bit, 0 on a zero row; blocks of
+    # five batches, so the run ranks several full blocks and a last one
+    added, ranked = [], []
+    add, core = ScoreParts.add, attacks._mann_whitney
 
-    def spy(received, split, oracle):
-        calls.append((received, split, oracle))
-        return leak_auc(received, split, oracle)
+    def spy_add(parts, received, oracle, pos):
+        added.append((received.copy(), oracle.copy(), pos.copy()))
+        return add(parts, received, oracle, pos)
 
-    monkeypatch.setattr(harness, "leak_auc", spy)
-    monkeypatch.setattr(attacks, "_mann_whitney", lambda *args: ranked.append(args) or 0.5)
+    monkeypatch.setattr(ScoreParts, "add", spy_add)
+    monkeypatch.setattr(attacks, "_mann_whitney",
+                        lambda scores, pos: ranked.append((scores, pos)) or core(scores, pos))
+    monkeypatch.setattr(harness, "AUDIT_ROWS", 80)
     config = harness.config_from_dict(
         {"dataset": {"n": 400}, "batch_size": 16, "iterations": 30,
          "mechanism": {"kind": "marvell", "s": 1.0}}
     )
     harness.train_run(config)
-    assert len(calls) > 10
+    assert len(added) > 20
+    # each mixed batch adds its cut matrix, then its first-layer one
+    layers = [added[0::2], added[1::2]]
+    blocks = [[layer[k : k + 5] for layer in layers] for k in range(0, len(layers[0]), 5)]
+    assert len(ranked) == 2 * len(blocks) + 1  # and the test AUC
     ranked = iter(ranked)
-    for received, split, oracle in calls:
-        pos, neg, n_pos, n_neg = split
-        assert 0 < n_pos == pos.sum() and 0 < n_neg == neg.sum()
-        assert (pos ^ neg).all() and n_pos + n_neg == received.shape[0]
-        norms, norm_split = next(ranked)
-        want = np.array([np.linalg.norm(r) for r in received])
-        assert norms.tobytes() == want.tobytes() and norm_split is split
-        oracle_norm = np.linalg.norm(oracle)
-        if oracle_norm > 0:
-            cosines, cos_split = next(ranked)
-            nz, dots = want > 0, received @ oracle
-            want = np.zeros_like(dots)
-            want[nz] = dots[nz] / (norms[nz] * oracle_norm)
-            assert cosines.tobytes() == want.tobytes() and cos_split is split
-    assert len(list(ranked)) == 1  # the test AUC
+    for block in blocks:
+        for batches in block:
+            stack, pos_stack = next(ranked)
+            norm_rows, cos_rows, cos_pos = [], [], []
+            for received, oracle, pos in batches:
+                norms = np.array([np.linalg.norm(r) for r in received])
+                norm_rows.append(norms)
+                oracle_norm = np.linalg.norm(oracle)
+                if oracle_norm > 0:
+                    nz, dots = norms > 0, received @ oracle
+                    cosines = np.zeros_like(dots)
+                    cosines[nz] = dots[nz] / (norms[nz] * oracle_norm)
+                    cos_rows.append(cosines)
+                    cos_pos.append(pos)
+            want = np.array(norm_rows + cos_rows)
+            assert stack.dtype == want.dtype == np.float32
+            assert stack.tobytes() == want.tobytes()
+            assert pos_stack.tolist() == [pos.tolist() for _, _, pos in batches] + [
+                pos.tolist() for pos in cos_pos
+            ]
+    assert len(list(ranked)) == 1
 
 
 def test_roc_auc_nan_and_signed_zero_ties():
@@ -194,18 +249,21 @@ def test_leak_auc_ranks_float32_as_float64(monkeypatch):
         rows[rng.random(n) < 0.1, 0] = np.nan
         norms, cosines = _scores(monkeypatch, rows, oracle)
         assert norms.dtype == cosines.dtype == np.float32
-        got = leak_auc(rows, split_labels(labels), oracle)
+        got = audit_matrix(rows, labels, oracle)
         assert got == tuple(roc_auc(s.astype(np.float64), labels) for s in (norms, cosines))
 
 
 def _scores(monkeypatch, gradients, oracle):
-    """The scores leak_auc ranks for `gradients`, as it hands them to the
-    AUC core: the norms, then the cosines unless the oracle is zero."""
+    """The score rows leak_auc ranks for `gradients` as a block of one
+    batch, as it hands them to the AUC core: the norms, then the cosines
+    unless the oracle is zero."""
     seen = []
-    monkeypatch.setattr(attacks, "_mann_whitney", lambda scores, split: seen.append(scores) or 0.5)
-    leak_auc(gradients, split_labels(np.arange(gradients.shape[0]) % 2), oracle)
+    monkeypatch.setattr(
+        attacks, "_mann_whitney", lambda scores, pos: seen.append(scores) or np.full(len(pos), 0.5)
+    )
+    audit_matrix(gradients, np.arange(gradients.shape[0]) % 2, oracle)
     monkeypatch.undo()
-    return seen
+    return list(seen[0])
 
 
 def test_norm_score(monkeypatch):
@@ -227,7 +285,52 @@ def test_cosine_score(monkeypatch):
     assert _scores(monkeypatch, e1, np.array([0.0, 2.0]))[1][0] == pytest.approx(0.0)
     # a zero oracle has no direction: the norm attack alone is scored
     assert len(_scores(monkeypatch, e1, np.zeros(2))) == 1
-    assert leak_auc(e1, split_labels(np.array([1, 0])), np.zeros(2)) == (1.0, None)
+    assert audit_matrix(e1, np.array([1, 0]), np.zeros(2)) == (1.0, None)
+
+
+def test_block_with_zero_oracles_matches_per_matrix_audit():
+    # a block mixing directed and zero oracles ranks each matrix as the
+    # per-matrix reference does: the cosine AUC of a zero oracle is None,
+    # and no cosine of its matrix is formed, so no warning is raised even
+    # where one of its rows' squared norm overflows to inf (inf * 0 would
+    # be NaN)
+    rng = make_rng(16)
+    for dtype in (np.float32, np.float64):
+        parts = ScoreParts(12, 40, dtype)
+        want = []
+        for b in range(12):
+            received = rng.standard_normal((40, 6)).astype(dtype)
+            received[b % 5] = 0.0
+            oracle = np.zeros(6, dtype) if b % 3 == 0 else received[b % 7 + 5].copy()
+            if b % 6 == 0:
+                received[10, 0] = np.finfo(dtype).max
+            pos = rng.random(40) < 0.3
+            pos[:2] = (True, False)
+            with np.errstate(over="ignore"):
+                parts.add(received, oracle, pos)
+                want.append(per_matrix_leak_auc(received, split_labels(pos), oracle))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            norm_aucs, cos_aucs = leak_auc(*parts.filled())
+        assert [c is None for c in cos_aucs] == [b % 3 == 0 for b in range(12)]
+        for got, ref in zip(zip(norm_aucs, cos_aucs), want):
+            assert [None if a is None else a.hex() for a in got] == [
+                None if a is None else a.hex() for a in ref
+            ]
+
+
+def test_score_parts_fill_and_clear():
+    parts = ScoreParts(2, 3, np.float32)
+    rows = np.arange(6, dtype=np.float32).reshape(3, 2)
+    assert parts.add(rows, rows[1], np.array([True, False, True])) is False
+    assert parts.add(2 * rows, rows[0], np.array([False, True, True])) is True
+    sq_norms, dots, oracle_sq, pos = parts.filled()
+    assert sq_norms.tolist() == [[1.0, 13.0, 41.0], [4.0, 52.0, 164.0]]
+    assert dots.tolist() == [[3.0, 13.0, 23.0], [2.0, 6.0, 10.0]]
+    assert oracle_sq.tolist() == [13.0, 1.0]
+    assert pos.tolist() == [[True, False, True], [False, True, True]]
+    parts.clear()
+    assert [a.shape[0] for a in parts.filled()] == [0, 0, 0, 0]
 
 
 def _positives(labels):
@@ -278,7 +381,7 @@ def test_leak_auc_separated_norms():
     neg = 0.1 * rng.standard_normal((10, d))
     g = np.vstack([pos, neg])
     labels = np.array([1] * 6 + [0] * 10)
-    assert leak_auc(g, split_labels(labels), g[0])[0] == 1.0
+    assert audit_matrix(g, labels, g[0])[0] == 1.0
 
 
 def test_leak_auc_permutation_null():
@@ -286,7 +389,7 @@ def test_leak_auc_permutation_null():
     n = 10**4
     g = rng.standard_normal((n, 4))
     labels = rng.integers(0, 2, size=n)
-    for auc in leak_auc(g, split_labels(labels), g[0]):
+    for auc in audit_matrix(g, labels, g[0]):
         assert abs(auc - 0.5) <= 0.02
 
 
@@ -307,7 +410,7 @@ def test_leak_auc_cosine_exact_with_linear_h(monkeypatch):
     scores = _scores(monkeypatch, g, g_plus)[1]
     assert np.all(scores[y == 1] == pytest.approx(1.0))
     assert np.all(scores[y == 0] == pytest.approx(-1.0))
-    assert leak_auc(g, split_labels(y), g_plus)[1] == 1.0
+    assert audit_matrix(g, y, g_plus)[1] == 1.0
 
 
 def test_no_leak_q95_floor():

@@ -2,12 +2,14 @@ import dataclasses
 import os
 import re
 import threading
+import warnings
 
 import numpy as np
 import pytest
 
+from oracles import per_matrix_leak_auc
 from splitsim import harness, model
-from splitsim.attacks import quantile
+from splitsim.attacks import quantile, split_labels
 from splitsim.harness import (
     ConfigError,
     DatasetConfig,
@@ -295,42 +297,117 @@ def test_run_model_is_run_dtype(monkeypatch):
 
 def test_one_call_per_job(monkeypatch):
     # each iteration: one label-party pass, one mechanism call, one
-    # non-label pass and one update; on a mixed batch, one leak_auc call
-    # per received matrix and one first-layer oracle row, and on a
-    # single-class batch (common at B=16) no audit at all
+    # non-label pass and one update; on a mixed batch one first-layer
+    # oracle row, and on a single-class batch (common at B=16) no audit
+    # at all.  The audit ranks a block at a time: right after the update
+    # of the mixed batch that fills the blocks (eight batches of 16 rows
+    # here), and after the last iteration for the part-filled blocks, one
+    # leak_auc call ranks the cut's received matrices of those batches
+    # and one the first layer's, and nothing else calls it
     calls = []
     jobs = ("label_party_gradients", "apply_mechanism", "backprop_nonlabel",
-            "leak_auc", "first_layer_gradient_row", "apply_update")
+            "first_layer_gradient_row", "apply_update", "leak_auc")
     for name in jobs:
         def wrapper(*args, _fn=getattr(harness, name), _name=name):
             result = _fn(*args)
-            calls.append((_name, args, result))
+            # leak_auc's arguments are views of buffers the next block reuses
+            kept = [a.copy() if isinstance(a, np.ndarray) else a for a in args]
+            calls.append((_name, kept, result))
             return result
         monkeypatch.setattr(harness, name, wrapper)
+    monkeypatch.setattr(harness, "AUDIT_ROWS", 128)
     mechanism = MechanismConfig(kind="marvell", s=1.0)
     train_run(_quick_config(mechanism=mechanism, batch_size=16, iterations=60,
                             dataset=DatasetConfig(n=1200, d_in=10)))
-    iterations = [[]]
+    iterations = []
     for call in calls:
-        iterations[-1].append(call)
-        if call[0] == "apply_update":
+        if call[0] == "label_party_gradients":
             iterations.append([])
-    assert iterations.pop() == [] and len(iterations) == 60
-    mixed_seen = set()
-    for it in iterations:
-        _, (_, _, split, _), outcome = it[1]  # apply_mechanism's call
+        iterations[-1].append(call)
+    assert len(iterations) == 60
+    mixed_seen, block = set(), []
+    for k, it in enumerate(iterations):
+        _, [_, _, split, _], outcome = it[1]  # apply_mechanism's call
         first = it[2][2]  # backprop_nonlabel's result
         mixed = bool(split[2] and split[3])
         mixed_seen.add(mixed)
-        audit = ["leak_auc", "first_layer_gradient_row", "leak_auc"] if mixed else []
+        if mixed:
+            block.append((split[0], outcome.perturbed, first))
+        ranked = len(block) == 8 or k == 59 and block
         assert [name for name, _, _ in it] == (
-            ["label_party_gradients", "apply_mechanism", "backprop_nonlabel"] + audit
-            + ["apply_update"]
+            ["label_party_gradients", "apply_mechanism", "backprop_nonlabel"]
+            + ["first_layer_gradient_row"] * mixed + ["apply_update"]
+            + ["leak_auc", "leak_auc"] * bool(ranked)
         )
-        # leak_auc scores the cut's received matrix, then the first layer's
-        scored = [id(args[0]) for name, args, _ in it if name == "leak_auc"]
-        assert scored == ([id(outcome.perturbed), id(first)] if mixed else [])
+        if ranked:
+            # the cut's received matrices, then the first layer's
+            for (_, args, _), layer in zip(it[-2:], (1, 2)):
+                sq_norms, _, _, pos = args
+                want = np.array([np.vecdot(b[layer], b[layer]) for b in block])
+                assert sq_norms.tobytes() == want.tobytes()
+                assert pos.tolist() == [b[0].tolist() for b in block]
+            block = []
     assert mixed_seen == {True, False}
+
+
+@pytest.mark.parametrize("audit_rows", [harness.AUDIT_ROWS, 80])
+def test_block_audit_writes_the_per_batch_audit_bytes(monkeypatch, tmp_path, audit_rows):
+    # the run.csv of a block-ranked run equals, byte for byte, the one a
+    # per-batch audit writes: each received matrix ranked on its own by
+    # the reference, as it came.  At B=16 a default block holds 512
+    # batches and the small one 5; both runs span at least two blocks,
+    # end mid-block and hold single-class batches
+    seen, splits = [], []
+    add, mechanism = harness.ScoreParts.add, harness.apply_mechanism
+
+    def spy_add(parts, received, oracle, pos):
+        seen.append((received, oracle, pos.copy()))
+        return add(parts, received, oracle, pos)
+
+    def spy_mechanism(config, factor, split, rng):
+        splits.append(split)
+        return mechanism(config, factor, split, rng)
+
+    monkeypatch.setattr(harness.ScoreParts, "add", spy_add)
+    monkeypatch.setattr(harness, "apply_mechanism", spy_mechanism)
+    monkeypatch.setattr(harness, "AUDIT_ROWS", audit_rows)
+    config = config_from_dict({"batch_size": 16, "iterations": 700,
+                               "mechanism": {"kind": "marvell", "s": 1.0}})
+    record = run_to_dir(config, tmp_path / "blocks")
+    mixed = [bool(split[2] and split[3]) for split in splits]
+    block = audit_rows // 16
+    assert sum(mixed) > block and sum(mixed) % block and not all(mixed)
+    audits = iter(seen)
+    for row, is_mixed in zip(record.rows, mixed):
+        leaks = dict.fromkeys(harness.LEAK_SERIES)
+        if is_mixed:
+            for layer in ("cut", "first"):
+                received, oracle, pos = next(audits)
+                leaks[f"norm_{layer}"], leaks[f"cos_{layer}"] = per_matrix_leak_auc(
+                    received, split_labels(pos), oracle
+                )
+        for name, value in leaks.items():
+            setattr(row, name, value)
+    assert next(audits, None) is None
+    harness.write_run_csv(record, tmp_path / "reference.csv")
+    assert (tmp_path / "blocks" / "run.csv").read_bytes() == (
+        tmp_path / "reference.csv"
+    ).read_bytes()
+
+
+def test_zero_oracle_batches_write_na_without_warnings(tmp_path, workloads):
+    # accept_none at seed 7007 draws a zero clean row as the cut oracle in
+    # 52 of its 200 batches, all mixed: their cos_cut is NA, their norms
+    # are ranked, and the block audit raises no warning (a masked divide
+    # over a zero oracle would: 0 / 0)
+    config = config_from_dict(workloads.config_dict("accept_none", 7007))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        run_to_dir(config, tmp_path)
+    lines = (tmp_path / "run.csv").read_text().splitlines()
+    columns = dict(zip(lines[0].split(","), zip(*(line.split(",") for line in lines[1:]))))
+    assert columns["cos_cut"].count("NA") == 52
+    assert columns["norm_cut"].count("NA") == 0
 
 
 # ---------------------------------------------------------------------------

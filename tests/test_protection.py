@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from oracles import copying_stats, cut_gradients, gathering_marvell
+from oracles import audit_matrix, copying_stats, cut_gradients, gathering_marvell
 from splitsim import protection
-from splitsim.attacks import leak_auc, split_labels
+from splitsim.attacks import split_labels
 from splitsim.marvell import estimate_stats, make_certificate, noise_power, power_budget, solve
 from splitsim.model import SplitNet, backprop_nonlabel, forward, label_party_gradients
 from splitsim.numeric import make_rng
@@ -98,7 +98,7 @@ def test_unperturbed_batch_is_passed_through_and_never_written():
         before = received.tobytes()
         first = backprop_nonlabel(net, state, received)
         for rows in (received, first):
-            leak_auc(rows, split_labels(y), rows[0])
+            audit_matrix(rows, y, rows[0])
         assert received.tobytes() == before
 
 
