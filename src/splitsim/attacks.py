@@ -6,9 +6,10 @@ ROC AUC of those scores against the hidden labels, evaluated per batch.
 0.5 means the attack learns nothing, 1.0 means the labels are fully
 recovered.  A batch's labels are split once (`split_labels`).  A run
 does not rank each batch as it receives it: `ScoreParts` keeps the raw
-parts of each received matrix's scores for a block of batches, and one
-`leak_auc` call ranks the whole block.  Every AUC, `roc_auc`'s too, is
-one Mann-Whitney core that ranks a stack of rows at once.
+parts of each received matrix's scores for the whole run, and one
+`leak_auc` call per layer ranks them all after the last iteration.
+Every AUC, `roc_auc`'s too, is one Mann-Whitney core that ranks a stack
+of rows at once.
 """
 
 from __future__ import annotations
@@ -108,7 +109,7 @@ class ScoreParts:
     received matrices of `batch_size` rows: per matrix, its rows' squared
     norms and dot products with the oracle row, the oracle's squared norm
     and the batch's positive mask.  `leak_auc(*parts.filled())` ranks
-    them, and `clear` starts the next block."""
+    them."""
 
     def __init__(self, batches: int, batch_size: int, dtype):
         self.sq_norms = np.empty((batches, batch_size), dtype)
@@ -117,24 +118,20 @@ class ScoreParts:
         self.pos = np.empty((batches, batch_size), bool)
         self.count = 0
 
-    def add(self, received: np.ndarray, oracle: np.ndarray, pos: np.ndarray) -> bool:
-        """Write one matrix's parts; True when that fills the buffers."""
+    def add(self, received: np.ndarray, oracle: np.ndarray, pos: np.ndarray) -> None:
+        """Write one matrix's parts after those already written."""
         i = self.count
         np.vecdot(received, received, out=self.sq_norms[i])
         np.matmul(received, oracle, out=self.dots[i])
         self.oracle_sq[i] = oracle.dot(oracle)
         self.pos[i] = pos
         self.count = i + 1
-        return self.count == self.oracle_sq.shape[0]
 
     def filled(self):
         """(squared norms, dot products, oracle squared norms, positive
-        masks) of the matrices written since the last `clear`."""
+        masks) of the matrices written so far, in order."""
         n = self.count
         return self.sq_norms[:n], self.dots[:n], self.oracle_sq[:n], self.pos[:n]
-
-    def clear(self) -> None:
-        self.count = 0
 
 
 def leak_auc(sq_norms: np.ndarray, dots: np.ndarray, oracle_sq: np.ndarray, pos: np.ndarray):

@@ -78,33 +78,34 @@ def load_csv(path) -> Dataset:
     column (constant columns map to 0)."""
     path = Path(path)
     try:
-        fh = open(path, newline="")
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise DataError(f"{path}: empty file") from None
+            if len(header) < 2 or header[0] != "label":
+                raise DataError(f"{path}: header must be label,f1,...,fk, got {header!r}")
+            n_cols = len(header)
+            labels: list[int] = []
+            rows: list[list[float]] = []
+            for lineno, row in enumerate(reader, start=2):
+                if len(row) != n_cols:
+                    raise DataError(f"{path}:{lineno}: expected {n_cols} fields, got {len(row)}")
+                if row[0] not in ("0", "1"):
+                    raise DataError(f"{path}:{lineno}: non-binary label {row[0]!r}")
+                labels.append(int(row[0]))
+                try:
+                    values = [float(v) for v in row[1:]]
+                except ValueError as exc:
+                    raise DataError(f"{path}:{lineno}: {exc}") from None
+                if not all(map(math.isfinite, values)):
+                    raise DataError(f"{path}:{lineno}: non-finite feature value in {row[1:]!r}")
+                rows.append(values)
     except OSError as exc:
         raise DataError(f"cannot read dataset {path}: {exc}") from None
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        if len(header) < 2 or header[0] != "label":
-            raise DataError(f"{path}: header must be label,f1,...,fk, got {header!r}")
-        n_cols = len(header)
-        labels: list[int] = []
-        rows: list[list[float]] = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != n_cols:
-                raise DataError(f"{path}:{lineno}: expected {n_cols} fields, got {len(row)}")
-            if row[0] not in ("0", "1"):
-                raise DataError(f"{path}:{lineno}: non-binary label {row[0]!r}")
-            labels.append(int(row[0]))
-            try:
-                values = [float(v) for v in row[1:]]
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from None
-            if not all(map(math.isfinite, values)):
-                raise DataError(f"{path}:{lineno}: non-finite feature value in {row[1:]!r}")
-            rows.append(values)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8: {exc}") from None
     if not rows:
         raise DataError(f"{path}: no data rows")
     X = np.array(rows, dtype=np.float64)

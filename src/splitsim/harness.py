@@ -1,6 +1,6 @@
 """Experiment orchestration: config parsing, the split-training loop
 with per-iteration leak-AUC evaluation at the cut and first layers
-(ranked a block of batches at a time), hyperparameter sweeps, and CSV
+(ranked once, at the end of the run), hyperparameter sweeps, and CSV
 reporting.  Each config dataclass checks its own values when it is
 built, in Python or by `config_from_dict`.
 
@@ -46,9 +46,6 @@ from .protection import HYPERPARAMETERS, MechanismConfig, apply_mechanism
 
 LEAK_SERIES = ("norm_cut", "cos_cut", "norm_first", "cos_first")
 SUMMARY_QUANTILE = 0.95
-# The received rows one audit block holds per layer; a block holds this
-# many rows' worth of whole batches, and at least one batch.
-AUDIT_ROWS = 8192
 
 
 class ConfigError(Exception):
@@ -230,10 +227,12 @@ def config_from_dict(d: dict) -> ExperimentConfig:
 
 def load_config(path) -> ExperimentConfig:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not UTF-8: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON in {path}: {exc}") from None
     return config_from_dict(raw)
@@ -322,11 +321,11 @@ def train_run(config: ExperimentConfig) -> RunRecord:
     the audit read the same split.  On a mixed batch, each matrix the
     non-label party actually receives (cut and first layer) adds its
     score parts against one clean positive oracle row to its layer's
-    `ScoreParts` block.  When the blocks fill, and after the last
-    iteration, one `leak_auc` call per layer ranks its block, and the
-    four AUCs (norm/cosine at cut/first layer) go into the rows of the
-    block's batches; single-class batches keep None.  A non-finite
-    training or test loss raises FloatingPointError.
+    `ScoreParts`, sized to the whole run.  After the last iteration, one
+    `leak_auc` call per layer ranks all of its parts, and the four AUCs
+    (norm/cosine at cut/first layer) go into the mixed batches' rows;
+    single-class batches keep None.  A non-finite training or test loss
+    raises FloatingPointError.
     """
     data_seed, init_seed, batch_seed, mech_seed, attack_seed = _stream_seeds(config.seed)
 
@@ -346,9 +345,10 @@ def train_run(config: ExperimentConfig) -> RunRecord:
     optimizer = Adam(config.optimizer.lr)
     mech_rng = make_rng(mech_seed)
     attack_rng = make_rng(attack_seed)
-    block = max(1, AUDIT_ROWS // config.batch_size)
-    audit = {layer: ScoreParts(block, config.batch_size, dtype) for layer in ("cut", "first")}
-    audited: list[IterationRow] = []  # the rows of the batches in the blocks
+    audit = {
+        layer: ScoreParts(config.iterations, config.batch_size, dtype) for layer in ("cut", "first")
+    }
+    audited: list[IterationRow] = []  # the rows of the mixed batches
 
     rows: list[IterationRow] = []
     for it, idx in enumerate(
@@ -375,7 +375,7 @@ def train_run(config: ExperimentConfig) -> RunRecord:
                 oracle = coords[j] @ basis
                 if layer == "first":
                     oracle = first_layer_gradient_row(state, j, oracle)
-                full = audit[layer].add(received, oracle, split[0])
+                audit[layer].add(received, oracle, split[0])
 
         apply_update(net, optimizer)
 
@@ -392,10 +392,12 @@ def train_run(config: ExperimentConfig) -> RunRecord:
         )
         if mixed:
             audited.append(rows[-1])
-            if full:
-                _rank_audit(audit, audited)
     if audited:
-        _rank_audit(audit, audited)
+        for layer, parts in audit.items():
+            norm_aucs, cos_aucs = leak_auc(*parts.filled())
+            for row, norm_auc, cos_auc in zip(audited, norm_aucs, cos_aucs, strict=True):
+                setattr(row, f"norm_{layer}", norm_auc)
+                setattr(row, f"cos_{layer}", cos_auc)
 
     test_state = forward(net, test.X)
     test_loss = float(np.mean(logistic_loss(test_state.logits, test.y)))
@@ -404,18 +406,6 @@ def train_run(config: ExperimentConfig) -> RunRecord:
     test_auc = roc_auc(test_state.logits, test.y)
     summary = {**summarize_rows(rows), "test_loss": test_loss, "test_auc": test_auc}
     return RunRecord(rows=rows, summary=summary)
-
-
-def _rank_audit(audit: dict[str, ScoreParts], audited: list[IterationRow]) -> None:
-    """Rank each layer's block in one `leak_auc` call, write the AUCs into
-    the rows of its batches, and empty the blocks."""
-    for layer, parts in audit.items():
-        norm_aucs, cos_aucs = leak_auc(*parts.filled())
-        for row, norm_auc, cos_auc in zip(audited, norm_aucs, cos_aucs, strict=True):
-            setattr(row, f"norm_{layer}", norm_auc)
-            setattr(row, f"cos_{layer}", cos_auc)
-        parts.clear()
-    audited.clear()
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ package's Newton solve must reach its objective or better.
 
 The last section holds gradient and audit helpers that tests use but
 the package does not.  They are built from the package's own backward
-passes and block audit, so they are conveniences, not independent
+passes and audit, so they are conveniences, not independent
 oracles.
 """
 
@@ -450,7 +450,7 @@ def gathering_marvell(factor, labels, s, rng):
 
 def audit_matrix(received, labels, oracle):
     """(norm AUC, cosine AUC) of one received matrix by the package's
-    block audit: a `ScoreParts` block of one batch, one `leak_auc` call."""
+    audit: a `ScoreParts` of one batch, one `leak_auc` call."""
     parts = ScoreParts(1, received.shape[0], received.dtype)
     parts.add(received, oracle, np.asarray(labels) == 1)
     norm_aucs, cos_aucs = leak_auc(*parts.filled())

@@ -256,7 +256,7 @@ def test_c04_sum_kl_consistency():
 def test_c05_theorem1_empirical():
     # 20 solved instances with eps < 4: sampled norm and cosine attacks
     # on the fitted perturbed model stay below the AUC bound + 0.03; the
-    # 20 sampled batches are audited as one block, as a run audits its
+    # 20 sampled batches are audited in one ranking, as a run audits its
     # batches
     rng = make_rng(105)
     start = time.time()

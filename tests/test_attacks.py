@@ -106,7 +106,7 @@ def test_roc_auc_bitwise_matches_midrank():
 
 
 def test_mann_whitney_stacks_bitwise_match_midrank():
-    # the block core ranks a whole stack of rows at once: rows of one
+    # the core ranks a whole stack of rows at once: rows of one
     # length whose class counts differ, some with a single positive or
     # negative, holding ties, NaN of either sign, +-0.0 and +-inf, in
     # both dtypes
@@ -177,11 +177,10 @@ def test_norm_expressions_bitwise_match_linalg_norm():
 
 
 def test_train_run_norms_are_linalg_norms(monkeypatch):
-    # what a run's block rankings rank, against each batch's own label
-    # split: per block and layer, np.linalg.norm of each received row,
-    # then each row's dot product with its oracle over its and the
-    # oracle's np.linalg.norm, bit for bit, 0 on a zero row; blocks of
-    # five batches, so the run ranks several full blocks and a last one
+    # what a run's one ranking per layer ranks, against each batch's own
+    # label split: per layer, np.linalg.norm of each received row of
+    # every mixed batch, then each row's dot product with its oracle over
+    # its and the oracle's np.linalg.norm, bit for bit, 0 on a zero row
     added, ranked = [], []
     add, core = ScoreParts.add, attacks._mann_whitney
 
@@ -192,7 +191,6 @@ def test_train_run_norms_are_linalg_norms(monkeypatch):
     monkeypatch.setattr(ScoreParts, "add", spy_add)
     monkeypatch.setattr(attacks, "_mann_whitney",
                         lambda scores, pos: ranked.append((scores, pos)) or core(scores, pos))
-    monkeypatch.setattr(harness, "AUDIT_ROWS", 80)
     config = harness.config_from_dict(
         {"dataset": {"n": 400}, "batch_size": 16, "iterations": 30,
          "mechanism": {"kind": "marvell", "s": 1.0}}
@@ -200,31 +198,25 @@ def test_train_run_norms_are_linalg_norms(monkeypatch):
     harness.train_run(config)
     assert len(added) > 20
     # each mixed batch adds its cut matrix, then its first-layer one
-    layers = [added[0::2], added[1::2]]
-    blocks = [[layer[k : k + 5] for layer in layers] for k in range(0, len(layers[0]), 5)]
-    assert len(ranked) == 2 * len(blocks) + 1  # and the test AUC
-    ranked = iter(ranked)
-    for block in blocks:
-        for batches in block:
-            stack, pos_stack = next(ranked)
-            norm_rows, cos_rows, cos_pos = [], [], []
-            for received, oracle, pos in batches:
-                norms = np.array([np.linalg.norm(r) for r in received])
-                norm_rows.append(norms)
-                oracle_norm = np.linalg.norm(oracle)
-                if oracle_norm > 0:
-                    nz, dots = norms > 0, received @ oracle
-                    cosines = np.zeros_like(dots)
-                    cosines[nz] = dots[nz] / (norms[nz] * oracle_norm)
-                    cos_rows.append(cosines)
-                    cos_pos.append(pos)
-            want = np.array(norm_rows + cos_rows)
-            assert stack.dtype == want.dtype == np.float32
-            assert stack.tobytes() == want.tobytes()
-            assert pos_stack.tolist() == [pos.tolist() for _, _, pos in batches] + [
-                pos.tolist() for pos in cos_pos
-            ]
-    assert len(list(ranked)) == 1
+    assert len(ranked) == 2 + 1  # and the test AUC
+    for batches, (stack, pos_stack) in zip((added[0::2], added[1::2]), ranked):
+        norm_rows, cos_rows, cos_pos = [], [], []
+        for received, oracle, pos in batches:
+            norms = np.array([np.linalg.norm(r) for r in received])
+            norm_rows.append(norms)
+            oracle_norm = np.linalg.norm(oracle)
+            if oracle_norm > 0:
+                nz, dots = norms > 0, received @ oracle
+                cosines = np.zeros_like(dots)
+                cosines[nz] = dots[nz] / (norms[nz] * oracle_norm)
+                cos_rows.append(cosines)
+                cos_pos.append(pos)
+        want = np.array(norm_rows + cos_rows)
+        assert stack.dtype == want.dtype == np.float32
+        assert stack.tobytes() == want.tobytes()
+        assert pos_stack.tolist() == [pos.tolist() for _, _, pos in batches] + [
+            pos.tolist() for pos in cos_pos
+        ]
 
 
 def test_roc_auc_nan_and_signed_zero_ties():
@@ -254,8 +246,8 @@ def test_leak_auc_ranks_float32_as_float64(monkeypatch):
 
 
 def _scores(monkeypatch, gradients, oracle):
-    """The score rows leak_auc ranks for `gradients` as a block of one
-    batch, as it hands them to the AUC core: the norms, then the cosines
+    """The score rows leak_auc ranks for `gradients` as a `ScoreParts` of
+    one batch, as it hands them to the AUC core: the norms, then the cosines
     unless the oracle is zero."""
     seen = []
     monkeypatch.setattr(
@@ -289,7 +281,7 @@ def test_cosine_score(monkeypatch):
 
 
 def test_block_with_zero_oracles_matches_per_matrix_audit():
-    # a block mixing directed and zero oracles ranks each matrix as the
+    # a stack mixing directed and zero oracles ranks each matrix as the
     # per-matrix reference does: the cosine AUC of a zero oracle is None,
     # and no cosine of its matrix is formed, so no warning is raised even
     # where one of its rows' squared norm overflows to inf (inf * 0 would
@@ -319,18 +311,20 @@ def test_block_with_zero_oracles_matches_per_matrix_audit():
             ]
 
 
-def test_score_parts_fill_and_clear():
-    parts = ScoreParts(2, 3, np.float32)
+def test_score_parts_fill_order():
+    # filled() holds the matrices written so far, in the order written,
+    # and none of the unwritten rows
+    parts = ScoreParts(3, 3, np.float32)
     rows = np.arange(6, dtype=np.float32).reshape(3, 2)
-    assert parts.add(rows, rows[1], np.array([True, False, True])) is False
-    assert parts.add(2 * rows, rows[0], np.array([False, True, True])) is True
+    assert [a.shape[0] for a in parts.filled()] == [0, 0, 0, 0]
+    parts.add(rows, rows[1], np.array([True, False, True]))
+    parts.add(2 * rows, rows[0], np.array([False, True, True]))
     sq_norms, dots, oracle_sq, pos = parts.filled()
     assert sq_norms.tolist() == [[1.0, 13.0, 41.0], [4.0, 52.0, 164.0]]
     assert dots.tolist() == [[3.0, 13.0, 23.0], [2.0, 6.0, 10.0]]
     assert oracle_sq.tolist() == [13.0, 1.0]
     assert pos.tolist() == [[True, False, True], [False, True, True]]
-    parts.clear()
-    assert [a.shape[0] for a in parts.filled()] == [0, 0, 0, 0]
+    assert sq_norms.dtype == dots.dtype == oracle_sq.dtype == np.float32
 
 
 def _positives(labels):

@@ -59,9 +59,11 @@ def test_seed_override_changes_csv(tmp_path):
 
 def _exits_2(tmp_path, capsys, text, argv, message, out="o"):
     # a ConfigError exits 2 with its message and writes no output;
-    # text is the config file's content, None for no file at all
+    # text is the config file's content, str or bytes, None for no file at all
     path, out = tmp_path / "cfg.json", tmp_path / out
-    if text is not None:
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    elif text is not None:
         path.write_text(text)
     assert main([argv[0], "--config", str(path), *argv[1:], "--out", str(out)]) == 2
     err = capsys.readouterr().err
@@ -76,8 +78,9 @@ def _exits_2(tmp_path, capsys, text, argv, message, out="o"):
         ("{not json", "invalid JSON in"),
         ("[1, 2]", "config must be a JSON object, got list"),
         (None, "cannot read config"),
+        (b'\xff\xfe{"iterations": 5}', "cfg.json is not UTF-8"),
     ],
-    ids=["unknown_key", "invalid_json", "root_not_object", "missing_file"],
+    ids=["unknown_key", "invalid_json", "root_not_object", "missing_file", "non_utf8"],
 )
 def test_bad_config_file_exits_2(tmp_path, capsys, text, message):
     _exits_2(tmp_path, capsys, text, ["run"], message)

@@ -150,6 +150,17 @@ def test_csv_bad_header(tmp_path):
         load_csv(path)
 
 
+@pytest.mark.parametrize("row", [0, 3000], ids=["header", "late_row"])
+def test_csv_not_utf8_names_path(tmp_path, row):
+    # a byte that is not UTF-8, in the first buffer read or far past it
+    path = tmp_path / "latin1.csv"
+    rows = [b"label,f1\n"] + [b"1,0.5\n", b"0,0.25\n"] * 2000
+    rows[row] = b"0,\xe9\n" if row else b"label,f\xe9\n"
+    path.write_bytes(b"".join(rows))
+    with pytest.raises(DataError, match=f"{path.name}: not UTF-8"):
+        load_csv(path)
+
+
 def test_train_test_split():
     ds = generate_synthetic(1000, 3, 0.3, 1.0, seed=4)
     train, test = train_test_split(ds, 0.2, make_rng(5))

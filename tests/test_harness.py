@@ -299,23 +299,19 @@ def test_one_call_per_job(monkeypatch):
     # each iteration: one label-party pass, one mechanism call, one
     # non-label pass and one update; on a mixed batch one first-layer
     # oracle row, and on a single-class batch (common at B=16) no audit
-    # at all.  The audit ranks a block at a time: right after the update
-    # of the mixed batch that fills the blocks (eight batches of 16 rows
-    # here), and after the last iteration for the part-filled blocks, one
-    # leak_auc call ranks the cut's received matrices of those batches
-    # and one the first layer's, and nothing else calls it
+    # at all.  The audit is ranked once per run: right after the last
+    # update, one leak_auc call ranks the cut's received matrices of
+    # every mixed batch and one the first layer's, and nothing else
+    # calls it
     calls = []
     jobs = ("label_party_gradients", "apply_mechanism", "backprop_nonlabel",
             "first_layer_gradient_row", "apply_update", "leak_auc")
     for name in jobs:
         def wrapper(*args, _fn=getattr(harness, name), _name=name):
             result = _fn(*args)
-            # leak_auc's arguments are views of buffers the next block reuses
-            kept = [a.copy() if isinstance(a, np.ndarray) else a for a in args]
-            calls.append((_name, kept, result))
+            calls.append((_name, args, result))
             return result
         monkeypatch.setattr(harness, name, wrapper)
-    monkeypatch.setattr(harness, "AUDIT_ROWS", 128)
     mechanism = MechanismConfig(kind="marvell", s=1.0)
     train_run(_quick_config(mechanism=mechanism, batch_size=16, iterations=60,
                             dataset=DatasetConfig(n=1200, d_in=10)))
@@ -325,38 +321,38 @@ def test_one_call_per_job(monkeypatch):
             iterations.append([])
         iterations[-1].append(call)
     assert len(iterations) == 60
-    mixed_seen, block = set(), []
+    mixed = []
     for k, it in enumerate(iterations):
         _, [_, _, split, _], outcome = it[1]  # apply_mechanism's call
         first = it[2][2]  # backprop_nonlabel's result
-        mixed = bool(split[2] and split[3])
-        mixed_seen.add(mixed)
-        if mixed:
-            block.append((split[0], outcome.perturbed, first))
-        ranked = len(block) == 8 or k == 59 and block
+        is_mixed = bool(split[2] and split[3])
+        if is_mixed:
+            mixed.append((split[0], outcome.perturbed, first))
         assert [name for name, _, _ in it] == (
             ["label_party_gradients", "apply_mechanism", "backprop_nonlabel"]
-            + ["first_layer_gradient_row"] * mixed + ["apply_update"]
-            + ["leak_auc", "leak_auc"] * bool(ranked)
+            + ["first_layer_gradient_row"] * is_mixed + ["apply_update"]
+            + ["leak_auc", "leak_auc"] * (k == 59)
         )
-        if ranked:
-            # the cut's received matrices, then the first layer's
-            for (_, args, _), layer in zip(it[-2:], (1, 2)):
-                sq_norms, _, _, pos = args
-                want = np.array([np.vecdot(b[layer], b[layer]) for b in block])
-                assert sq_norms.tobytes() == want.tobytes()
-                assert pos.tolist() == [b[0].tolist() for b in block]
-            block = []
-    assert mixed_seen == {True, False}
+    assert 0 < len(mixed) < 60
+    # the cut's received matrices, then the first layer's
+    for (_, args, _), layer in zip(iterations[-1][-2:], (1, 2)):
+        sq_norms, _, _, pos = args
+        want = np.array([np.vecdot(b[layer], b[layer]) for b in mixed])
+        assert sq_norms.tobytes() == want.tobytes()
+        assert pos.tolist() == [b[0].tolist() for b in mixed]
 
 
-@pytest.mark.parametrize("audit_rows", [harness.AUDIT_ROWS, 80])
-def test_block_audit_writes_the_per_batch_audit_bytes(monkeypatch, tmp_path, audit_rows):
-    # the run.csv of a block-ranked run equals, byte for byte, the one a
-    # per-batch audit writes: each received matrix ranked on its own by
-    # the reference, as it came.  At B=16 a default block holds 512
-    # batches and the small one 5; both runs span at least two blocks,
-    # end mid-block and hold single-class batches
+@pytest.mark.parametrize("case", ["marvell_b16", "max_norm_b256"])
+def test_run_audit_writes_the_per_batch_audit_bytes(monkeypatch, tmp_path, workloads, case):
+    # the run.csv of a run ranked once at its end equals, byte for byte,
+    # the one a per-batch audit writes: each received matrix ranked on its
+    # own by the reference, as it came.  The B=16 marvell run holds
+    # single-class batches; the B=256 max_norm run, on the acceptance
+    # task, holds rows whose cosines tie
+    if case == "marvell_b16":
+        raw = {"batch_size": 16, "iterations": 700, "mechanism": {"kind": "marvell", "s": 1.0}}
+    else:
+        raw = {**workloads.config_dict("accept_none", 7), "mechanism": {"kind": "max_norm"}}
     seen, splits = [], []
     add, mechanism = harness.ScoreParts.add, harness.apply_mechanism
 
@@ -370,13 +366,9 @@ def test_block_audit_writes_the_per_batch_audit_bytes(monkeypatch, tmp_path, aud
 
     monkeypatch.setattr(harness.ScoreParts, "add", spy_add)
     monkeypatch.setattr(harness, "apply_mechanism", spy_mechanism)
-    monkeypatch.setattr(harness, "AUDIT_ROWS", audit_rows)
-    config = config_from_dict({"batch_size": 16, "iterations": 700,
-                               "mechanism": {"kind": "marvell", "s": 1.0}})
-    record = run_to_dir(config, tmp_path / "blocks")
+    record = run_to_dir(config_from_dict(raw), tmp_path / "run")
     mixed = [bool(split[2] and split[3]) for split in splits]
-    block = audit_rows // 16
-    assert sum(mixed) > block and sum(mixed) % block and not all(mixed)
+    assert any(mixed) and all(mixed) == (case == "max_norm_b256")
     audits = iter(seen)
     for row, is_mixed in zip(record.rows, mixed):
         leaks = dict.fromkeys(harness.LEAK_SERIES)
@@ -390,15 +382,33 @@ def test_block_audit_writes_the_per_batch_audit_bytes(monkeypatch, tmp_path, aud
             setattr(row, name, value)
     assert next(audits, None) is None
     harness.write_run_csv(record, tmp_path / "reference.csv")
-    assert (tmp_path / "blocks" / "run.csv").read_bytes() == (
+    assert (tmp_path / "run" / "run.csv").read_bytes() == (
         tmp_path / "reference.csv"
     ).read_bytes()
+
+
+def test_run_without_mixed_batch_ranks_nothing(monkeypatch, tmp_path):
+    # at B=1 every batch holds one class: no leak_auc call, and every
+    # leak column and its q95 is NA
+    calls = []
+    monkeypatch.setattr(harness, "leak_auc", lambda *args: calls.append(args))
+    config = config_from_dict({"dataset": {"n": 200}, "batch_size": 1, "iterations": 20,
+                               "mechanism": {"kind": "marvell", "s": 1.0}})
+    run_to_dir(config, tmp_path)
+    assert calls == []
+    lines = (tmp_path / "run.csv").read_text().splitlines()
+    columns = dict(zip(lines[0].split(","), zip(*(line.split(",") for line in lines[1:]))))
+    for name in harness.LEAK_SERIES:
+        assert columns[name] == ("NA",) * 20
+    summary = dict(line.split(",") for line in (tmp_path / "summary.csv").read_text().splitlines())
+    for name in harness.LEAK_SERIES:
+        assert summary[f"{name}_q95"] == "NA"
 
 
 def test_zero_oracle_batches_write_na_without_warnings(tmp_path, workloads):
     # accept_none at seed 7007 draws a zero clean row as the cut oracle in
     # 52 of its 200 batches, all mixed: their cos_cut is NA, their norms
-    # are ranked, and the block audit raises no warning (a masked divide
+    # are ranked, and the audit raises no warning (a masked divide
     # over a zero oracle would: 0 / 0)
     config = config_from_dict(workloads.config_dict("accept_none", 7007))
     with warnings.catch_warnings():
