@@ -50,7 +50,8 @@ def _order_keys(scores: np.ndarray) -> np.ndarray:
 
 def _mann_whitney(scores: np.ndarray, pos: np.ndarray) -> np.ndarray:
     """AUC of each row of the float32 or float64 stack `scores` against the
-    same row of the positive mask `pos`; every row holds both classes.
+    same row of the positive mask `pos`, which broadcasts to the stack's
+    shape; every row holds both classes.
 
     Each row's keys, doubled and plus the label, are sorted twice: once
     with each tie's negatives first, once (labels flipped) with its
@@ -58,18 +59,21 @@ def _mann_whitney(scores: np.ndarray, pos: np.ndarray) -> np.ndarray:
     plus the negatives below it, and in the first sort also those tied
     with it, so the positives' positions over both sorts, less twice the
     pairs of positives, sum to 2U.  U is a sum of half-integers, exact in
-    float64, so each AUC equals the midrank formula bit for bit.
+    float64, so each AUC equals the midrank formula bit for bit.  Flipping
+    the labels reorders only the ties of a positive and a negative, so
+    the second sort is a merge sort, which passes once over a row that
+    holds none and re-sorts only the rows that do.
     """
-    n = pos.shape[1]
-    n_pos = np.count_nonzero(pos, axis=1)
+    n = scores.shape[-1]
+    n_pos = np.count_nonzero(pos, axis=-1)
     at = np.arange(n)
     ranked = _order_keys(scores)
     ranked <<= 1
     ranked |= pos
-    ranked.sort(axis=1)
+    ranked.sort(axis=-1)
     twice_u = (ranked & 1) @ at  # the positives' positions
     ranked ^= 1  # the labels flipped: each tie's positives first
-    ranked.sort(axis=1)
+    ranked.sort(axis=-1, kind="stable")
     # the positives' positions now: all positions less the negatives'
     twice_u += n * (n - 1) // 2 - (ranked & 1) @ at
     twice_u -= n_pos * (n_pos - 1)
@@ -143,23 +147,22 @@ def leak_auc(sq_norms: np.ndarray, dots: np.ndarray, oracle_sq: np.ndarray, pos:
     for bit; the cosine attack scores it by its dot product with the
     oracle over its and the oracle's norm, and a zero-norm row scores 0
     (uninformative).  A zero oracle has no direction, so its matrix's
-    cosine AUC is None and its cosines are never formed.  All the norms
-    and cosines are ranked in one `_mann_whitney` pass.
+    cosine AUC is None and its cosines are never formed: they stay 0.
+    The norms and cosines are ranked in one `_mann_whitney` pass, as a
+    2 x batches stack of rows.
     """
-    m = len(oracle_sq)
-    directed = oracle_sq > 0.0  # the oracle's norm is positive
-    scores = np.zeros((m + int(np.count_nonzero(directed)), sq_norms.shape[1]), sq_norms.dtype)
-    norms = np.sqrt(sq_norms, out=scores[:m])
-    cos_norms = norms[directed]
+    scores = np.zeros((2,) + sq_norms.shape, sq_norms.dtype)
+    norms = np.sqrt(sq_norms, out=scores[0])
+    oracle_norms = np.sqrt(oracle_sq)[:, None]
+    directed = oracle_norms > 0.0  # the oracle has a direction
     np.divide(
-        dots[directed],
-        cos_norms * np.sqrt(oracle_sq[directed])[:, None],
-        out=scores[m:],
-        where=cos_norms > 0.0,
+        dots,
+        np.multiply(norms, oracle_norms, out=np.empty_like(norms), where=directed),
+        out=scores[1],
+        where=(norms > 0.0) & directed,
     )
-    aucs = _mann_whitney(scores, np.concatenate((pos, pos[directed]))).tolist()
-    cos_aucs = iter(aucs[m:])
-    return aucs[:m], [next(cos_aucs) if d else None for d in directed]
+    norm_aucs, cos_aucs = _mann_whitney(scores, pos).tolist()
+    return norm_aucs, [auc if d else None for auc, d in zip(cos_aucs, directed[:, 0])]
 
 
 def quantile(series, q: float) -> float:

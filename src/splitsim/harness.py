@@ -32,6 +32,7 @@ from . import data as data_mod
 from .attacks import ScoreParts, leak_auc, quantile, roc_auc, select_oracle_positive, split_labels
 from .model import (
     ACTIVATIONS,
+    RUN_DTYPE,
     Adam,
     SplitNet,
     apply_update,
@@ -42,7 +43,7 @@ from .model import (
     logistic_loss,
 )
 from .numeric import make_rng
-from .protection import HYPERPARAMETERS, MechanismConfig, apply_mechanism
+from .protection import HYPERPARAMETERS, MechanismConfig, PerturbOutcome, apply_mechanism
 
 LEAK_SERIES = ("norm_cut", "cos_cut", "norm_first", "cos_first")
 SUMMARY_QUANTILE = 0.95
@@ -311,21 +312,34 @@ def _stream_seeds(seed: int) -> list[int]:
     return [int(x) for x in state]
 
 
-def train_run(config: ExperimentConfig) -> RunRecord:
-    """One full training run with per-iteration privacy measurement.
+@dataclass
+class IterationRecord:
+    """What one iteration of a run formed, by reference (`iterate_run`)."""
 
-    Each iteration: forward, clean per-example cut gradients, one split
-    of the batch's labels, mechanism perturbation, one non-label
-    backward pass on the perturbed gradients, the leak audit's score
-    parts, then parameter updates for both parties.  The mechanism and
-    the audit read the same split.  On a mixed batch, each matrix the
-    non-label party actually receives (cut and first layer) adds its
-    score parts against one clean positive oracle row to its layer's
-    `ScoreParts`, sized to the whole run.  After the last iteration, one
-    `leak_auc` call per layer ranks all of its parts, and the four AUCs
-    (norm/cosine at cut/first layer) go into the mixed batches' rows;
-    single-class batches keep None.  A non-finite training or test loss
-    raises FloatingPointError.
+    row: IterationRow  # its leak AUCs stay None: train_run ranks them after the run
+    idx: np.ndarray  # the batch's rows of the training set
+    split: tuple  # the batch's split_labels split
+    factor: tuple  # the clean cut gradients as (coords, basis)
+    outcome: PerturbOutcome  # its perturbed is the cut matrix the non-label party receives
+    first: np.ndarray  # the first-layer gradients that party forms from it
+    # "cut" and "first" -> (oracle's batch index, its clean row there); None if single-class
+    oracles: dict[str, tuple[int, np.ndarray]] | None
+
+
+def iterate_run(config: ExperimentConfig):
+    """A training run of `config` as a generator of `IterationRecord`s.
+
+    The set-up builds the data, the net and the streams.  Each iteration:
+    forward, clean per-example cut gradients, one split of the batch's
+    labels, mechanism perturbation, one non-label backward pass on the
+    perturbed gradients and, on a mixed batch, one oracle positive per
+    layer (cut, then first) and its clean row there.  Its record is
+    yielded, then the update steps both parties' parameters.  `basis` is
+    a view of h's first weights, which that update steps in place, so
+    read it before asking for the next record; every other array is the
+    iteration's own, and nothing writes it again.  After the last update
+    the generator returns (net, test), the trained net and the test set.
+    A non-finite training loss raises FloatingPointError.
     """
     data_seed, init_seed, batch_seed, mech_seed, attack_seed = _stream_seeds(config.seed)
 
@@ -345,12 +359,7 @@ def train_run(config: ExperimentConfig) -> RunRecord:
     optimizer = Adam(config.optimizer.lr)
     mech_rng = make_rng(mech_seed)
     attack_rng = make_rng(attack_seed)
-    audit = {
-        layer: ScoreParts(config.iterations, config.batch_size, dtype) for layer in ("cut", "first")
-    }
-    audited: list[IterationRow] = []  # the rows of the mixed batches
 
-    rows: list[IterationRow] = []
     for it, idx in enumerate(
         _batch_indices(train.n, config.batch_size, config.iterations, make_rng(batch_seed)),
         start=1,
@@ -366,32 +375,60 @@ def train_run(config: ExperimentConfig) -> RunRecord:
         outcome = apply_mechanism(config.mechanism, factor, split, mech_rng)
         pert_first = backprop_nonlabel(net, state, outcome.perturbed)
 
-        mixed = bool(split[2] and split[3])  # both classes present
-        if mixed:
+        oracles = None
+        if split[2] and split[3]:  # both classes present
             pos_idx = np.flatnonzero(split[0])
             coords, basis = factor
-            for layer, received in (("cut", outcome.perturbed), ("first", pert_first)):
-                j = select_oracle_positive(pos_idx, attack_rng)
-                oracle = coords[j] @ basis
-                if layer == "first":
-                    oracle = first_layer_gradient_row(state, j, oracle)
-                audit[layer].add(received, oracle, split[0])
-
-        apply_update(net, optimizer)
-
+            j = select_oracle_positive(pos_idx, attack_rng)
+            oracles = {"cut": (j, coords[j] @ basis)}
+            j = select_oracle_positive(pos_idx, attack_rng)
+            oracles["first"] = (j, first_layer_gradient_row(state, j, coords[j] @ basis))
         cert = outcome.certificate
-        rows.append(
-            IterationRow(
-                iteration=it,
-                train_loss=train_loss,
-                **dict.fromkeys(LEAK_SERIES),
-                sum_kl=cert.sum_kl if cert is not None else None,
-                auc_bound=cert.auc_bound if cert is not None else None,
-                noise_power=outcome.noise_power,
-            )
+        row = IterationRow(
+            iteration=it,
+            train_loss=train_loss,
+            **dict.fromkeys(LEAK_SERIES),
+            sum_kl=cert.sum_kl if cert is not None else None,
+            auc_bound=cert.auc_bound if cert is not None else None,
+            noise_power=outcome.noise_power,
         )
-        if mixed:
-            audited.append(rows[-1])
+        yield IterationRecord(row, idx, split, factor, outcome, pert_first, oracles)
+        apply_update(net, optimizer)
+    return net, test
+
+
+def train_run(config: ExperimentConfig) -> RunRecord:
+    """One full training run with per-iteration privacy measurement, as a
+    reduction over `iterate_run`'s records.
+
+    Each record of a mixed batch adds, for each matrix the non-label
+    party actually receives (cut and first layer), its score parts
+    against the layer's oracle row to that layer's `ScoreParts`, sized to
+    the whole run, before the next record steps `basis`.  After the last
+    iteration, one `leak_auc` call per layer ranks all of its parts, and
+    the four AUCs (norm/cosine at cut/first layer) go into the mixed
+    batches' rows; single-class batches keep None.  Then the trained net
+    scores the test set; a non-finite training or test loss raises
+    FloatingPointError.
+    """
+    audit = {
+        layer: ScoreParts(config.iterations, config.batch_size, RUN_DTYPE)
+        for layer in ("cut", "first")
+    }
+    rows, audited = [], []  # every row, and the rows of the mixed batches
+    records = iterate_run(config)
+    while True:
+        try:
+            record = next(records)
+        except StopIteration as end:
+            net, test = end.value
+            break
+        rows.append(record.row)
+        if record.oracles is not None:
+            received = {"cut": record.outcome.perturbed, "first": record.first}
+            for layer, (_, oracle) in record.oracles.items():
+                audit[layer].add(received[layer], oracle, record.split[0])
+            audited.append(record.row)
     if audited:
         for layer, parts in audit.items():
             norm_aucs, cos_aucs = leak_auc(*parts.filled())

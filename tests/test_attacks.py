@@ -105,23 +105,40 @@ def test_roc_auc_bitwise_matches_midrank():
         assert roc_auc(scores, labels).hex() == midrank_auc(scores, labels).hex()
 
 
+def _cross_tie(scores, pos) -> bool:
+    """Whether a positive's score ties a negative's (NaN ties NaN, -0.0 ties 0.0)."""
+    keys = ["nan" if np.isnan(v) else float(v) for v in scores]
+    return bool({k for k, p in zip(keys, pos) if p} & {k for k, p in zip(keys, pos) if not p})
+
+
 def test_mann_whitney_stacks_bitwise_match_midrank():
     # the core ranks a whole stack of rows at once: rows of one
     # length whose class counts differ, some with a single positive or
     # negative, holding ties, NaN of either sign, +-0.0 and +-inf, in
-    # both dtypes
+    # both dtypes; stacks mix rows where a positive ties a negative (the
+    # rows its second sort reorders) with rows where none does, and a
+    # mask shared by a leading axis of the stack broadcasts over it
     rng = make_rng(44)
+    mixed_stacks = 0
     for stack in range(60):
         n = int(rng.integers(2, 300 if stack % 10 == 0 else 40))
         rows = [_auc_row(rng, case, n) for case in range(int(rng.integers(1, 30)))]
         scores = np.array([r[0] for r in rows])
         np.negative(scores, out=scores, where=np.isnan(scores) & (rng.random(scores.shape) < 0.5))
         pos = np.array([r[1] for r in rows]) == 1
+        tied = {_cross_tie(row, labels) for row, labels in zip(scores, pos)}
+        mixed_stacks += tied == {False, True}
         for dtype in (np.float32, np.float64):
             got = attacks._mann_whitney(scores.astype(dtype), pos)
             assert got.dtype == np.float64 and got.shape == (len(rows),)
             for auc, row, labels in zip(got, scores.astype(dtype), pos):
                 assert auc.hex() == midrank_auc(row, labels).hex()
+            pair = np.stack([scores, -scores]).astype(dtype)
+            both = attacks._mann_whitney(pair, pos)
+            assert both.shape == (2, len(rows))
+            each = [attacks._mann_whitney(s, pos) for s in pair]
+            assert both.tobytes() == np.stack(each).tobytes()
+    assert mixed_stacks >= 10
 
 
 def test_leak_auc_bitwise_matches_midrank():
@@ -181,6 +198,7 @@ def test_train_run_norms_are_linalg_norms(monkeypatch):
     # label split: per layer, np.linalg.norm of each received row of
     # every mixed batch, then each row's dot product with its oracle over
     # its and the oracle's np.linalg.norm, bit for bit, 0 on a zero row
+    # and on every row of a batch whose oracle is zero
     added, ranked = [], []
     add, core = ScoreParts.add, attacks._mann_whitney
 
@@ -200,23 +218,20 @@ def test_train_run_norms_are_linalg_norms(monkeypatch):
     # each mixed batch adds its cut matrix, then its first-layer one
     assert len(ranked) == 2 + 1  # and the test AUC
     for batches, (stack, pos_stack) in zip((added[0::2], added[1::2]), ranked):
-        norm_rows, cos_rows, cos_pos = [], [], []
+        norm_rows, cos_rows = [], []
         for received, oracle, pos in batches:
             norms = np.array([np.linalg.norm(r) for r in received])
             norm_rows.append(norms)
             oracle_norm = np.linalg.norm(oracle)
+            nz, dots = norms > 0, received @ oracle
+            cosines = np.zeros_like(dots)
             if oracle_norm > 0:
-                nz, dots = norms > 0, received @ oracle
-                cosines = np.zeros_like(dots)
                 cosines[nz] = dots[nz] / (norms[nz] * oracle_norm)
-                cos_rows.append(cosines)
-                cos_pos.append(pos)
-        want = np.array(norm_rows + cos_rows)
+            cos_rows.append(cosines)
+        want = np.array([norm_rows, cos_rows])
         assert stack.dtype == want.dtype == np.float32
         assert stack.tobytes() == want.tobytes()
-        assert pos_stack.tolist() == [pos.tolist() for _, _, pos in batches] + [
-            pos.tolist() for pos in cos_pos
-        ]
+        assert pos_stack.tolist() == [pos.tolist() for _, _, pos in batches]
 
 
 def test_roc_auc_nan_and_signed_zero_ties():
@@ -248,14 +263,15 @@ def test_leak_auc_ranks_float32_as_float64(monkeypatch):
 def _scores(monkeypatch, gradients, oracle):
     """The score rows leak_auc ranks for `gradients` as a `ScoreParts` of
     one batch, as it hands them to the AUC core: the norms, then the cosines
-    unless the oracle is zero."""
+    (all 0 where the oracle is zero)."""
     seen = []
     monkeypatch.setattr(
-        attacks, "_mann_whitney", lambda scores, pos: seen.append(scores) or np.full(len(pos), 0.5)
+        attacks, "_mann_whitney",
+        lambda scores, pos: seen.append(scores) or np.full(scores.shape[:-1], 0.5)
     )
     audit_matrix(gradients, np.arange(gradients.shape[0]) % 2, oracle)
     monkeypatch.undo()
-    return list(seen[0])
+    return list(seen[0][:, 0])
 
 
 def test_norm_score(monkeypatch):
@@ -275,8 +291,8 @@ def test_cosine_score(monkeypatch):
     assert scores[2] == 0.0  # zero row: uninformative, not an error
     e1 = np.array([[1.0, 0.0], [0.0, 0.0]])
     assert _scores(monkeypatch, e1, np.array([0.0, 2.0]))[1][0] == pytest.approx(0.0)
-    # a zero oracle has no direction: the norm attack alone is scored
-    assert len(_scores(monkeypatch, e1, np.zeros(2))) == 1
+    # a zero oracle has no direction: no cosine is formed, its scores stay 0
+    assert _scores(monkeypatch, e1, np.zeros(2))[1].tolist() == [0.0, 0.0]
     assert audit_matrix(e1, np.array([1, 0]), np.zeros(2)) == (1.0, None)
 
 

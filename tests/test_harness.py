@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from oracles import per_matrix_leak_auc
-from splitsim import harness, model
-from splitsim.attacks import quantile, split_labels
+from splitsim import data, harness, model
+from splitsim.attacks import ScoreParts, leak_auc, quantile
 from splitsim.harness import (
     ConfigError,
     DatasetConfig,
@@ -268,31 +268,24 @@ def test_marvell_run_records_certificates():
         assert r.noise_power > 0
 
 
-def test_run_model_is_run_dtype(monkeypatch):
+def test_run_model_is_run_dtype():
     # a silent float64 upcast anywhere on the model's path (say, probs - y
     # with a float64 y) would still pass every other test, at half speed
-    seen = {"coords": [], "received": [], "first": [], "oracle_first": [], "params_adam": []}
-
-    def spy(name, fn, pick):
-        def wrapper(*args):
-            result = fn(*args)
-            seen[name].append(pick(args, result))
-            return result
-        monkeypatch.setattr(harness, fn.__name__, wrapper)
-
-    spy("coords", harness.label_party_gradients, lambda args, out: out[0])
-    spy("received", harness.apply_mechanism, lambda args, out: out.perturbed)
-    spy("first", harness.backprop_nonlabel, lambda args, out: out)
-    spy("oracle_first", harness.first_layer_gradient_row, lambda args, out: out)
-    spy(  # the net's parameters and, after the step, Adam's two moments
-        "params_adam",
-        harness.apply_update,
-        lambda args, out: np.concatenate([args[0].params, args[1]._m, args[1]._v]),
-    )
+    seen = {name: [] for name in ("coords", "basis", "received", "first", "oracles")}
     for mechanism in (MechanismConfig(), MechanismConfig(kind="marvell", s=2.0)):
-        train_run(_quick_config(mechanism=mechanism, iterations=10))
+        for record in harness.iterate_run(_quick_config(mechanism=mechanism, iterations=10)):
+            coords, basis = record.factor  # basis is a view of the net's parameters
+            seen["coords"].append(coords)
+            seen["basis"].append(basis)
+            seen["received"].append(record.outcome.perturbed)
+            seen["first"].append(record.first)
+            seen["oracles"] += [row for _, row in (record.oracles or {}).values()]
     assert all(len(arrays) >= 10 for arrays in seen.values())
-    assert {a.dtype for arrays in seen.values() for a in arrays} == {np.dtype(np.float32)}
+    # Adam's two moments, after a step of float32 parameters
+    optimizer, params = model.Adam(1e-3), np.ones(4, np.float32)
+    optimizer.update(params, params.copy())
+    arrays = [a for arrays in seen.values() for a in arrays] + [optimizer._m, optimizer._v, params]
+    assert {a.dtype for a in arrays} == {np.dtype(np.float32)}
 
 
 def test_one_call_per_job(monkeypatch):
@@ -343,48 +336,62 @@ def test_one_call_per_job(monkeypatch):
 
 
 @pytest.mark.parametrize("case", ["marvell_b16", "max_norm_b256"])
-def test_run_audit_writes_the_per_batch_audit_bytes(monkeypatch, tmp_path, workloads, case):
-    # the run.csv of a run ranked once at its end equals, byte for byte,
-    # the one a per-batch audit writes: each received matrix ranked on its
-    # own by the reference, as it came.  The B=16 marvell run holds
-    # single-class batches; the B=256 max_norm run, on the acceptance
-    # task, holds rows whose cosines tie
+def test_run_audit_writes_the_per_batch_audit_bytes(tmp_path, workloads, case):
+    # a run's records rebuild its run.csv byte for byte: ranked once over
+    # the whole run, as the run ranks them, and ranked per batch by the
+    # reference, each received matrix on its own as it came.  The B=16
+    # marvell run holds single-class batches; the B=256 max_norm run, on
+    # the acceptance task, holds rows whose cosines tie
     if case == "marvell_b16":
         raw = {"batch_size": 16, "iterations": 700, "mechanism": {"kind": "marvell", "s": 1.0}}
     else:
         raw = {**workloads.config_dict("accept_none", 7), "mechanism": {"kind": "max_norm"}}
-    seen, splits = [], []
-    add, mechanism = harness.ScoreParts.add, harness.apply_mechanism
-
-    def spy_add(parts, received, oracle, pos):
-        seen.append((received, oracle, pos.copy()))
-        return add(parts, received, oracle, pos)
-
-    def spy_mechanism(config, factor, split, rng):
-        splits.append(split)
-        return mechanism(config, factor, split, rng)
-
-    monkeypatch.setattr(harness.ScoreParts, "add", spy_add)
-    monkeypatch.setattr(harness, "apply_mechanism", spy_mechanism)
-    record = run_to_dir(config_from_dict(raw), tmp_path / "run")
-    mixed = [bool(split[2] and split[3]) for split in splits]
-    assert any(mixed) and all(mixed) == (case == "max_norm_b256")
-    audits = iter(seen)
-    for row, is_mixed in zip(record.rows, mixed):
+    config = config_from_dict(raw)
+    run_to_dir(config, tmp_path / "run")
+    audit = {layer: ScoreParts(config.iterations, config.batch_size, model.RUN_DTYPE)
+             for layer in ("cut", "first")}
+    rows, audited, per_batch, batches = [], [], [], []
+    for record in harness.iterate_run(config):
+        rows.append(record.row)
+        batches.append(record.idx)
         leaks = dict.fromkeys(harness.LEAK_SERIES)
-        if is_mixed:
-            for layer in ("cut", "first"):
-                received, oracle, pos = next(audits)
+        split = record.split
+        assert (record.oracles is not None) == bool(split[2] and split[3])  # mixed
+        if record.oracles is not None:
+            audited.append(record.row)
+            # each oracle is a positive, and the cut oracle its clean row
+            coords, basis = record.factor
+            (j_cut, cut_row), (j_first, _) = record.oracles["cut"], record.oracles["first"]
+            assert split[0][j_cut] and split[0][j_first]
+            assert cut_row.tobytes() == (coords[j_cut] @ basis).tobytes()
+            for layer, received in (("cut", record.outcome.perturbed), ("first", record.first)):
+                _, oracle = record.oracles[layer]
+                audit[layer].add(received, oracle, split[0])
                 leaks[f"norm_{layer}"], leaks[f"cos_{layer}"] = per_matrix_leak_auc(
-                    received, split_labels(pos), oracle
+                    received, split, oracle
                 )
+        per_batch.append(leaks)
+    assert audited and (len(audited) == len(rows)) == (case == "max_norm_b256")
+    # an epoch's batches draw distinct training rows
+    n_train, _ = data.split_sizes(config.dataset.n, config.dataset.test_frac)
+    epoch = np.concatenate(batches[: n_train // config.batch_size])
+    assert np.unique(epoch).size == epoch.size == n_train // config.batch_size * config.batch_size
+
+    def written(name):
+        harness.write_run_csv(harness.RunRecord(rows, {}), tmp_path / name)
+        return (tmp_path / name).read_bytes()
+
+    for layer, parts in audit.items():
+        norm_aucs, cos_aucs = leak_auc(*parts.filled())
+        for row, norm_auc, cos_auc in zip(audited, norm_aucs, cos_aucs, strict=True):
+            setattr(row, f"norm_{layer}", norm_auc)
+            setattr(row, f"cos_{layer}", cos_auc)
+    want = (tmp_path / "run" / "run.csv").read_bytes()
+    assert written("ranked.csv") == want
+    for row, leaks in zip(rows, per_batch):
         for name, value in leaks.items():
             setattr(row, name, value)
-    assert next(audits, None) is None
-    harness.write_run_csv(record, tmp_path / "reference.csv")
-    assert (tmp_path / "run" / "run.csv").read_bytes() == (
-        tmp_path / "reference.csv"
-    ).read_bytes()
+    assert written("per_batch.csv") == want
 
 
 def test_run_without_mixed_batch_ranks_nothing(monkeypatch, tmp_path):
@@ -418,6 +425,10 @@ def test_zero_oracle_batches_write_na_without_warnings(tmp_path, workloads):
     columns = dict(zip(lines[0].split(","), zip(*(line.split(",") for line in lines[1:]))))
     assert columns["cos_cut"].count("NA") == 52
     assert columns["norm_cut"].count("NA") == 0
+    # the NA batches are exactly those whose cut oracle row is all zero
+    zero = [r.row.iteration for r in harness.iterate_run(config)
+            if r.oracles is not None and not r.oracles["cut"][1].any()]
+    assert zero == [i for i, v in enumerate(columns["cos_cut"], start=1) if v == "NA"]
 
 
 # ---------------------------------------------------------------------------

@@ -57,33 +57,16 @@ def _blas() -> str:
 @pytest.fixture(scope="module")
 def workload_run(request, tmp_path_factory, workloads):
     """Run one workload at SEED, once per module, into a fresh directory;
-    returns (name, directory, (fallback, the solves marvell made) per
-    iteration)."""
+    returns (name, directory)."""
     name = request.param
     out = tmp_path_factory.mktemp(name)
-    seen, solves = [], []
-
-    def recording_solve(*args):
-        solves.append(solve(*args))
-        return solves[-1]
-
-    def recording(*args):
-        first = len(solves)
-        outcome = protection.apply_mechanism(*args)
-        seen.append((outcome.fallback, solves[first:]))
-        return outcome
-
-    harness.apply_mechanism, protection.marvell.solve = recording, recording_solve
-    try:
-        run_to_dir(config_from_dict(workloads.config_dict(name, SEED)), out)
-    finally:
-        harness.apply_mechanism, protection.marvell.solve = protection.apply_mechanism, solve
-    return name, out, seen
+    run_to_dir(config_from_dict(workloads.config_dict(name, SEED)), out)
+    return name, out
 
 
 @pytest.mark.parametrize("workload_run", sorted(SHA256), indirect=True)
 def test_workload_run_bytes_match_pinned_hashes(workload_run):
-    workload, out, _ = workload_run
+    workload, out = workload_run
     for name, want in SHA256[workload].items():
         got = hashlib.sha256((out / name).read_bytes()).hexdigest()
         assert got == want, (
@@ -96,11 +79,16 @@ def test_workload_run_bytes_match_pinned_hashes(workload_run):
         )
 
 
-@pytest.mark.parametrize("workload_run", ["accept_marvell", "small_marvell"], indirect=True)
-def test_marvell_workload_solves_converge(workload_run):
+@pytest.mark.parametrize("workload", ["accept_marvell", "small_marvell"])
+def test_marvell_workload_solves_converge(monkeypatch, workloads, workload):
     # every batch marvell perturbed made one solve, and it converged; a
     # fallback batch made none
-    _, _, seen = workload_run
+    solves, seen = [], []
+    monkeypatch.setattr(protection.marvell, "solve",
+                        lambda *args: solves.append(solve(*args)) or solves[-1])
+    for record in harness.iterate_run(config_from_dict(workloads.config_dict(workload, SEED))):
+        seen.append((record.outcome.fallback, solves[:]))
+        solves.clear()
     solved = [sols for fallback, sols in seen if not fallback]
     assert solved and all(len(sols) == 1 and sols[0].converged for sols in solved)
     assert all(sols == [] for fallback, sols in seen if fallback)
