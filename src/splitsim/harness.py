@@ -324,6 +324,8 @@ class IterationRecord:
     first: np.ndarray  # the first-layer gradients that party forms from it
     # "cut" and "first" -> (oracle's batch index, its clean row there); None if single-class
     oracles: dict[str, tuple[int, np.ndarray]] | None
+    net: SplitNet  # the run's net, which the update after this record steps in place
+    test: data_mod.Dataset  # the run's test set, which no iteration reads
 
 
 def iterate_run(config: ExperimentConfig):
@@ -335,11 +337,11 @@ def iterate_run(config: ExperimentConfig):
     perturbed gradients and, on a mixed batch, one oracle positive per
     layer (cut, then first) and its clean row there.  Its record is
     yielded, then the update steps both parties' parameters.  `basis` is
-    a view of h's first weights, which that update steps in place, so
-    read it before asking for the next record; every other array is the
-    iteration's own, and nothing writes it again.  After the last update
-    the generator returns (net, test), the trained net and the test set.
-    A non-finite training loss raises FloatingPointError.
+    a view of h's first weights and `net` the run's net, both of which
+    that update steps in place, so read them before asking for the next
+    record; after the last record is consumed, `net` is the trained net.
+    Every other array is the iteration's own, and nothing writes it
+    again.  A non-finite training loss raises FloatingPointError.
     """
     data_seed, init_seed, batch_seed, mech_seed, attack_seed = _stream_seeds(config.seed)
 
@@ -354,8 +356,7 @@ def iterate_run(config: ExperimentConfig):
         config.net.cut_index,
         make_rng(init_seed),
     )
-    dtype = net.params.dtype
-    train.X, test.X = train.X.astype(dtype), test.X.astype(dtype)
+    train.X, test.X = train.X.astype(RUN_DTYPE), test.X.astype(RUN_DTYPE)
     optimizer = Adam(config.optimizer.lr)
     mech_rng = make_rng(mech_seed)
     attack_rng = make_rng(attack_seed)
@@ -392,9 +393,8 @@ def iterate_run(config: ExperimentConfig):
             auc_bound=cert.auc_bound if cert is not None else None,
             noise_power=outcome.noise_power,
         )
-        yield IterationRecord(row, idx, split, factor, outcome, pert_first, oracles)
+        yield IterationRecord(row, idx, split, factor, outcome, pert_first, oracles, net, test)
         apply_update(net, optimizer)
-    return net, test
 
 
 def train_run(config: ExperimentConfig) -> RunRecord:
@@ -416,13 +416,7 @@ def train_run(config: ExperimentConfig) -> RunRecord:
         for layer in ("cut", "first")
     }
     rows, audited = [], []  # every row, and the rows of the mixed batches
-    records = iterate_run(config)
-    while True:
-        try:
-            record = next(records)
-        except StopIteration as end:
-            net, test = end.value
-            break
+    for record in iterate_run(config):
         rows.append(record.row)
         if record.oracles is not None:
             received = {"cut": record.outcome.perturbed, "first": record.first}
@@ -436,6 +430,7 @@ def train_run(config: ExperimentConfig) -> RunRecord:
                 setattr(row, f"norm_{layer}", norm_auc)
                 setattr(row, f"cos_{layer}", cos_auc)
 
+    net, test = record.net, record.test  # past the run's last update: the trained net
     test_state = forward(net, test.X)
     test_loss = float(np.mean(logistic_loss(test_state.logits, test.y)))
     if not math.isfinite(test_loss):

@@ -268,10 +268,19 @@ def test_marvell_run_records_certificates():
         assert r.noise_power > 0
 
 
-def test_run_model_is_run_dtype():
+def test_run_model_is_run_dtype(monkeypatch):
     # a silent float64 upcast anywhere on the model's path (say, probs - y
     # with a float64 y) would still pass every other test, at half speed
     seen = {name: [] for name in ("coords", "basis", "received", "first", "oracles")}
+    seen["params_adam"] = []
+    apply_update = harness.apply_update
+
+    def spy_update(net, optimizer):  # no record holds the optimizer
+        apply_update(net, optimizer)
+        # the net's parameters and, after the step, Adam's two moments
+        seen["params_adam"].append(np.concatenate([net.params, optimizer._m, optimizer._v]))
+
+    monkeypatch.setattr(harness, "apply_update", spy_update)
     for mechanism in (MechanismConfig(), MechanismConfig(kind="marvell", s=2.0)):
         for record in harness.iterate_run(_quick_config(mechanism=mechanism, iterations=10)):
             coords, basis = record.factor  # basis is a view of the net's parameters
@@ -281,11 +290,7 @@ def test_run_model_is_run_dtype():
             seen["first"].append(record.first)
             seen["oracles"] += [row for _, row in (record.oracles or {}).values()]
     assert all(len(arrays) >= 10 for arrays in seen.values())
-    # Adam's two moments, after a step of float32 parameters
-    optimizer, params = model.Adam(1e-3), np.ones(4, np.float32)
-    optimizer.update(params, params.copy())
-    arrays = [a for arrays in seen.values() for a in arrays] + [optimizer._m, optimizer._v, params]
-    assert {a.dtype for a in arrays} == {np.dtype(np.float32)}
+    assert {a.dtype for arrays in seen.values() for a in arrays} == {np.dtype(np.float32)}
 
 
 def test_one_call_per_job(monkeypatch):
